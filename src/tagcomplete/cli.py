@@ -1,11 +1,11 @@
 """Batch command-line front end for the completion pipeline.
 
 Subcommands: build-structure, complete, evaluate, synth-bench.  Exit codes:
-0 on success, 2 on usage or input-parsing problems, 3 on numerical failures
-(non-convergence or objective blow-up).  All randomness is controlled by
-explicit seeds, so repeated invocations produce identical output files.
-The TAGCOMPLETE_THREADS environment variable caps structure-building
-parallelism (unset: 1 worker, 0: all cores).
+0 on success, 2 on usage or input problems, 3 on numerical failures
+(objective blow-up, lasso non-convergence or a failed structure build).
+Reaching --max-iters is not a failure: the run exits 0 and prints
+converged=False.  All randomness is controlled by explicit seeds, so
+repeated invocations produce identical output files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import io as tgio
 from .core import (
     FeatureMatrix,
     Hyperparams,
-    Orientation,
     StructureMatrix,
     TagCompleteError,
     TaggingMatrix,
@@ -96,10 +95,6 @@ def _print_lines(lines, out_path=None) -> None:
         tgio.atomic_write_text(out_path, text)
 
 
-def _load_structure(path, orientation) -> StructureMatrix:
-    return StructureMatrix(tgio.read_sparse_matrix(path), orientation)
-
-
 def _cmd_build_structure(args) -> int:
     hp_fields = {"knn_k": args.knn, "alpha": args.alpha, "mu": args.mu}
     hp = Hyperparams().with_overrides(
@@ -158,8 +153,8 @@ def _cmd_complete(args) -> int:
         )
     hp = _hyperparams_from(args, overrides)
     D = TaggingMatrix(tgio.read_sparse_matrix(tags_path))
-    S = _load_structure(image_structure_path, Orientation.ROWS)
-    T = _load_structure(tag_structure_path, Orientation.COLUMNS)
+    S = StructureMatrix(tgio.read_sparse_matrix(image_structure_path))
+    T = StructureMatrix(tgio.read_sparse_matrix(tag_structure_path))
     fit_input = reinitialize(D, S, T) if args.reinit else D
     report = fit(fit_input, S, T, hp)
     scores = report.model.completed()
@@ -206,41 +201,8 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-_SYNTH_INT_FIELDS = {
-    "n_images", "n_tags", "n_topics", "tags_per_image", "feature_dim", "rng_seed",
-}
-
-
-def _read_synth_config(path) -> dict:
-    values = {}
-    with open(path) as handle:
-        for idx, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise tgio.ParseError(
-                    f"{path}:{idx}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in SynthConfig.field_names():
-                raise tgio.ParseError(
-                    f"{path}:{idx}: unknown synth option {key!r}"
-                )
-            try:
-                values[key] = (
-                    int(value) if key in _SYNTH_INT_FIELDS else float(value)
-                )
-            except ValueError:
-                raise tgio.ParseError(
-                    f"{path}:{idx}: bad value {value!r} for {key}"
-                ) from None
-    return values
-
-
 def _cmd_synth_bench(args) -> int:
-    values = _read_synth_config(args.config)
+    values = tgio.parse_key_values(args.config, SynthConfig)
     if args.seed is not None:
         values["rng_seed"] = args.seed
     cfg = SynthConfig(**values)

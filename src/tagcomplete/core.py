@@ -13,7 +13,6 @@ reconstruct each tag from related tags.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -109,24 +108,17 @@ class FeatureMatrix:
     """Dense N x L feature matrix, one row per image."""
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=float))
         if arr.ndim != 2:
             raise ValidationError(f"feature matrix must be 2-D, got ndim={arr.ndim}")
         _check_finite("feature matrix", arr)
-        if self.normalized:
-            arr = normalize_rows(arr)
         object.__setattr__(self, "data", arr)
 
     @property
     def n_images(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.data.shape[1]
 
 
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
@@ -136,13 +128,6 @@ def normalize_rows(arr: np.ndarray) -> np.ndarray:
     nz = norms > 0
     out[nz] /= norms[nz, None]
     return out
-
-
-class Orientation(enum.Enum):
-    """Which slices of a structure matrix hold reconstruction weights."""
-
-    ROWS = "row-reconstructs"        # row n rebuilds item n from other rows
-    COLUMNS = "column-reconstructs"  # column m rebuilds item m from other columns
 
 
 @dataclass(frozen=True)
@@ -155,7 +140,6 @@ class StructureMatrix:
     """
 
     matrix: sp.csr_matrix
-    orientation: Orientation
 
     def __post_init__(self):
         m = _as_csr(self.matrix)
@@ -170,8 +154,8 @@ class StructureMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def zeros(cls, size: int, orientation: Orientation) -> "StructureMatrix":
-        return cls(sp.csr_matrix((size, size)), orientation)
+    def zeros(cls, size: int) -> "StructureMatrix":
+        return cls(sp.csr_matrix((size, size)))
 
     @property
     def size(self) -> int:
@@ -303,27 +287,38 @@ def objective(
 ) -> float:
     """Value of the completion objective at the given state.
 
-    ||D - E - UV||_F^2 + gamma ||U - SU||_F^2 + lambda ||V - VT||_F^2
-        + 2 eta ||V||_1 + beta ||E||_1
-
     Pure function; all inputs are read-only.  Raises DimensionMismatchError
-    naming the offending pair when shapes disagree.
+    naming the offending pair when shapes disagree.  See objective_from_arrays
+    for the formula.
     """
     _require_same("D image count", D.n_images, "model image count", model.n_images)
     _require_same("D tag count", D.n_tags, "model tag count", model.n_tags)
     _require_same("image structure size", S.size, "image count", D.n_images)
     _require_same("tag structure size", T.size, "tag count", D.n_tags)
+    return objective_from_arrays(
+        D.to_dense(), model.U, model.V.toarray(), model.E.toarray(),
+        S.matrix, T.matrix, hp,
+    )
 
-    U = model.U
-    Vd = model.V.toarray()
-    residual = D.to_dense() - model.E.toarray() - U @ Vd
+
+def objective_from_arrays(data, U, V, E, S, T, hp: Hyperparams) -> float:
+    """The completion objective on raw arrays:
+
+    ||D - E - UV||_F^2 + gamma ||U - SU||_F^2 + lambda ||V - VT||_F^2
+        + 2 eta ||V||_1 + beta ||E||_1
+
+    data, U, V and E are dense; S and T are the sparse structure matrices.
+    Shapes are not checked and non-finite values propagate to the result
+    instead of raising, so a solver can detect blow-ups from the value.
+    """
+    residual = data - E - U @ V
     value = float(np.sum(residual * residual))
     if hp.gamma != 0.0:
-        u_res = U - S.matrix @ U
+        u_res = U - S @ U
         value += hp.gamma * float(np.sum(u_res * u_res))
     if hp.lambda_ != 0.0:
-        v_res = Vd - Vd @ T.matrix.toarray()
+        v_res = V - V @ T
         value += hp.lambda_ * float(np.sum(v_res * v_res))
-    value += 2.0 * hp.eta * float(np.abs(model.V.data).sum())
-    value += hp.beta * float(np.abs(model.E.data).sum())
+    value += 2.0 * hp.eta * float(np.abs(V).sum())
+    value += hp.beta * float(np.abs(E).sum())
     return value

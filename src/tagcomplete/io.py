@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -320,20 +321,15 @@ def read_split(path) -> EvalSplit:
         raise ParseError(f"{path}: invalid split ({exc})") from None
 
 
-_INT_FIELDS = {
-    name
-    for name in Hyperparams.field_names()
-    if isinstance(getattr(Hyperparams(), name), int)
-}
+def parse_key_values(path, target) -> dict:
+    """Flat key=value file -> dict of typed values for fields of a dataclass.
 
-
-def parse_overrides(path) -> dict:
-    """Flat key=value file -> dict of typed hyperparameter overrides.
-
-    Blank lines and lines starting with # are skipped.  Values are coerced to
-    the declared type of the named hyperparameter; unknown keys fail.
+    `target` is the dataclass the values are for (Hyperparams or SynthConfig).
+    Blank lines and lines starting with # are skipped.  Each value is coerced
+    with its field's declared type (int or float); unknown keys fail.
     """
-    overrides = {}
+    types = get_type_hints(target)
+    values = {}
     with open(path) as handle:
         for idx, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -343,13 +339,13 @@ def parse_overrides(path) -> dict:
                 _fail(path, idx, f"expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in Hyperparams.field_names():
-                _fail(path, idx, f"unknown hyperparameter {key!r}")
+            if key not in types:
+                _fail(path, idx, f"unknown {target.__name__} field {key!r}")
             try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+                values[key] = types[key](value)
             except ValueError:
                 _fail(path, idx, f"bad value {value!r} for {key}")
-    return overrides
+    return values
 
 
 @dataclass(frozen=True)
@@ -401,5 +397,7 @@ def read_manifest(path) -> Manifest:
         features_path=resolve("features"),
         image_structure_path=resolve("image_structure"),
         tag_structure_path=resolve("tag_structure"),
-        overrides=parse_overrides(overrides_file) if overrides_file else None,
+        overrides=(
+            parse_key_values(overrides_file, Hyperparams) if overrides_file else None
+        ),
     )

@@ -39,15 +39,12 @@ class LassoProblem:
     """min_w  ||b - A w||^2 + l1_weight * ||w||_1, posed via gram = A'A, corr = A'b.
 
     target_sq_norm is ||b||^2 so objective values can be recovered without b.
-    `excluded`, when set, pins that coefficient to zero (used to keep an item
-    out of its own reconstruction).
     """
 
     gram: np.ndarray
     corr: np.ndarray
     target_sq_norm: float
     l1_weight: float
-    excluded: int | None = None
 
     def __post_init__(self):
         gram = np.ascontiguousarray(np.asarray(self.gram, dtype=float))
@@ -67,8 +64,6 @@ class LassoProblem:
         scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
         if np.abs(gram - gram.T).max(initial=0.0) > 1e-8 * scale:
             raise ValidationError("gram matrix is not symmetric")
-        if self.excluded is not None and not (0 <= self.excluded < gram.shape[0]):
-            raise ValidationError(f"excluded index {self.excluded} out of range")
         _check_psd(gram, scale)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "corr", corr)
@@ -109,11 +104,8 @@ class LassoSolution:
 def _kkt_residual(problem: LassoProblem, weights: np.ndarray, grad: np.ndarray) -> float:
     """Max stationarity violation; grad must equal gram @ weights - corr."""
     lam = problem.l1_weight
-    free = np.ones(problem.n_vars, dtype=bool)
-    if problem.excluded is not None:
-        free[problem.excluded] = False
-    active = free & (weights != 0.0)
-    zero = free & (weights == 0.0)
+    active = weights != 0.0
+    zero = ~active
     residual = 0.0
     if active.any():
         residual = float(
@@ -152,7 +144,7 @@ def solve_lasso(
     grad = -corr.copy()  # gram @ w - corr
     half = 0.5 * lam
     diag = np.diagonal(gram)
-    order = [j for j in range(p) if j != problem.excluded and diag[j] > 0.0]
+    order = [j for j in range(p) if diag[j] > 0.0]
 
     def sweep(indices) -> None:
         nonlocal grad
@@ -185,16 +177,14 @@ def solve_lasso(
 def kkt_residual(problem: LassoProblem, weights: np.ndarray) -> float:
     """Stationarity residual of arbitrary weights, recomputed from problem data.
 
-    Returns inf when an excluded coefficient is nonzero.  Independent of the
-    solver path, so it doubles as an after-the-fact certificate.
+    Independent of the solver path, so it doubles as an after-the-fact
+    certificate.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape[0] != problem.n_vars:
         raise ValidationError(
             f"got {w.shape[0]} weights for a {problem.n_vars}-variable problem"
         )
-    if problem.excluded is not None and w[problem.excluded] != 0.0:
-        return float("inf")
     grad = problem.gram @ w - problem.corr
     return _kkt_residual(problem, w, grad)
 

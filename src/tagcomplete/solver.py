@@ -1,7 +1,7 @@
 """Alternating minimization for the structure-preserving factorization.
 
-The objective (see core.objective) is separately convex in each of the three
-blocks.  One outer iteration runs a cyclic coordinate sweep over the
+The objective (core.objective_from_arrays) is separately convex in each of
+the three blocks.  One outer iteration runs a cyclic coordinate sweep over the
 coefficients, a projected coordinate sweep over the basis, and the exact
 closed-form refresh of the error matrix.  Every scalar step is the exact
 minimizer of its one-dimensional restriction, which is what makes the
@@ -22,7 +22,7 @@ from .core import (
     TagCompleteError,
     TaggingMatrix,
     ValidationError,
-    objective,
+    objective_from_arrays,
 )
 
 
@@ -65,8 +65,9 @@ class SolverWorkspace:
     tag_penalty is the M x M form lambda*(T - I)(T - I)' acting on rows of
     the coefficient matrix; image_penalty is the N x N form
     gamma*(S - I)'(S - I) acting on columns of the basis.  Both are fixed for
-    the whole run.  basis/coeffs/error are mutable copies of the model;
-    target caches data - error and is refreshed whenever error changes.
+    the whole run; the coordinate sweeps read them, the objective does not.
+    basis/coeffs/error are mutable copies of the model; target caches
+    data - error and is refreshed whenever error changes.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class SolverWorkspace:
         self.hp = hp
         self.image_structure = S
         self.tag_structure = T
-        self.data_matrix = D
         self.data = D.to_dense()
 
         eye_n = sp.identity(D.n_images, format="csr")
@@ -129,19 +129,15 @@ class SolverWorkspace:
         )
 
     def objective_value(self) -> float:
-        """Objective at the current state, computed from the dense caches.
+        """Objective at the current state, via core.objective_from_arrays.
 
-        Same value as core.objective on a snapshot (the penalty matrices are
-        exactly the quadratic forms of the structure terms), but never raises
-        on non-finite state, so blow-ups surface as inf/nan for fit to catch.
+        Never raises on non-finite state, so blow-ups surface as inf/nan for
+        fit to catch.
         """
-        resid = self.target - self.basis @ self.coeffs
-        value = float(np.sum(resid * resid))
-        value += float(np.sum(self.basis * (self.image_penalty @ self.basis)))
-        value += float(np.sum(self.coeffs * (self.coeffs @ self.tag_penalty)))
-        value += 2.0 * self.hp.eta * float(np.abs(self.coeffs).sum())
-        value += self.hp.beta * float(np.abs(self.error).sum())
-        return value
+        return objective_from_arrays(
+            self.data, self.basis, self.coeffs, self.error,
+            self.image_structure.matrix, self.tag_structure.matrix, self.hp,
+        )
 
 
 def update_coeffs(ws: SolverWorkspace) -> int:

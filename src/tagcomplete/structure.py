@@ -9,9 +9,7 @@ factorizations that break these reconstructions.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,6 @@ import scipy.sparse as sp
 from .core import (
     FeatureMatrix,
     Hyperparams,
-    Orientation,
     StructureMatrix,
     TagCompleteError,
     TaggingMatrix,
@@ -35,33 +32,12 @@ from .lasso import (
     verify_kkt,
 )
 
-THREADS_ENV_VAR = "TAGCOMPLETE_THREADS"
-
-
 class StructureBuildError(TagCompleteError, RuntimeError):
     """A reconstruction subproblem failed; carries the item index."""
 
     def __init__(self, message: str, item: int):
         super().__init__(message)
         self.item = item
-
-
-def worker_count() -> int:
-    """Parallelism cap from the environment: unset -> 1, 0 -> all cores."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if n < 0:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be >= 0, got {n}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -72,21 +48,12 @@ class NeighborIndex:
     index, and has length min(k, population - 1).
     """
 
-    k: int
     neighbors: tuple
     distances: tuple
 
-    @property
-    def n_items(self) -> int:
-        return len(self.neighbors)
 
-
-def knn_index(vectors, k: int, metric: str = "euclidean") -> NeighborIndex:
-    """Exact nearest neighbors by full pairwise scan.
-
-    metric is "euclidean" or "cosine"; under cosine, a zero vector is at
-    distance 1 from everything (its similarity to anything is taken as 0).
-    """
+def knn_index(vectors, k: int) -> NeighborIndex:
+    """Exact euclidean nearest neighbors by full pairwise scan."""
     pts = np.ascontiguousarray(np.asarray(vectors, dtype=float))
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
@@ -97,31 +64,20 @@ def knn_index(vectors, k: int, metric: str = "euclidean") -> NeighborIndex:
         raise ValidationError("k must be >= 1")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("vectors contain non-finite values")
-    if metric not in ("euclidean", "cosine"):
-        raise ValidationError(f"unknown metric {metric!r}")
-
-    if metric == "cosine":
-        norms = np.linalg.norm(pts, axis=1)
-        unit = pts.copy()
-        nz = norms > 0
-        unit[nz] /= norms[nz, None]
 
     take = min(k, n - 1)
     all_idx = np.arange(n)
     neighbors, distances = [], []
     for i in range(n):
-        if metric == "euclidean":
-            diff = pts - pts[i]
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        else:
-            d = 1.0 - unit @ unit[i]
+        diff = pts - pts[i]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         mask = all_idx != i
         cand_idx = all_idx[mask]
         cand_d = d[mask]
         order = np.lexsort((cand_idx, cand_d))[:take]
         neighbors.append(cand_idx[order])
         distances.append(cand_d[order])
-    return NeighborIndex(k=k, neighbors=tuple(neighbors), distances=tuple(distances))
+    return NeighborIndex(neighbors=tuple(neighbors), distances=tuple(distances))
 
 
 def _reconstruction_weights(vectors, index, item, l1_weight, hp):
@@ -152,24 +108,12 @@ def _reconstruction_weights(vectors, index, item, l1_weight, hp):
 
 
 def _solve_all(vectors, index, l1_weight, hp, skip=None):
-    """Solve every item's subproblem, optionally in parallel; assembly is
-    deterministic because results are stored by item index."""
-    n = vectors.shape[0]
-    results = [None] * n
-    items = [i for i in range(n) if skip is None or not skip[i]]
-
-    def task(i):
-        return _reconstruction_weights(vectors, index, i, l1_weight, hp)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, res in zip(items, pool.map(task, items)):
-                results[i] = res
-    else:
-        for i in items:
-            results[i] = task(i)
-    return results
+    """Solve every item's subproblem in item order; skipped items get None."""
+    return [
+        None if skip is not None and skip[i]
+        else _reconstruction_weights(vectors, index, i, l1_weight, hp)
+        for i in range(vectors.shape[0])
+    ]
 
 
 def _assemble(results, size, transpose):
@@ -219,10 +163,10 @@ def build_feature_structure(
     solution is KKT-certified.  Deterministic for fixed inputs.
     """
     vectors = combined_feature_rows(features, tags)
-    index = knn_index(vectors, hp.knn_k, metric="euclidean")
+    index = knn_index(vectors, hp.knn_k)
     results = _solve_all(vectors, index, hp.alpha, hp)
     matrix = _assemble(results, vectors.shape[0], transpose=False)
-    return StructureMatrix(matrix, Orientation.ROWS)
+    return StructureMatrix(matrix)
 
 
 def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
@@ -233,7 +177,7 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
     Tags that no image carries get an all-zero column and a warning.
     """
     cols = np.ascontiguousarray(D.to_dense().T)
-    index = knn_index(cols, hp.knn_k, metric="euclidean")
+    index = knn_index(cols, hp.knn_k)
     empty = ~np.any(cols != 0.0, axis=1)
     if empty.any():
         warnings.warn(
@@ -243,7 +187,7 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
         )
     results = _solve_all(cols, index, hp.mu, hp, skip=empty)
     matrix = _assemble(results, cols.shape[0], transpose=True)
-    return StructureMatrix(matrix, Orientation.COLUMNS)
+    return StructureMatrix(matrix)
 
 
 def reinitialize(
@@ -251,7 +195,9 @@ def reinitialize(
 ) -> TaggingMatrix:
     """Blend neighbor-propagated scores: (S @ D + D @ T) / 2.
 
-    Output is real-valued; the input matrix is not modified.
+    Output is real-valued; the input matrix is not modified.  Raises
+    ValidationError when a D with nonzero entries blends to all zeros, since
+    fitting that blend would report a meaningless all-zero completion.
     """
     if S.size != D.n_images:
         raise ValidationError(
@@ -262,13 +208,19 @@ def reinitialize(
             f"tag structure is {T.size}x{T.size} but D has {D.n_tags} tags"
         )
     blended = (S.matrix @ D.matrix + D.matrix @ T.matrix) * 0.5
+    if np.any(D.matrix.data) and not np.any(blended.data):
+        raise ValidationError(
+            "reinitialization blends the nonzero tagging matrix to all zeros: "
+            "the structures put no weight on any tagged image or tag; "
+            "fit the tagging matrix directly instead (--no-reinit)"
+        )
     return TaggingMatrix(blended)
 
 
 def _kkt_per_item(vectors, structure_csr, weights_of, l1_weight, k):
     """Recomputed KKT residual per item; inf when support leaks outside the
     recomputed neighborhood."""
-    index = knn_index(vectors, k, metric="euclidean")
+    index = knn_index(vectors, k)
     residuals = np.zeros(vectors.shape[0])
     for i in range(vectors.shape[0]):
         nb = index.neighbors[i]

@@ -54,12 +54,6 @@ class SynthConfig:
                 f"tags_per_image={self.tags_per_image}"
             )
 
-    @classmethod
-    def field_names(cls) -> list:
-        from dataclasses import fields
-
-        return [f.name for f in fields(cls)]
-
 
 def tag_blocks(n_tags: int, n_topics: int) -> list:
     """Contiguous near-equal partition of tag indices into topic blocks."""

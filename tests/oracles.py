@@ -35,7 +35,7 @@ def lasso_objective(gram, corr, target_sq_norm, l1_weight, w) -> float:
     )
 
 
-def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight, excluded=None):
+def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight):
     """Global lasso minimizer by enumerating all 3^p sign patterns.
 
     For each pattern sigma in {-1, 0, +1}^p, solve the equality-constrained
@@ -49,9 +49,8 @@ def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight, excluded=None):
     p = gram.shape[0]
     best_w = np.zeros(p)
     best_obj = lasso_objective(gram, corr, target_sq_norm, l1_weight, best_w)
-    free = [j for j in range(p) if j != excluded]
-    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=len(free)):
-        support = [j for j, s in zip(free, signs) if s != 0.0]
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=p):
+        support = [j for j, s in enumerate(signs) if s != 0.0]
         if not support:
             continue
         sigma = np.array([s for s in signs if s != 0.0])

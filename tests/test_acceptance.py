@@ -17,7 +17,6 @@ from tagcomplete import io as tgio
 from tagcomplete.core import (
     FeatureMatrix,
     Hyperparams,
-    Orientation,
     StructureMatrix,
     TaggingMatrix,
 )
@@ -75,7 +74,7 @@ def _count_increases(values) -> int:
     return bad
 
 
-def _random_structure(rng, size, orientation) -> StructureMatrix:
+def _random_structure(rng, size) -> StructureMatrix:
     nnz = int(rng.integers(0, size * 4))
     rows = rng.integers(0, size, nnz)
     cols = rng.integers(0, size, nnz)
@@ -85,7 +84,7 @@ def _random_structure(rng, size, orientation) -> StructureMatrix:
         (data, (rows[keep], cols[keep])), shape=(size, size)
     ).tocsr()
     matrix.sum_duplicates()
-    return StructureMatrix(matrix, orientation)
+    return StructureMatrix(matrix)
 
 
 def _random_hp(rng, k) -> Hyperparams:
@@ -117,8 +116,8 @@ def test_monotonicity_suite():
         if rng.random() < 0.3:
             dense *= rng.uniform(0.2, 1.5)  # re-initialized inputs are real
         D = TaggingMatrix.from_dense(dense)
-        S = _random_structure(rng, n, Orientation.ROWS)
-        T = _random_structure(rng, m, Orientation.COLUMNS)
+        S = _random_structure(rng, n)
+        T = _random_structure(rng, m)
         report = _tracked_fit(D, S, T, _random_hp(rng, k))
         violations += _count_increases(_chain(report))
         runs += 1
@@ -402,8 +401,8 @@ def test_projection_invariant():
         rng = np.random.default_rng(seed)
         dense = (rng.random((40, 12)) < 0.3).astype(float)
         D = TaggingMatrix.from_dense(dense)
-        S = _random_structure(rng, 40, Orientation.ROWS)
-        T = _random_structure(rng, 12, Orientation.COLUMNS)
+        S = _random_structure(rng, 40)
+        T = _random_structure(rng, 12)
         hp = Hyperparams(
             K=5, knn_k=5, beta=beta, gamma=gamma, eta=1e-6,
             max_outer_iters=40, rng_seed=seed,
@@ -443,8 +442,8 @@ def test_exact_factorization():
     )
     report = _tracked_fit(
         instance.truth,
-        StructureMatrix.zeros(cfg.n_images, Orientation.ROWS),
-        StructureMatrix.zeros(cfg.n_tags, Orientation.COLUMNS),
+        StructureMatrix.zeros(cfg.n_images),
+        StructureMatrix.zeros(cfg.n_tags),
         hp,
     )
     rel = float(

@@ -301,6 +301,40 @@ class TestComplete:
         assert code == EXIT_OK
         assert kv(stdout)["iterations"] == "2"
 
+    def test_max_iters_exits_0_unconverged(
+        self, pipeline_files, built_structures, capsys
+    ):
+        code, stdout, _ = run_cli(
+            [
+                "complete", "--tags", pipeline_files["observed"],
+                "--image-structure", built_structures["S"],
+                "--tag-structure", built_structures["T"],
+                "--K", "4", "--max-iters", "1",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        report = kv(stdout)
+        assert report["iterations"] == "1"
+        assert report["converged"] == "False"
+
+    def test_reinit_to_zero_exits_2(self, pipeline_files, capsys, tmp_path):
+        s_path = str(tmp_path / "S.mtx")
+        t_path = str(tmp_path / "T.mtx")
+        tgio.write_sparse_matrix(s_path, sp.csr_matrix((60, 60)))
+        tgio.write_sparse_matrix(t_path, sp.csr_matrix((20, 20)))
+        code, stdout, err = run_cli(
+            [
+                "complete", "--tags", pipeline_files["observed"],
+                "--image-structure", s_path, "--tag-structure", t_path,
+                "--K", "4",
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "all zeros" in err and "--no-reinit" in err
+
     def test_requires_structures(self, pipeline_files, capsys):
         code, _, err = run_cli(
             ["complete", "--tags", pipeline_files["observed"]], capsys
@@ -432,6 +466,20 @@ class TestSynthBench:
         code, other_out, _ = run_cli(args + ["--seed", "8"], capsys)
         assert code == EXIT_OK
         assert other_out != base_out
+
+    def test_max_iters_exits_0_unconverged(self, capsys, tmp_path):
+        config = write_config(tmp_path / "synth.cfg")
+        code, stdout, _ = run_cli(
+            [
+                "synth-bench", "--config", config, "--max-iters", "1",
+                "--knn", "10", "--K", "4", "--eta", "0.05", "--beta", "2.0",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        report = kv(stdout)
+        assert report["iterations"] == "1"
+        assert report["converged"] == "False"
 
     def test_bad_config_key(self, capsys, tmp_path):
         config = tmp_path / "synth.cfg"

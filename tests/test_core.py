@@ -5,9 +5,7 @@ import scipy.sparse as sp
 from tagcomplete.core import (
     DimensionMismatchError,
     FactorModel,
-    FeatureMatrix,
     Hyperparams,
-    Orientation,
     StructureMatrix,
     TaggingMatrix,
     ValidationError,
@@ -70,12 +68,6 @@ class TestTaggingMatrix:
 
 
 class TestFeatureMatrix:
-    def test_normalization_flag(self):
-        X = np.array([[3.0, 4.0], [0.0, 0.0]])
-        fm = FeatureMatrix(X, normalized=True)
-        np.testing.assert_allclose(np.linalg.norm(fm.data[0]), 1.0)
-        np.testing.assert_array_equal(fm.data[1], [0.0, 0.0])
-
     def test_normalize_rows_zero_row_left_alone(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         out = normalize_rows(X)
@@ -87,19 +79,19 @@ class TestStructureMatrix:
     def test_rejects_nonzero_diagonal(self):
         bad = sp.csr_matrix(np.array([[0.5, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError):
-            StructureMatrix(bad, Orientation.ROWS)
+            StructureMatrix(bad)
 
     def test_accepts_structural_zero_diagonal(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        sm = StructureMatrix(mat, Orientation.ROWS)
+        sm = StructureMatrix(mat)
         assert sm.size == 2
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
-            StructureMatrix(sp.csr_matrix((2, 3)), Orientation.ROWS)
+            StructureMatrix(sp.csr_matrix((2, 3)))
 
     def test_zeros(self):
-        sm = StructureMatrix.zeros(4, Orientation.COLUMNS)
+        sm = StructureMatrix.zeros(4)
         assert sm.matrix.nnz == 0
         assert sm.size == 4
 
@@ -167,8 +159,8 @@ class TestObjective:
             model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
             got = objective(
                 TaggingMatrix.from_dense(D),
-                StructureMatrix(sp.csr_matrix(S), Orientation.ROWS),
-                StructureMatrix(sp.csr_matrix(T), Orientation.COLUMNS),
+                StructureMatrix(sp.csr_matrix(S)),
+                StructureMatrix(sp.csr_matrix(T)),
                 model,
                 hp,
             )
@@ -183,8 +175,8 @@ class TestObjective:
         hp = Hyperparams()
         got = objective(
             TaggingMatrix.from_dense(D),
-            StructureMatrix.zeros(3, Orientation.ROWS),
-            StructureMatrix.zeros(3, Orientation.COLUMNS),
+            StructureMatrix.zeros(3),
+            StructureMatrix.zeros(3),
             model,
             hp,
         )
@@ -198,8 +190,8 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError) as exc:
             objective(
                 D,
-                StructureMatrix.zeros(5, Orientation.ROWS),
-                StructureMatrix.zeros(4, Orientation.COLUMNS),
+                StructureMatrix.zeros(5),
+                StructureMatrix.zeros(4),
                 model,
                 Hyperparams(),
             )

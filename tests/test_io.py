@@ -9,7 +9,7 @@ from tagcomplete.core import FactorModel, Hyperparams, TaggingMatrix
 from tagcomplete.io import (
     Manifest,
     ParseError,
-    parse_overrides,
+    parse_key_values,
     read_dense_matrix,
     read_manifest,
     read_matrix_auto,
@@ -275,29 +275,37 @@ class TestOverrides:
     def test_parses_typed_values(self, tmp_path):
         path = tmp_path / "hp.conf"
         path.write_text("# tuning\neta = 0.5\nK=7\n\nlambda_ = 0.25\n")
-        got = parse_overrides(path)
+        got = parse_key_values(path, Hyperparams)
         assert got == {"eta": 0.5, "K": 7, "lambda_": 0.25}
         assert isinstance(got["K"], int)
         hp = Hyperparams().with_overrides(**got)
         assert hp.K == 7 and hp.eta == 0.5
 
+    def test_parses_synth_config(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_text("n_images = 40\n# noise\nfeature_noise=0.5\nrng_seed=3\n")
+        got = parse_key_values(path, SynthConfig)
+        assert got == {"n_images": 40, "feature_noise": 0.5, "rng_seed": 3}
+        assert isinstance(got["n_images"], int)
+        assert isinstance(got["feature_noise"], float)
+
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "hp.conf"
         path.write_text("eta=0.5\nbogus=1\n")
-        with pytest.raises(ParseError, match=":2:"):
-            parse_overrides(path)
+        with pytest.raises(ParseError, match=":2:.*bogus"):
+            parse_key_values(path, Hyperparams)
 
     def test_bad_int_value(self, tmp_path):
         path = tmp_path / "hp.conf"
         path.write_text("K=2.5\n")
         with pytest.raises(ParseError, match="bad value"):
-            parse_overrides(path)
+            parse_key_values(path, Hyperparams)
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "hp.conf"
         path.write_text("eta 0.5\n")
         with pytest.raises(ParseError, match="key=value"):
-            parse_overrides(path)
+            parse_key_values(path, Hyperparams)
 
 
 class TestManifest:

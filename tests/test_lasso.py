@@ -13,7 +13,7 @@ from tagcomplete.lasso import (
 from oracles import lasso_by_enumeration, lasso_objective
 
 
-def random_problem(rng, p, l1_weight=None, excluded=None):
+def random_problem(rng, p, l1_weight=None):
     n = p + rng.integers(1, 5)
     A = rng.normal(size=(n, p))
     b = rng.normal(size=n)
@@ -24,7 +24,6 @@ def random_problem(rng, p, l1_weight=None, excluded=None):
         corr=A.T @ b,
         target_sq_norm=float(b @ b),
         l1_weight=l1_weight,
-        excluded=excluded,
     )
 
 
@@ -52,17 +51,6 @@ class TestProblemValidation:
             LassoProblem(
                 gram=np.eye(2), corr=np.zeros(2), target_sq_norm=0.0, l1_weight=-1.0
             )
-
-    def test_rejects_out_of_range_excluded(self):
-        with pytest.raises(ValidationError):
-            LassoProblem(
-                gram=np.eye(2),
-                corr=np.zeros(2),
-                target_sq_norm=0.0,
-                l1_weight=1.0,
-                excluded=2,
-            )
-
 
 class TestKnownSolutions:
     def test_one_variable(self):
@@ -130,23 +118,6 @@ class TestOracleAgreement:
             )
             assert sol.objective_value <= best + 1e-6, f"trial {trial}"
             assert sol.kkt_residual <= 1e-8
-
-    def test_matches_enumeration_with_excluded_index(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            p = int(rng.integers(2, 6))
-            excluded = int(rng.integers(0, p))
-            problem = random_problem(rng, p, excluded=excluded)
-            sol = solve_lasso(problem)
-            assert sol.weights[excluded] == 0.0
-            _, best = lasso_by_enumeration(
-                problem.gram,
-                problem.corr,
-                problem.target_sq_norm,
-                problem.l1_weight,
-                excluded=excluded,
-            )
-            assert sol.objective_value <= best + 1e-6
 
 
 class TestProperties:
@@ -227,23 +198,6 @@ class TestVerifyKkt:
             kkt_residual=sol.kkt_residual,
         )
         assert not verify_kkt(problem, bad, tol=1e-8)
-
-    def test_rejects_nonzero_excluded_weight(self):
-        problem = LassoProblem(
-            gram=np.eye(2),
-            corr=np.array([1.0, 1.0]),
-            target_sq_norm=2.0,
-            l1_weight=0.5,
-            excluded=1,
-        )
-        sol = solve_lasso(problem)
-        assert verify_kkt(problem, sol, tol=1e-8)
-        tampered = LassoSolution(
-            weights=np.array([sol.weights[0], 0.75]),
-            objective_value=0.0,
-            kkt_residual=0.0,
-        )
-        assert not verify_kkt(problem, tampered, tol=1e-8)
 
 
 class TestConvergenceFailure:

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from tagcomplete.core import (
     FactorModel,
     Hyperparams,
-    Orientation,
     StructureMatrix,
     TaggingMatrix,
     objective,
@@ -35,8 +34,8 @@ def random_setup(rng, n=8, m=6, k=3, density=0.3, hp=None):
     np.fill_diagonal(Sd, 0.0)
     Td = rng.normal(size=(m, m)) * (rng.random((m, m)) < density)
     np.fill_diagonal(Td, 0.0)
-    S = StructureMatrix(sp.csr_matrix(Sd), Orientation.ROWS)
-    T = StructureMatrix(sp.csr_matrix(Td), Orientation.COLUMNS)
+    S = StructureMatrix(sp.csr_matrix(Sd))
+    T = StructureMatrix(sp.csr_matrix(Td))
     U = rng.normal(size=(n, k))
     U /= np.maximum(np.linalg.norm(U, axis=0, keepdims=True), 1.0)
     V = rng.normal(size=(k, m)) * (rng.random((k, m)) < 0.6)
@@ -174,8 +173,8 @@ class TestUpdateCoeffs:
         )
         ws = SolverWorkspace(
             D,
-            StructureMatrix.zeros(4, Orientation.ROWS),
-            StructureMatrix.zeros(3, Orientation.COLUMNS),
+            StructureMatrix.zeros(4),
+            StructureMatrix.zeros(3),
             model,
             hp,
         )
@@ -214,8 +213,8 @@ class TestUpdateBasis:
         )
         ws = SolverWorkspace(
             D,
-            StructureMatrix.zeros(5, Orientation.ROWS),
-            StructureMatrix.zeros(4, Orientation.COLUMNS),
+            StructureMatrix.zeros(5),
+            StructureMatrix.zeros(4),
             model,
             hp,
         )
@@ -236,8 +235,8 @@ class TestUpdateBasis:
             )
             ws = SolverWorkspace(
                 TaggingMatrix.from_dense(d),
-                StructureMatrix.zeros(1, Orientation.ROWS),
-                StructureMatrix.zeros(3, Orientation.COLUMNS),
+                StructureMatrix.zeros(1),
+                StructureMatrix.zeros(3),
                 model,
                 hp,
             )
@@ -299,8 +298,8 @@ class TestFit:
         hp = Hyperparams(K=2, knn_k=2)
         report = fit(
             D,
-            StructureMatrix.zeros(5, Orientation.ROWS),
-            StructureMatrix.zeros(4, Orientation.COLUMNS),
+            StructureMatrix.zeros(5),
+            StructureMatrix.zeros(4),
             hp,
         )
         assert report.converged
