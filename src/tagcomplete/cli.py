@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -205,6 +206,14 @@ def _cmd_synth_bench(args) -> int:
     values = tgio.parse_key_values(args.config, SynthConfig)
     if args.seed is not None:
         values["rng_seed"] = args.seed
+    missing = [
+        f.name for f in fields(SynthConfig)
+        if f.default is MISSING and f.name not in values
+    ]
+    if missing:
+        raise ValidationError(
+            f"{args.config}: missing SynthConfig field(s): {', '.join(missing)}"
+        )
     cfg = SynthConfig(**values)
     hp = _hyperparams_from(args)
     if args.seed is None:

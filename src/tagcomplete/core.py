@@ -230,6 +230,9 @@ class Hyperparams:
     eta               L1 weight on V (the objective carries it as 2*eta*||V||_1)
     K                 number of basis columns
     knn_k             neighborhood size for structure building
+    lasso_tol         KKT residual every structure lasso must reach
+    lasso_max_iters   rounds each structure lasso may take: one active-set
+                      step, or one coordinate-descent round on a singular face
     """
 
     alpha: float = 1.0

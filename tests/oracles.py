@@ -43,6 +43,12 @@ def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight):
     the true objective; return the best candidate.  Exponential, so only for
     small p.  Always includes w = 0 as a candidate, so it returns a valid
     (possibly suboptimal-by-epsilon) point even under degenerate grams.
+
+    Supports whose gram is numerically singular (condition number above
+    1e10) are skipped.  No minimum is lost: some minimizer always has
+    linearly independent active columns (Tibshirani, "The lasso problem and
+    uniqueness", 2013).  Solving a singular system would instead give huge
+    weights whose Gram-form objective cancels to meaningless values.
     """
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
@@ -59,8 +65,8 @@ def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight):
         try:
             w_sup = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
-            w_sup, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.any(np.sign(w_sup) != sigma):
+            continue
+        if np.any(np.sign(w_sup) != sigma) or np.linalg.cond(A) > 1e10:
             continue
         w = np.zeros(p)
         w[support] = w_sup

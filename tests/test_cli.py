@@ -490,6 +490,18 @@ class TestSynthBench:
         assert code == EXIT_USAGE
         assert "bananas" in err
 
+    def test_missing_config_fields(self, capsys, tmp_path):
+        config = tmp_path / "synth.cfg"
+        config.write_text("n_images = 10\n")
+        code, _, err = run_cli(
+            ["synth-bench", "--config", str(config)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert str(config) in err
+        for name in ("n_tags", "n_topics", "feature_dim", "rng_seed"):
+            assert name in err
+
     def test_infeasible_config(self, capsys, tmp_path):
         config = write_config(tmp_path / "synth.cfg", tags_per_image=50)
         code, _, err = run_cli(["synth-bench", "--config", config], capsys)

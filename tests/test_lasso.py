@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tagcomplete import lasso
 from tagcomplete.core import ValidationError
 from tagcomplete.lasso import (
     LassoConvergenceError,
     LassoProblem,
     LassoSolution,
+    kkt_residual,
     solve_lasso,
     verify_kkt,
 )
@@ -207,3 +211,132 @@ class TestConvergenceFailure:
         with pytest.raises(LassoConvergenceError) as exc:
             solve_lasso(problem, tol=1e-14, max_iters=1)
         assert exc.value.kkt_residual > 0
+
+    def test_zero_diagonal_violator_fails_at_once(self):
+        # coordinate 1 has a zero column but its gradient violates the
+        # conditions: once coordinate 0 is solved no step can help, so the
+        # solver stops at once rather than spending every round
+        problem = LassoProblem(
+            gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
+            corr=np.array([0.5, 1.0]),
+            target_sq_norm=2.0,
+            l1_weight=0.1,
+        )
+        with pytest.raises(LassoConvergenceError, match="after 2 rounds") as exc:
+            solve_lasso(problem)
+        assert exc.value.kkt_residual == pytest.approx(1.9)
+
+
+# Degenerate neighborhoods, posed as the structure builders pose them: the
+# target is rebuilt from neighbor rows, so gram = rows @ rows.T.  Sizes stay
+# small because the oracle enumerates 3^p sign patterns.
+DEGENERATE = settings(max_examples=30, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+L1_WEIGHTS = st.sampled_from([0.0, 0.01, 0.1, 1.0])
+
+
+def unit_rows(X):
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.where(norms > 0.0, norms, 1.0)
+
+
+def check_neighbor_lasso(rows, target, l1_weight):
+    """Solve the lasso rebuilding target from rows and check the answer."""
+    problem = LassoProblem(
+        gram=rows @ rows.T,
+        corr=rows @ target,
+        target_sq_norm=float(target @ target),
+        l1_weight=l1_weight,
+    )
+    sol = solve_lasso(problem)
+    assert kkt_residual(problem, sol.weights) <= 1e-8
+    assert np.all(sol.weights[np.diagonal(problem.gram) == 0.0] == 0.0)
+    if problem.n_vars <= 8:
+        oracle_w, _ = lasso_by_enumeration(
+            problem.gram, problem.corr, problem.target_sq_norm, l1_weight
+        )
+
+        # residual form: at l1_weight 0 the oracle may pick weights in the
+        # thousands, where the Gram form loses digits to cancellation
+        def objective(w):
+            r = target - w @ rows
+            return float(r @ r + l1_weight * np.abs(w).sum())
+
+        assert objective(sol.weights) <= objective(oracle_w) + 1e-9
+    return sol
+
+
+class TestDegenerateNeighborhoods:
+    @DEGENERATE
+    @given(seed=SEEDS, d=st.integers(1, 8), extra=st.integers(1, 6), l1=L1_WEIGHTS)
+    def test_rank_deficient_gram(self, seed, d, extra, l1):
+        # more neighbors than feature dimensions, L2-normalized like S rows
+        rng = np.random.default_rng(seed)
+        rows = unit_rows(rng.normal(size=(d + extra, d)))
+        target = unit_rows(rng.normal(size=(1, d)))[0]
+        check_neighbor_lasso(rows, target, l1)
+
+    @DEGENERATE
+    @given(
+        seed=SEEDS,
+        n_distinct=st.integers(1, 5),
+        n_copies=st.integers(1, 3),
+        d=st.integers(1, 6),
+        l1=L1_WEIGHTS,
+    )
+    def test_duplicated_neighbor_rows(self, seed, n_distinct, n_copies, d, l1):
+        rng = np.random.default_rng(seed)
+        distinct = unit_rows(rng.normal(size=(n_distinct, d)))
+        picks = np.concatenate(
+            [np.arange(n_distinct), rng.integers(0, n_distinct, size=n_copies)]
+        )
+        rows = distinct[rng.permutation(picks)]
+        target = unit_rows(rng.normal(size=(1, d)))[0]
+        check_neighbor_lasso(rows, target, l1)
+
+    @DEGENERATE
+    @given(
+        seed=SEEDS,
+        n_others=st.integers(0, 5),
+        width=st.integers(4, 12),
+        l1=L1_WEIGHTS,
+    )
+    def test_zero_one_row_is_disjoint_sum(self, seed, n_others, width, l1):
+        # tag columns as T sees them: one 0/1 row is the sum of two others
+        # with disjoint supports
+        rng = np.random.default_rng(seed)
+        first = (rng.random(width) < 0.5).astype(float)
+        first[:2] = [1.0, 0.0]
+        second = (rng.random(width) < 0.5) * (first == 0.0)
+        second[1] = 1.0
+        others = (rng.random((n_others, width)) < 0.4).astype(float)
+        rows = np.vstack([first, second, first + second, others])
+        rows = rows[rng.permutation(rows.shape[0])]
+        target = (rng.random(width) < 0.5).astype(float)
+        check_neighbor_lasso(rows, target, l1)
+
+    @DEGENERATE
+    @given(seed=SEEDS, k=st.integers(2, 8), d=st.integers(1, 8), l1=L1_WEIGHTS)
+    def test_all_zero_neighbor_row(self, seed, k, d, l1):
+        rng = np.random.default_rng(seed)
+        rows = unit_rows(rng.normal(size=(k, d)))
+        rows[rng.integers(0, k)] = 0.0
+        target = unit_rows(rng.normal(size=(1, d)))[0]
+        check_neighbor_lasso(rows, target, l1)
+
+    def test_singular_face_takes_descent_round(self, monkeypatch):
+        # e1, e2 and their normalized sum span only the plane.  Once e1 and
+        # e2 are active, the sum violates the conditions and joins, and the
+        # 3x3 active gram is singular: that round is coordinate descent.
+        descent_rounds = []
+        descent = lasso._descent_round
+
+        def counting(*args):
+            descent_rounds.append(args)
+            descent(*args)
+
+        monkeypatch.setattr(lasso, "_descent_round", counting)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
+        sol = check_neighbor_lasso(rows, np.array([1.0, 0.1]), 0.01)
+        assert len(descent_rounds) == 1
+        assert sol.weights[1] == 0.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from tagcomplete.structure import (
     reinitialize,
     tag_structure_kkt,
 )
+from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 from oracles import knn_by_full_scan, lasso_by_enumeration, lasso_objective
 
@@ -196,6 +199,53 @@ class TestBuildTagStructure:
         with pytest.warns(UserWarning, match="all-zero"):
             T = build_tag_structure(TaggingMatrix.from_dense(D), hp)
         assert T.matrix.tocsc()[:, 3].nnz == 0
+
+
+class TestPinnedSupports:
+    # nnz and sha256 of the sorted (row, col) pairs of each structure built on
+    # the acceptance gate's structure-invariants instance, as cyclic
+    # coordinate descent found them; any exact lasso solver must keep them
+    PINNED = {
+        "image": (
+            499, "51ed88ed40b51663a79d1f35cb6306b04fe40f36a878af9796469d35d2da8034"
+        ),
+        "image+tags": (
+            452, "1febe19ee4267bf9a37b481d34bb833a5be5452b5e053e8aa10dc52512f89200"
+        ),
+        "tag": (
+            83, "cedabadbc4494ee86c75b8d5b92b3122272b2d651b9e5d2441736685f3d6af1a"
+        ),
+    }
+
+    def test_structure_invariants_instance(self):
+        cfg = SynthConfig(
+            n_images=150,
+            n_tags=24,
+            n_topics=4,
+            tags_per_image=4,
+            feature_dim=12,
+            feature_noise=0.25,
+            delete_fraction=0.4,
+            rng_seed=11,
+            off_topic_prob=0.1,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(knn_k=9)
+        built = {
+            "image": build_feature_structure(instance.features, hp),
+            "image+tags": build_feature_structure(
+                instance.features, hp, tags=split.observed
+            ),
+            "tag": build_tag_structure(split.observed, hp),
+        }
+        for name, structure in built.items():
+            coo = structure.matrix.tocoo()
+            pairs = np.array(
+                sorted(zip(coo.row.tolist(), coo.col.tolist())), dtype="<i8"
+            )
+            got = (structure.matrix.nnz, hashlib.sha256(pairs.tobytes()).hexdigest())
+            assert got == self.PINNED[name], name
 
 
 class TestReinitialize:
