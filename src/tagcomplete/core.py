@@ -232,7 +232,7 @@ class Hyperparams:
     knn_k             neighborhood size for structure building
     lasso_tol         KKT residual every structure lasso must reach
     lasso_max_iters   rounds each structure lasso may take: one active-set
-                      step, or one coordinate-descent round on a singular face
+                      step, or one scalar step when no active-set step helps
     """
 
     alpha: float = 1.0
@@ -262,6 +262,8 @@ class Hyperparams:
             raise ValidationError("rel_tol must be > 0")
         if self.max_outer_iters < 1:
             raise ValidationError("max_outer_iters must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         if self.inner_sweeps < 1:
             raise ValidationError("inner_sweeps must be >= 1")
 

@@ -5,11 +5,12 @@ small neighborhood, so problems are posed directly in terms of the Gram
 matrix A'A and the correlation vector A'b.  The solver is feature-sign
 search (Lee, Battle, Raina & Ng, NIPS 2006), an exact active-set method:
 on a fixed sign pattern the objective is a quadratic minimized by one
-Cholesky solve.  Numerically singular patterns fall back to soft-threshold
-coordinate descent (Friedman, Hastie & Tibshirani, JSS 2010).  Any minimizer
-returned is certified by the stationarity conditions, which is what
-downstream code relies on: the minimizer of a convex problem is
-characterized by its KKT residual, not by the algorithm that found it.
+Cholesky solve.  On a numerically singular pattern a LARS-style swap step
+(Efron et al., 2004) trades one active coordinate for the joining one,
+which makes the next pattern nonsingular again.  Any minimizer returned is
+certified by the stationarity conditions, which is what downstream code
+relies on: the minimizer of a convex problem is characterized by its KKT
+residual, not by the algorithm that found it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ DEFAULT_MAX_ITERS = 10_000
 # fraction of the largest gram diagonal entry counts as singular: its face
 # solve would amplify rounding error past any useful tolerance.
 _SINGULAR_PIVOT = 1e-12
-
-# Coordinate-descent round: after the full sweep, re-sweep only the nonzero
-# coordinates, at most this many times, until they settle.
-_MAX_INNER_SWEEPS = 200
 
 
 class LassoConvergenceError(TagCompleteError, RuntimeError):
@@ -108,20 +105,12 @@ class LassoSolution:
     kkt_residual: float
 
 
-def _kkt_residual(problem: LassoProblem, weights: np.ndarray, grad: np.ndarray) -> float:
-    """Max stationarity violation; grad must equal gram @ weights - corr."""
-    lam = problem.l1_weight
-    active = weights != 0.0
-    zero = ~active
-    residual = 0.0
-    if active.any():
-        residual = float(
-            np.abs(2.0 * grad[active] + lam * np.sign(weights[active])).max()
-        )
-    if zero.any():
-        slack = np.abs(2.0 * grad[zero]) - lam
-        residual = max(residual, float(max(slack.max(), 0.0)))
-    return residual
+def _violations(weights: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+    """Stationarity violation per coordinate; grad must equal gram @ weights - corr."""
+    theta = np.sign(weights)
+    return np.where(
+        theta != 0.0, np.abs(2.0 * grad + lam * theta), np.abs(2.0 * grad) - lam
+    )
 
 
 def solve_lasso(
@@ -146,9 +135,12 @@ def solve_lasso(
     crossings on the segment from w to x; a crossing coordinate is set to
     exactly 0 and leaves the active set.  When gram[A, A] is numerically
     singular (Cholesky fails or a squared pivot is at most 1e-12 times the
-    largest diagonal entry), or that step would not lower the objective,
-    the round is one round of cyclic soft-threshold coordinate descent
-    instead: a full sweep, then sweeps over the nonzero coordinates.
+    largest diagonal entry), the joining column j is a combination c of the
+    other active ones, and w takes a LARS swap step instead: along
+    (-sign_j c, sign_j), which keeps gram @ w and lowers the L1 term, to the
+    first zero crossing, which leaves the active set.  A round where neither
+    step lowers the objective (rounding dust, such as a weight of 1e-16 that
+    should be 0) exactly minimizes the worst KKT violator alone.
 
     No round raises the objective; zero-diagonal coordinates never get
     weight.  `max_iters` counts rounds.  LassoConvergenceError carries the
@@ -161,52 +153,81 @@ def solve_lasso(
     w = np.zeros(problem.n_vars)
     diag = np.diagonal(gram)
     usable = diag > 0.0
-    order = np.flatnonzero(usable).tolist()
     pivot_floor = _SINGULAR_PIVOT * float(diag.max(initial=0.0))
-    grad = gram @ w - corr
-    kkt = _kkt_residual(problem, w, grad)
     rounds = 0
-    while kkt > tol and rounds < max_iters:
+    while True:
+        grad = gram @ w - corr
+        violation = _violations(w, grad, lam)
+        kkt = float(violation.max(initial=0.0))
+        if kkt <= tol or rounds >= max_iters:
+            break
         rounds += 1
         theta = np.sign(w)
         nonzero = theta != 0.0
-        if np.abs(2.0 * grad[nonzero] + lam * theta[nonzero]).max(initial=0.0) <= tol:
-            slack = np.where(nonzero | ~usable, -np.inf, np.abs(2.0 * grad) - lam)
-            j = int(np.argmax(slack))
-            if slack[j] <= tol:
+        violation[~usable] = -np.inf
+        joining = None
+        if violation[nonzero].max(initial=0.0) <= tol:
+            joining = int(np.argmax(violation))
+            if violation[joining] <= tol:
                 break  # only zero-diagonal coordinates violate: no step helps
-            theta[j] = -np.sign(grad[j])
-        if not _feature_sign_step(problem, w, theta, pivot_floor):
-            _descent_round(problem, w, grad, order, tol)
-        grad = gram @ w - corr
-        kkt = _kkt_residual(problem, w, grad)
+            theta[joining] = -np.sign(grad[joining])
+        if not _face_step(problem, w, theta, joining, pivot_floor):
+            j = int(np.argmax(violation))
+            z = diag[j] * w[j] - grad[j]
+            w[j] = np.sign(z) * max(abs(z) - 0.5 * lam, 0.0) / diag[j]
     if kkt > tol:
         raise LassoConvergenceError(
             f"lasso did not reach KKT residual {tol:g} "
             f"(last residual {kkt:g} after {rounds} rounds)",
-            kkt_residual=float(kkt),
+            kkt_residual=kkt,
         )
     return LassoSolution(w, problem.objective_at(w), kkt)
 
 
-def _feature_sign_step(problem, w, theta, pivot_floor) -> bool:
-    """Move w, in place, toward the minimizer on the sign face `theta`.
-
-    Returns False and leaves w as it was when the active gram is numerically
-    singular or no candidate point lowers the objective.
-    """
-    face = np.flatnonzero(theta)
-    gram = problem.gram[np.ix_(face, face)]
+def _cholesky(gram, pivot_floor):
+    """Cholesky factor of gram, or None when it is numerically singular."""
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return False
-    if float(np.diagonal(chol).min()) ** 2 <= pivot_floor:
-        return False
-    corr = problem.corr[face]
-    rhs = corr - 0.5 * problem.l1_weight * theta[face]
-    target = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))  # L L' x = rhs
+        return None
+    if float(np.diagonal(chol).min(initial=np.inf)) ** 2 <= pivot_floor:
+        return None
+    return chol
+
+
+def _face_step(problem, w, theta, joining, pivot_floor) -> bool:
+    """Move w, in place, toward a lower objective on the sign face `theta`.
+
+    The target is the face minimizer, or on a singular face the swap step's
+    first zero crossing.  Returns False and leaves w as it was when there is
+    no target or no candidate point lowers the objective.
+    """
+    face = np.flatnonzero(theta)
+    gram = problem.gram[np.ix_(face, face)]
     x = w[face]
+    chol = _cholesky(gram, pivot_floor)
+    if chol is not None:
+        rhs = problem.corr[face] - 0.5 * problem.l1_weight * theta[face]
+        target = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))  # L L' x = rhs
+    elif joining is None:
+        return False
+    else:
+        rest = face != joining
+        chol = _cholesky(gram[np.ix_(rest, rest)], pivot_floor)
+        if chol is None:
+            return False
+        # the joining column is (numerically) this combination of the others
+        column = problem.gram[face[rest], joining]
+        combo = np.linalg.solve(chol.T, np.linalg.solve(chol, column))
+        direction = np.full(face.size, theta[joining])
+        direction[rest] *= -combo
+        heading = np.flatnonzero(x * direction < 0.0)
+        if heading.size == 0:
+            return False
+        ratios = -x[heading] / direction[heading]
+        first = int(np.argmin(ratios))
+        target = x + ratios[first] * direction
+        target[heading[first]] = 0.0
     crossing = np.flatnonzero(x * target < 0.0)
     # candidate points: row 0 is w itself, then each zero crossing, then target
     steps = np.concatenate(
@@ -216,7 +237,7 @@ def _feature_sign_step(problem, w, theta, pivot_floor) -> bool:
     points[np.arange(1, crossing.size + 1), crossing] = 0.0
     values = (
         np.einsum("ij,ij->i", points @ gram, points)
-        - 2.0 * (points @ corr)
+        - 2.0 * (points @ problem.corr[face])
         + problem.l1_weight * np.abs(points).sum(axis=1)
     )
     best = 1 + int(np.argmin(values[1:]))
@@ -224,31 +245,6 @@ def _feature_sign_step(problem, w, theta, pivot_floor) -> bool:
         return False
     w[face] = points[best]
     return True
-
-
-def _descent_round(problem, w, grad, order, tol) -> None:
-    """One round of cyclic soft-threshold coordinate descent, in place.
-
-    `grad` must equal gram @ w - corr on entry; it is updated in place.
-    """
-    gram, half = problem.gram, 0.5 * problem.l1_weight
-    _sweep(gram, half, w, grad, order)
-    grad[:] = gram @ w - problem.corr  # exact refresh kills incremental drift
-    for _ in range(_MAX_INNER_SWEEPS):
-        before = w.copy()
-        _sweep(gram, half, w, grad, [j for j in order if w[j] != 0.0])
-        if np.abs(w - before).max(initial=0.0) <= 0.1 * tol:
-            break
-
-
-def _sweep(gram, half, w, grad, indices) -> None:
-    """Closed-form soft-threshold minimizer of each coordinate in turn."""
-    for j in indices:
-        z = gram[j, j] * w[j] - grad[j]
-        w_new = np.sign(z) * max(abs(z) - half, 0.0) / gram[j, j]
-        if w_new != w[j]:
-            grad += (w_new - w[j]) * gram[:, j]
-            w[j] = w_new
 
 
 def kkt_residual(problem: LassoProblem, weights: np.ndarray) -> float:
@@ -263,7 +259,7 @@ def kkt_residual(problem: LassoProblem, weights: np.ndarray) -> float:
             f"got {w.shape[0]} weights for a {problem.n_vars}-variable problem"
         )
     grad = problem.gram @ w - problem.corr
-    return _kkt_residual(problem, w, grad)
+    return float(_violations(w, grad, problem.l1_weight).max(initial=0.0))
 
 
 def verify_kkt(problem: LassoProblem, solution: LassoSolution, tol: float) -> bool:

@@ -80,17 +80,22 @@ def knn_index(vectors, k: int) -> NeighborIndex:
     return NeighborIndex(neighbors=tuple(neighbors), distances=tuple(distances))
 
 
-def _reconstruction_weights(vectors, index, item, l1_weight, hp):
-    """Lasso weights reconstructing vectors[item] from its neighbor rows."""
-    nb = index.neighbors[item]
+def _neighbor_problem(vectors, nb, item, l1_weight):
+    """The lasso rebuilding vectors[item] from the neighbor rows vectors[nb]."""
     A = vectors[nb]
     target = vectors[item]
-    problem = LassoProblem(
+    return LassoProblem(
         gram=A @ A.T,
         corr=A @ target,
         target_sq_norm=float(target @ target),
         l1_weight=l1_weight,
     )
+
+
+def _reconstruction_weights(vectors, index, item, l1_weight, hp):
+    """Lasso weights reconstructing vectors[item] from its neighbor rows."""
+    nb = index.neighbors[item]
+    problem = _neighbor_problem(vectors, nb, item, l1_weight)
     try:
         solution = solve_lasso(problem, tol=hp.lasso_tol, max_iters=hp.lasso_max_iters)
     except LassoConvergenceError as exc:
@@ -217,31 +222,29 @@ def reinitialize(
     return TaggingMatrix(blended)
 
 
-def _kkt_per_item(vectors, structure_csr, weights_of, l1_weight, k):
-    """Recomputed KKT residual per item; inf when support leaks outside the
-    recomputed neighborhood."""
+def _kkt_per_item(vectors, weights, l1_weight, k, skip=None):
+    """Recomputed KKT residual per item, reading item i's weights from the
+    i-th compressed row of `weights` (CSR rows, or CSC columns).
+
+    inf when weight sits outside the recomputed neighborhood; skipped items
+    report 0 when they carry no weight and inf otherwise.
+    """
     index = knn_index(vectors, k)
     residuals = np.zeros(vectors.shape[0])
     for i in range(vectors.shape[0]):
+        span = slice(weights.indptr[i], weights.indptr[i + 1])
+        cols, vals = weights.indices[span], weights.data[span]
+        if skip is not None and skip[i]:
+            residuals[i] = 0.0 if not vals.any() else np.inf
+            continue
         nb = index.neighbors[i]
-        w_full = weights_of(structure_csr, i)
-        support = np.flatnonzero(w_full)
-        if not set(support).issubset(set(nb.tolist())):
+        at, found = np.nonzero(nb[:, None] == cols)
+        if found.size < cols.size:
             residuals[i] = np.inf
             continue
-        A = vectors[nb]
-        target = vectors[i]
-        problem = LassoProblem(
-            gram=A @ A.T,
-            corr=A @ target,
-            target_sq_norm=float(target @ target),
-            l1_weight=l1_weight,
-        )
-        pos = {int(j): t for t, j in enumerate(nb)}
-        w = np.zeros(len(nb))
-        for j in support:
-            w[pos[int(j)]] = w_full[j]
-        residuals[i] = kkt_residual(problem, w)
+        w = np.zeros(nb.size)
+        w[at] = vals[found]
+        residuals[i] = kkt_residual(_neighbor_problem(vectors, nb, i, l1_weight), w)
     return residuals
 
 
@@ -258,10 +261,7 @@ def feature_structure_kkt(
     hp.lasso_tol.
     """
     vectors = combined_feature_rows(features, tags)
-    dense = structure.matrix.toarray()
-    return _kkt_per_item(
-        vectors, dense, lambda m, i: m[i], hp.alpha, hp.knn_k
-    )
+    return _kkt_per_item(vectors, structure.matrix, hp.alpha, hp.knn_k)
 
 
 def tag_structure_kkt(
@@ -273,11 +273,5 @@ def tag_structure_kkt(
     reconstruction was attempted for them).
     """
     cols = np.ascontiguousarray(D.to_dense().T)
-    dense = structure.matrix.toarray()
     empty = ~np.any(cols != 0.0, axis=1)
-    residuals = _kkt_per_item(
-        cols, dense, lambda m, i: m[:, i], hp.mu, hp.knn_k
-    )
-    for i in np.flatnonzero(empty):
-        residuals[i] = 0.0 if not dense[:, i].any() else np.inf
-    return residuals
+    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, hp.knn_k, skip=empty)

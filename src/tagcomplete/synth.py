@@ -42,6 +42,8 @@ class SynthConfig:
             )
         if self.feature_noise < 0:
             raise ValidationError("feature_noise must be >= 0")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         if not (0.0 < self.delete_fraction < 1.0):
             raise ValidationError("delete_fraction must be in (0, 1)")
         if not (0.0 <= self.off_topic_prob < 1.0):

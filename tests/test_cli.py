@@ -180,6 +180,27 @@ class TestComplete:
         scores = tgio.read_dense_matrix(scores_path)
         np.testing.assert_array_equal(scores, np.zeros((3, 2)))
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        tags = str(tmp_path / "tags.mtx")
+        s_path = str(tmp_path / "S.mtx")
+        t_path = str(tmp_path / "T.mtx")
+        tgio.write_sparse_matrix(tags, sp.csr_matrix(np.eye(3, 2)))
+        tgio.write_sparse_matrix(s_path, sp.csr_matrix((3, 3)))
+        tgio.write_sparse_matrix(t_path, sp.csr_matrix((2, 2)))
+        code, stdout, err = run_cli(
+            [
+                "complete", "--tags", tags,
+                "--image-structure", s_path, "--tag-structure", t_path,
+                "--K", "2", "--seed", "-1", "--no-reinit",
+                "--out-scores", str(tmp_path / "scores.csv"),
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "rng_seed" in err
+        assert stdout == ""
+
     def test_exact_instance_small_residual(self, capsys, tmp_path):
         # block-constant tags with tags_per_image equal to the block size
         # factor exactly at rank n_topics
@@ -480,6 +501,21 @@ class TestSynthBench:
         report = kv(stdout)
         assert report["iterations"] == "1"
         assert report["converged"] == "False"
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        config = write_config(tmp_path / "synth.cfg")
+        code, _, err = run_cli(
+            ["synth-bench", "--config", config, "--seed", "-1"], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "rng_seed" in err
+
+    def test_negative_config_seed_exits_2(self, capsys, tmp_path):
+        config = write_config(tmp_path / "synth.cfg", rng_seed=-3)
+        code, _, err = run_cli(["synth-bench", "--config", config], capsys)
+        assert code == EXIT_USAGE
+        assert "rng_seed" in err
 
     def test_bad_config_key(self, capsys, tmp_path):
         config = tmp_path / "synth.cfg"

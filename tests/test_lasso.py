@@ -240,7 +240,7 @@ def unit_rows(X):
     return X / np.where(norms > 0.0, norms, 1.0)
 
 
-def check_neighbor_lasso(rows, target, l1_weight):
+def check_neighbor_lasso(rows, target, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
     """Solve the lasso rebuilding target from rows and check the answer."""
     problem = LassoProblem(
         gram=rows @ rows.T,
@@ -248,7 +248,7 @@ def check_neighbor_lasso(rows, target, l1_weight):
         target_sq_norm=float(target @ target),
         l1_weight=l1_weight,
     )
-    sol = solve_lasso(problem)
+    sol = solve_lasso(problem, max_iters=max_iters)
     assert kkt_residual(problem, sol.weights) <= 1e-8
     assert np.all(sol.weights[np.diagonal(problem.gram) == 0.0] == 0.0)
     if problem.n_vars <= 8:
@@ -324,19 +324,48 @@ class TestDegenerateNeighborhoods:
         target = unit_rows(rng.normal(size=(1, d)))[0]
         check_neighbor_lasso(rows, target, l1)
 
-    def test_singular_face_takes_descent_round(self, monkeypatch):
-        # e1, e2 and their normalized sum span only the plane.  Once e1 and
-        # e2 are active, the sum violates the conditions and joins, and the
-        # 3x3 active gram is singular: that round is coordinate descent.
-        descent_rounds = []
-        descent = lasso._descent_round
+    @DEGENERATE
+    @given(seed=SEEDS, k=st.integers(13, 34), d=st.integers(2, 11))
+    def test_many_neighbors_tiny_penalty(self, seed, k, d):
+        # many more unit rows than dimensions and a tiny L1 weight: most
+        # joining columns lie in the span of the active ones, so most faces
+        # are singular; swap steps keep the round count linear in k
+        rng = np.random.default_rng(seed)
+        rows = unit_rows(rng.normal(size=(k, d)))
+        target = unit_rows(rng.normal(size=(1, d)))[0]
+        check_neighbor_lasso(rows, target, 1e-4, max_iters=4 * k)
 
-        def counting(*args):
-            descent_rounds.append(args)
-            descent(*args)
-
-        monkeypatch.setattr(lasso, "_descent_round", counting)
+    def test_singular_face_takes_swap_step(self):
+        # e1, e2 and their normalized sum span only the plane.  Rounds 1 and
+        # 2 activate e1 and e2; in round 3 the sum violates the conditions
+        # and joins, and the 3x3 active gram is singular.  That round is a
+        # swap step: the sum takes e2's place, and round 4 solves the face
+        # {e1, sum} exactly.  Scalar steps alone need more rounds than that.
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        sol = check_neighbor_lasso(rows, np.array([1.0, 0.1]), 0.01)
-        assert len(descent_rounds) == 1
+        target = np.array([1.0, 0.1])
+        sol = check_neighbor_lasso(rows, target, 0.01, max_iters=4)
         assert sol.weights[1] == 0.0
+        assert np.all(sol.weights[[0, 2]] > 0.0)
+        with pytest.raises(LassoConvergenceError, match="after 3 rounds"):
+            check_neighbor_lasso(rows, target, 0.01, max_iters=3)
+
+    def test_rounding_dust_takes_scalar_step(self):
+        # the target is neighbor 6 itself.  Round 2 solves the face {0, 6},
+        # and rounding can leave weight 0 at about -1e-16 instead of 0; no
+        # face step on that sign pattern lowers the objective, so round 3
+        # minimizes coordinate 0 alone, which sets it to exactly 0
+        rows = np.array(
+            [
+                [1, 0, 1, 1, 1],
+                [0, 1, 0, 0, 0],
+                [0, 1, 1, 0, 1],
+                [1, 0, 1, 0, 1],
+                [0, 1, 0, 0, 1],
+                [1, 1, 1, 0, 1],
+                [1, 0, 1, 1, 0],
+                [0, 1, 0, 1, 0],
+            ],
+            dtype=float,
+        )
+        sol = check_neighbor_lasso(rows, rows[6].copy(), 0.01, max_iters=3)
+        assert np.flatnonzero(sol.weights).tolist() == [6]

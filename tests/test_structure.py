@@ -201,6 +201,46 @@ class TestBuildTagStructure:
         assert T.matrix.tocsc()[:, 3].nnz == 0
 
 
+def with_weight(structure, row, col, value):
+    m = structure.matrix.tolil()
+    m[row, col] = value
+    return StructureMatrix(m.tocsr())
+
+
+class TestRecertification:
+    def test_feature_weight_outside_neighborhood_is_inf(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(12, 5))
+        hp = Hyperparams(alpha=0.1, knn_k=3)
+        S = build_feature_structure(FeatureMatrix(X), hp)
+        nb = knn_index(combined_feature_rows(FeatureMatrix(X), None), 3).neighbors[4]
+        outside = next(j for j in range(12) if j != 4 and j not in nb)
+        residuals = feature_structure_kkt(
+            FeatureMatrix(X), with_weight(S, 4, outside, 0.5), hp
+        )
+        assert residuals[4] == np.inf
+        assert np.all(np.delete(residuals, 4) <= hp.lasso_tol)
+
+    def test_tag_weight_outside_neighborhood_is_inf(self):
+        rng = np.random.default_rng(18)
+        D = (rng.random((12, 9)) < 0.4).astype(float)
+        D[0, :] = 1.0
+        D[:, 8] = 0.0  # unused tag: no reconstruction is attempted for it
+        hp = Hyperparams(mu=0.05, knn_k=3)
+        tags = TaggingMatrix.from_dense(D)
+        with pytest.warns(UserWarning, match="all-zero"):
+            T = build_tag_structure(tags, hp)
+        nb = knn_index(D.T, 3).neighbors[2]
+        outside = next(j for j in range(9) if j != 2 and j not in nb)
+        residuals = tag_structure_kkt(tags, with_weight(T, outside, 2, 0.5), hp)
+        assert residuals[2] == np.inf
+        assert residuals[8] == 0.0
+        assert np.all(np.delete(residuals, 2) <= hp.lasso_tol)
+        # weight on the unused tag's column is never a lasso answer
+        residuals = tag_structure_kkt(tags, with_weight(T, 0, 8, 0.5), hp)
+        assert residuals[8] == np.inf
+
+
 class TestPinnedSupports:
     # nnz and sha256 of the sorted (row, col) pairs of each structure built on
     # the acceptance gate's structure-invariants instance, as cyclic
