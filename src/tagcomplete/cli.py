@@ -43,7 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# flag name -> Hyperparams field, shared by complete and synth-bench
+# flag name -> Hyperparams field; a subcommand reads the flags it defines
 _HP_FLAGS = {
     "K": "K",
     "knn": "knn_k",
@@ -97,10 +97,7 @@ def _print_lines(lines, out_path=None) -> None:
 
 
 def _cmd_build_structure(args) -> int:
-    hp_fields = {"knn_k": args.knn, "alpha": args.alpha, "mu": args.mu}
-    hp = Hyperparams().with_overrides(
-        **{k: v for k, v in hp_fields.items() if v is not None}
-    )
+    hp = _hyperparams_from(args)
     if args.mode == "image":
         if args.features is None:
             raise ValidationError("--mode image requires --features")

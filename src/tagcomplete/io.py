@@ -212,11 +212,11 @@ def _sparse_to_lists(matrix) -> dict:
 def _sparse_from_lists(payload, shape, path) -> sp.csr_matrix:
     try:
         rows, cols, vals = payload["rows"], payload["cols"], payload["values"]
-    except (TypeError, KeyError):
-        raise ParseError(f"{path}: sparse block missing rows/cols/values") from None
-    if not (len(rows) == len(cols) == len(vals)):
-        raise ParseError(f"{path}: sparse block lists have unequal lengths")
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    except KeyError as exc:
+        raise ParseError(f"{path}: sparse block missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad sparse block of shape {shape} ({exc})") from None
 
 
 def _load_json(path, expected_format) -> dict:
@@ -274,6 +274,8 @@ def read_model(path) -> ModelRecord:
         trace = np.asarray(payload["objective_trace"], dtype=float)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: non-numeric basis or trace ({exc})") from None
     if basis.shape != (n, k):
         raise ParseError(
             f"{path}: basis block is {basis.shape}, header says {(n, k)}"
@@ -282,11 +284,12 @@ def read_model(path) -> ModelRecord:
         hp = Hyperparams(**hp_dict)
     except (TypeError, ValidationError) as exc:
         raise ParseError(f"{path}: bad hyperparams ({exc})") from None
-    model = FactorModel(
-        U=basis,
-        V=_sparse_from_lists(payload.get("coeffs"), (k, m), path),
-        E=_sparse_from_lists(payload.get("error"), (n, m), path),
-    )
+    V = _sparse_from_lists(payload.get("coeffs"), (k, m), path)
+    E = _sparse_from_lists(payload.get("error"), (n, m), path)
+    try:
+        model = FactorModel(U=basis, V=V, E=E)
+    except TagCompleteError as exc:
+        raise ParseError(f"{path}: invalid model ({exc})") from None
     return ModelRecord(model=model, hyperparams=hp, objective_trace=trace)
 
 
@@ -307,17 +310,18 @@ def read_split(path) -> EvalSplit:
     payload = _load_json(path, SPLIT_FORMAT)
     try:
         shape = (payload["n_images"], payload["n_tags"])
-        observed = TaggingMatrix(
-            _sparse_from_lists(payload["observed"], shape, path)
-        )
-        return EvalSplit(
-            observed=observed,
-            deleted=tuple(frozenset(d) for d in payload["deleted"]),
-            test_image_ids=tuple(payload["test_image_ids"]),
-        )
+        observed, deleted = payload["observed"], payload["deleted"]
+        test_image_ids = payload["test_image_ids"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
-    except ValidationError as exc:
+    observed = _sparse_from_lists(observed, shape, path)
+    try:
+        return EvalSplit(
+            observed=TaggingMatrix(observed),
+            deleted=tuple(frozenset(d) for d in deleted),
+            test_image_ids=tuple(test_image_ids),
+        )
+    except (TypeError, ValueError) as exc:  # ValidationError is a ValueError
         raise ParseError(f"{path}: invalid split ({exc})") from None
 
 
@@ -386,6 +390,8 @@ def read_manifest(path) -> Manifest:
             if required:
                 raise ParseError(f"{path}: missing required path {key!r}")
             return None
+        if not isinstance(value, str):
+            raise ParseError(f"{path}: {key} must be a path string, got {value!r}")
         resolved = value if os.path.isabs(value) else os.path.join(base, value)
         if not os.path.exists(resolved):
             raise ParseError(f"{path}: {key} file not found: {resolved}")

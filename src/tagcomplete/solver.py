@@ -5,11 +5,15 @@ the three blocks.  One outer iteration runs a cyclic coordinate sweep over the
 coefficients, a projected coordinate sweep over the basis, and the exact
 closed-form refresh of the error matrix.  Every scalar step is the exact
 minimizer of its one-dimensional restriction, which is what makes the
-objective trace non-increasing block by block.
+objective trace non-increasing block by block.  Both sweeps run one kernel,
+_sweep, over the rows of V and of U', with covariance updates (Friedman,
+Hastie & Tibshirani, JSS 2010): a row's coupling to the others is computed
+once per row.  The blocks differ only in their matrices and scalar step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +68,11 @@ class SolverWorkspace:
 
     tag_penalty is the M x M form lambda*(T - I)(T - I)' acting on rows of
     the coefficient matrix; image_penalty is the N x N form
-    gamma*(S - I)'(S - I) acting on columns of the basis.  Both are fixed for
-    the whole run; the coordinate sweeps read them, the objective does not.
-    basis/coeffs/error are mutable copies of the model; target caches
-    data - error and is refreshed whenever error changes.
+    gamma*(S - I)'(S - I) acting on columns of the basis.  Both are fixed,
+    exactly symmetric and row-major, so the sweeps read rows for columns; the
+    objective does not read them.  basis/coeffs/error are mutable copies of
+    the model; target caches data - error and is refreshed whenever error
+    changes.
     """
 
     def __init__(
@@ -101,8 +106,8 @@ class SolverWorkspace:
         eye_m = sp.identity(D.n_tags, format="csr")
         s_shift = (S.matrix - eye_n).tocsr()
         t_shift = (T.matrix - eye_m).tocsr()
-        self.image_penalty = hp.gamma * (s_shift.T @ s_shift).toarray()
-        self.tag_penalty = hp.lambda_ * (t_shift @ t_shift.T).toarray()
+        self.image_penalty = hp.gamma * (s_shift.T @ s_shift).toarray(order="C")
+        self.tag_penalty = hp.lambda_ * (t_shift @ t_shift.T).toarray(order="C")
 
         self.basis = model.U.copy()
         self.coeffs = model.V.toarray()
@@ -140,6 +145,49 @@ class SolverWorkspace:
         )
 
 
+def _sweep(rows, gram, corr, penalty, step, norm_bound) -> int:
+    """One cyclic pass of exact scalar updates over the K x P matrix `rows`.
+
+    Coordinate (k, p) moves to step(q, d, radius), the minimizer of
+    d*x^2 - 2*q*x plus the block's own term over |x| <= radius, where
+    d = gram[k, k] + penalty[p, p], q is corr[k, p] less the coupling to the
+    other entries, and radius keeps the row's norm within norm_bound.  Only
+    row k changes while it is swept, so its gram coupling is computed before
+    its pass; its penalty coupling, rows[k] @ penalty, is kept current by
+    adding rows of the symmetric penalty.  A row that rounding leaves outside
+    the bound is scaled back.  Skips coordinates with d <= 0; returns their
+    count.
+    """
+    diag = np.diagonal(penalty).tolist()
+    bound_sq = norm_bound * norm_bound
+    skipped = 0
+    for k in range(rows.shape[0]):
+        row = rows[k].tolist()
+        gram_kk = float(gram[k, k])
+        coupling = (corr[k] - (gram[k] @ rows - gram_kk * rows[k])).tolist()
+        penalty_dot = rows[k] @ penalty
+        row_sq = float(rows[k] @ rows[k])
+        for p, old in enumerate(row):
+            denom = gram_kk + diag[p]
+            if denom <= 0.0:
+                skipped += 1
+                continue
+            q = coupling[p] - (penalty_dot[p] - diag[p] * old)
+            rest = max(row_sq - old * old, 0.0)
+            # never shrink the interval past the current point (fp drift guard)
+            radius = max(math.sqrt(max(bound_sq - rest, 0.0)), abs(old))
+            new = step(q, denom, radius)
+            if new != old:
+                row[p] = new
+                penalty_dot += (new - old) * penalty[p]
+                row_sq = rest + new * new
+        rows[k] = row
+        norm = math.sqrt(float(rows[k] @ rows[k]))
+        if norm > norm_bound:
+            rows[k] /= norm / norm_bound
+    return skipped
+
+
 def update_coeffs(ws: SolverWorkspace) -> int:
     """One cyclic sweep of exact scalar updates over the coefficient matrix.
 
@@ -147,33 +195,10 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     tag-penalty mass) are skipped; the count of skips is returned.
     """
     eta = ws.hp.eta
-    V = ws.coeffs
-    H = ws.tag_penalty
-    basis_gram = ws.basis.T @ ws.basis
-    corr = ws.target.T @ ws.basis  # (m, k) -> correlation with basis column k
-    h_diag = np.diagonal(H)
-    skipped = 0
-    for k in range(ws.n_factors):
-        gram_col = basis_gram[:, k]
-        gram_kk = basis_gram[k, k]
-        # penalty_dot[m] tracks H[m, :] @ V[k, :], updated as V[k, :] changes
-        penalty_dot = H @ V[k, :]
-        for m in range(ws.n_tags):
-            denom = gram_kk + h_diag[m]
-            if denom <= 0.0:
-                skipped += 1
-                continue
-            old = V[k, m]
-            p = (
-                corr[m, k]
-                - (gram_col @ V[:, m] - gram_kk * old)
-                - (penalty_dot[m] - h_diag[m] * old)
-            )
-            new = coeff_update_value(p, eta, denom)
-            if new != old:
-                V[k, m] = new
-                penalty_dot += (new - old) * H[:, m]
-    return skipped
+    return _sweep(
+        ws.coeffs, ws.basis.T @ ws.basis, ws.basis.T @ ws.target, ws.tag_penalty,
+        lambda q, denom, radius: coeff_update_value(q, eta, denom), math.inf,
+    )
 
 
 def update_basis(ws: SolverWorkspace) -> int:
@@ -184,41 +209,10 @@ def update_basis(ws: SolverWorkspace) -> int:
     never increases and no column ever leaves the ball.  Zero-curvature
     coordinates are skipped and counted.
     """
-    U = ws.basis
-    G = ws.image_penalty
-    coeff_gram = ws.coeffs @ ws.coeffs.T
-    corr = ws.coeffs @ ws.target.T  # (k, n)
-    g_diag = np.diagonal(G)
-    skipped = 0
-    for k in range(ws.n_factors):
-        gram_row = coeff_gram[k, :]
-        gram_kk = coeff_gram[k, k]
-        penalty_dot = G @ U[:, k]  # tracks G[:, n] @ U[:, k]
-        col_sq = float(U[:, k] @ U[:, k])
-        for n in range(ws.n_images):
-            denom = gram_kk + g_diag[n]
-            if denom <= 0.0:
-                skipped += 1
-                continue
-            old = U[n, k]
-            q = (
-                corr[k, n]
-                - (gram_row @ U[n, :] - gram_kk * old)
-                - (penalty_dot[n] - g_diag[n] * old)
-            )
-            rest = max(col_sq - old * old, 0.0)
-            radius = np.sqrt(max(1.0 - rest, 0.0))
-            # never shrink the interval past the current point (fp drift guard)
-            radius = max(radius, abs(old))
-            new = basis_update_value(q, denom, radius)
-            if new != old:
-                U[n, k] = new
-                penalty_dot += (new - old) * G[:, n]
-                col_sq = rest + new * new
-        norm = np.sqrt(float(U[:, k] @ U[:, k]))
-        if norm > 1.0:
-            U[:, k] /= norm
-    return skipped
+    return _sweep(
+        ws.basis.T, ws.coeffs @ ws.coeffs.T, ws.coeffs @ ws.target.T,
+        ws.image_penalty, basis_update_value, 1.0,
+    )
 
 
 def update_error(ws: SolverWorkspace) -> None:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -422,6 +423,49 @@ class TestEvaluate:
             capsys,
         )
         assert code == EXIT_USAGE
+
+
+class TestWronglyTypedJson:
+    """Well-formed JSON with a wrongly typed field exits 2 naming the file."""
+
+    SPLIT = {
+        "format": "tagcomplete-split",
+        "version": 1,
+        "n_images": 2,
+        "n_tags": 4,
+        "observed": {"rows": [0, 1], "cols": [0, 1], "values": [1.0, 1.0]},
+        "test_image_ids": [0, 1],
+        "deleted": [[1], [0, 2]],
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deleted", [["x"]]),
+            ("test_image_ids", 0),
+            ("observed", {"rows": [0, 5], "cols": [0, 1], "values": [1.0, 1.0]}),
+            ("n_images", -2),
+        ],
+    )
+    def test_split(self, field, value, capsys, tmp_path):
+        scores_path = str(tmp_path / "scores.csv")
+        tgio.write_dense_matrix(scores_path, np.zeros((2, 4)))
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(dict(self.SPLIT, **{field: value})))
+        code, _, err = run_cli(
+            ["evaluate", "--scores", scores_path, "--split", str(split_path)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {split_path}: ")
+
+    def test_manifest_tags_not_a_path(self, capsys, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(
+            {"format": "tagcomplete-manifest", "version": 1, "tags": 5}
+        ))
+        code, _, err = run_cli(["complete", "--manifest", str(manifest_path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {manifest_path}: ")
 
 
 class TestSynthBench:

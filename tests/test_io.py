@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,26 @@ class TestModelFormat:
         payload["n_factors"] = 7
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="basis block"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("basis", "x"),
+            ("basis", [[5.0, 0.0]] * 5),  # columns outside the unit ball
+            ("objective_trace", [[1.0], 2.0]),
+            ("coeffs", {"rows": [9], "cols": [0], "values": [1.0]}),
+            ("error", [1.0]),
+        ],
+    )
+    def test_wrongly_typed_field(self, field, value, tmp_path):
+        rng = np.random.default_rng(68)
+        path = tmp_path / "model.json"
+        write_model(path, self.make_model(rng), Hyperparams(K=2, knn_k=3))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
             read_model(path)
 
 

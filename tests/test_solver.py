@@ -23,8 +23,14 @@ from tagcomplete.solver import (
     update_coeffs,
     update_error,
 )
+from tagcomplete.structure import build_feature_structure, build_tag_structure
+from tagcomplete.synth import SynthConfig, delete_tags, generate
 
-from oracles import dense_objective, scalar_min_by_search
+from oracles import (
+    coordinate_sweep_by_residual,
+    dense_objective,
+    scalar_min_by_search,
+)
 
 
 def random_setup(rng, n=8, m=6, k=3, density=0.3, hp=None):
@@ -251,6 +257,78 @@ class TestUpdateBasis:
 
             _, best = scalar_min_by_search(f, radius=1.0)
             assert f(ws.basis[0, 0]) <= best + 1e-6
+
+
+class TestSweepMatchesReference:
+    """One sweep of either block equals the from-scratch reference sweep,
+    which recomputes every q from the full residuals in the same order."""
+
+    SWEEPS = {"coeffs": update_coeffs, "basis": update_basis}
+
+    def check(self, D, S, T, model, hp, block):
+        ws = SolverWorkspace(D, S, T, model, hp)
+        want_U, want_V = coordinate_sweep_by_residual(
+            D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
+            ws.basis, ws.coeffs, ws.error, hp, block,
+        )
+        skipped = self.SWEEPS[block](ws)
+        np.testing.assert_allclose(ws.basis, want_U, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(ws.coeffs, want_V, rtol=0.0, atol=1e-10)
+        return ws, skipped
+
+    @pytest.mark.parametrize("block", ["coeffs", "basis"])
+    def test_random_instances(self, block):
+        rng = np.random.default_rng(40)
+        for _ in range(12):
+            n, m, k = (int(v) for v in rng.integers(2, 9, size=3))
+            D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k)
+            self.check(D, S, T, model, hp, block)
+
+    def test_basis_column_on_unit_sphere(self):
+        rng = np.random.default_rng(41)
+        D, S, T, model, hp = random_setup(rng, n=6, m=5, k=2)
+        U = model.U.copy()
+        U[:, 0] = [0.5, 0.5, 0.5, 0.5, 0.0, 0.0]  # norm exactly 1
+        # a large positive target pulls column 0 outward against the ball
+        V = np.abs(model.V.toarray()) + 1.0
+        E = np.full((6, 5), -50.0)
+        model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
+        ws, _ = self.check(D, S, T, model, hp, "basis")
+        assert abs(np.linalg.norm(ws.basis[:, 0]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("block", ["coeffs", "basis"])
+    def test_zero_curvature_coordinates(self, block):
+        rng = np.random.default_rng(42)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, gamma=0.0, lambda_=0.0)
+        D, S, T, model, hp = random_setup(rng, n=7, m=5, k=3, hp=hp)
+        U = model.U.copy()
+        U[:, 1] = 0.0  # coefficient row 1 has zero curvature
+        V = model.V.toarray()
+        V[2, :] = 0.0  # basis column 2 has zero curvature
+        model = FactorModel(U=U, V=sp.csr_matrix(V), E=model.E)
+        _, skipped = self.check(D, S, T, model, hp, block)
+        assert skipped == (5 if block == "coeffs" else 7)
+
+    def test_penalties_exactly_symmetric(self):
+        rng = np.random.default_rng(43)
+        setups = [
+            random_setup(rng, n=n, m=m, density=density)
+            for n, m, density in [(8, 6, 0.3), (25, 17, 0.1), (30, 30, 0.8)]
+        ]
+        cfg = SynthConfig(
+            n_images=80, n_tags=20, n_topics=4, tags_per_image=4, feature_dim=10,
+            feature_noise=0.25, delete_fraction=0.4, rng_seed=3,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(K=4, knn_k=9)
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        setups.append((split.observed, S, T, initial_model(split.observed, hp), hp))
+        for setup in setups:
+            ws = SolverWorkspace(*setup)
+            np.testing.assert_array_equal(ws.image_penalty, ws.image_penalty.T)
+            np.testing.assert_array_equal(ws.tag_penalty, ws.tag_penalty.T)
 
 
 class TestUpdateError:
