@@ -9,6 +9,7 @@ offending line.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -156,9 +157,9 @@ def read_dense_matrix(path) -> np.ndarray:
             row = [float(c) for c in cells]
         except ValueError:
             return None
-        for c, v in zip(cells, row):
-            if not np.isfinite(v):
-                _fail(path, line_no, f"non-finite value {c!r}")
+        if not all(map(math.isfinite, row)):
+            c = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+            _fail(path, line_no, f"non-finite value {c!r}")
         return row
 
     first = parse_row(*content[0])
@@ -212,6 +213,8 @@ def _sparse_to_lists(matrix) -> dict:
 def _sparse_from_lists(payload, shape, path) -> sp.csr_matrix:
     try:
         rows, cols, vals = payload["rows"], payload["cols"], payload["values"]
+        if not all(type(i) is int for i in (*rows, *cols)):
+            raise TypeError("indices must be integers")
         return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     except KeyError as exc:
         raise ParseError(f"{path}: sparse block missing field {exc}") from None

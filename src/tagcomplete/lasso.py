@@ -88,6 +88,18 @@ class LassoProblem:
         )
 
 
+def _row_problem(rows: np.ndarray, target: np.ndarray, l1_weight: float) -> LassoProblem:
+    """The lasso rebuilding `target` from the finite `rows`.  Their gram is PSD
+    by construction: an exactly symmetric one skips the constructor's checks."""
+    gram = rows @ rows.T
+    data = (gram, rows @ target, float(target @ target), l1_weight)
+    if not np.array_equal(gram, gram.T):
+        return LassoProblem(*data)
+    problem = object.__new__(LassoProblem)  # frozen: fill its fields directly
+    problem.__dict__.update(zip(("gram", "corr", "target_sq_norm", "l1_weight"), data))
+    return problem
+
+
 def _check_psd(gram: np.ndarray, scale: float) -> None:
     # Cheap PSD certificate: Cholesky after a 1e-8-scaled diagonal shift.
     if gram.shape[0] == 0:

@@ -44,8 +44,11 @@ def soft_threshold(x, threshold):
 
 
 def coeff_update_value(p: float, eta: float, denom: float) -> float:
-    """Exact minimizer of denom*v^2 - 2*p*v + 2*eta*|v| for denom > 0."""
-    return float(soft_threshold(p, eta)) / denom
+    """Exact minimizer of denom*v^2 - 2*p*v + 2*eta*|v| for denom > 0: the
+    scalar soft_threshold(p, eta) / denom, down to the sign of a zero."""
+    if -eta <= p <= eta:
+        return -0.0 if p < 0.0 else 0.0
+    return (p - eta if p > 0.0 else p + eta) / denom
 
 
 def basis_update_value(q: float, denom: float, radius: float) -> float:

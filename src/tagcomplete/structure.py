@@ -26,10 +26,9 @@ from .core import (
 )
 from .lasso import (
     LassoConvergenceError,
-    LassoProblem,
-    kkt_residual,
+    _row_problem,
+    _violations,
     solve_lasso,
-    verify_kkt,
 )
 
 class StructureBuildError(TagCompleteError, RuntimeError):
@@ -52,12 +51,21 @@ class NeighborIndex:
     distances: tuple
 
 
+_BLOCK = 64  # query rows per preselecting product, which is _BLOCK x n
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow makes delta inf, below
 def knn_index(vectors, k: int) -> NeighborIndex:
-    """Exact euclidean nearest neighbors by full pairwise scan."""
+    """Exact euclidean nearest neighbors, preselected by a blocked product.
+
+    A matrix product per block of query rows gives approximate squared
+    distances |x|^2 + |y|^2 - 2 x.y.  The items within a rounding margin of a
+    row's k-th smallest are ranked by the exact sqrt(sum((y - x)^2)), so the
+    lists and distances equal those of a full exact scan."""
     pts = np.ascontiguousarray(np.asarray(vectors, dtype=float))
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
-    n = pts.shape[0]
+    n, dim = pts.shape
     if n < 2:
         raise ValidationError("need at least 2 vectors to build a neighbor index")
     if k < 1:
@@ -66,36 +74,38 @@ def knn_index(vectors, k: int) -> NeighborIndex:
         raise ValidationError("vectors contain non-finite values")
 
     take = min(k, n - 1)
-    all_idx = np.arange(n)
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # Rounding puts an approximate squared distance at most
+    # 4(dim + 2)(eps max|x|^2 + tiny) from the exact one.  delta has fourfold
+    # room, which covers squared distances a few ulps apart whose roots tie,
+    # and is inf when the product could overflow: then every item is kept.
+    fp = np.finfo(float)
+    delta = 4 * (dim + 2) * (fp.eps * (4.0 * sq.max()) + fp.smallest_subnormal)
     neighbors, distances = [], []
-    for i in range(n):
-        diff = pts - pts[i]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        mask = all_idx != i
-        cand_idx = all_idx[mask]
-        cand_d = d[mask]
-        order = np.lexsort((cand_idx, cand_d))[:take]
-        neighbors.append(cand_idx[order])
-        distances.append(cand_d[order])
+    for start in range(0, n, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, n))
+        approx = -2.0 * (pts[rows] @ pts.T)
+        approx += sq[rows, None] + sq
+        approx[rows - start, rows] = np.inf
+        cutoff = np.partition(approx, take - 1, axis=1)[:, take - 1] + 2.0 * delta
+        for i, row, limit in zip(rows, approx, cutoff):
+            keep = ~(row > limit)
+            keep[i] = False
+            cand = np.flatnonzero(keep)
+            diff = pts[cand]
+            diff -= pts[i]
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            order = np.lexsort((cand, dist))[:take]
+            neighbors.append(cand[order])
+            distances.append(dist[order])
     return NeighborIndex(neighbors=tuple(neighbors), distances=tuple(distances))
 
 
-def _neighbor_problem(vectors, nb, item, l1_weight):
-    """The lasso rebuilding vectors[item] from the neighbor rows vectors[nb]."""
-    A = vectors[nb]
-    target = vectors[item]
-    return LassoProblem(
-        gram=A @ A.T,
-        corr=A @ target,
-        target_sq_norm=float(target @ target),
-        l1_weight=l1_weight,
-    )
-
-
 def _reconstruction_weights(vectors, index, item, l1_weight, hp):
-    """Lasso weights reconstructing vectors[item] from its neighbor rows."""
+    """Lasso weights reconstructing vectors[item] from its neighbor rows,
+    KKT-certified within hp.lasso_tol by solve_lasso."""
     nb = index.neighbors[item]
-    problem = _neighbor_problem(vectors, nb, item, l1_weight)
+    problem = _row_problem(vectors[nb], vectors[item], l1_weight)
     try:
         solution = solve_lasso(problem, tol=hp.lasso_tol, max_iters=hp.lasso_max_iters)
     except LassoConvergenceError as exc:
@@ -104,11 +114,6 @@ def _reconstruction_weights(vectors, index, item, l1_weight, hp):
             f"(KKT residual {exc.kkt_residual:g})",
             item=item,
         ) from exc
-    if not verify_kkt(problem, solution, tol=hp.lasso_tol):
-        raise StructureBuildError(
-            f"reconstruction weights for item {item} failed KKT re-verification",
-            item=item,
-        )
     return nb, solution.weights
 
 
@@ -226,7 +231,8 @@ def _kkt_per_item(vectors, weights, l1_weight, k, skip=None):
     """Recomputed KKT residual per item, reading item i's weights from the
     i-th compressed row of `weights` (CSR rows, or CSC columns).
 
-    inf when weight sits outside the recomputed neighborhood; skipped items
+    The gradient gram @ w - corr is formed as A (A'w - b), with no gram.  inf
+    when weight sits outside the recomputed neighborhood; skipped items
     report 0 when they carry no weight and inf otherwise.
     """
     index = knn_index(vectors, k)
@@ -244,7 +250,8 @@ def _kkt_per_item(vectors, weights, l1_weight, k, skip=None):
             continue
         w = np.zeros(nb.size)
         w[at] = vals[found]
-        residuals[i] = kkt_residual(_neighbor_problem(vectors, nb, i, l1_weight), w)
+        grad = vectors[nb] @ (vals @ vectors[cols] - vectors[i])
+        residuals[i] = _violations(w, grad, l1_weight).max(initial=0.0)
     return residuals
 
 

@@ -131,6 +131,27 @@ def knn_by_full_scan(points, query_index, k):
     return [i for _, i in order[:k]]
 
 
+def knn_by_einsum_scan(points, k):
+    """Every item's k nearest neighbors and their distances, one full scan each.
+
+    Distances are sqrt(einsum) over the whole difference matrix, ordered by
+    (distance, index) with lexsort: a bitwise reference for the package's
+    preselecting index.
+    """
+    points = np.ascontiguousarray(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    index = np.arange(n)
+    neighbors, distances = [], []
+    for i in range(n):
+        diff = points - points[i]
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        others, others_d = index[index != i], dists[index != i]
+        order = np.lexsort((others, others_d))[: min(k, n - 1)]
+        neighbors.append(others[order])
+        distances.append(others_d[order])
+    return neighbors, distances
+
+
 def golden_section(f, lo, hi, iters=200):
     """Golden-section search for the minimizer of a unimodal f on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0

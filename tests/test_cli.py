@@ -445,6 +445,9 @@ class TestWronglyTypedJson:
             ("test_image_ids", 0),
             ("observed", {"rows": [0, 5], "cols": [0, 1], "values": [1.0, 1.0]}),
             ("n_images", -2),
+            ("observed", {"rows": [0.5, 1], "cols": [0, 1], "values": [1.0, 1.0]}),
+            ("observed", {"rows": [True, 0], "cols": [0, 1], "values": [1.0, 1.0]}),
+            ("observed", {"rows": [0, 1], "cols": [0, 1.0], "values": [1.0, 1.0]}),
         ],
     )
     def test_split(self, field, value, capsys, tmp_path):

@@ -159,6 +159,12 @@ class TestDenseMatrixFormat:
         with pytest.raises(ParseError, match="non-finite"):
             read_dense_matrix(path)
 
+    def test_non_finite_names_line_and_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n1.0,2.0,3.0\n4.0, -Infinity ,nan\n")
+        with pytest.raises(ParseError, match=r":3: non-finite value '-Infinity'"):
+            read_dense_matrix(path)
+
     def test_non_numeric_cell_mid_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0\n3.0,x\n")

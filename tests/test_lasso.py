@@ -50,6 +50,17 @@ class TestProblemValidation:
                 l1_weight=1.0,
             )
 
+    def test_structure_path_poses_the_same_problem(self):
+        # the structure builds' path skips the checks that the public constructor
+        # (tested above) runs, and must store the same arrays
+        rng = np.random.default_rng(3)
+        rows, target = rng.normal(size=(6, 4)), rng.normal(size=4)
+        built = lasso._row_problem(rows, target, 0.1)
+        public = LassoProblem(rows @ rows.T, rows @ target, float(target @ target), 0.1)
+        for field in ("gram", "corr", "target_sq_norm", "l1_weight"):
+            got, want = np.asarray(getattr(built, field)), np.asarray(getattr(public, field))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+
     def test_rejects_negative_l1(self):
         with pytest.raises(ValidationError):
             LassoProblem(

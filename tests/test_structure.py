@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagcomplete.core import (
     FeatureMatrix,
@@ -11,6 +13,7 @@ from tagcomplete.core import (
     TaggingMatrix,
     ValidationError,
 )
+from tagcomplete.lasso import LassoProblem, kkt_residual
 from tagcomplete.structure import (
     build_feature_structure,
     build_tag_structure,
@@ -22,7 +25,12 @@ from tagcomplete.structure import (
 )
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
-from oracles import knn_by_full_scan, lasso_by_enumeration, lasso_objective
+from oracles import (
+    knn_by_einsum_scan,
+    knn_by_full_scan,
+    lasso_by_enumeration,
+    lasso_objective,
+)
 
 
 def row_objective(vectors, weights_row, item, l1_weight):
@@ -67,6 +75,57 @@ class TestKnnIndex:
     def test_rejects_single_vector(self):
         with pytest.raises(ValidationError):
             knn_index(np.zeros((1, 3)), k=1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 90),
+        dim=st.integers(1, 8),
+        kind=st.sampled_from(["unit", "zero_one", "small_ints", "duplicates", "huge"]),
+        n_zero_rows=st.integers(0, 3),
+        k=st.integers(1, 45),
+    )
+    def test_equals_einsum_scan_bitwise(self, seed, n, dim, kind, n_zero_rows, k):
+        # exact ties come from 0/1 and small-integer entries and from
+        # duplicated and all-zero rows; k may reach or pass the population;
+        # "huge" entries overflow the squared distances to inf
+        rng = np.random.default_rng(seed)
+        if kind == "huge":
+            pts = rng.normal(size=(n, dim)) * 1e160
+        elif kind == "unit":
+            pts = rng.normal(size=(n, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        elif kind == "zero_one":
+            pts = (rng.random((n, dim)) < 0.3).astype(float)
+        elif kind == "small_ints":
+            pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            distinct = rng.normal(size=(int(rng.integers(1, 4)), dim))
+            pts = distinct[rng.integers(0, distinct.shape[0], n)]
+        pts[rng.integers(0, n, n_zero_rows)] = 0.0
+        self.assert_equals_scan(pts, k)
+
+    @pytest.mark.parametrize("n, dim, k", [(600, 12, 40), (300, 500, 200)])
+    def test_equals_einsum_scan_across_blocks(self, n, dim, k):
+        # more items than one block of query rows; the wide 0/1 case is the
+        # tag-column shape, where the k-th distance ties with many items
+        rng = np.random.default_rng(n)
+        if dim > n:
+            pts = (rng.random((n, dim)) < 0.02).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            pts[::7] = pts[1::7][: pts[::7].shape[0]]
+        self.assert_equals_scan(pts, k)
+
+    @staticmethod
+    def assert_equals_scan(pts, k):
+        idx = knn_index(pts, k)
+        neighbors, distances = knn_by_einsum_scan(pts, k)
+        for got, want in zip(idx.neighbors, neighbors):
+            assert np.array_equal(got, want)
+        for got, want in zip(idx.distances, distances):
+            assert got.tobytes() == want.tobytes()
 
 class TestBuildFeatureStructure:
     def test_duplicate_rows_reconstruct_each_other(self):
@@ -239,6 +298,49 @@ class TestRecertification:
         # weight on the unused tag's column is never a lasso answer
         residuals = tag_structure_kkt(tags, with_weight(T, 0, 8, 0.5), hp)
         assert residuals[8] == np.inf
+
+
+class TestResidualFormCertificate:
+    """The certificate's gradient A (A'w - b) against kkt_residual of the
+    gram-form LassoProblem, for built weights and for weights moved off the
+    optimum (so that the residuals are far from zero)."""
+
+    @staticmethod
+    def gram_form(vectors, weights, l1_weight, k, skip=None):
+        idx = knn_index(vectors, k)
+        out = np.zeros(vectors.shape[0])
+        for i, nb in enumerate(idx.neighbors):
+            if skip is None or not skip[i]:
+                A, b = vectors[nb], vectors[i]
+                problem = LassoProblem(A @ A.T, A @ b, float(b @ b), l1_weight)
+                out[i] = kkt_residual(problem, weights[i, nb])
+        return out
+
+    @pytest.mark.parametrize("scale", [1.0, 1.3])
+    def test_feature_rows(self, scale):
+        rng = np.random.default_rng(31)
+        features = FeatureMatrix(rng.normal(size=(40, 6)))
+        hp = Hyperparams(alpha=0.05, knn_k=8)
+        S = StructureMatrix(build_feature_structure(features, hp).matrix * scale)
+        got = feature_structure_kkt(features, S, hp)
+        want = self.gram_form(
+            combined_feature_rows(features, None), S.matrix.toarray(), hp.alpha, 8
+        )
+        assert np.abs(got - want).max() <= 1e-12
+        assert (got.max() > 0.01) == (scale != 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.3])
+    def test_tag_columns(self, scale):
+        rng = np.random.default_rng(32)
+        D = (rng.random((30, 12)) < 0.3).astype(float)
+        D[0] = 1.0
+        tags = TaggingMatrix.from_dense(D)
+        hp = Hyperparams(mu=0.05, knn_k=5)
+        T = StructureMatrix(build_tag_structure(tags, hp).matrix * scale)
+        got = tag_structure_kkt(tags, T, hp)
+        want = self.gram_form(D.T.copy(), T.matrix.toarray().T, hp.mu, 5)
+        assert np.abs(got - want).max() <= 1e-12
+        assert (got.max() > 0.01) == (scale != 1.0)
 
 
 class TestPinnedSupports:
