@@ -60,21 +60,6 @@ class TaggingMatrix:
         _check_finite("tagging matrix", self.matrix.data)
 
     @classmethod
-    def from_entries(cls, n_images, n_tags, entries) -> "TaggingMatrix":
-        """Build from an iterable of (image, tag, value); duplicates are summed."""
-        rows, cols, vals = [], [], []
-        for i, j, v in entries:
-            if not (0 <= i < n_images and 0 <= j < n_tags):
-                raise ValidationError(
-                    f"entry ({i}, {j}) outside {n_images}x{n_tags} tagging matrix"
-                )
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_images, n_tags))
-        return cls(coo)
-
-    @classmethod
     def from_dense(cls, array) -> "TaggingMatrix":
         return cls(sp.csr_matrix(np.asarray(array, dtype=float)))
 
@@ -89,10 +74,6 @@ class TaggingMatrix:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    def is_binary(self) -> bool:
-        """True while every stored value equals 1, the raw-assignment state."""
-        return bool(np.all(self.matrix.data == 1.0))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -370,19 +370,6 @@ class Manifest:
     overrides: dict | None = None
 
 
-def write_manifest(path, manifest: Manifest, overrides_path=None) -> None:
-    payload = {
-        "format": MANIFEST_FORMAT,
-        "version": 1,
-        "tags": manifest.tags_path,
-        "features": manifest.features_path,
-        "image_structure": manifest.image_structure_path,
-        "tag_structure": manifest.tag_structure_path,
-        "overrides": overrides_path,
-    }
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
-
-
 def read_manifest(path) -> Manifest:
     payload = _load_json(path, MANIFEST_FORMAT)
     base = os.path.dirname(os.path.abspath(path))

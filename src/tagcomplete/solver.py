@@ -1,14 +1,24 @@
 """Alternating minimization for the structure-preserving factorization.
 
 The objective (core.objective_from_arrays) is separately convex in each of
-the three blocks.  One outer iteration runs a cyclic coordinate sweep over the
-coefficients, a projected coordinate sweep over the basis, and the exact
-closed-form refresh of the error matrix.  Every scalar step is the exact
-minimizer of its one-dimensional restriction, which is what makes the
-objective trace non-increasing block by block.  Both sweeps run one kernel,
-_sweep, over the rows of V and of U', with covariance updates (Friedman,
-Hastie & Tibshirani, JSS 2010): a row's coupling to the others is computed
-once per row.  The blocks differ only in their matrices and scalar step.
+the three blocks.  One outer iteration minimizes it exactly over each
+coefficient in turn, over each basis column in turn, and over the error
+matrix in closed form, so the objective trace is non-increasing block by
+block.
+
+The coefficient sweep, _sweep, soft-thresholds one scalar at a time with
+covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  Basis column
+k, with everything else fixed, solves the trust-region subproblem (More &
+Sorensen, SIAM J. Sci. Stat. Comput. 1983)
+
+    min  g||u||^2 - 2q'u + gamma||Bu||^2   subject to  ||u|| <= 1
+
+with g = (VV')_kk, q the column's coupling to the data and to the other
+columns, and the sparse B = S - I.  The minimizer solves
+(gI + gamma B'B + sigma I)u = q for the ball's multiplier sigma >= 0.
+Conjugate gradients on products with B and B' do each solve, and Newton's
+method on 1/||u(sigma)|| - 1 finds sigma, so no N x N array is formed.
+Every step is certified by these optimality conditions before it is written.
 """
 
 from __future__ import annotations
@@ -28,6 +38,14 @@ from .core import (
     ValidationError,
     objective_from_arrays,
 )
+
+# Stopping rules of the basis step's conjugate gradients (relative residual,
+# and steps beyond the N of exact arithmetic, which rounding needs on
+# ill-conditioned columns) and Newton iteration (| ||u|| - 1 |, steps), and
+# the tolerance, relative to ||q||, of the certificate every step must pass.
+_CG_RTOL, _CG_EXTRA_ITERS = 1e-12, 100
+_NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-10, 50
+_CERT_RTOL = 1e-8
 
 
 class NumericalBlowupError(TagCompleteError, RuntimeError):
@@ -67,15 +85,17 @@ def error_update_value(r, beta: float):
 
 
 class SolverWorkspace:
-    """Dense working state plus the cached quadratic-penalty matrices.
+    """Dense working state plus the fixed structure-penalty operators.
 
-    tag_penalty is the M x M form lambda*(T - I)(T - I)' acting on rows of
-    the coefficient matrix; image_penalty is the N x N form
-    gamma*(S - I)'(S - I) acting on columns of the basis.  Both are fixed,
-    exactly symmetric and row-major, so the sweeps read rows for columns; the
-    objective does not read them.  basis/coeffs/error are mutable copies of
-    the model; target caches data - error and is refreshed whenever error
-    changes.
+    tag_penalty is the dense M x M form lambda*(T - I)(T - I)' acting on rows
+    of the coefficient matrix; it is exactly symmetric and row-major, so the
+    coefficient sweep reads rows for columns.  The basis penalty
+    gamma*||(S - I) u||^2 is applied through the sparse image_shift = S - I
+    and its transpose image_shift_t, both CSR; image_penalty_bound is
+    gamma*||S - I||_1*||S - I||_inf, an upper bound on the largest eigenvalue
+    of gamma*(S - I)'(S - I).  The objective reads none of them.
+    basis/coeffs/error are mutable copies of the model; target caches
+    data - error and is refreshed whenever error changes.
     """
 
     def __init__(
@@ -107,9 +127,13 @@ class SolverWorkspace:
 
         eye_n = sp.identity(D.n_images, format="csr")
         eye_m = sp.identity(D.n_tags, format="csr")
-        s_shift = (S.matrix - eye_n).tocsr()
+        self.image_shift = (S.matrix - eye_n).tocsr()
+        self.image_shift_t = self.image_shift.T.tocsr()
+        magnitude = abs(self.image_shift)
+        self.image_penalty_bound = hp.gamma * float(
+            magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
+        )
         t_shift = (T.matrix - eye_m).tocsr()
-        self.image_penalty = hp.gamma * (s_shift.T @ s_shift).toarray(order="C")
         self.tag_penalty = hp.lambda_ * (t_shift @ t_shift.T).toarray(order="C")
 
         self.basis = model.U.copy()
@@ -148,46 +172,33 @@ class SolverWorkspace:
         )
 
 
-def _sweep(rows, gram, corr, penalty, step, norm_bound) -> int:
+def _sweep(rows, gram, corr, penalty, step) -> int:
     """One cyclic pass of exact scalar updates over the K x P matrix `rows`.
 
-    Coordinate (k, p) moves to step(q, d, radius), the minimizer of
-    d*x^2 - 2*q*x plus the block's own term over |x| <= radius, where
-    d = gram[k, k] + penalty[p, p], q is corr[k, p] less the coupling to the
-    other entries, and radius keeps the row's norm within norm_bound.  Only
-    row k changes while it is swept, so its gram coupling is computed before
-    its pass; its penalty coupling, rows[k] @ penalty, is kept current by
-    adding rows of the symmetric penalty.  A row that rounding leaves outside
-    the bound is scaled back.  Skips coordinates with d <= 0; returns their
-    count.
+    Coordinate (k, p) moves to step(q, d), the minimizer of d*x^2 - 2*q*x
+    plus the block's own term, where d = gram[k, k] + penalty[p, p] and q is
+    corr[k, p] less the coupling to the other entries.  Only row k changes
+    while it is swept, so its gram coupling is computed before its pass; its
+    penalty coupling, rows[k] @ penalty, is kept current by adding rows of the
+    symmetric penalty.  Skips coordinates with d <= 0; returns their count.
     """
     diag = np.diagonal(penalty).tolist()
-    bound_sq = norm_bound * norm_bound
     skipped = 0
     for k in range(rows.shape[0]):
         row = rows[k].tolist()
         gram_kk = float(gram[k, k])
         coupling = (corr[k] - (gram[k] @ rows - gram_kk * rows[k])).tolist()
         penalty_dot = rows[k] @ penalty
-        row_sq = float(rows[k] @ rows[k])
         for p, old in enumerate(row):
             denom = gram_kk + diag[p]
             if denom <= 0.0:
                 skipped += 1
                 continue
-            q = coupling[p] - (penalty_dot[p] - diag[p] * old)
-            rest = max(row_sq - old * old, 0.0)
-            # never shrink the interval past the current point (fp drift guard)
-            radius = max(math.sqrt(max(bound_sq - rest, 0.0)), abs(old))
-            new = step(q, denom, radius)
+            new = step(coupling[p] - (penalty_dot[p] - diag[p] * old), denom)
             if new != old:
                 row[p] = new
                 penalty_dot += (new - old) * penalty[p]
-                row_sq = rest + new * new
         rows[k] = row
-        norm = math.sqrt(float(rows[k] @ rows[k]))
-        if norm > norm_bound:
-            rows[k] /= norm / norm_bound
     return skipped
 
 
@@ -200,22 +211,116 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     eta = ws.hp.eta
     return _sweep(
         ws.coeffs, ws.basis.T @ ws.basis, ws.basis.T @ ws.target, ws.tag_penalty,
-        lambda q, denom, radius: coeff_update_value(q, eta, denom), math.inf,
+        lambda q, denom: coeff_update_value(q, eta, denom),
     )
+
+
+def _conjugate_gradients(apply, rhs, x):
+    """Solve apply(x) = rhs, apply symmetric positive definite, updating x.
+
+    Starts from x, or from zero when that is closer.  Stops at a residual of
+    _CG_RTOL * ||rhs||, after N + _CG_EXTRA_ITERS steps, or on a step that is
+    not finite and positive; the caller certifies the result.
+    """
+    r = rhs - apply(x)
+    rr, rhs_sq = float(r @ r), float(rhs @ rhs)
+    if rr > rhs_sq:  # a start far larger than the solution cancels its digits
+        x[:] = 0.0
+        r, rr = rhs.copy(), rhs_sq
+    p = r.copy()
+    for _ in range(rhs.shape[0] + _CG_EXTRA_ITERS):
+        if not rr > _CG_RTOL * _CG_RTOL * rhs_sq:
+            break
+        ap = apply(p)
+        curvature = float(p @ ap)
+        if not curvature > 0.0:
+            break
+        x += (rr / curvature) * p
+        r -= (rr / curvature) * ap
+        rr, rr_old = float(r @ r), rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, start: np.ndarray):
+    """Certified minimizer of g||u||^2 - 2q'u + gamma||(S - I)u||^2 over
+    ||u|| <= 1, for nonzero q, with `start` as the first guess.
+
+    Returns None unless, for the multiplier sigma of the ball, the residual of
+    (gI + gamma B'B + sigma I)u = q and sigma*|1 - ||u||| are both within
+    _CERT_RTOL * ||q||, sigma >= 0 and ||u|| <= 1 + COLUMN_NORM_SLACK.
+    """
+    shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
+
+    def operator(sigma):
+        return lambda x: (g + sigma) * x + gamma * (shift_t @ (shift @ x))
+
+    q_norm = math.sqrt(float(q @ q))
+    # the root lies above this, as g + image_penalty_bound bounds the spectrum
+    sigma = max(0.0, q_norm - g - ws.image_penalty_bound)
+    u = _conjugate_gradients(operator(sigma), q, start)
+    norm = math.sqrt(float(u @ u))
+    if sigma > 0.0 or norm > 1.0:
+        # 1/||u(sigma)|| - 1 is concave and increasing, so Newton steps from
+        # the left of its root climb to it without passing it
+        for _ in range(_NEWTON_MAX_ITERS):
+            if not abs(norm - 1.0) > _NEWTON_TOL:
+                break
+            w = _conjugate_gradients(operator(sigma), u, np.zeros_like(u))
+            slope = float(u @ w)
+            if not slope > 0.0:
+                break
+            sigma += (norm - 1.0) * norm * norm / slope
+            u = _conjugate_gradients(operator(sigma), q, u)
+            norm = math.sqrt(float(u @ u))
+        u /= norm
+        norm = math.sqrt(float(u @ u))
+    residual = operator(sigma)(u) - q
+    tol = _CERT_RTOL * q_norm
+    if (
+        math.sqrt(float(residual @ residual)) <= tol
+        and sigma >= 0.0
+        and sigma * abs(1.0 - norm) <= tol
+        and norm <= 1.0 + FactorModel.COLUMN_NORM_SLACK
+    ):
+        return u
+    return None
 
 
 def update_basis(ws: SolverWorkspace) -> int:
-    """One cyclic sweep of exact constrained scalar updates over the basis.
+    """One cyclic pass of exact trust-region steps over the basis columns.
 
-    Each coordinate moves to the minimizer of its one-dimensional restriction
-    subject to the column staying inside the unit L2 ball, so the objective
-    never increases and no column ever leaves the ball.  Zero-curvature
-    coordinates are skipped and counted.
+    Column k moves to the certified minimizer of the objective over it inside
+    the unit ball, all else fixed, when its own objective
+    g||u||^2 - 2q'u + gamma||(S - I)u||^2 does not rise; a column with zero
+    coupling q moves to 0, its exact minimizer.  Returns the number of
+    coordinates left without a step: those of columns whose subproblem is
+    constant (g = 0, q = 0, gamma = 0) or whose step failed its certificate.
     """
-    return _sweep(
-        ws.basis.T, ws.coeffs @ ws.coeffs.T, ws.coeffs @ ws.target.T,
-        ws.image_penalty, basis_update_value, 1.0,
-    )
+    basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
+    gram = ws.coeffs @ ws.coeffs.T
+    corr = ws.coeffs @ ws.target.T
+
+    def value(g, q, u):
+        image = shift @ u
+        return float(u @ (g * u - 2.0 * q)) + gamma * float(image @ image)
+
+    skipped = 0
+    for k in range(ws.n_factors):
+        g, old = float(gram[k, k]), basis[:, k].copy()
+        q = corr[k] - (basis @ gram[:, k] - g * old)
+        if not q.any():
+            if g == 0.0 and gamma == 0.0:
+                skipped += ws.n_images
+            else:
+                basis[:, k] = 0.0
+            continue
+        u = _basis_step(ws, g, q, old.copy())
+        if u is None:
+            skipped += ws.n_images
+        elif value(g, q, u) <= value(g, q, old):
+            basis[:, k] = u
+    return skipped
 
 
 def update_error(ws: SolverWorkspace) -> None:

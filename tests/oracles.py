@@ -77,46 +77,29 @@ def lasso_by_enumeration(gram, corr, target_sq_norm, l1_weight):
     return best_w, best_obj
 
 
-def coordinate_sweep_by_residual(D, S, T, U, V, E, hp, block):
-    """One cyclic sweep of exact scalar updates of U or V, from scratch.
+def coefficient_sweep_by_residual(D, T, U, V, E, hp):
+    """One cyclic sweep of exact scalar updates of V (k outer), from scratch.
 
-    block is "coeffs" (V[k, m], k outer) or "basis" (U[n, k], k outer).
-    For each coordinate in turn, the restriction d*x^2 - 2*q*x (+ 2*eta*|x|
-    for V) is read off the full fit residual D - E - U V and the full
-    structure residual, V (I - T) or (I - S) U, at the current point.  V's
-    step soft-thresholds q; U's step clips q/d to the interval that keeps the
-    column inside the unit ball (never narrower than the current value).
-    Coordinates with d <= 0 are left alone.  Returns the updated (U, V).
+    For each coordinate in turn, the restriction d*x^2 - 2*q*x + 2*eta*|x| is
+    read off the full fit residual D - E - U V and the full structure
+    residual V (I - T) at the current point, and q is soft-thresholded.
+    Coordinates with d <= 0 are left alone.  Returns the updated V.
     """
-    U = np.array(U, dtype=float)
+    U = np.asarray(U, dtype=float)
     V = np.array(V, dtype=float)
     target = np.asarray(D, dtype=float) - np.asarray(E, dtype=float)
-    if block == "coeffs":
-        shift = np.eye(V.shape[1]) - np.asarray(T, dtype=float)
-        for k, m in itertools.product(range(V.shape[0]), range(V.shape[1])):
-            old = V[k, m]
-            fit_d = U[:, k] @ U[:, k]
-            pen_d = hp.lambda_ * (shift[m] @ shift[m])
-            if fit_d + pen_d <= 0.0:
-                continue
-            fit_q = U[:, k] @ (target[:, m] - U @ V[:, m]) + fit_d * old
-            pen_q = pen_d * old - hp.lambda_ * (V[k] @ shift) @ shift[m]
-            q = fit_q + pen_q
-            V[k, m] = np.sign(q) * max(abs(q) - hp.eta, 0.0) / (fit_d + pen_d)
-        return U, V
-    shift = np.eye(U.shape[0]) - np.asarray(S, dtype=float)
-    for k, n in itertools.product(range(U.shape[1]), range(U.shape[0])):
-        old = U[n, k]
-        fit_d = V[k] @ V[k]
-        pen_d = hp.gamma * (shift[:, n] @ shift[:, n])
+    shift = np.eye(V.shape[1]) - np.asarray(T, dtype=float)
+    for k, m in itertools.product(range(V.shape[0]), range(V.shape[1])):
+        old = V[k, m]
+        fit_d = U[:, k] @ U[:, k]
+        pen_d = hp.lambda_ * (shift[m] @ shift[m])
         if fit_d + pen_d <= 0.0:
             continue
-        fit_q = V[k] @ (target[n] - U[n] @ V) + fit_d * old
-        pen_q = pen_d * old - hp.gamma * (shift @ U[:, k]) @ shift[:, n]
-        radius = np.sqrt(max(1.0 - (U[:, k] @ U[:, k] - old * old), 0.0))
-        radius = max(radius, abs(old))
-        U[n, k] = np.clip((fit_q + pen_q) / (fit_d + pen_d), -radius, radius)
-    return U, V
+        fit_q = U[:, k] @ (target[:, m] - U @ V[:, m]) + fit_d * old
+        pen_q = pen_d * old - hp.lambda_ * (V[k] @ shift) @ shift[m]
+        q = fit_q + pen_q
+        V[k, m] = np.sign(q) * max(abs(q) - hp.eta, 0.0) / (fit_d + pen_d)
+    return V
 
 
 def knn_by_full_scan(points, query_index, k):

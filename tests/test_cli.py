@@ -56,6 +56,12 @@ def pipeline_files(tmp_path_factory):
     return paths
 
 
+def write_manifest_json(path, **paths) -> None:
+    """A manifest as the CLI reads it: format marker, version and input paths."""
+    with open(path, "w") as handle:
+        json.dump({"format": "tagcomplete-manifest", "version": 1, **paths}, handle)
+
+
 def write_config(path, **overrides) -> str:
     values = dict(SMALL_CFG, **overrides)
     path.write_text(
@@ -275,14 +281,12 @@ class TestComplete:
         overrides_path = tmp_path / "overrides.txt"
         overrides_path.write_text("K = 4\neta = 0.05\nbeta = 2.0\nmax_outer_iters = 15\n")
         manifest_path = str(tmp_path / "manifest.json")
-        tgio.write_manifest(
+        write_manifest_json(
             manifest_path,
-            tgio.Manifest(
-                tags_path=pipeline_files["observed"],
-                image_structure_path=built_structures["S"],
-                tag_structure_path=built_structures["T"],
-            ),
-            overrides_path=str(overrides_path),
+            tags=pipeline_files["observed"],
+            image_structure=built_structures["S"],
+            tag_structure=built_structures["T"],
+            overrides=str(overrides_path),
         )
         code, stdout, _ = run_cli(["complete", "--manifest", manifest_path], capsys)
         assert code == EXIT_OK
@@ -307,14 +311,12 @@ class TestComplete:
         overrides_path = tmp_path / "overrides.txt"
         overrides_path.write_text("max_outer_iters = 15\nK = 4\n")
         manifest_path = str(tmp_path / "manifest.json")
-        tgio.write_manifest(
+        write_manifest_json(
             manifest_path,
-            tgio.Manifest(
-                tags_path=pipeline_files["observed"],
-                image_structure_path=built_structures["S"],
-                tag_structure_path=built_structures["T"],
-            ),
-            overrides_path=str(overrides_path),
+            tags=pipeline_files["observed"],
+            image_structure=built_structures["S"],
+            tag_structure=built_structures["T"],
+            overrides=str(overrides_path),
         )
         code, stdout, _ = run_cli(
             ["complete", "--manifest", manifest_path, "--max-iters", "2"],

@@ -30,15 +30,6 @@ def random_instance(rng, n_images=7, n_tags=5, k=3):
 
 
 class TestTaggingMatrix:
-    def test_from_entries_sums_duplicates(self):
-        m = TaggingMatrix.from_entries(
-            3, 4, [(0, 1, 0.5), (0, 1, 0.5), (2, 3, 1.0)]
-        )
-        dense = m.to_dense()
-        assert dense[0, 1] == 1.0
-        assert dense[2, 3] == 1.0
-        assert m.nnz == 2
-
     def test_from_dense_round_trip(self):
         rng = np.random.default_rng(0)
         dense = (rng.random((6, 9)) < 0.3).astype(float)
@@ -46,10 +37,6 @@ class TestTaggingMatrix:
         np.testing.assert_array_equal(m.to_dense(), dense)
         assert m.n_images == 6
         assert m.n_tags == 9
-
-    def test_is_binary(self):
-        assert TaggingMatrix.from_dense(np.eye(3)).is_binary()
-        assert not TaggingMatrix.from_dense(0.5 * np.eye(3)).is_binary()
 
     def test_tags_of(self):
         dense = np.zeros((2, 5))
@@ -61,10 +48,6 @@ class TestTaggingMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             TaggingMatrix.from_dense(np.array([[np.nan, 0.0]]))
-
-    def test_rejects_out_of_range_entries(self):
-        with pytest.raises(ValidationError):
-            TaggingMatrix.from_entries(2, 2, [(2, 0, 1.0)])
 
 
 class TestFeatureMatrix:

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from tagcomplete.core import FactorModel, Hyperparams, TaggingMatrix
 from tagcomplete.io import (
-    Manifest,
     ParseError,
     parse_key_values,
     read_dense_matrix,
@@ -18,7 +17,6 @@ from tagcomplete.io import (
     read_sparse_matrix,
     read_split,
     write_dense_matrix,
-    write_manifest,
     write_model,
     write_sparse_matrix,
     write_split,
@@ -335,6 +333,12 @@ class TestOverrides:
             parse_key_values(path, Hyperparams)
 
 
+def write_manifest_json(path, **paths):
+    """A manifest as the CLI reads it: format marker, version and input paths."""
+    payload = {"format": "tagcomplete-manifest", "version": 1, **paths}
+    path.write_text(json.dumps(payload))
+
+
 class TestManifest:
     def test_resolves_relative_paths(self, tmp_path):
         tags = tmp_path / "tags.mtx"
@@ -344,10 +348,8 @@ class TestManifest:
         conf = tmp_path / "hp.conf"
         conf.write_text("eta=0.5\n")
         manifest_path = tmp_path / "run.json"
-        write_manifest(
-            manifest_path,
-            Manifest(tags_path="tags.mtx", features_path="x.csv"),
-            overrides_path="hp.conf",
+        write_manifest_json(
+            manifest_path, tags="tags.mtx", features="x.csv", overrides="hp.conf"
         )
         m = read_manifest(manifest_path)
         assert m.tags_path == str(tags)
@@ -357,7 +359,7 @@ class TestManifest:
 
     def test_missing_file_fails(self, tmp_path):
         manifest_path = tmp_path / "run.json"
-        write_manifest(manifest_path, Manifest(tags_path="nope.mtx"))
+        write_manifest_json(manifest_path, tags="nope.mtx")
         with pytest.raises(ParseError, match="not found"):
             read_manifest(manifest_path)
 

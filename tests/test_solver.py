@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tagcomplete import solver
 from tagcomplete.core import (
     FactorModel,
+    FeatureMatrix,
     Hyperparams,
     StructureMatrix,
     TaggingMatrix,
@@ -27,7 +31,7 @@ from tagcomplete.structure import build_feature_structure, build_tag_structure
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 from oracles import (
-    coordinate_sweep_by_residual,
+    coefficient_sweep_by_residual,
     dense_objective,
     scalar_min_by_search,
 )
@@ -260,54 +264,36 @@ class TestUpdateBasis:
 
 
 class TestSweepMatchesReference:
-    """One sweep of either block equals the from-scratch reference sweep,
-    which recomputes every q from the full residuals in the same order."""
+    """One coefficient sweep equals the from-scratch reference sweep, which
+    recomputes every q from the full residuals in the same order."""
 
-    SWEEPS = {"coeffs": update_coeffs, "basis": update_basis}
-
-    def check(self, D, S, T, model, hp, block):
+    def check(self, D, S, T, model, hp):
         ws = SolverWorkspace(D, S, T, model, hp)
-        want_U, want_V = coordinate_sweep_by_residual(
-            D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
-            ws.basis, ws.coeffs, ws.error, hp, block,
+        want = coefficient_sweep_by_residual(
+            D.to_dense(), T.matrix.toarray(), ws.basis, ws.coeffs, ws.error, hp
         )
-        skipped = self.SWEEPS[block](ws)
-        np.testing.assert_allclose(ws.basis, want_U, rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(ws.coeffs, want_V, rtol=0.0, atol=1e-10)
-        return ws, skipped
+        basis = ws.basis.copy()
+        skipped = update_coeffs(ws)
+        np.testing.assert_array_equal(ws.basis, basis)
+        np.testing.assert_allclose(ws.coeffs, want, rtol=0.0, atol=1e-10)
+        return skipped
 
-    @pytest.mark.parametrize("block", ["coeffs", "basis"])
+    @pytest.mark.parametrize("block", ["coeffs"])
     def test_random_instances(self, block):
         rng = np.random.default_rng(40)
         for _ in range(12):
             n, m, k = (int(v) for v in rng.integers(2, 9, size=3))
-            D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k)
-            self.check(D, S, T, model, hp, block)
+            self.check(*random_setup(rng, n=n, m=m, k=k))
 
-    def test_basis_column_on_unit_sphere(self):
-        rng = np.random.default_rng(41)
-        D, S, T, model, hp = random_setup(rng, n=6, m=5, k=2)
-        U = model.U.copy()
-        U[:, 0] = [0.5, 0.5, 0.5, 0.5, 0.0, 0.0]  # norm exactly 1
-        # a large positive target pulls column 0 outward against the ball
-        V = np.abs(model.V.toarray()) + 1.0
-        E = np.full((6, 5), -50.0)
-        model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
-        ws, _ = self.check(D, S, T, model, hp, "basis")
-        assert abs(np.linalg.norm(ws.basis[:, 0]) - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("block", ["coeffs", "basis"])
+    @pytest.mark.parametrize("block", ["coeffs"])
     def test_zero_curvature_coordinates(self, block):
         rng = np.random.default_rng(42)
         hp = Hyperparams(K=3, knn_k=3, eta=0.3, gamma=0.0, lambda_=0.0)
         D, S, T, model, hp = random_setup(rng, n=7, m=5, k=3, hp=hp)
         U = model.U.copy()
         U[:, 1] = 0.0  # coefficient row 1 has zero curvature
-        V = model.V.toarray()
-        V[2, :] = 0.0  # basis column 2 has zero curvature
-        model = FactorModel(U=U, V=sp.csr_matrix(V), E=model.E)
-        _, skipped = self.check(D, S, T, model, hp, block)
-        assert skipped == (5 if block == "coeffs" else 7)
+        model = FactorModel(U=U, V=model.V, E=model.E)
+        assert self.check(D, S, T, model, hp) == 5
 
     def test_penalties_exactly_symmetric(self):
         rng = np.random.default_rng(43)
@@ -327,8 +313,146 @@ class TestSweepMatchesReference:
         setups.append((split.observed, S, T, initial_model(split.observed, hp), hp))
         for setup in setups:
             ws = SolverWorkspace(*setup)
-            np.testing.assert_array_equal(ws.image_penalty, ws.image_penalty.T)
             np.testing.assert_array_equal(ws.tag_penalty, ws.tag_penalty.T)
+            # the basis operator gamma*B'B is symmetric only if B' is exact
+            assert (ws.image_shift_t != ws.image_shift.T).nnz == 0
+
+
+def check_basis_pass(ws, before, after, tol=1e-8):
+    """Assert that `after` is one cyclic pass of exact trust-region steps from
+    `before`, recomputed densely from the workspace's V, target and S.
+
+    Column k's subproblem sees columns < k of `after` and columns > k of
+    `before`.  Its result must satisfy the trust-region conditions, with the
+    ball multiplier sigma recovered by least squares, and every coordinate
+    must already be its own exact scalar minimizer: basis_update_value moves
+    none of them.  Returns the norms of the columns after the pass.
+    """
+    n, k = before.shape
+    shift = ws.image_structure.matrix.toarray() - np.eye(n)
+    penalty = ws.hp.gamma * shift.T @ shift
+    gram = ws.coeffs @ ws.coeffs.T
+    corr = ws.coeffs @ ws.target.T
+    norms = []
+    for j in range(k):
+        current = np.hstack([after[:, :j], before[:, j:]])
+        g = gram[j, j]
+        q = corr[j] - current @ gram[:, j] + g * before[:, j]
+        u = after[:, j]
+        hessian = g * np.eye(n) + penalty
+        norm = float(np.linalg.norm(u))
+        scale = float(np.linalg.norm(q))
+        assert norm <= 1.0 + 1e-12
+        sigma = 0.0 if norm < 1.0 - 1e-9 else float(u @ (q - hessian @ u)) / norm**2
+        assert sigma >= -tol * scale
+        assert np.linalg.norm(hessian @ u + sigma * u - q) <= tol * scale
+        for p in range(n):
+            d = hessian[p, p]
+            if d <= 0.0:
+                continue
+            q_p = q[p] - (hessian[p] @ u - d * u[p])
+            radius = max(np.sqrt(max(1.0 - (norm * norm - u[p] ** 2), 0.0)), abs(u[p]))
+            moved = basis_update_value(q_p, d, radius) - u[p]
+            assert abs(moved) <= tol * max(1.0, scale / d)
+        norms.append(norm)
+    return np.array(norms)
+
+
+class TestBasisTrustRegion:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 8),
+        k=st.integers(1, 5),
+        gamma=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+        scale=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    )
+    def test_every_step_meets_the_trust_region_conditions(
+        self, seed, n, m, k, gamma, scale
+    ):
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=k, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+        model = FactorModel(U=model.U, V=scale * model.V, E=model.E)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        skipped = update_basis(ws)
+        # only constant subproblems are skipped: no step failed its certificate
+        constant = int((~ws.coeffs.any(axis=1)).sum()) if gamma == 0.0 else 0
+        assert skipped == n * constant
+        check_basis_pass(ws, before, ws.basis)
+
+    @pytest.mark.parametrize("seed", [34, 80, 293])
+    def test_ill_conditioned_columns_are_certified(self, seed):
+        # a dense random S with gamma = 100 against g ~ 1e-4 conditions the
+        # column systems at 1e5 or worse: conjugate gradients need more than
+        # N steps before the residual meets the certificate
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=100.0)
+        D, S, T, model, hp = random_setup(rng, n=28, m=6, k=3, density=0.6, hp=hp)
+        model = FactorModel(U=model.U, V=0.01 * model.V, E=model.E)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        assert update_basis(ws) == 0
+        check_basis_pass(ws, before, ws.basis)
+
+    def test_zero_column_moves_to_origin(self):
+        # g = 0 and q = 0 with gamma > 0: u = 0 is the exact minimizer
+        rng = np.random.default_rng(24)
+        D, S, T, model, hp = random_setup(rng, n=9, m=6, k=3)
+        V = model.V.toarray()
+        V[1, :] = 0.0
+        model = FactorModel(U=model.U, V=sp.csr_matrix(V), E=model.E)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        assert update_basis(ws) == 0
+        np.testing.assert_array_equal(ws.basis[:, 1], 0.0)
+        check_basis_pass(ws, before, ws.basis)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_zero_curvature_with_coupling_ends_on_sphere(self, gamma):
+        # g = 0 with q != 0: the linear term drives u to the sphere
+        rng = np.random.default_rng(25)
+        hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
+        ws = SolverWorkspace(*random_setup(rng, n=10, m=4, k=2, hp=hp))
+        q = 40.0 * rng.normal(size=10)
+        u = solver._basis_step(ws, 0.0, q, np.zeros(10))
+        assert u is not None
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        shift = ws.image_structure.matrix.toarray() - np.eye(10)
+        pushed = q - gamma * shift.T @ (shift @ u)  # = sigma * u at the optimum
+        np.testing.assert_allclose(pushed / np.linalg.norm(pushed), u, atol=1e-9)
+        if gamma == 0.0:
+            np.testing.assert_allclose(u, q / np.linalg.norm(q), atol=1e-15)
+
+    def test_column_on_unit_sphere(self):
+        rng = np.random.default_rng(41)
+        D, S, T, model, hp = random_setup(rng, n=6, m=5, k=2)
+        U = model.U.copy()
+        U[:, 0] = [0.5, 0.5, 0.5, 0.5, 0.0, 0.0]  # norm exactly 1
+        # a large positive target pulls column 0 outward against the ball
+        V = np.abs(model.V.toarray()) + 1.0
+        E = np.full((6, 5), -50.0)
+        model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        assert update_basis(ws) == 0
+        norms = check_basis_pass(ws, before, ws.basis)
+        assert abs(norms[0] - 1.0) <= 1e-12
+
+    def test_padding_columns_beyond_min_shape(self):
+        # K > min(N, M): initial_model pads with seeded random unit columns
+        rng = np.random.default_rng(26)
+        D, S, T, _, _ = random_setup(rng, n=5, m=3, k=1)
+        hp = Hyperparams(K=7, knn_k=2, eta=0.1)
+        start = initial_model(D, hp)
+        V = rng.normal(size=(7, 3)) * (rng.random((7, 3)) < 0.7)
+        model = FactorModel(U=start.U, V=sp.csr_matrix(V), E=start.E)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        assert update_basis(ws) == 0
+        check_basis_pass(ws, before, ws.basis)
 
 
 class TestUpdateError:
@@ -477,3 +601,80 @@ class TestFit:
         report = fit(D, S, T, hp)
         for prev, cur in zip(report.objective_trace, report.objective_trace[1:]):
             assert cur <= prev + 1e-10 * abs(prev)
+
+
+def check_fit_invariants(D, S, T, hp):
+    """Fit twice: the block trace never rises, every column of U stays in the
+    unit ball, and the rerun is byte-identical."""
+    first, second = fit(D, S, T, hp), fit(D, S, T, hp)
+    chain = np.concatenate(([first.objective_trace[0]], first.block_trace.ravel()))
+    for prev, cur in zip(chain, chain[1:]):
+        assert cur <= prev + 1e-10 * abs(prev)
+    assert np.linalg.norm(first.model.U, axis=0).max() <= 1.0 + 1e-12
+    for a, b in [
+        (first.model.U, second.model.U),
+        (first.model.V.toarray(), second.model.V.toarray()),
+        (first.model.E.toarray(), second.model.E.toarray()),
+        (first.objective_trace, second.objective_trace),
+        (first.block_trace, second.block_trace),
+    ]:
+        assert a.tobytes() == b.tobytes()
+
+
+def structures(features, D, hp):
+    S = build_feature_structure(FeatureMatrix(features), hp)
+    T = build_tag_structure(D, hp)
+    return S, T
+
+
+DEGENERATE = settings(max_examples=25, deadline=None)
+
+
+@pytest.mark.filterwarnings("ignore:.*tag column\\(s\\) are all-zero")
+class TestDegenerateShapes:
+    """fit through the structure builders on shapes at the edge of the
+    contract, each checked by check_fit_invariants."""
+
+    @DEGENERATE
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), m=st.integers(2, 6),
+           extra=st.integers(0, 4))
+    def test_knn_k_at_least_population(self, seed, n, m, extra):
+        rng = np.random.default_rng(seed)
+        D = TaggingMatrix.from_dense((rng.random((n, m)) < 0.5).astype(float))
+        hp = Hyperparams(K=2, knn_k=max(n, m) + extra, eta=0.2, max_outer_iters=8)
+        check_fit_invariants(D, *structures(rng.normal(size=(n, 3)), D, hp), hp)
+
+    @DEGENERATE
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6),
+           extra=st.integers(1, 5))
+    def test_more_factors_than_min_shape(self, seed, n, m, extra):
+        rng = np.random.default_rng(seed)
+        D = TaggingMatrix.from_dense((rng.random((n, m)) < 0.5).astype(float))
+        hp = Hyperparams(K=min(n, m) + extra, knn_k=3, eta=0.2, max_outer_iters=8)
+        check_fit_invariants(D, *structures(rng.normal(size=(n, 3)), D, hp), hp)
+
+    @DEGENERATE
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(2, 6),
+           zero_rows=st.integers(1, 3), copies=st.integers(1, 3))
+    def test_zero_feature_rows_and_duplicate_images(self, seed, n, m, zero_rows, copies):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, 4))
+        features[rng.choice(n, size=min(zero_rows, n), replace=False)] = 0.0
+        dense = (rng.random((n, m)) < 0.5).astype(float)
+        # the first `copies` images are repeated, features and tags alike
+        features = np.vstack([features, features[:copies]])
+        D = TaggingMatrix.from_dense(np.vstack([dense, dense[:copies]]))
+        hp = Hyperparams(K=3, knn_k=3, eta=0.2, max_outer_iters=8)
+        check_fit_invariants(D, *structures(features, D, hp), hp)
+
+    @DEGENERATE
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), m=st.integers(2, 7),
+           used=st.integers(1, 3))
+    def test_empty_tag_columns_and_single_tag_images(self, seed, n, m, used):
+        rng = np.random.default_rng(seed)
+        dense = np.zeros((n, m))
+        # every image carries one tag, drawn from the first `used` columns
+        dense[np.arange(n), rng.integers(0, min(used, m - 1), size=n)] = 1.0
+        D = TaggingMatrix.from_dense(dense)
+        hp = Hyperparams(K=2, knn_k=3, eta=0.2, max_outer_iters=8)
+        check_fit_invariants(D, *structures(rng.normal(size=(n, 3)), D, hp), hp)
