@@ -43,25 +43,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# flag name -> Hyperparams field; a subcommand reads the flags it defines
-_HP_FLAGS = {
-    "K": "K",
-    "knn": "knn_k",
-    "alpha": "alpha",
-    "mu": "mu",
-    "beta": "beta",
-    "gamma": "gamma",
-    "lambda_": "lambda_",
-    "eta": "eta",
-    "seed": "rng_seed",
-    "max_iters": "max_outer_iters",
-    "rel_tol": "rel_tol",
-}
-
-
 def _add_hyperparam_flags(parser) -> None:
+    """Flags whose dest is the Hyperparams field they set."""
     parser.add_argument("--K", type=int, default=None, help="basis columns")
-    parser.add_argument("--knn", type=int, default=None, help="neighborhood size")
+    parser.add_argument("--knn", dest="knn_k", metavar="KNN", type=int,
+                        default=None, help="neighborhood size")
     parser.add_argument("--alpha", type=float, default=None,
                         help="image-structure L1 weight")
     parser.add_argument("--mu", type=float, default=None,
@@ -74,18 +60,19 @@ def _add_hyperparam_flags(parser) -> None:
                         help="tag-structure penalty weight")
     parser.add_argument("--eta", type=float, default=None,
                         help="coefficient L1 weight")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed")
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    parser.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int,
+                        default=None, help="rng seed")
+    parser.add_argument("--max-iters", dest="max_outer_iters", metavar="MAX_ITERS",
+                        type=int, default=None)
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
 
 
 def _hyperparams_from(args, overrides=None) -> Hyperparams:
     """Defaults, then manifest/config overrides, then explicit flags."""
     merged = dict(overrides or {})
-    for flag, field in _HP_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[field] = value
+    for field in Hyperparams.field_names():
+        if getattr(args, field, None) is not None:
+            merged[field] = getattr(args, field)
     return Hyperparams().with_overrides(**merged)
 
 
@@ -201,8 +188,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_synth_bench(args) -> int:
     values = tgio.parse_key_values(args.config, SynthConfig)
-    if args.seed is not None:
-        values["rng_seed"] = args.seed
+    if args.rng_seed is not None:
+        values["rng_seed"] = args.rng_seed
     missing = [
         f.name for f in fields(SynthConfig)
         if f.default is MISSING and f.name not in values
@@ -213,7 +200,7 @@ def _cmd_synth_bench(args) -> int:
         )
     cfg = SynthConfig(**values)
     hp = _hyperparams_from(args)
-    if args.seed is None:
+    if args.rng_seed is None:
         # one master seed drives synthesis, deletion, solver, and baseline
         hp = hp.with_overrides(rng_seed=cfg.rng_seed)
     instance = generate(cfg)
@@ -270,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sparse tagging matrix; required in tag mode, optional in "
         "image mode to append tags to the features",
     )
-    p.add_argument("--knn", type=int, default=None)
+    p.add_argument("--knn", dest="knn_k", metavar="KNN", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--out", required=True)

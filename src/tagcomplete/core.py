@@ -13,6 +13,7 @@ reconstruct each tag from related tags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -143,6 +144,18 @@ class StructureMatrix:
         return self.matrix.shape[0]
 
 
+def check_structure_sizes(
+    D: TaggingMatrix, S: StructureMatrix, T: StructureMatrix
+) -> None:
+    """Raise ValidationError unless S is N x N and T is M x M for the N x M D."""
+    for side, structure, size in (("image", S, D.n_images), ("tag", T, D.n_tags)):
+        if structure.size != size:
+            raise ValidationError(
+                f"{side} structure is {structure.size}x{structure.size} "
+                f"but D has {size} {side}s"
+            )
+
+
 @dataclass
 class FactorModel:
     """Factorization state: basis U (N x K), coefficients V (K x M), error E (N x M).
@@ -211,9 +224,18 @@ class Hyperparams:
     eta               L1 weight on V (the objective carries it as 2*eta*||V||_1)
     K                 number of basis columns
     knn_k             neighborhood size for structure building
+    max_outer_iters   cap on the solver's outer iterations
+    rel_tol           the solver stops once an outer iteration lowers the
+                      objective by at most rel_tol times its previous value
+    rng_seed          seed of the random basis columns beyond the data's rank
+    inner_sweeps      passes over the coefficient and basis blocks per outer
+                      iteration
     lasso_tol         KKT residual every structure lasso must reach
     lasso_max_iters   rounds each structure lasso may take: one active-set
                       step, or one scalar step when no active-set step helps
+
+    Every float field is finite; the six weights are >= 0, rel_tol and
+    lasso_tol > 0, rng_seed >= 0 and the other int fields >= 1.
     """
 
     alpha: float = 1.0
@@ -232,21 +254,21 @@ class Hyperparams:
     lasso_max_iters: int = 10_000
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         for name in ("alpha", "mu", "beta", "gamma", "lambda_", "eta"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
-        if self.K < 1:
-            raise ValidationError("K must be >= 1")
-        if self.knn_k < 1:
-            raise ValidationError("knn_k must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValidationError("rel_tol must be > 0")
-        if self.max_outer_iters < 1:
-            raise ValidationError("max_outer_iters must be >= 1")
+        for name in ("rel_tol", "lasso_tol"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0")
+        ints = ("K", "knn_k", "max_outer_iters", "inner_sweeps", "lasso_max_iters")
+        for name in ints:
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        if self.inner_sweeps < 1:
-            raise ValidationError("inner_sweeps must be >= 1")
 
     def with_overrides(self, **kwargs) -> "Hyperparams":
         unknown = sorted(set(kwargs) - set(self.field_names()))

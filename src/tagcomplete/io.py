@@ -94,16 +94,14 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
     if n < 0 or m < 0 or nnz < 0:
         _fail(path, line_no, "matrix dimensions must be non-negative")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=float)
-    seen = 0
+    # collected as parsed: the declared count sizes nothing before it is checked
+    rows, cols, vals = [], [], []
     for idx in range(body_start, len(lines)):
         stripped = lines[idx].strip()
         if not stripped or stripped.startswith("%"):
             continue
         line_no = idx + 1
-        if seen >= nnz:
+        if len(vals) >= nnz:
             _fail(path, line_no, f"more than the declared {nnz} entries")
         parts = stripped.split()
         if len(parts) != 3:
@@ -117,10 +115,11 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
             _fail(path, line_no, f"index ({i}, {j}) outside {n}x{m} matrix")
         if not np.isfinite(v):
             _fail(path, line_no, f"non-finite value {parts[2]!r}")
-        rows[seen], cols[seen], vals[seen] = i - 1, j - 1, v
-        seen += 1
-    if seen != nnz:
-        _fail(path, len(lines), f"declared {nnz} entries but found {seen}")
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(vals) != nnz:
+        _fail(path, len(lines), f"declared {nnz} entries but found {len(vals)}")
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
@@ -210,11 +209,16 @@ def _sparse_to_lists(matrix) -> dict:
     }
 
 
+def _require_ints(values, what) -> None:
+    """TypeError unless every value is a JSON integer (not a float or a bool)."""
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"{what} must be integers")
+
+
 def _sparse_from_lists(payload, shape, path) -> sp.csr_matrix:
     try:
         rows, cols, vals = payload["rows"], payload["cols"], payload["values"]
-        if not all(type(i) is int for i in (*rows, *cols)):
-            raise TypeError("indices must be integers")
+        _require_ints((*rows, *cols), "indices")
         return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     except KeyError as exc:
         raise ParseError(f"{path}: sparse block missing field {exc}") from None
@@ -319,6 +323,9 @@ def read_split(path) -> EvalSplit:
         raise ParseError(f"{path}: missing field {exc}") from None
     observed = _sparse_from_lists(observed, shape, path)
     try:
+        _require_ints(test_image_ids, "test_image_ids")
+        for tags in deleted:
+            _require_ints(tags, "deleted tag ids")
         return EvalSplit(
             observed=TaggingMatrix(observed),
             deleted=tuple(frozenset(d) for d in deleted),

@@ -6,10 +6,10 @@ coefficient in turn, over each basis column in turn, and over the error
 matrix in closed form, so the objective trace is non-increasing block by
 block.
 
-The coefficient sweep, _sweep, soft-thresholds one scalar at a time with
-covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  Basis column
-k, with everything else fixed, solves the trust-region subproblem (More &
-Sorensen, SIAM J. Sci. Stat. Comput. 1983)
+The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
+with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  Basis
+column k, with everything else fixed, solves the trust-region subproblem
+(More & Sorensen, SIAM J. Sci. Stat. Comput. 1983)
 
     min  g||u||^2 - 2q'u + gamma||Bu||^2   subject to  ||u|| <= 1
 
@@ -36,6 +36,7 @@ from .core import (
     TagCompleteError,
     TaggingMatrix,
     ValidationError,
+    check_structure_sizes,
     objective_from_arrays,
 )
 
@@ -106,14 +107,7 @@ class SolverWorkspace:
         model: FactorModel,
         hp: Hyperparams,
     ):
-        if S.size != D.n_images:
-            raise ValidationError(
-                f"image structure is {S.size}x{S.size} but D has {D.n_images} images"
-            )
-        if T.size != D.n_tags:
-            raise ValidationError(
-                f"tag structure is {T.size}x{T.size} but D has {D.n_tags} tags"
-            )
+        check_structure_sizes(D, S, T)
         model.validate()
         if model.n_images != D.n_images or model.n_tags != D.n_tags:
             raise ValidationError(
@@ -172,47 +166,38 @@ class SolverWorkspace:
         )
 
 
-def _sweep(rows, gram, corr, penalty, step) -> int:
-    """One cyclic pass of exact scalar updates over the K x P matrix `rows`.
+def update_coeffs(ws: SolverWorkspace) -> int:
+    """One cyclic pass of exact scalar updates over the coefficient matrix.
 
-    Coordinate (k, p) moves to step(q, d), the minimizer of d*x^2 - 2*q*x
-    plus the block's own term, where d = gram[k, k] + penalty[p, p] and q is
-    corr[k, p] less the coupling to the other entries.  Only row k changes
-    while it is swept, so its gram coupling is computed before its pass; its
-    penalty coupling, rows[k] @ penalty, is kept current by adding rows of the
-    symmetric penalty.  Skips coordinates with d <= 0; returns their count.
+    Coefficient (k, m) moves to coeff_update_value(q, eta, d), where
+    d = (U'U)_kk + tag_penalty[m, m] and q is (U'target)_km less the coupling
+    to the other coefficients.  Only row k changes while it is swept, so its
+    gram coupling is computed before its pass; its penalty coupling,
+    coeffs[k] @ tag_penalty, is kept current by adding rows of the symmetric
+    penalty.  Coordinates with d <= 0 (basis column identically zero and no
+    tag-penalty mass) are skipped; the count of skips is returned.
     """
+    coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
+    gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
     diag = np.diagonal(penalty).tolist()
     skipped = 0
-    for k in range(rows.shape[0]):
-        row = rows[k].tolist()
+    for k in range(coeffs.shape[0]):
+        row = coeffs[k].tolist()
         gram_kk = float(gram[k, k])
-        coupling = (corr[k] - (gram[k] @ rows - gram_kk * rows[k])).tolist()
-        penalty_dot = rows[k] @ penalty
-        for p, old in enumerate(row):
-            denom = gram_kk + diag[p]
+        coupling = (corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])).tolist()
+        penalty_dot = coeffs[k] @ penalty
+        for m, old in enumerate(row):
+            denom = gram_kk + diag[m]
             if denom <= 0.0:
                 skipped += 1
                 continue
-            new = step(coupling[p] - (penalty_dot[p] - diag[p] * old), denom)
+            q = coupling[m] - (penalty_dot[m] - diag[m] * old)
+            new = coeff_update_value(q, eta, denom)
             if new != old:
-                row[p] = new
-                penalty_dot += (new - old) * penalty[p]
-        rows[k] = row
+                row[m] = new
+                penalty_dot += (new - old) * penalty[m]
+        coeffs[k] = row
     return skipped
-
-
-def update_coeffs(ws: SolverWorkspace) -> int:
-    """One cyclic sweep of exact scalar updates over the coefficient matrix.
-
-    Coordinates whose curvature is zero (basis column identically zero and no
-    tag-penalty mass) are skipped; the count of skips is returned.
-    """
-    eta = ws.hp.eta
-    return _sweep(
-        ws.coeffs, ws.basis.T @ ws.basis, ws.basis.T @ ws.target, ws.tag_penalty,
-        lambda q, denom: coeff_update_value(q, eta, denom),
-    )
 
 
 def _conjugate_gradients(apply, rhs, x):

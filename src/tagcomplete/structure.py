@@ -22,6 +22,7 @@ from .core import (
     TagCompleteError,
     TaggingMatrix,
     ValidationError,
+    check_structure_sizes,
     normalize_rows,
 )
 from .lasso import (
@@ -101,44 +102,29 @@ def knn_index(vectors, k: int) -> NeighborIndex:
     return NeighborIndex(neighbors=tuple(neighbors), distances=tuple(distances))
 
 
-def _reconstruction_weights(vectors, index, item, l1_weight, hp):
-    """Lasso weights reconstructing vectors[item] from its neighbor rows,
-    KKT-certified within hp.lasso_tol by solve_lasso."""
-    nb = index.neighbors[item]
-    problem = _row_problem(vectors[nb], vectors[item], l1_weight)
-    try:
-        solution = solve_lasso(problem, tol=hp.lasso_tol, max_iters=hp.lasso_max_iters)
-    except LassoConvergenceError as exc:
-        raise StructureBuildError(
-            f"reconstruction subproblem for item {item} did not converge "
-            f"(KKT residual {exc.kkt_residual:g})",
-            item=item,
-        ) from exc
-    return nb, solution.weights
-
-
-def _solve_all(vectors, index, l1_weight, hp, skip=None):
-    """Solve every item's subproblem in item order; skipped items get None."""
-    return [
-        None if skip is not None and skip[i]
-        else _reconstruction_weights(vectors, index, i, l1_weight, hp)
-        for i in range(vectors.shape[0])
-    ]
-
-
-def _assemble(results, size, transpose):
-    rows, cols, vals = [], [], []
-    for item, res in enumerate(results):
-        if res is None:
-            continue
-        nb, w = res
-        nz = w != 0.0
-        for j, v in zip(nb[nz], w[nz]):
-            rows.append(item)
-            cols.append(int(j))
-            vals.append(float(v))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    return mat.T.tocsr() if transpose else mat
+def _reconstruction_matrix(vectors, l1_weight, hp) -> sp.csr_matrix:
+    """Row i holds the lasso weights, KKT-certified within hp.lasso_tol by
+    solve_lasso, that rebuild vectors[i] from its hp.knn_k nearest neighbors."""
+    index = knn_index(vectors, hp.knn_k)
+    indptr, indices, data = [0], [], []
+    for item, nb in enumerate(index.neighbors):
+        problem = _row_problem(vectors[nb], vectors[item], l1_weight)
+        try:
+            solution = solve_lasso(problem, hp.lasso_tol, hp.lasso_max_iters)
+        except LassoConvergenceError as exc:
+            raise StructureBuildError(
+                f"reconstruction subproblem for item {item} did not converge "
+                f"(KKT residual {exc.kkt_residual:g})",
+                item=item,
+            ) from exc
+        nz = solution.weights != 0.0
+        indices.append(nb[nz])
+        data.append(solution.weights[nz])
+        indptr.append(indptr[-1] + indices[-1].size)
+    size = vectors.shape[0]
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
+    )
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -173,10 +159,7 @@ def build_feature_structure(
     solution is KKT-certified.  Deterministic for fixed inputs.
     """
     vectors = combined_feature_rows(features, tags)
-    index = knn_index(vectors, hp.knn_k)
-    results = _solve_all(vectors, index, hp.alpha, hp)
-    matrix = _assemble(results, vectors.shape[0], transpose=False)
-    return StructureMatrix(matrix)
+    return StructureMatrix(_reconstruction_matrix(vectors, hp.alpha, hp))
 
 
 def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
@@ -184,10 +167,10 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
 
     Column m holds the lasso coefficients (L1 weight hp.mu) that rebuild tag
     column m of the tagging matrix from its hp.knn_k nearest tag columns.
-    Tags that no image carries get an all-zero column and a warning.
+    Tags that no image carries get a warning and, since their lasso target is
+    zero, an all-zero column.
     """
     cols = np.ascontiguousarray(D.to_dense().T)
-    index = knn_index(cols, hp.knn_k)
     empty = ~np.any(cols != 0.0, axis=1)
     if empty.any():
         warnings.warn(
@@ -195,9 +178,7 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
             "their reconstruction weights are set to zero",
             stacklevel=2,
         )
-    results = _solve_all(cols, index, hp.mu, hp, skip=empty)
-    matrix = _assemble(results, cols.shape[0], transpose=True)
-    return StructureMatrix(matrix)
+    return StructureMatrix(_reconstruction_matrix(cols, hp.mu, hp).T)
 
 
 def reinitialize(
@@ -209,14 +190,7 @@ def reinitialize(
     ValidationError when a D with nonzero entries blends to all zeros, since
     fitting that blend would report a meaningless all-zero completion.
     """
-    if S.size != D.n_images:
-        raise ValidationError(
-            f"image structure is {S.size}x{S.size} but D has {D.n_images} images"
-        )
-    if T.size != D.n_tags:
-        raise ValidationError(
-            f"tag structure is {T.size}x{T.size} but D has {D.n_tags} tags"
-        )
+    check_structure_sizes(D, S, T)
     blended = (S.matrix @ D.matrix + D.matrix @ T.matrix) * 0.5
     if np.any(D.matrix.data) and not np.any(blended.data):
         raise ValidationError(

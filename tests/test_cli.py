@@ -7,7 +7,15 @@ import pytest
 import scipy.sparse as sp
 
 from tagcomplete import io as tgio
-from tagcomplete.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from tagcomplete.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _hyperparams_from,
+    build_parser,
+    main,
+)
+from tagcomplete.core import Hyperparams
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 
@@ -325,6 +333,37 @@ class TestComplete:
         assert code == EXIT_OK
         assert kv(stdout)["iterations"] == "2"
 
+    def test_non_finite_flag_exits_2(self, pipeline_files, built_structures, capsys):
+        code, stdout, err = run_cli(
+            [
+                "complete", "--tags", pipeline_files["observed"],
+                "--image-structure", built_structures["S"],
+                "--tag-structure", built_structures["T"], "--alpha", "nan",
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err == "error: alpha must be finite\n"
+        assert stdout == ""
+
+    def test_non_finite_override_exits_2(
+        self, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        overrides_path = tmp_path / "overrides.txt"
+        overrides_path.write_text("K = 4\ngamma = inf\n")
+        manifest_path = str(tmp_path / "manifest.json")
+        write_manifest_json(
+            manifest_path,
+            tags=pipeline_files["observed"],
+            image_structure=built_structures["S"],
+            tag_structure=built_structures["T"],
+            overrides=str(overrides_path),
+        )
+        code, stdout, err = run_cli(["complete", "--manifest", manifest_path], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: gamma must be finite\n"
+        assert stdout == ""
+
     def test_max_iters_exits_0_unconverged(
         self, pipeline_files, built_structures, capsys
     ):
@@ -427,6 +466,22 @@ class TestEvaluate:
         assert code == EXIT_USAGE
 
 
+    def test_huge_declared_count_exits_2(self, capsys, tmp_path):
+        scores_path = tmp_path / "scores.mtx"
+        scores_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 4 100000000000000000\n1 1 1.0\n"
+        )
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(TestWronglyTypedJson.SPLIT))
+        code, _, err = run_cli(
+            ["evaluate", "--scores", str(scores_path), "--split", str(split_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {scores_path}:3: declared ")
+
+
 class TestWronglyTypedJson:
     """Well-formed JSON with a wrongly typed field exits 2 naming the file."""
 
@@ -462,6 +517,23 @@ class TestWronglyTypedJson:
         )
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {split_path}: ")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("test_image_ids", [0.9, True]), ("deleted", [[1.7], [0, 2]])],
+    )
+    def test_split_non_integer_ids(self, field, value, capsys, tmp_path):
+        scores_path = str(tmp_path / "scores.csv")
+        tgio.write_dense_matrix(scores_path, np.zeros((2, 4)))
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(dict(self.SPLIT, **{field: value})))
+        code, stdout, err = run_cli(
+            ["evaluate", "--scores", scores_path, "--split", str(split_path)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {split_path}: invalid split (")
+        assert "must be integers" in err
+        assert stdout == ""
 
     def test_manifest_tags_not_a_path(self, capsys, tmp_path):
         manifest_path = tmp_path / "manifest.json"
@@ -591,6 +663,51 @@ class TestSynthBench:
         config = write_config(tmp_path / "synth.cfg", tags_per_image=50)
         code, _, err = run_cli(["synth-bench", "--config", config], capsys)
         assert code == EXIT_USAGE
+
+
+class TestHyperparamFlags:
+    """Each hyperparameter flag sets its own Hyperparams field and no other."""
+
+    REQUIRED = {
+        "build-structure": ["--mode", "tag", "--out", "S.mtx"],
+        "complete": [],
+        "synth-bench": ["--config", "synth.cfg"],
+    }
+    SHARED = [
+        ("--K", "7", "K", 7),
+        ("--knn", "7", "knn_k", 7),
+        ("--alpha", "0.25", "alpha", 0.25),
+        ("--mu", "0.25", "mu", 0.25),
+        ("--beta", "0.25", "beta", 0.25),
+        ("--gamma", "0.25", "gamma", 0.25),
+        ("--lambda", "0.25", "lambda_", 0.25),
+        ("--eta", "0.25", "eta", 0.25),
+        ("--seed", "5", "rng_seed", 5),
+        ("--max-iters", "9", "max_outer_iters", 9),
+        ("--rel-tol", "0.001", "rel_tol", 0.001),
+    ]
+    TABLE = {
+        "build-structure": [r for r in SHARED if r[0] in ("--knn", "--alpha", "--mu")],
+        "complete": SHARED,
+        "synth-bench": SHARED,
+    }
+    CASES = [(command, *row) for command, rows in TABLE.items() for row in rows]
+
+    @pytest.mark.parametrize("command, flag, text, field, value", CASES)
+    def test_flag_sets_its_field(self, command, flag, text, field, value):
+        argv = [command, *self.REQUIRED[command], flag, text]
+        args = build_parser().parse_args(argv)
+        assert _hyperparams_from(args) == Hyperparams().with_overrides(**{field: value})
+
+    @pytest.mark.parametrize("command", sorted(TABLE))
+    def test_table_lists_every_hyperparameter_flag(self, command):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        declared = {
+            action.option_strings[0]
+            for action in subparsers[command]._actions
+            if action.dest in Hyperparams.field_names()
+        }
+        assert declared == {flag for flag, *_ in self.TABLE[command]}
 
 
 class TestTopLevel:

@@ -132,6 +132,28 @@ class TestHyperparams:
         with pytest.raises(ValidationError):
             Hyperparams().with_overrides(not_a_param=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "mu", "beta", "gamma", "lambda_", "eta", "rel_tol", "lasso_tol"],
+    )
+    def test_rejects_non_finite_float_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+            Hyperparams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rel_tol", 0.0, "rel_tol must be > 0"),
+            ("lasso_tol", 0.0, "lasso_tol must be > 0"),
+            ("lasso_tol", -1e-8, "lasso_tol must be > 0"),
+            ("lasso_max_iters", 0, "lasso_max_iters must be >= 1"),
+        ],
+    )
+    def test_rejects_non_positive_tolerance_or_round_cap(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Hyperparams(**{field: value})
+
 
 class TestObjective:
     def test_matches_dense_oracle(self):

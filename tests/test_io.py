@@ -5,6 +5,9 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tagcomplete.core import FactorModel, Hyperparams, TaggingMatrix
 from tagcomplete.io import (
@@ -21,6 +24,7 @@ from tagcomplete.io import (
     write_sparse_matrix,
     write_split,
 )
+from tagcomplete.metrics import EvalSplit
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 
@@ -111,6 +115,16 @@ class TestSparseMatrixFormat:
             "2 2 1\n1 1 1.0\n2 2 1.0\n"
         )
         with pytest.raises(ParseError, match="more than"):
+            read_sparse_matrix(path)
+
+    def test_huge_declared_count_is_a_parse_error(self, tmp_path):
+        # sizing arrays by the count would need 10^17 entries before any check
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 100000000000000000\n1 1 1.0\n"
+        )
+        with pytest.raises(ParseError, match=r":3: declared 10+ entries but found 1$"):
             read_sparse_matrix(path)
 
     def test_round_trip_exact(self, tmp_path):
@@ -280,6 +294,31 @@ class TestSplitFormat:
         assert back.deleted == split.deleted
         assert (back.observed.matrix != split.observed.matrix).nnz == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("test_image_ids", [0.9, True]),
+            ("test_image_ids", [0, 1.0]),
+            ("deleted", [[1.7], [0, 2]]),
+            ("deleted", [[1], [False, 2]]),
+        ],
+    )
+    def test_non_integer_ids_rejected(self, field, value, tmp_path):
+        payload = {
+            "format": "tagcomplete-split",
+            "version": 1,
+            "n_images": 2,
+            "n_tags": 4,
+            "observed": {"rows": [0, 1], "cols": [0, 1], "values": [1.0, 1.0]},
+            "test_image_ids": [0, 1],
+            "deleted": [[1], [0, 2]],
+            field: value,
+        }
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*integers"):
+            read_split(path)
+
     def test_invalid_split_content(self, tmp_path):
         path = tmp_path / "split.json"
         payload = {
@@ -294,6 +333,106 @@ class TestSplitFormat:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="invalid split"):
             read_split(path)
+
+
+# Finite doubles at the edges of the format: both signed zeros, subnormals
+# down to 5e-324, the smallest normal and the largest magnitude.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+])
+EXTREME_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+SIDES = st.integers(1, 4)
+ROUND_TRIPS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def sparse_entries(draw, shape):
+    """{(row, col): value} over a matrix of the given shape."""
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    return draw(st.dictionaries(cells, EXTREME_FLOATS))
+
+
+def stored_matrix(shape, entries) -> sp.csr_matrix:
+    """CSR storing every entry explicitly, zeros included."""
+    rows, cols = zip(*entries) if entries else ((), ())
+    return sp.coo_matrix((list(entries.values()), (rows, cols)), shape=shape).tocsr()
+
+
+def stored_bits(matrix) -> list:
+    """Stored entries as sorted (row, col, exact hex value), so -0.0 != 0.0."""
+    coo = sp.csr_matrix(matrix).tocoo()
+    return sorted(
+        (int(i), int(j), float(v).hex()) for i, j, v in zip(coo.row, coo.col, coo.data)
+    )
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExtremeFloatRoundTrips:
+    """Every writer's output reads back bit for bit at the edges of float64."""
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_matrix_market(self, tmp_path_factory, data):
+        shape = (data.draw(SIDES), data.draw(SIDES))
+        matrix = stored_matrix(shape, data.draw(sparse_entries(shape)))
+        path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+        write_sparse_matrix(path, matrix)
+        back = read_sparse_matrix(path)
+        assert back.shape == shape
+        assert stored_bits(back) == stored_bits(matrix)
+
+    @ROUND_TRIPS
+    @given(arrays(float, st.tuples(SIDES, SIDES), elements=EXTREME_FLOATS))
+    def test_dense_csv(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dense_matrix(path, array)
+        assert_same_bits(read_dense_matrix(path), array)
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_model_json(self, tmp_path_factory, data):
+        n, k, m = data.draw(SIDES), data.draw(SIDES), data.draw(SIDES)
+        # entries of at most 0.5 in magnitude keep U's columns in the unit ball
+        small = st.sampled_from([-0.0, 5e-324, -5e-324]) | st.floats(-0.5, 0.5)
+        model = FactorModel(
+            U=data.draw(arrays(float, (n, k), elements=small)),
+            V=stored_matrix((k, m), data.draw(sparse_entries((k, m)))),
+            E=stored_matrix((n, m), data.draw(sparse_entries((n, m)))),
+        )
+        trace = data.draw(st.lists(EXTREME_FLOATS, max_size=5))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model(path, model, Hyperparams(K=k), trace)
+        record = read_model(path)
+        assert_same_bits(record.model.U, model.U)
+        assert stored_bits(record.model.V) == stored_bits(model.V)
+        assert stored_bits(record.model.E) == stored_bits(model.E)
+        assert_same_bits(record.objective_trace, np.asarray(trace, dtype=float))
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_split_json(self, tmp_path_factory, data):
+        # image 0 keeps tag 0 and loses tag 1; drawn entries fill the columns after
+        n, m = data.draw(SIDES), data.draw(SIDES)
+        drawn = data.draw(sparse_entries((n, m)))
+        entries = {(i, j + 2): v for (i, j), v in drawn.items()}
+        entries[(0, 0)] = data.draw(EDGE_FLOATS.filter(bool))
+        split = EvalSplit(
+            observed=TaggingMatrix(stored_matrix((n, m + 2), entries)),
+            deleted=({1},),
+            test_image_ids=(0,),
+        )
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        write_split(path, split)
+        back = read_split(path)
+        assert back.observed.matrix.shape == (n, m + 2)
+        assert stored_bits(back.observed.matrix) == stored_bits(split.observed.matrix)
+        assert (back.test_image_ids, back.deleted) == ((0,), (frozenset({1}),))
 
 
 class TestOverrides:
