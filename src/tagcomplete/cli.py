@@ -152,9 +152,7 @@ def _cmd_complete(args) -> int:
         )
     if args.out_scores:
         if args.sparse_out:
-            import scipy.sparse as sp
-
-            tgio.write_sparse_matrix(args.out_scores, sp.csr_matrix(scores))
+            tgio.write_sparse_matrix(args.out_scores, scores)
         else:
             tgio.write_dense_matrix(args.out_scores, scores)
     tail = report.objective_trace[-5:]

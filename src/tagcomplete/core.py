@@ -14,6 +14,7 @@ reconstruct each tag from related tags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,16 +25,17 @@ class TagCompleteError(Exception):
     """Base class for errors raised by this package."""
 
 
-class DimensionMismatchError(TagCompleteError, ValueError):
-    """Two operands have incompatible shapes; the message names the pair."""
-
-
 class ValidationError(TagCompleteError, ValueError):
     """A domain object violates one of its invariants."""
 
 
+class DimensionMismatchError(ValidationError):
+    """Two operands have incompatible shapes; the message names the pair."""
+
+
 def _as_csr(matrix, shape=None) -> sp.csr_matrix:
-    """Canonical CSR: duplicates summed, indices sorted, explicit zeros kept out."""
+    """Canonical CSR: duplicates summed and indices sorted.  Explicitly stored
+    zeros are kept (with their sign), so readers of nonzeros filter them."""
     m = sp.csr_matrix(matrix, shape=shape)
     m.sum_duplicates()
     m.sort_indices()
@@ -81,8 +83,8 @@ class TaggingMatrix:
 
     def tags_of(self, image: int) -> np.ndarray:
         """Column indices of the stored (nonzero) entries in one image row."""
-        row = self.matrix.getrow(image)
-        return row.indices[row.data != 0]
+        start, stop = self.matrix.indptr[image], self.matrix.indptr[image + 1]
+        return self.matrix.indices[start:stop][self.matrix.data[start:stop] != 0]
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,20 @@ class StructureMatrix:
 
 
 def check_structure_sizes(
-    D: TaggingMatrix, S: StructureMatrix, T: StructureMatrix
+    D: TaggingMatrix, S: StructureMatrix, T: StructureMatrix, model=None
 ) -> None:
-    """Raise ValidationError unless S is N x N and T is M x M for the N x M D."""
+    """Raise DimensionMismatchError unless S is N x N, T is M x M and the
+    model (a FactorModel), if given, is N x M for the N x M D."""
     for side, structure, size in (("image", S, D.n_images), ("tag", T, D.n_tags)):
         if structure.size != size:
-            raise ValidationError(
+            raise DimensionMismatchError(
                 f"{side} structure is {structure.size}x{structure.size} "
                 f"but D has {size} {side}s"
             )
+    if model is not None and (model.n_images, model.n_tags) != D.matrix.shape:
+        raise DimensionMismatchError(
+            f"model is {model.n_images}x{model.n_tags} but D is {D.n_images}x{D.n_tags}"
+        )
 
 
 @dataclass
@@ -234,8 +241,10 @@ class Hyperparams:
     lasso_max_iters   rounds each structure lasso may take: one active-set
                       step, or one scalar step when no active-set step helps
 
-    Every float field is finite; the six weights are >= 0, rel_tol and
-    lasso_tol > 0, rng_seed >= 0 and the other int fields >= 1.
+    Int fields hold integers (Python or numpy, not bool) and float fields
+    real numbers (not bool).  Every float field is finite; the six weights
+    are >= 0, rel_tol and lasso_tol > 0, rng_seed >= 0 and the other int
+    fields >= 1.
     """
 
     alpha: float = 1.0
@@ -255,7 +264,11 @@ class Hyperparams:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            kind = (int, np.integer) if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite")
         for name in ("alpha", "mu", "beta", "gamma", "lambda_", "eta"):
             if getattr(self, name) < 0:
@@ -281,11 +294,6 @@ class Hyperparams:
         return [f.name for f in fields(cls)]
 
 
-def _require_same(label_a: str, a, label_b: str, b) -> None:
-    if a != b:
-        raise DimensionMismatchError(f"{label_a} = {a} but {label_b} = {b}")
-
-
 def objective(
     D: TaggingMatrix,
     S: StructureMatrix,
@@ -296,13 +304,10 @@ def objective(
     """Value of the completion objective at the given state.
 
     Pure function; all inputs are read-only.  Raises DimensionMismatchError
-    naming the offending pair when shapes disagree.  See objective_from_arrays
+    (check_structure_sizes) when shapes disagree.  See objective_from_arrays
     for the formula.
     """
-    _require_same("D image count", D.n_images, "model image count", model.n_images)
-    _require_same("D tag count", D.n_tags, "model tag count", model.n_tags)
-    _require_same("image structure size", S.size, "image count", D.n_images)
-    _require_same("tag structure size", T.size, "tag count", D.n_tags)
+    check_structure_sizes(D, S, T, model)
     return objective_from_arrays(
         D.to_dense(), model.U, model.V.toarray(), model.E.toarray(),
         S.matrix, T.matrix, hp,

@@ -67,23 +67,18 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
         lines = handle.read().splitlines()
     if not lines:
         _fail(path, 1, "empty file, expected MatrixMarket header")
-    header = lines[0].strip().lower().split()
-    want = MATRIX_HEADER.lower().split()
-    if header != want:
+    if lines[0].strip().lower().split() != MATRIX_HEADER.lower().split():
         _fail(path, 1, f"bad header {lines[0].strip()!r}, expected {MATRIX_HEADER!r}")
 
-    size_line = None
-    body_start = None
-    for idx in range(1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (idx + 1, stripped)
-        body_start = idx + 1
-        break
-    if size_line is None:
+    # (line number, text) of every line after the header but blank and % ones
+    content = [
+        (line_no, text)
+        for line_no, text in enumerate(map(str.strip, lines[1:]), start=2)
+        if text and not text.startswith("%")
+    ]
+    if not content:
         _fail(path, len(lines), "missing size line")
-    line_no, text = size_line
+    line_no, text = content[0]
     parts = text.split()
     if len(parts) != 3:
         _fail(path, line_no, f"size line needs 3 fields, got {len(parts)}")
@@ -96,21 +91,17 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
 
     # collected as parsed: the declared count sizes nothing before it is checked
     rows, cols, vals = [], [], []
-    for idx in range(body_start, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        line_no = idx + 1
+    for line_no, text in content[1:]:
         if len(vals) >= nnz:
             _fail(path, line_no, f"more than the declared {nnz} entries")
-        parts = stripped.split()
+        parts = text.split()
         if len(parts) != 3:
             _fail(path, line_no, f"entry needs 3 fields, got {len(parts)}")
         try:
             i, j = int(parts[0]), int(parts[1])
             v = float(parts[2])
         except ValueError:
-            _fail(path, line_no, f"non-numeric entry {stripped!r}")
+            _fail(path, line_no, f"non-numeric entry {text!r}")
         if not (1 <= i <= n and 1 <= j <= m):
             _fail(path, line_no, f"index ({i}, {j}) outside {n}x{m} matrix")
         if not np.isfinite(v):
@@ -120,10 +111,8 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
         vals.append(v)
     if len(vals) != nnz:
         _fail(path, len(lines), f"declared {nnz} entries but found {len(vals)}")
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return matrix
+    # tocsr sums duplicates and sorts indices
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
 
 
 def write_sparse_matrix(path, matrix) -> None:
@@ -371,7 +360,6 @@ class Manifest:
     """
 
     tags_path: str
-    features_path: str | None = None
     image_structure_path: str | None = None
     tag_structure_path: str | None = None
     overrides: dict | None = None
@@ -397,7 +385,6 @@ def read_manifest(path) -> Manifest:
     overrides_file = resolve("overrides")
     return Manifest(
         tags_path=resolve("tags", required=True),
-        features_path=resolve("features"),
         image_structure_path=resolve("image_structure"),
         tag_structure_path=resolve("tag_structure"),
         overrides=(

@@ -112,8 +112,9 @@ def _check_psd(gram: np.ndarray, scale: float) -> None:
 
 @dataclass(frozen=True)
 class LassoSolution:
+    """Minimizing weights and their KKT residual (see kkt_residual)."""
+
     weights: np.ndarray
-    objective_value: float
     kkt_residual: float
 
 
@@ -193,7 +194,7 @@ def solve_lasso(
             f"(last residual {kkt:g} after {rounds} rounds)",
             kkt_residual=kkt,
         )
-    return LassoSolution(w, problem.objective_at(w), kkt)
+    return LassoSolution(w, kkt)
 
 
 def _cholesky(gram, pivot_floor):

@@ -35,7 +35,6 @@ from .core import (
     StructureMatrix,
     TagCompleteError,
     TaggingMatrix,
-    ValidationError,
     check_structure_sizes,
     objective_from_arrays,
 )
@@ -107,13 +106,8 @@ class SolverWorkspace:
         model: FactorModel,
         hp: Hyperparams,
     ):
-        check_structure_sizes(D, S, T)
+        check_structure_sizes(D, S, T, model)
         model.validate()
-        if model.n_images != D.n_images or model.n_tags != D.n_tags:
-            raise ValidationError(
-                f"model is {model.n_images}x{model.n_tags} "
-                f"but D is {D.n_images}x{D.n_tags}"
-            )
         self.hp = hp
         self.image_structure = S
         self.tag_structure = T
@@ -333,9 +327,7 @@ class SolverReport:
     skipped_coordinates: int
 
 
-def initial_model(
-    D: TaggingMatrix, hp: Hyperparams, rng: np.random.Generator | None = None
-) -> FactorModel:
+def initial_model(D: TaggingMatrix, hp: Hyperparams) -> FactorModel:
     """Data-adapted start: leading left singular vectors of the input as the
     basis, zero coefficients, zero error.
 
@@ -344,10 +336,9 @@ def initial_model(
     scale-free random basis starts every correlation below it and the
     descent can stall at the all-zero model.  Columns are unit-norm, hence
     inside the basis norm ball.  When K exceeds the number of singular
-    directions the remainder is filled with seeded random unit columns.
+    directions the remainder is filled with random unit columns drawn from
+    np.random.default_rng(hp.rng_seed).
     """
-    if rng is None:
-        rng = np.random.default_rng(hp.rng_seed)
     n_directions = min(hp.K, D.n_images, D.n_tags)
     left, _, _ = np.linalg.svd(D.to_dense(), full_matrices=False)
     U = np.empty((D.n_images, hp.K))
@@ -358,6 +349,7 @@ def initial_model(
     flip[flip == 0.0] = 1.0
     U[:, :n_directions] *= flip
     if n_directions < hp.K:
+        rng = np.random.default_rng(hp.rng_seed)
         extra = rng.uniform(-1.0, 1.0, size=(D.n_images, hp.K - n_directions))
         norms = np.linalg.norm(extra, axis=0)
         norms[norms == 0.0] = 1.0

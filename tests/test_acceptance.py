@@ -261,7 +261,7 @@ def test_lasso_oracle_equivalence():
         _, oracle_obj = lasso_by_enumeration(
             problem.gram, problem.corr, problem.target_sq_norm, l1
         )
-        worst_obj_gap = max(worst_obj_gap, solution.objective_value - oracle_obj)
+        worst_obj_gap = max(worst_obj_gap, problem.objective_at(solution.weights) - oracle_obj)
         worst_kkt = max(worst_kkt, kkt_residual(problem, solution.weights))
     elapsed = time.monotonic() - start
     ok = worst_obj_gap <= 1e-6 and worst_kkt <= 1e-8 and elapsed < 120

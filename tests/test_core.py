@@ -45,6 +45,14 @@ class TestTaggingMatrix:
         assert m.tags_of(0).tolist() == []
         assert m.tags_of(1).tolist() == [0, 3]
 
+    def test_tags_of_skips_stored_zeros(self):
+        # canonical form keeps explicitly stored zeros of either sign
+        data, indices, indptr = [0.0, 1.0, -0.0, 2.0], [0, 1, 2, 4], [0, 0, 4]
+        m = TaggingMatrix(sp.csr_matrix((data, indices, indptr), shape=(2, 5)))
+        assert m.nnz == 4
+        assert m.tags_of(0).tolist() == []
+        assert m.tags_of(1).tolist() == [1, 4]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             TaggingMatrix.from_dense(np.array([[np.nan, 0.0]]))
@@ -154,6 +162,32 @@ class TestHyperparams:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Hyperparams(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("K", 2.5),
+            ("knn_k", 3.7),
+            ("K", 7.0),
+            ("max_outer_iters", True),
+            ("rng_seed", False),
+            ("lasso_max_iters", np.float64(5.0)),
+            ("inner_sweeps", "2"),
+            ("alpha", True),
+            ("eta", np.bool_(True)),
+            ("beta", "0.7"),
+            ("rel_tol", None),
+        ],
+    )
+    def test_rejects_wrongly_typed_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            Hyperparams(**{field: value})
+
+    def test_accepts_numpy_scalars_and_int_weights(self):
+        hp = Hyperparams(
+            K=np.int64(7), knn_k=np.int32(3), alpha=np.float64(0.5), beta=1
+        )
+        assert (hp.K, hp.knn_k, hp.alpha, hp.beta) == (7, 3, 0.5, 1)
+
 
 class TestObjective:
     def test_matches_dense_oracle(self):
@@ -201,3 +235,19 @@ class TestObjective:
                 Hyperparams(),
             )
         assert "image structure" in str(exc.value)
+
+    def test_model_shape_mismatch_names_model(self):
+        D = TaggingMatrix.from_dense(np.zeros((3, 4)))
+        model = FactorModel(
+            U=np.zeros((3, 2)), V=sp.csr_matrix((2, 5)), E=sp.csr_matrix((3, 5))
+        )
+        message = "^model is 3x5 but D is 3x4$"
+        with pytest.raises(DimensionMismatchError, match=message) as exc:
+            objective(
+                D,
+                StructureMatrix.zeros(3),
+                StructureMatrix.zeros(4),
+                model,
+                Hyperparams(),
+            )
+        assert isinstance(exc.value, ValidationError)

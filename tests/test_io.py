@@ -146,6 +146,46 @@ class TestSparseMatrixFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSparseMatrixErrors:
+    """Every ParseError names the line, counted with comment and blank lines."""
+
+    @pytest.mark.parametrize(
+        "body, line_no, message",
+        [
+            ("", 1, "missing size line"),
+            ("% only a comment\n\n", 3, "missing size line"),
+            ("% c\n\n2 2\n", 4, "size line needs 3 fields, got 2"),
+            ("\n%\n2 x 1\n", 4, "non-integer size line '2 x 1'"),
+            ("%\n-1 2 0\n", 3, "matrix dimensions must be non-negative"),
+            ("2 2 2\n% c\n\n1 1 1.0\n%\n1 q 2\n", 7, "non-numeric entry '1 q 2'"),
+            ("% c\n2 2 1\n\n1 1\n", 5, "entry needs 3 fields, got 2"),
+            ("2 2 1\n%\n\n  3 1 1.0  \n", 5, "index (3, 1) outside 2x2 matrix"),
+            ("2 2 1\n\n1 1 inf\n", 4, "non-finite value 'inf'"),
+            ("2 2 1\n1 1 1.0\n% c\n\n2 2 1.0\n", 6, "more than the declared 1 entries"),
+            ("2 2 2\n1 1 1.0\n% c\n\n", 5, "declared 2 entries but found 1"),
+        ],
+    )
+    def test_error_names_line(self, body, line_no, message, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        expected = re.escape(f"{path}:{line_no}: {message}")
+        with pytest.raises(ParseError, match=f"^{expected}$"):
+            read_sparse_matrix(path)
+
+    def test_result_is_canonical(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n% c\n2 3 4\n"
+            "2 3 1.0\n\n1 2 2.0\n2 1 -0.0\n2 3 0.5\n"
+        )
+        m = read_sparse_matrix(path)
+        assert m.has_canonical_format
+        assert m.indptr.tolist() == [0, 1, 3]
+        assert m.indices.tolist() == [1, 0, 2]
+        assert m.data.tolist() == [2.0, -0.0, 1.5]
+        assert np.signbit(m.data[1])
+
+
 class TestDenseMatrixFormat:
     def test_single_cell(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -209,6 +249,20 @@ class TestModelFormat:
         V = random_sparse(rng, k, m, density=0.5)
         E = random_sparse(rng, n, m, density=0.2)
         return FactorModel(U=U, V=V, E=E)
+
+    @pytest.mark.parametrize(
+        "field, value", [("K", 1.5), ("max_outer_iters", True), ("eta", False)]
+    )
+    def test_wrongly_typed_hyperparam(self, field, value, tmp_path):
+        rng = np.random.default_rng(69)
+        path = tmp_path / "model.json"
+        write_model(path, self.make_model(rng), Hyperparams(K=2, knn_k=3))
+        payload = json.loads(path.read_text())
+        payload["hyperparams"][field] = value
+        path.write_text(json.dumps(payload))
+        expected = re.escape(f"{path}: bad hyperparams ({field} must be ")
+        with pytest.raises(ParseError, match=f"^{expected}"):
+            read_model(path)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(64)
@@ -492,7 +546,6 @@ class TestManifest:
         )
         m = read_manifest(manifest_path)
         assert m.tags_path == str(tags)
-        assert m.features_path == str(feats)
         assert m.overrides == {"eta": 0.5}
         assert m.image_structure_path is None
 

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from tagcomplete import solver
 from tagcomplete.core import (
+    DimensionMismatchError,
     FactorModel,
     FeatureMatrix,
     Hyperparams,
     StructureMatrix,
     TaggingMatrix,
+    ValidationError,
     objective,
 )
 from tagcomplete.lasso import LassoProblem, solve_lasso
@@ -126,6 +128,19 @@ class TestScalarForms:
         np.testing.assert_allclose(
             soft_threshold(x, 0.5), [-1.5, 0.0, 0.0, 0.0, 1.5]
         )
+
+
+class TestSolverWorkspace:
+    def test_model_shape_mismatch_names_model(self):
+        rng = np.random.default_rng(5)
+        D, S, T, model, hp = random_setup(rng, n=8, m=6, k=3)
+        wide = FactorModel(
+            U=model.U, V=sp.csr_matrix((3, 7)), E=sp.csr_matrix((8, 7))
+        )
+        message = "^model is 8x7 but D is 8x6$"
+        with pytest.raises(DimensionMismatchError, match=message) as exc:
+            SolverWorkspace(D, S, T, wide, hp)
+        assert isinstance(exc.value, ValidationError)
 
 
 class TestUpdateCoeffs:
