@@ -197,10 +197,8 @@ def _cmd_synth_bench(args) -> int:
             f"{args.config}: missing SynthConfig field(s): {', '.join(missing)}"
         )
     cfg = SynthConfig(**values)
-    hp = _hyperparams_from(args)
-    if args.rng_seed is None:
-        # one master seed drives synthesis, deletion, solver, and baseline
-        hp = hp.with_overrides(rng_seed=cfg.rng_seed)
+    # one master seed drives synthesis, deletion, solver, and baseline
+    hp = _hyperparams_from(args).with_overrides(rng_seed=cfg.rng_seed)
     instance = generate(cfg)
     split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
     S = build_feature_structure(instance.features, hp)

@@ -235,11 +235,8 @@ class Hyperparams:
     rel_tol           the solver stops once an outer iteration lowers the
                       objective by at most rel_tol times its previous value
     rng_seed          seed of the random basis columns beyond the data's rank
-    inner_sweeps      passes over the coefficient and basis blocks per outer
-                      iteration
-    lasso_tol         KKT residual every structure lasso must reach
-    lasso_max_iters   rounds each structure lasso may take: one active-set
-                      step, or one scalar step when no active-set step helps
+    lasso_tol         KKT residual every structure lasso must reach within
+                      lasso.DEFAULT_MAX_ITERS rounds
 
     Int fields hold integers (Python or numpy, not bool) and float fields
     real numbers (not bool).  Every float field is finite; the six weights
@@ -258,9 +255,7 @@ class Hyperparams:
     max_outer_iters: int = 500
     rel_tol: float = 1e-5
     rng_seed: int = 0
-    inner_sweeps: int = 1
     lasso_tol: float = 1e-8
-    lasso_max_iters: int = 10_000
 
     def __post_init__(self):
         for f in fields(self):
@@ -276,8 +271,7 @@ class Hyperparams:
         for name in ("rel_tol", "lasso_tol"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
-        ints = ("K", "knn_k", "max_outer_iters", "inner_sweeps", "lasso_max_iters")
-        for name in ints:
+        for name in ("K", "knn_k", "max_outer_iters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if self.rng_seed < 0:

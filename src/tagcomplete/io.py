@@ -265,13 +265,14 @@ def read_model(path) -> ModelRecord:
     payload = _load_json(path, MODEL_FORMAT)
     try:
         n, m, k = payload["n_images"], payload["n_tags"], payload["n_factors"]
+        _require_ints((n, m, k), "n_images, n_tags and n_factors")
         basis = np.asarray(payload["basis"], dtype=float)
         hp_dict = payload["hyperparams"]
         trace = np.asarray(payload["objective_trace"], dtype=float)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: non-numeric basis or trace ({exc})") from None
+        raise ParseError(f"{path}: bad header count, basis or trace ({exc})") from None
     if basis.shape != (n, k):
         raise ParseError(
             f"{path}: basis block is {basis.shape}, header says {(n, k)}"
@@ -308,8 +309,11 @@ def read_split(path) -> EvalSplit:
         shape = (payload["n_images"], payload["n_tags"])
         observed, deleted = payload["observed"], payload["deleted"]
         test_image_ids = payload["test_image_ids"]
+        _require_ints(shape, "n_images and n_tags")
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"{path}: bad header count ({exc})") from None
     observed = _sparse_from_lists(observed, shape, path)
     try:
         _require_ints(test_image_ids, "test_image_ids")

@@ -89,14 +89,11 @@ class LassoProblem:
 
 
 def _row_problem(rows: np.ndarray, target: np.ndarray, l1_weight: float) -> LassoProblem:
-    """The lasso rebuilding `target` from the finite `rows`.  Their gram is PSD
-    by construction: an exactly symmetric one skips the constructor's checks."""
-    gram = rows @ rows.T
-    data = (gram, rows @ target, float(target @ target), l1_weight)
-    if not np.array_equal(gram, gram.T):
-        return LassoProblem(*data)
+    """The lasso rebuilding `target` from the finite `rows`, without the
+    constructor's checks: the gram rows @ rows.T is PSD by construction."""
     problem = object.__new__(LassoProblem)  # frozen: fill its fields directly
-    problem.__dict__.update(zip(("gram", "corr", "target_sq_norm", "l1_weight"), data))
+    problem.__dict__.update(gram=rows @ rows.T, corr=rows @ target,
+                            target_sq_norm=float(target @ target), l1_weight=l1_weight)
     return problem
 
 

@@ -370,10 +370,10 @@ def fit(
 ) -> SolverReport:
     """Run alternating block minimization to convergence.
 
-    Per outer iteration: coefficient sweep, basis sweep, error refresh (each
-    repeated hp.inner_sweeps times for the two coordinate blocks).  Stops when
-    the relative objective decrease falls below hp.rel_tol or after
-    hp.max_outer_iters iterations.  Deterministic given hp.rng_seed.
+    Per outer iteration: one coefficient sweep, one basis pass and one error
+    refresh.  Stops when the relative objective decrease falls below
+    hp.rel_tol or after hp.max_outer_iters iterations.  Deterministic given
+    hp.rng_seed.
 
     Raises NumericalBlowupError (trace attached) if the objective leaves the
     finite range.
@@ -389,11 +389,9 @@ def fit(
     for _ in range(hp.max_outer_iters):
         iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(hp.inner_sweeps):
-                skipped += update_coeffs(ws)
+            skipped += update_coeffs(ws)
             after_coeffs = ws.objective_value()
-            for _ in range(hp.inner_sweeps):
-                skipped += update_basis(ws)
+            skipped += update_basis(ws)
             after_basis = ws.objective_value()
             update_error(ws)
             after_error = ws.objective_value()

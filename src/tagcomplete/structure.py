@@ -10,7 +10,6 @@ factorizations that break these reconstructions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,29 +39,19 @@ class StructureBuildError(TagCompleteError, RuntimeError):
         self.item = item
 
 
-@dataclass(frozen=True)
-class NeighborIndex:
-    """Exact k-nearest-neighbor lists, one per item, self excluded.
-
-    Each list is sorted by ascending distance with ties broken by ascending
-    index, and has length min(k, population - 1).
-    """
-
-    neighbors: tuple
-    distances: tuple
-
-
 _BLOCK = 64  # query rows per preselecting product, which is _BLOCK x n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes delta inf, below
-def knn_index(vectors, k: int) -> NeighborIndex:
-    """Exact euclidean nearest neighbors, preselected by a blocked product.
+def knn_index(vectors, k: int) -> tuple:
+    """Exact euclidean k-nearest-neighbor lists, one per item, self excluded.
 
-    A matrix product per block of query rows gives approximate squared
-    distances |x|^2 + |y|^2 - 2 x.y.  The items within a rounding margin of a
-    row's k-th smallest are ranked by the exact sqrt(sum((y - x)^2)), so the
-    lists and distances equal those of a full exact scan."""
+    Each list is sorted by ascending distance with ties broken by ascending
+    index, and has length min(k, population - 1).  A matrix product per
+    block of query rows gives approximate squared distances
+    |x|^2 + |y|^2 - 2 x.y.  The items within a rounding margin of a row's
+    k-th smallest are ranked by the exact sqrt(sum((y - x)^2)), so the lists
+    equal those of a full exact scan."""
     pts = np.ascontiguousarray(np.asarray(vectors, dtype=float))
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
@@ -82,7 +71,7 @@ def knn_index(vectors, k: int) -> NeighborIndex:
     # and is inf when the product could overflow: then every item is kept.
     fp = np.finfo(float)
     delta = 4 * (dim + 2) * (fp.eps * (4.0 * sq.max()) + fp.smallest_subnormal)
-    neighbors, distances = [], []
+    neighbors = []
     for start in range(0, n, _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, n))
         approx = -2.0 * (pts[rows] @ pts.T)
@@ -98,19 +87,17 @@ def knn_index(vectors, k: int) -> NeighborIndex:
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             order = np.lexsort((cand, dist))[:take]
             neighbors.append(cand[order])
-            distances.append(dist[order])
-    return NeighborIndex(neighbors=tuple(neighbors), distances=tuple(distances))
+    return tuple(neighbors)
 
 
 def _reconstruction_matrix(vectors, l1_weight, hp) -> sp.csr_matrix:
     """Row i holds the lasso weights, KKT-certified within hp.lasso_tol by
     solve_lasso, that rebuild vectors[i] from its hp.knn_k nearest neighbors."""
-    index = knn_index(vectors, hp.knn_k)
     indptr, indices, data = [0], [], []
-    for item, nb in enumerate(index.neighbors):
+    for item, nb in enumerate(knn_index(vectors, hp.knn_k)):
         problem = _row_problem(vectors[nb], vectors[item], l1_weight)
         try:
-            solution = solve_lasso(problem, hp.lasso_tol, hp.lasso_max_iters)
+            solution = solve_lasso(problem, hp.lasso_tol)
         except LassoConvergenceError as exc:
             raise StructureBuildError(
                 f"reconstruction subproblem for item {item} did not converge "
@@ -201,23 +188,17 @@ def reinitialize(
     return TaggingMatrix(blended)
 
 
-def _kkt_per_item(vectors, weights, l1_weight, k, skip=None):
+def _kkt_per_item(vectors, weights, l1_weight, k):
     """Recomputed KKT residual per item, reading item i's weights from the
     i-th compressed row of `weights` (CSR rows, or CSC columns).
 
     The gradient gram @ w - corr is formed as A (A'w - b), with no gram.  inf
-    when weight sits outside the recomputed neighborhood; skipped items
-    report 0 when they carry no weight and inf otherwise.
+    when weight sits outside the recomputed neighborhood.
     """
-    index = knn_index(vectors, k)
     residuals = np.zeros(vectors.shape[0])
-    for i in range(vectors.shape[0]):
+    for i, nb in enumerate(knn_index(vectors, k)):
         span = slice(weights.indptr[i], weights.indptr[i + 1])
         cols, vals = weights.indices[span], weights.data[span]
-        if skip is not None and skip[i]:
-            residuals[i] = 0.0 if not vals.any() else np.inf
-            continue
-        nb = index.neighbors[i]
         at, found = np.nonzero(nb[:, None] == cols)
         if found.size < cols.size:
             residuals[i] = np.inf
@@ -250,9 +231,8 @@ def tag_structure_kkt(
 ) -> np.ndarray:
     """Re-certify each column of a tag structure matrix from scratch.
 
-    All-zero tag columns report residual 0 when their weights are zero (no
-    reconstruction was attempted for them).
+    An all-zero tag column with zero weights is its lasso's exact answer and
+    reports residual 0.
     """
     cols = np.ascontiguousarray(D.to_dense().T)
-    empty = ~np.any(cols != 0.0, axis=1)
-    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, hp.knn_k, skip=empty)
+    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, hp.knn_k)

@@ -115,7 +115,7 @@ def knn_by_full_scan(points, query_index, k):
 
 
 def knn_by_einsum_scan(points, k):
-    """Every item's k nearest neighbors and their distances, one full scan each.
+    """Every item's k nearest neighbors, one full scan each.
 
     Distances are sqrt(einsum) over the whole difference matrix, ordered by
     (distance, index) with lexsort: a bitwise reference for the package's
@@ -124,15 +124,14 @@ def knn_by_einsum_scan(points, k):
     points = np.ascontiguousarray(np.asarray(points, dtype=float))
     n = points.shape[0]
     index = np.arange(n)
-    neighbors, distances = [], []
+    neighbors = []
     for i in range(n):
         diff = points - points[i]
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         others, others_d = index[index != i], dists[index != i]
         order = np.lexsort((others, others_d))[: min(k, n - 1)]
         neighbors.append(others[order])
-        distances.append(others_d[order])
-    return neighbors, distances
+    return neighbors
 
 
 def golden_section(f, lo, hi, iters=200):

@@ -14,12 +14,7 @@ import scipy.sparse as sp
 
 from oracles import lasso_by_enumeration, scalar_min_by_search
 from tagcomplete import io as tgio
-from tagcomplete.core import (
-    FeatureMatrix,
-    Hyperparams,
-    StructureMatrix,
-    TaggingMatrix,
-)
+from tagcomplete.core import Hyperparams, StructureMatrix, TaggingMatrix
 from tagcomplete.lasso import LassoProblem, kkt_residual, solve_lasso
 from tagcomplete.metrics import EvalSplit, evaluate, rank_predictions
 from tagcomplete.solver import (
@@ -97,7 +92,6 @@ def _random_hp(rng, k) -> Hyperparams:
         eta=float(10.0 ** rng.uniform(-1.3, 0.4)),
         max_outer_iters=6,
         rel_tol=1e-9,
-        inner_sweeps=int(rng.integers(1, 3)),
         rng_seed=int(rng.integers(0, 2**31)),
     )
 

@@ -364,6 +364,26 @@ class TestComplete:
         assert err == "error: gamma must be finite\n"
         assert stdout == ""
 
+    @pytest.mark.parametrize("key", ["inner_sweeps", "lasso_max_iters"])
+    def test_removed_hyperparam_override_exits_2(
+        self, key, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        overrides_path = tmp_path / "overrides.txt"
+        overrides_path.write_text(f"K = 4\n{key} = 2\n")
+        manifest_path = str(tmp_path / "manifest.json")
+        write_manifest_json(
+            manifest_path,
+            tags=pipeline_files["observed"],
+            image_structure=built_structures["S"],
+            tag_structure=built_structures["T"],
+            overrides=str(overrides_path),
+        )
+        code, stdout, err = run_cli(["complete", "--manifest", manifest_path], capsys)
+        assert code == EXIT_USAGE
+        expected = f"error: {overrides_path}:2: unknown Hyperparams field {key!r}\n"
+        assert err == expected
+        assert stdout == ""
+
     def test_max_iters_exits_0_unconverged(
         self, pipeline_files, built_structures, capsys
     ):

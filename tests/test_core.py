@@ -155,7 +155,6 @@ class TestHyperparams:
             ("rel_tol", 0.0, "rel_tol must be > 0"),
             ("lasso_tol", 0.0, "lasso_tol must be > 0"),
             ("lasso_tol", -1e-8, "lasso_tol must be > 0"),
-            ("lasso_max_iters", 0, "lasso_max_iters must be >= 1"),
         ],
     )
     def test_rejects_non_positive_tolerance_or_round_cap(self, field, value, message):
@@ -170,8 +169,8 @@ class TestHyperparams:
             ("K", 7.0),
             ("max_outer_iters", True),
             ("rng_seed", False),
-            ("lasso_max_iters", np.float64(5.0)),
-            ("inner_sweeps", "2"),
+            ("max_outer_iters", np.float64(5.0)),
+            ("knn_k", "2"),
             ("alpha", True),
             ("eta", np.bool_(True)),
             ("beta", "0.7"),

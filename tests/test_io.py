@@ -264,6 +264,36 @@ class TestModelFormat:
         with pytest.raises(ParseError, match=f"^{expected}"):
             read_model(path)
 
+    @pytest.mark.parametrize("key", ["inner_sweeps", "lasso_max_iters"])
+    def test_removed_hyperparam(self, key, tmp_path):
+        rng = np.random.default_rng(70)
+        path = tmp_path / "model.json"
+        write_model(path, self.make_model(rng), Hyperparams(K=2, knn_k=3))
+        payload = json.loads(path.read_text())
+        assert len(payload["hyperparams"]) == 12
+        payload["hyperparams"][key] = 1
+        path.write_text(json.dumps(payload))
+        expected = f"^{re.escape(str(path))}: bad hyperparams .*'{key}'"
+        with pytest.raises(ParseError, match=expected):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_factors", True), ("n_images", 5.0), ("n_tags", "4")]
+    )
+    def test_non_integer_header_count(self, field, value, tmp_path):
+        rng = np.random.default_rng(71)
+        path = tmp_path / "model.json"
+        write_model(path, self.make_model(rng, k=1), Hyperparams(K=1, knn_k=3))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        expected = (
+            f"{path}: bad header count, basis or trace "
+            "(n_images, n_tags and n_factors must be integers)"
+        )
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_model(path)
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(64)
         model = self.make_model(rng)
@@ -355,6 +385,8 @@ class TestSplitFormat:
             ("test_image_ids", [0, 1.0]),
             ("deleted", [[1.7], [0, 2]]),
             ("deleted", [[1], [False, 2]]),
+            ("n_images", 2.0),
+            ("n_tags", True),
         ],
     )
     def test_non_integer_ids_rejected(self, field, value, tmp_path):

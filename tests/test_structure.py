@@ -43,34 +43,27 @@ class TestKnnIndex:
     def test_three_points_on_a_line(self):
         pts = np.array([[0.0], [1.0], [10.0]])
         idx = knn_index(pts, k=1)
-        assert idx.neighbors[0].tolist() == [1]
-        assert idx.neighbors[1].tolist() == [0]
-        assert idx.neighbors[2].tolist() == [1]
+        assert idx[0].tolist() == [1]
+        assert idx[1].tolist() == [0]
+        assert idx[2].tolist() == [1]
 
     def test_k_at_least_population_gives_full_complement(self):
         pts = np.arange(8.0).reshape(4, 2)
         idx = knn_index(pts, k=10)
         for i in range(4):
-            assert sorted(idx.neighbors[i].tolist()) == [j for j in range(4) if j != i]
+            assert sorted(idx[i].tolist()) == [j for j in range(4) if j != i]
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(50, 5))
         idx = knn_index(pts, k=5)
         for i in range(50):
-            assert idx.neighbors[i].tolist() == knn_by_full_scan(pts, i, 5)
+            assert idx[i].tolist() == knn_by_full_scan(pts, i, 5)
 
     def test_ties_broken_by_ascending_index(self):
         pts = np.array([[0.0], [1.0], [1.0], [1.0]])
         idx = knn_index(pts, k=2)
-        assert idx.neighbors[0].tolist() == [1, 2]
-
-    def test_distances_sorted_ascending(self):
-        rng = np.random.default_rng(6)
-        pts = rng.normal(size=(20, 3))
-        idx = knn_index(pts, k=7)
-        for d in idx.distances:
-            assert np.all(np.diff(d) >= 0)
+        assert idx[0].tolist() == [1, 2]
 
     def test_rejects_single_vector(self):
         with pytest.raises(ValidationError):
@@ -120,12 +113,8 @@ class TestKnnIndex:
 
     @staticmethod
     def assert_equals_scan(pts, k):
-        idx = knn_index(pts, k)
-        neighbors, distances = knn_by_einsum_scan(pts, k)
-        for got, want in zip(idx.neighbors, neighbors):
+        for got, want in zip(knn_index(pts, k), knn_by_einsum_scan(pts, k)):
             assert np.array_equal(got, want)
-        for got, want in zip(idx.distances, distances):
-            assert got.tobytes() == want.tobytes()
 
 class TestBuildFeatureStructure:
     def test_duplicate_rows_reconstruct_each_other(self):
@@ -151,7 +140,7 @@ class TestBuildFeatureStructure:
         idx = knn_index(vectors, 3)
         dense = S.matrix.toarray()
         for n in range(10):
-            nb = idx.neighbors[n]
+            nb = idx[n]
             A = vectors[nb]
             b = vectors[n]
             _, best = lasso_by_enumeration(A @ A.T, A @ b, float(b @ b), 0.1)
@@ -230,7 +219,7 @@ class TestBuildTagStructure:
         idx = knn_index(cols, 3)
         dense = T.matrix.toarray()
         for m in range(6):
-            nb = idx.neighbors[m]
+            nb = idx[m]
             A = cols[nb]
             b = cols[m]
             _, best = lasso_by_enumeration(A @ A.T, A @ b, float(b @ b), 0.1)
@@ -272,7 +261,7 @@ class TestRecertification:
         X = rng.normal(size=(12, 5))
         hp = Hyperparams(alpha=0.1, knn_k=3)
         S = build_feature_structure(FeatureMatrix(X), hp)
-        nb = knn_index(combined_feature_rows(FeatureMatrix(X), None), 3).neighbors[4]
+        nb = knn_index(combined_feature_rows(FeatureMatrix(X), None), 3)[4]
         outside = next(j for j in range(12) if j != 4 and j not in nb)
         residuals = feature_structure_kkt(
             FeatureMatrix(X), with_weight(S, 4, outside, 0.5), hp
@@ -284,20 +273,27 @@ class TestRecertification:
         rng = np.random.default_rng(18)
         D = (rng.random((12, 9)) < 0.4).astype(float)
         D[0, :] = 1.0
-        D[:, 8] = 0.0  # unused tag: no reconstruction is attempted for it
+        D[:, 8] = 0.0  # unused tag: its lasso target is zero
         hp = Hyperparams(mu=0.05, knn_k=3)
         tags = TaggingMatrix.from_dense(D)
         with pytest.warns(UserWarning, match="all-zero"):
             T = build_tag_structure(tags, hp)
-        nb = knn_index(D.T, 3).neighbors[2]
-        outside = next(j for j in range(9) if j != 2 and j not in nb)
+        neighbors = knn_index(D.T, 3)
+        outside = next(j for j in range(9) if j != 2 and j not in neighbors[2])
         residuals = tag_structure_kkt(tags, with_weight(T, outside, 2, 0.5), hp)
         assert residuals[2] == np.inf
         assert residuals[8] == 0.0
         assert np.all(np.delete(residuals, 2) <= hp.lasso_tol)
-        # weight on the unused tag's column is never a lasso answer
-        residuals = tag_structure_kkt(tags, with_weight(T, 0, 8, 0.5), hp)
-        assert residuals[8] == np.inf
+        assert tag_structure_kkt(tags, T, hp.with_overrides(mu=0.0))[8] == 0.0
+        # weight inside the unused tag's neighborhood is certified like any
+        # other: its lasso, with target zero, is not solved by it
+        nb = neighbors[8]
+        residuals = tag_structure_kkt(tags, with_weight(T, nb[0], 8, 0.5), hp)
+        A = D.T[nb]
+        problem = LassoProblem(A @ A.T, np.zeros(nb.size), 0.0, hp.mu)
+        want = kkt_residual(problem, np.where(nb == nb[0], 0.5, 0.0))
+        assert residuals[8] > hp.lasso_tol
+        assert residuals[8] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestResidualFormCertificate:
@@ -306,14 +302,12 @@ class TestResidualFormCertificate:
     optimum (so that the residuals are far from zero)."""
 
     @staticmethod
-    def gram_form(vectors, weights, l1_weight, k, skip=None):
-        idx = knn_index(vectors, k)
+    def gram_form(vectors, weights, l1_weight, k):
         out = np.zeros(vectors.shape[0])
-        for i, nb in enumerate(idx.neighbors):
-            if skip is None or not skip[i]:
-                A, b = vectors[nb], vectors[i]
-                problem = LassoProblem(A @ A.T, A @ b, float(b @ b), l1_weight)
-                out[i] = kkt_residual(problem, weights[i, nb])
+        for i, nb in enumerate(knn_index(vectors, k)):
+            A, b = vectors[nb], vectors[i]
+            problem = LassoProblem(A @ A.T, A @ b, float(b @ b), l1_weight)
+            out[i] = kkt_residual(problem, weights[i, nb])
         return out
 
     @pytest.mark.parametrize("scale", [1.0, 1.3])
