@@ -7,15 +7,18 @@ search (Lee, Battle, Raina & Ng, NIPS 2006), an exact active-set method:
 on a fixed sign pattern the objective is a quadratic minimized by one
 Cholesky solve.  On a numerically singular pattern a LARS-style swap step
 (Efron et al., 2004) trades one active coordinate for the joining one,
-which makes the next pattern nonsingular again.  Any minimizer returned is
-certified by the stationarity conditions, which is what downstream code
-relies on: the minimizer of a convex problem is characterized by its KKT
-residual, not by the algorithm that found it.
+which makes the next pattern nonsingular again.  The problems of a batch
+with one size run their rounds in lockstep, so that stacked factorizations
+and line searches replace one small call per problem.  Any minimizer
+returned is certified by the stationarity conditions, which is what
+downstream code relies on: the minimizer of a convex problem is
+characterized by its KKT residual, not by the algorithm that found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +34,12 @@ _SINGULAR_PIVOT = 1e-12
 
 
 class LassoConvergenceError(TagCompleteError, RuntimeError):
-    """The solver ran out of rounds; carries the last KKT residual."""
+    """An item's rounds ran out; carries its batch index and last KKT residual."""
 
-    def __init__(self, message: str, kkt_residual: float):
+    def __init__(self, message: str, kkt_residual: float, item: int = 0):
         super().__init__(message)
         self.kkt_residual = kkt_residual
+        self.item = item
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,16 @@ class LassoProblem:
         )
 
 
-def _row_problem(rows: np.ndarray, target: np.ndarray, l1_weight: float) -> LassoProblem:
-    """The lasso rebuilding `target` from the finite `rows`, without the
-    constructor's checks: the gram rows @ rows.T is PSD by construction."""
-    problem = object.__new__(LassoProblem)  # frozen: fill its fields directly
-    problem.__dict__.update(gram=rows @ rows.T, corr=rows @ target,
-                            target_sq_norm=float(target @ target), l1_weight=l1_weight)
-    return problem
+class LassoBatch(NamedTuple):
+    """Lassos with k variables each, stacked: gram (B, k, k), corr (B, k).
+
+    Unlike LassoProblem it checks nothing, so it is for grams formed as
+    rows @ rows.T from finite rows, which are PSD by construction.
+    """
+
+    gram: np.ndarray
+    corr: np.ndarray
+    l1_weight: float
 
 
 def _check_psd(gram: np.ndarray, scale: float) -> None:
@@ -109,7 +116,8 @@ def _check_psd(gram: np.ndarray, scale: float) -> None:
 
 @dataclass(frozen=True)
 class LassoSolution:
-    """Minimizing weights and their KKT residual (see kkt_residual)."""
+    """Minimizing weights and their KKT residual (see kkt_residual); for a
+    LassoBatch, weights (B, k) and the largest item residual."""
 
     weights: np.ndarray
     kkt_residual: float
@@ -124,11 +132,15 @@ def _violations(weights: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray
 
 
 def solve_lasso(
-    problem: LassoProblem,
+    problem: LassoProblem | LassoBatch,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> LassoSolution:
-    """Minimize the lasso objective by guarded feature-sign search.
+    """Minimize the lasso objective of every item by guarded feature-sign search.
+
+    A LassoProblem is solved as a batch of one.  The items of a LassoBatch
+    run their rounds in lockstep, and each leaves the batch at its own stop,
+    so its weights are bitwise those of its own batch of one.
 
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
@@ -153,108 +165,217 @@ def solve_lasso(
     should be 0) exactly minimizes the worst KKT violator alone.
 
     No round raises the objective; zero-diagonal coordinates never get
-    weight.  `max_iters` counts rounds.  LassoConvergenceError carries the
-    last KKT residual when they run out, or at once when only zero-diagonal
-    coordinates violate the conditions.  Deterministic for fixed inputs.
+    weight.  `max_iters` counts each item's rounds.  Returns the weights
+    shaped like `corr` and, as kkt_residual, the largest item residual.
+    LassoConvergenceError names the first item, in batch order, whose rounds
+    ran out, or that stopped at once because only zero-diagonal coordinates
+    violate the conditions, and carries its last KKT residual.  Deterministic
+    for fixed inputs.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValidationError(f"max_iters must be an int >= 0, got {max_iters!r}")
     gram, corr, lam = problem.gram, problem.corr, problem.l1_weight
-    w = np.zeros(problem.n_vars)
-    diag = np.diagonal(gram)
-    usable = diag > 0.0
-    pivot_floor = _SINGULAR_PIVOT * float(diag.max(initial=0.0))
+    single = corr.ndim == 1
+    if single:
+        gram, corr = gram[None], corr[None]
+    w = np.zeros(corr.shape)
+    kkt = np.zeros(corr.shape[0])
+    failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    unusable = ~(diag > 0.0)
+    pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
+    live = np.arange(corr.shape[0])
     rounds = 0
-    while True:
-        grad = gram @ w - corr
-        violation = _violations(w, grad, lam)
-        kkt = float(violation.max(initial=0.0))
-        if kkt <= tol or rounds >= max_iters:
+    while live.size:
+        x = w[live]
+        grad = _gradients(gram, corr, live, x)
+        violation = _violations(x, grad, lam)
+        kkt[live] = violation.max(axis=1, initial=0.0)
+        going = kkt[live] > tol
+        if not going.all():
+            live, x, grad, violation = live[going], x[going], grad[going], violation[going]
+            if not live.size:
+                break
+        if rounds >= max_iters:
+            failed_after[live] = rounds
             break
         rounds += 1
-        theta = np.sign(w)
-        nonzero = theta != 0.0
-        violation[~usable] = -np.inf
-        joining = None
-        if violation[nonzero].max(initial=0.0) <= tol:
-            joining = int(np.argmax(violation))
-            if violation[joining] <= tol:
-                break  # only zero-diagonal coordinates violate: no step helps
-            theta[joining] = -np.sign(grad[joining])
-        if not _face_step(problem, w, theta, joining, pivot_floor):
-            j = int(np.argmax(violation))
-            z = diag[j] * w[j] - grad[j]
-            w[j] = np.sign(z) * max(abs(z) - 0.5 * lam, 0.0) / diag[j]
-    if kkt > tol:
+        violation[unusable[live]] = -np.inf
+        best = np.argmax(violation, axis=1)
+        theta = np.sign(x)
+        joins = np.where(theta != 0.0, violation, 0.0).max(axis=1) <= tol
+        # only zero-diagonal coordinates violate: no step helps
+        stuck = joins & (violation[np.arange(live.size), best] <= tol)
+        if stuck.any():
+            failed_after[live[stuck]] = rounds
+            # items after the first failure cannot change the outcome
+            keep = ~stuck & (live < np.flatnonzero(failed_after >= 0)[0])
+            live, x, grad, theta, best, joins = (
+                a[keep] for a in (live, x, grad, theta, best, joins)
+            )
+        at = np.flatnonzero(joins)
+        theta[at, best[at]] = -np.sign(grad[at, best[at]])
+        moved = _face_steps(gram, corr, lam, w, live, x, theta,
+                            np.where(joins, best, -1), pivot_floor)
+        if not moved.all():
+            # rounding dust: exactly minimize the worst violator alone
+            at = np.flatnonzero(~moved)
+            b, j = live[at], best[at]
+            z = diag[b, j] * x[at, j] - grad[at, j]
+            w[b, j] = np.sign(z) * np.maximum(np.abs(z) - 0.5 * lam, 0.0) / diag[b, j]
+    failed = np.flatnonzero(failed_after >= 0)
+    if failed.size:
+        item = int(failed[0])
         raise LassoConvergenceError(
             f"lasso did not reach KKT residual {tol:g} "
-            f"(last residual {kkt:g} after {rounds} rounds)",
-            kkt_residual=kkt,
+            f"(last residual {kkt[item]:g} after {failed_after[item]} rounds)",
+            kkt_residual=float(kkt[item]),
+            item=item,
         )
-    return LassoSolution(w, kkt)
+    return LassoSolution(w[0] if single else w, float(kkt.max(initial=0.0)))
 
 
-def _cholesky(gram, pivot_floor):
-    """Cholesky factor of gram, or None when it is numerically singular."""
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    if float(np.diagonal(chol).min(initial=np.inf)) ** 2 <= pivot_floor:
-        return None
-    return chol
+def _groups(counts):
+    """(count, rows) for each distinct count; rows is a slice when all agree."""
+    distinct = sorted(set(counts.tolist()))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(count, np.flatnonzero(counts == count)) for count in distinct]
 
 
-def _face_step(problem, w, theta, joining, pivot_floor) -> bool:
-    """Move w, in place, toward a lower objective on the sign face `theta`.
+def _gradients(gram, corr, live, x) -> np.ndarray:
+    """gram @ x - corr for the live items, formed from their active columns.
 
-    The target is the face minimizer, or on a singular face the swap step's
-    first zero crossing.  Returns False and leaves w as it was when there is
-    no target or no candidate point lowers the objective.
+    Items with one number of active coordinates are done together, so each
+    item's arithmetic is that of its own.
     """
-    face = np.flatnonzero(theta)
-    gram = problem.gram[np.ix_(face, face)]
-    x = w[face]
-    chol = _cholesky(gram, pivot_floor)
-    if chol is not None:
-        rhs = problem.corr[face] - 0.5 * problem.l1_weight * theta[face]
-        target = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))  # L L' x = rhs
-    elif joining is None:
-        return False
-    else:
-        rest = face != joining
-        chol = _cholesky(gram[np.ix_(rest, rest)], pivot_floor)
-        if chol is None:
-            return False
-        # the joining column is (numerically) this combination of the others
-        column = problem.gram[face[rest], joining]
-        combo = np.linalg.solve(chol.T, np.linalg.solve(chol, column))
-        direction = np.full(face.size, theta[joining])
-        direction[rest] *= -combo
-        heading = np.flatnonzero(x * direction < 0.0)
-        if heading.size == 0:
-            return False
-        ratios = -x[heading] / direction[heading]
-        first = int(np.argmin(ratios))
-        target = x + ratios[first] * direction
-        target[heading[first]] = 0.0
-    crossing = np.flatnonzero(x * target < 0.0)
-    # candidate points: row 0 is w itself, then each zero crossing, then target
-    steps = np.concatenate(
-        ([0.0], x[crossing] / (x[crossing] - target[crossing]), [1.0])
-    )
-    points = x + steps[:, None] * (target - x)
-    points[np.arange(1, crossing.size + 1), crossing] = 0.0
-    values = (
-        np.einsum("ij,ij->i", points @ gram, points)
-        - 2.0 * (points @ problem.corr[face])
-        + problem.l1_weight * np.abs(points).sum(axis=1)
-    )
-    best = 1 + int(np.argmin(values[1:]))
-    if values[best] >= values[0]:
-        return False
-    w[face] = points[best]
-    return True
+    grad = np.empty(x.shape)
+    for count, rows in _groups((x != 0.0).sum(axis=1)):
+        items, xr = live[rows], x[rows]
+        at = np.arange(items.size)[:, None]
+        active = np.nonzero(xr)[1].reshape(items.size, count)
+        columns = np.swapaxes(gram, 1, 2)[items[:, None], active]  # (items, count, k)
+        grad[rows] = np.matmul(xr[at, active][:, None, :], columns)[:, 0] - corr[items]
+    return grad
+
+
+def _face_steps(gram, corr, lam, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
+    """Move each live item's weights toward a lower objective on its sign face.
+
+    Row r is item live[r], with weights x[r] (a copy of w[live[r]]), signs
+    theta[r] and joining coordinate joining[r] (-1 for none).  The target
+    is the face minimizer, or on a singular face the swap step's first zero
+    crossing.  Items with one face size share one stacked Cholesky
+    factorization, so each item's arithmetic is that of its own.  Writes the
+    moved items' weights into w and returns which rows moved; a row without
+    a target, or where no candidate point lowers the objective, keeps its
+    weights.
+    """
+    moved = np.zeros(live.size, dtype=bool)
+    for size, rows in _groups((theta != 0.0).sum(axis=1)):
+        rows = np.arange(live.size)[rows]
+        items = live[rows]
+        face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
+        fgram = gram[items[:, None, None], face[:, :, None], face[:, None, :]]
+        fx = x[rows[:, None], face]
+        fcorr = corr[items[:, None], face]
+        rhs = fcorr - 0.5 * lam * theta[rows[:, None], face]
+        chol, found = _cholesky(fgram, pivot_floor[items])
+        if found.all():
+            target = _cholesky_solve(chol, rhs)
+        else:
+            target = np.zeros_like(fx)
+            target[found] = _cholesky_solve(chol[found], rhs[found])
+            for i in np.flatnonzero(~found & (joining[rows] >= 0)):
+                swap = _swap_target(fgram[i], face[i] == joining[rows[i]], fx[i],
+                                    theta[rows[i], joining[rows[i]]], pivot_floor[items[i]])
+                if swap is not None:
+                    target[i], found[i] = swap, True
+            rows, items, face, fgram, fcorr, fx, target = (
+                a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
+            )
+        points, lower = _line_search(fgram, fcorr, lam, fx, target)
+        moved[rows] = lower
+        w[items[lower, None], face[lower]] = points[lower]
+    return moved
+
+
+def _cholesky(grams, pivot_floor):
+    """Cholesky factors of stacked grams, and which are numerically nonsingular."""
+    try:
+        chol = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:  # some gram is not positive definite
+        chol = np.zeros(grams.shape)
+        for i, gram in enumerate(grams):
+            try:
+                chol[i] = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                pass  # zero pivots mark it singular
+    pivots = np.diagonal(chol, axis1=1, axis2=2).min(axis=1, initial=np.inf)
+    return chol, pivots**2 > pivot_floor
+
+
+def _cholesky_solve(chol, rhs):
+    """x with L L' x = rhs, for stacked factors L and right-hand sides."""
+    half = np.linalg.solve(chol, rhs[:, :, None])
+    return np.linalg.solve(np.swapaxes(chol, 1, 2), half)[:, :, 0]
+
+
+def _swap_target(fgram, joins, x, sign, pivot_floor):
+    """First zero crossing of the swap step on a singular face, or None.
+
+    `joins` marks the joining coordinate, which enters with `sign`, among
+    the face's coordinates `x`.
+    """
+    rest = ~joins
+    chol, found = _cholesky(fgram[np.ix_(rest, rest)][None], pivot_floor)
+    if not found[0]:
+        return None
+    # the joining column is (numerically) this combination of the others
+    combo = _cholesky_solve(chol, fgram[rest][:, joins].T)[0]
+    direction = np.full(x.size, sign)
+    direction[rest] *= -combo
+    heading = np.flatnonzero(x * direction < 0.0)
+    if heading.size == 0:
+        return None
+    ratios = -x[heading] / direction[heading]
+    first = int(np.argmin(ratios))
+    target = x + ratios[first] * direction
+    target[heading[first]] = 0.0
+    return target
+
+
+def _line_search(fgram, fcorr, lam, x, target):
+    """Per row, the lowest-objective candidate on the segment from x to
+    target, and whether it is lower than x's.
+
+    The candidates are the target and each zero crossing on the way, where
+    the crossing coordinate is exactly 0.  Rows with one number of crossings
+    are evaluated together, so each row's values are those of its own.
+    """
+    crossing = x * target < 0.0
+    best_points, lower = np.empty_like(x), np.empty(x.shape[0], dtype=bool)
+    for count, rows in _groups(crossing.sum(axis=1)):
+        xs, ts = x[rows], target[rows]
+        at = np.arange(xs.shape[0])[:, None]
+        # candidate points: 0 is x itself, then each zero crossing, then target
+        cross = np.nonzero(crossing[rows])[1].reshape(xs.shape[0], count)
+        steps = np.zeros((xs.shape[0], count + 2))
+        steps[:, 1:-1] = xs[at, cross] / (xs[at, cross] - ts[at, cross])
+        steps[:, -1] = 1.0
+        points = xs[:, None, :] + steps[:, :, None] * (ts - xs)[:, None, :]
+        points[at, np.arange(1, count + 1), cross] = 0.0
+        values = (
+            np.einsum("bij,bij->bi", points @ fgram[rows], points)
+            - 2.0 * (points @ fcorr[rows][:, :, None])[:, :, 0]
+            + lam * np.abs(points).sum(axis=2)
+        )
+        best = 1 + np.argmin(values[:, 1:], axis=1)
+        best_points[rows] = points[at[:, 0], best]
+        lower[rows] = values[at[:, 0], best] < values[:, 0]
+    return best_points, lower
 
 
 def kkt_residual(problem: LassoProblem, weights: np.ndarray) -> float:

@@ -24,12 +24,7 @@ from .core import (
     check_structure_sizes,
     normalize_rows,
 )
-from .lasso import (
-    LassoConvergenceError,
-    _row_problem,
-    _violations,
-    solve_lasso,
-)
+from .lasso import LassoBatch, LassoConvergenceError, _violations, solve_lasso
 
 class StructureBuildError(TagCompleteError, RuntimeError):
     """A reconstruction subproblem failed; carries the item index."""
@@ -40,6 +35,10 @@ class StructureBuildError(TagCompleteError, RuntimeError):
 
 
 _BLOCK = 64  # query rows per preselecting product, which is _BLOCK x n
+
+# Bytes of grams in one lockstep batch of a structure build, which holds
+# max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at once
+_GRAM_BUDGET = 2 << 20
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes delta inf, below
@@ -92,23 +91,38 @@ def knn_index(vectors, k: int) -> tuple:
 
 def _reconstruction_matrix(vectors, l1_weight, hp) -> sp.csr_matrix:
     """Row i holds the lasso weights, KKT-certified within hp.lasso_tol by
-    solve_lasso, that rebuild vectors[i] from its hp.knn_k nearest neighbors."""
-    indptr, indices, data = [0], [], []
-    for item, nb in enumerate(knn_index(vectors, hp.knn_k)):
-        problem = _row_problem(vectors[nb], vectors[item], l1_weight)
+    solve_lasso, that rebuild vectors[i] from its hp.knn_k nearest neighbors.
+
+    The lassos run in lockstep, one chunk of items at a time: as many as
+    _GRAM_BUDGET holds grams for, all written into one reused buffer."""
+    neighbors = knn_index(vectors, hp.knn_k)
+    size, k = len(neighbors), neighbors[0].size
+    chunk = max(1, _GRAM_BUDGET // (8 * k * k))
+    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # rows per product
+    gram, corr = np.empty((min(chunk, size), k, k)), np.empty((min(chunk, size), k, 1))
+    counts, indices, data = [], [], []
+    for start in range(0, size, chunk):
+        nb = np.stack(neighbors[start:start + chunk])
+        for lo in range(0, nb.shape[0], fill):
+            hi = min(lo + fill, nb.shape[0])
+            rows = vectors[nb[lo:hi]]
+            np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
+            np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
+        problem = LassoBatch(gram[:nb.shape[0]], corr[:nb.shape[0], :, 0], l1_weight)
         try:
-            solution = solve_lasso(problem, hp.lasso_tol)
+            weights = solve_lasso(problem, hp.lasso_tol).weights
         except LassoConvergenceError as exc:
+            item = start + exc.item
             raise StructureBuildError(
                 f"reconstruction subproblem for item {item} did not converge "
                 f"(KKT residual {exc.kkt_residual:g})",
                 item=item,
             ) from exc
-        nz = solution.weights != 0.0
+        nz = weights != 0.0
+        counts.append(nz.sum(axis=1))
         indices.append(nb[nz])
-        data.append(solution.weights[nz])
-        indptr.append(indptr[-1] + indices[-1].size)
-    size = vectors.shape[0]
+        data.append(weights[nz])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
     )

@@ -2,7 +2,10 @@
 
 Everything here is deliberately brute force: enumeration, dense algebra,
 scalar grid search.  None of it shares code with the package under test, so
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  The one exception,
+structure_by_item_loop, runs the package's own lasso solver one item at a
+time: it is the reference that the builders' lockstep batches must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -132,6 +135,30 @@ def knn_by_einsum_scan(points, k):
         order = np.lexsort((others, others_d))[: min(k, n - 1)]
         neighbors.append(others[order])
     return neighbors
+
+
+def structure_by_item_loop(vectors, l1_weight, k, tol, max_iters=None):
+    """Reconstruction weights with one solve_lasso call, a batch of one, per
+    item, neighbors from knn_by_einsum_scan.
+
+    Returns the dense weight matrix (row i rebuilds vectors[i]) and the
+    (item, LassoConvergenceError) of every item that failed; a failed row
+    stays zero.  max_iters=None is the solver's default round cap.
+    """
+    from tagcomplete.lasso import LassoBatch, LassoConvergenceError, solve_lasso
+
+    vectors = np.asarray(vectors, dtype=float)
+    weights = np.zeros((vectors.shape[0], vectors.shape[0]))
+    failures = []
+    cap = {} if max_iters is None else {"max_iters": max_iters}
+    for i, nb in enumerate(knn_by_einsum_scan(vectors, k)):
+        rows = vectors[nb]
+        problem = LassoBatch((rows @ rows.T)[None], (rows @ vectors[i])[None], l1_weight)
+        try:
+            weights[i, nb] = solve_lasso(problem, tol, **cap).weights[0]
+        except LassoConvergenceError as exc:
+            failures.append((i, exc))
+    return weights, failures
 
 
 def golden_section(f, lo, hi, iters=200):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tagcomplete import lasso
 from tagcomplete.core import ValidationError
 from tagcomplete.lasso import (
+    LassoBatch,
     LassoConvergenceError,
     LassoProblem,
     LassoSolution,
@@ -49,17 +50,6 @@ class TestProblemValidation:
                 target_sq_norm=0.0,
                 l1_weight=1.0,
             )
-
-    def test_structure_path_poses_the_same_problem(self):
-        # the structure builds' path skips the checks that the public constructor
-        # (tested above) runs, and must store the same arrays
-        rng = np.random.default_rng(3)
-        rows, target = rng.normal(size=(6, 4)), rng.normal(size=4)
-        built = lasso._row_problem(rows, target, 0.1)
-        public = LassoProblem(rows @ rows.T, rows @ target, float(target @ target), 0.1)
-        for field in ("gram", "corr", "target_sq_norm", "l1_weight"):
-            got, want = np.asarray(getattr(built, field)), np.asarray(getattr(public, field))
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
     def test_rejects_negative_l1(self):
         with pytest.raises(ValidationError):
@@ -214,6 +204,32 @@ class TestVerifyKkt:
         assert not verify_kkt(problem, bad, tol=1e-8)
 
 
+class TestSolverLimits:
+    # outside these domains the solver used to certify anything: tol=nan ran
+    # every round and returned, tol=inf returned w = 0 with residual 1.9, and
+    # max_iters=-5 or 2.5 was taken as a round cap
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_rejects_tol_outside_the_open_interval(self, tol):
+        problem = random_problem(np.random.default_rng(41), 4)
+        with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+            solve_lasso(problem, tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [-5, 2.5, True, np.float64(3.0), "3", None])
+    def test_rejects_round_cap_that_is_not_a_count(self, max_iters):
+        problem = random_problem(np.random.default_rng(42), 4)
+        with pytest.raises(ValidationError, match="max_iters must be an int >= 0"):
+            solve_lasso(problem, max_iters=max_iters)
+
+    def test_accepts_numpy_int_and_zero_round_cap(self):
+        problem = random_problem(np.random.default_rng(43), 4, l1_weight=0.01)
+        want = solve_lasso(problem).weights
+        assert solve_lasso(problem, max_iters=np.int64(50)).weights.tobytes() == want.tobytes()
+        with pytest.raises(LassoConvergenceError, match="after 0 rounds"):
+            solve_lasso(problem, max_iters=0)
+        settled = LassoProblem(gram=np.eye(2), corr=np.zeros(2), target_sq_norm=0.0, l1_weight=0.1)
+        assert solve_lasso(settled, max_iters=0).weights.tolist() == [0.0, 0.0]
+
+
 class TestConvergenceFailure:
     def test_error_carries_residual(self):
         rng = np.random.default_rng(31)
@@ -243,6 +259,24 @@ class TestConvergenceFailure:
 DEGENERATE = settings(max_examples=30, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
 L1_WEIGHTS = st.sampled_from([0.0, 0.01, 0.1, 1.0])
+
+
+# the swap-step and rounding-dust instances of TestDegenerateNeighborhoods
+SWAP_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
+SWAP_TARGET = np.array([1.0, 0.1])
+DUST_ROWS = np.array(
+    [
+        [1, 0, 1, 1, 1],
+        [0, 1, 0, 0, 0],
+        [0, 1, 1, 0, 1],
+        [1, 0, 1, 0, 1],
+        [0, 1, 0, 0, 1],
+        [1, 1, 1, 0, 1],
+        [1, 0, 1, 1, 0],
+        [0, 1, 0, 1, 0],
+    ],
+    dtype=float,
+)
 
 
 def unit_rows(X):
@@ -351,31 +385,144 @@ class TestDegenerateNeighborhoods:
         # and joins, and the 3x3 active gram is singular.  That round is a
         # swap step: the sum takes e2's place, and round 4 solves the face
         # {e1, sum} exactly.  Scalar steps alone need more rounds than that.
-        rows = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        target = np.array([1.0, 0.1])
-        sol = check_neighbor_lasso(rows, target, 0.01, max_iters=4)
+        sol = check_neighbor_lasso(SWAP_ROWS, SWAP_TARGET, 0.01, max_iters=4)
         assert sol.weights[1] == 0.0
         assert np.all(sol.weights[[0, 2]] > 0.0)
         with pytest.raises(LassoConvergenceError, match="after 3 rounds"):
-            check_neighbor_lasso(rows, target, 0.01, max_iters=3)
+            check_neighbor_lasso(SWAP_ROWS, SWAP_TARGET, 0.01, max_iters=3)
 
     def test_rounding_dust_takes_scalar_step(self):
         # the target is neighbor 6 itself.  Round 2 solves the face {0, 6},
         # and rounding can leave weight 0 at about -1e-16 instead of 0; no
         # face step on that sign pattern lowers the objective, so round 3
         # minimizes coordinate 0 alone, which sets it to exactly 0
-        rows = np.array(
-            [
-                [1, 0, 1, 1, 1],
-                [0, 1, 0, 0, 0],
-                [0, 1, 1, 0, 1],
-                [1, 0, 1, 0, 1],
-                [0, 1, 0, 0, 1],
-                [1, 1, 1, 0, 1],
-                [1, 0, 1, 1, 0],
-                [0, 1, 0, 1, 0],
-            ],
-            dtype=float,
-        )
-        sol = check_neighbor_lasso(rows, rows[6].copy(), 0.01, max_iters=3)
+        sol = check_neighbor_lasso(DUST_ROWS, DUST_ROWS[6].copy(), 0.01, max_iters=3)
         assert np.flatnonzero(sol.weights).tolist() == [6]
+
+
+
+# Lockstep batches.  Every item of a batch has k variables; a smaller fixed
+# instance gets extra all-zero neighbor rows, which never take weight.
+def neighbor_item(rows, target, k):
+    rows = np.vstack([rows, np.zeros((k - rows.shape[0], rows.shape[1]))])
+    return rows @ rows.T, rows @ target
+
+
+def rank_deficient_item(rng, k):
+    d = int(rng.integers(1, 6))
+    return neighbor_item(unit_rows(rng.normal(size=(k, d))), unit_rows(rng.normal(size=(1, d)))[0], k)
+
+
+def duplicated_item(rng, k):
+    d, n_distinct = int(rng.integers(1, 7)), int(rng.integers(1, k))
+    distinct = unit_rows(rng.normal(size=(n_distinct, d)))
+    picks = np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, k - n_distinct)])
+    return neighbor_item(distinct[rng.permutation(picks)], unit_rows(rng.normal(size=(1, d)))[0], k)
+
+
+def zero_one_sum_item(rng, k):
+    width = int(rng.integers(4, 13))
+    first = (rng.random(width) < 0.5).astype(float)
+    first[:2] = [1.0, 0.0]
+    second = (rng.random(width) < 0.5) * (first == 0.0)
+    second[1] = 1.0
+    others = (rng.random((k - 3, width)) < 0.4).astype(float)
+    rows = np.vstack([first, second, first + second, others])[rng.permutation(k)]
+    return neighbor_item(rows, (rng.random(width) < 0.5).astype(float), k)
+
+
+def zero_row_item(rng, k):
+    d = int(rng.integers(1, 9))
+    rows = unit_rows(rng.normal(size=(k, d)))
+    rows[rng.integers(0, k)] = 0.0
+    return neighbor_item(rows, unit_rows(rng.normal(size=(1, d)))[0], k)
+
+
+def zero_diagonal_item(rng, k):
+    # TestConvergenceFailure's violator: coordinate 1 has a zero column
+    gram, corr = np.zeros((k, k)), np.zeros(k)
+    gram[0, 0], corr[:2] = 1.0, [0.5, 1.0]
+    return gram, corr
+
+
+BATCH_ITEMS = {
+    "rank_deficient": rank_deficient_item,
+    "duplicated": duplicated_item,
+    "zero_one_sum": zero_one_sum_item,
+    "zero_row": zero_row_item,
+    "swap_step": lambda rng, k: neighbor_item(SWAP_ROWS, SWAP_TARGET, k),
+    "rounding_dust": lambda rng, k: neighbor_item(DUST_ROWS, DUST_ROWS[6], k),
+    "zero_target": lambda rng, k: neighbor_item(rng.normal(size=(k, 3)), np.zeros(3), k),
+    "zero_diagonal": zero_diagonal_item,
+}
+
+
+def solve_alone(gram, corr, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
+    """The batch-of-one answer: a LassoSolution, or the LassoConvergenceError."""
+    problem = LassoProblem(gram, corr, target_sq_norm=0.0, l1_weight=l1_weight)
+    try:
+        return solve_lasso(problem, max_iters=max_iters)
+    except LassoConvergenceError as exc:
+        return exc
+
+
+def assert_batch_matches_items(grams, corrs, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
+    """The batch raises for its first failing item, and every other item's
+    weights and residual are bitwise those of its batch of one."""
+    alone = [solve_alone(g, c, l1_weight, max_iters) for g, c in zip(grams, corrs)]
+    failing = [i for i, a in enumerate(alone) if isinstance(a, LassoConvergenceError)]
+    if failing:
+        with pytest.raises(LassoConvergenceError) as exc:
+            solve_lasso(LassoBatch(grams, corrs, l1_weight), max_iters=max_iters)
+        first = alone[failing[0]]
+        assert exc.value.item == failing[0]
+        assert str(exc.value) == str(first)
+        assert exc.value.kkt_residual == first.kkt_residual
+    keep = [i for i in range(len(alone)) if i not in failing]
+    sol = solve_lasso(LassoBatch(grams[keep], corrs[keep], l1_weight), max_iters=max_iters)
+    assert sol.weights.shape == (len(keep), grams.shape[1])
+    for row, i in enumerate(keep):
+        assert sol.weights[row].tobytes() == alone[i].weights.tobytes(), i
+    assert sol.kkt_residual == max((alone[i].kkt_residual for i in keep), default=0.0)
+    return alone
+
+
+class TestLockstepBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        k=st.integers(8, 12),
+        kinds=st.lists(st.sampled_from(sorted(BATCH_ITEMS)), min_size=1, max_size=8),
+        l1=st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1.0]),
+    )
+    def test_batch_composition_changes_nothing(self, seed, k, kinds, l1):
+        rng = np.random.default_rng(seed)
+        items = [BATCH_ITEMS[kind](rng, k) for kind in kinds]
+        grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
+        assert_batch_matches_items(grams, corrs, l1)
+
+    def test_round_cap_counts_each_items_own_rounds(self):
+        # the swap-step instance needs 4 rounds and the zero-diagonal violator
+        # fails after 2; the other items finish within 3
+        rng = np.random.default_rng(44)
+        kinds = ["zero_target", "rounding_dust", "swap_step", "zero_diagonal", "rounding_dust"]
+        items = [BATCH_ITEMS[kind](rng, 8) for kind in kinds]
+        grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
+        with pytest.raises(LassoConvergenceError, match="after 3 rounds") as exc:
+            solve_lasso(LassoBatch(grams, corrs, 0.01), max_iters=3)
+        assert exc.value.item == 2
+        alone = assert_batch_matches_items(grams, corrs, 0.01, max_iters=3)
+        assert [type(a).__name__ for a in alone] == [
+            "LassoSolution", "LassoSolution", "LassoConvergenceError",
+            "LassoConvergenceError", "LassoSolution",
+        ]
+        assert "after 2 rounds" in str(alone[3])
+        assert_batch_matches_items(grams[[0, 1, 2, 4]], corrs[[0, 1, 2, 4]], 0.01, max_iters=4)
+
+    def test_problem_solves_as_a_batch_of_one(self):
+        problem = random_problem(np.random.default_rng(45), 6, l1_weight=0.05)
+        sol = solve_lasso(problem)
+        batch = solve_lasso(LassoBatch(problem.gram[None], problem.corr[None], 0.05))
+        assert sol.weights.shape == (6,) and batch.weights.shape == (1, 6)
+        assert batch.weights[0].tobytes() == sol.weights.tobytes()
+        assert batch.kkt_residual == sol.kkt_residual

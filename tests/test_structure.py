@@ -13,8 +13,10 @@ from tagcomplete.core import (
     TaggingMatrix,
     ValidationError,
 )
+from tagcomplete import lasso, structure
 from tagcomplete.lasso import LassoProblem, kkt_residual
 from tagcomplete.structure import (
+    StructureBuildError,
     build_feature_structure,
     build_tag_structure,
     combined_feature_rows,
@@ -30,6 +32,7 @@ from oracles import (
     knn_by_full_scan,
     lasso_by_enumeration,
     lasso_objective,
+    structure_by_item_loop,
 )
 
 
@@ -382,6 +385,96 @@ class TestPinnedSupports:
             )
             got = (structure.matrix.nnz, hashlib.sha256(pairs.tobytes()).hexdigest())
             assert got == self.PINNED[name], name
+
+
+def random_instance(seed, n_images, n_tags, dim):
+    """Gaussian features and a 0/1 tagging matrix in which every tag is used."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_images, n_tags)) < 0.3).astype(float)
+    dense[np.arange(n_tags) % n_images, np.arange(n_tags)] = 1.0
+    return FeatureMatrix(rng.normal(size=(n_images, dim))), TaggingMatrix.from_dense(dense)
+
+
+def chunk_size(k):
+    return max(1, structure._GRAM_BUDGET // (8 * k * k))
+
+
+class TestLockstepChunks:
+    # The builders solve the lassos of one chunk of items in lockstep; each
+    # chunk holds as many grams as fit in structure._GRAM_BUDGET.  Chunking
+    # must not change a bit of either structure.
+    def assert_builds_match_item_loop(self, features, D, hp):
+        S = build_feature_structure(features, hp).matrix.toarray()
+        want_S, failed = structure_by_item_loop(
+            combined_feature_rows(features, None), hp.alpha, hp.knn_k, hp.lasso_tol
+        )
+        assert not failed and np.array_equal(S, want_S)
+        T = build_tag_structure(D, hp).matrix.toarray()
+        want_T, failed = structure_by_item_loop(
+            D.to_dense().T, hp.mu, hp.knn_k, hp.lasso_tol
+        )
+        assert not failed and np.array_equal(T, want_T.T)
+
+    def test_item_counts_not_a_multiple_of_the_chunk(self):
+        # k = 50 gives chunks of 104: 250 images are 104 + 104 + 42 items
+        # and 130 tags are 104 + 26
+        features, D = random_instance(61, n_images=250, n_tags=130, dim=8)
+        assert chunk_size(50) == 104
+        self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=50, alpha=0.1, mu=0.1))
+
+    def test_one_item_per_chunk(self):
+        # a k = 363 gram alone fills more than half the budget
+        assert chunk_size(363) == 1 and chunk_size(362) == 2
+        features, D = random_instance(62, n_images=366, n_tags=12, dim=2)
+        hp = Hyperparams(knn_k=363, alpha=0.1, mu=0.1)
+        S = build_feature_structure(features, hp).matrix.toarray()
+        want, failed = structure_by_item_loop(
+            combined_feature_rows(features, None), hp.alpha, hp.knn_k, hp.lasso_tol
+        )
+        assert not failed and np.array_equal(S, want)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_small_budgets(self, monkeypatch, per_chunk):
+        monkeypatch.setattr(structure, "_GRAM_BUDGET", per_chunk * 8 * 6 * 6)
+        assert chunk_size(6) == per_chunk
+        features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
+        self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=6, alpha=0.1, mu=0.1))
+
+    def test_zero_width_vectors(self):
+        # rows of width 0 fill the chunk's grams with zeros, and every weight is 0
+        S = build_feature_structure(FeatureMatrix(np.zeros((5, 0))), Hyperparams(knn_k=2))
+        assert S.matrix.shape == (5, 5) and S.matrix.nnz == 0
+        with pytest.warns(UserWarning, match="all-zero"):
+            T = build_tag_structure(TaggingMatrix.from_dense(np.zeros((0, 4))), Hyperparams(knn_k=2))
+        assert T.matrix.shape == (4, 4) and T.matrix.nnz == 0
+
+    @pytest.mark.parametrize("mode, seed, cap", [("image", 66, 4), ("tag", 91, 6)])
+    def test_build_error_names_the_first_failing_item(self, monkeypatch, mode, seed, cap):
+        # under a lowered round cap some items fail; the error names the
+        # first in build order, with the message of its own solve, although
+        # a later item of its chunk of 4 fails too and the earlier chunk
+        # succeeds
+        features, D = random_instance(seed, n_images=14, n_tags=14, dim=4)
+        hp = Hyperparams(knn_k=6, alpha=0.1, mu=0.1)
+        vectors = combined_feature_rows(features, None) if mode == "image" else D.to_dense().T
+        _, failed = structure_by_item_loop(vectors, 0.1, hp.knn_k, hp.lasso_tol, max_iters=cap)
+        first, error = failed[0]
+        assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
+        monkeypatch.setattr(structure, "_GRAM_BUDGET", 4 * 8 * 6 * 6)
+        monkeypatch.setattr(
+            structure, "solve_lasso",
+            lambda problem, tol: lasso.solve_lasso(problem, tol, max_iters=cap),
+        )
+        with pytest.raises(StructureBuildError) as exc:
+            if mode == "image":
+                build_feature_structure(features, hp)
+            else:
+                build_tag_structure(D, hp)
+        assert exc.value.item == first
+        assert str(exc.value) == (
+            f"reconstruction subproblem for item {first} did not converge "
+            f"(KKT residual {error.kkt_residual:g})"
+        )
 
 
 class TestReinitialize:
