@@ -93,13 +93,18 @@ class LassoProblem:
 
 
 class LassoBatch(NamedTuple):
-    """Lassos with k variables each, stacked: gram (B, k, k), corr (B, k).
+    """B lassos with k variables each, whose grams are read out of one pool.
 
-    Unlike LassoProblem it checks nothing, so it is for grams formed as
-    rows @ rows.T from finite rows, which are PSD by construction.
+    Item b's gram is pool[rows[b]][:, cols[b]], for index arrays rows and
+    cols of shape (B, k), and its correlations are corr[b].  So grams that
+    items share, such as neighborhoods of one matrix D'D, are stored once.
+    Unlike LassoProblem it checks nothing, so every gram it indexes must be
+    symmetric PSD by construction, as products of finite rows are.
     """
 
-    gram: np.ndarray
+    pool: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     corr: np.ndarray
     l1_weight: float
 
@@ -138,9 +143,12 @@ def solve_lasso(
 ) -> LassoSolution:
     """Minimize the lasso objective of every item by guarded feature-sign search.
 
-    A LassoProblem is solved as a batch of one.  The items of a LassoBatch
-    run their rounds in lockstep, and each leaves the batch at its own stop,
-    so its weights are bitwise those of its own batch of one.
+    A LassoProblem is solved as a batch of one, with rows = cols = arange(k)
+    over its gram.  The items of a LassoBatch run their rounds in lockstep,
+    and each leaves the batch at its own stop, so its weights are bitwise
+    those of its own batch of one.  Every gram entry the rounds need (the
+    diagonal, the active columns of the gradient and the face grams) is
+    gathered from the pool through rows and cols.
 
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
@@ -176,21 +184,22 @@ def solve_lasso(
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
         raise ValidationError(f"max_iters must be an int >= 0, got {max_iters!r}")
-    gram, corr, lam = problem.gram, problem.corr, problem.l1_weight
-    single = corr.ndim == 1
+    single = isinstance(problem, LassoProblem)
     if single:
-        gram, corr = gram[None], corr[None]
+        at = np.arange(problem.n_vars)[None]
+        problem = LassoBatch(problem.gram, at, at, problem.corr[None], problem.l1_weight)
+    corr, lam = problem.corr, problem.l1_weight
     w = np.zeros(corr.shape)
     kkt = np.zeros(corr.shape[0])
     failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
-    diag = np.diagonal(gram, axis1=1, axis2=2)
+    diag = problem.pool[problem.rows, problem.cols]
     unusable = ~(diag > 0.0)
     pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
     live = np.arange(corr.shape[0])
     rounds = 0
     while live.size:
         x = w[live]
-        grad = _gradients(gram, corr, live, x)
+        grad = _gradients(problem, live, x)
         violation = _violations(x, grad, lam)
         kkt[live] = violation.max(axis=1, initial=0.0)
         going = kkt[live] > tol
@@ -217,8 +226,7 @@ def solve_lasso(
             )
         at = np.flatnonzero(joins)
         theta[at, best[at]] = -np.sign(grad[at, best[at]])
-        moved = _face_steps(gram, corr, lam, w, live, x, theta,
-                            np.where(joins, best, -1), pivot_floor)
+        moved = _face_steps(problem, w, live, x, theta, np.where(joins, best, -1), pivot_floor)
         if not moved.all():
             # rounding dust: exactly minimize the worst violator alone
             at = np.flatnonzero(~moved)
@@ -245,23 +253,30 @@ def _groups(counts):
     return [(count, np.flatnonzero(counts == count)) for count in distinct]
 
 
-def _gradients(gram, corr, live, x) -> np.ndarray:
+def _gram_entries(batch, items, i, j) -> np.ndarray:
+    """Entries [i, j] of the grams of `items`; the three index arrays broadcast."""
+    return batch.pool[batch.rows[items, i], batch.cols[items, j]]
+
+
+def _gradients(batch, live, x) -> np.ndarray:
     """gram @ x - corr for the live items, formed from their active columns.
 
     Items with one number of active coordinates are done together, so each
     item's arithmetic is that of its own.
     """
     grad = np.empty(x.shape)
+    every = np.arange(x.shape[1])
     for count, rows in _groups((x != 0.0).sum(axis=1)):
         items, xr = live[rows], x[rows]
         at = np.arange(items.size)[:, None]
         active = np.nonzero(xr)[1].reshape(items.size, count)
-        columns = np.swapaxes(gram, 1, 2)[items[:, None], active]  # (items, count, k)
-        grad[rows] = np.matmul(xr[at, active][:, None, :], columns)[:, 0] - corr[items]
+        # (items, count, k): row c holds the gram's column active[:, c]
+        columns = _gram_entries(batch, items[:, None, None], every, active[:, :, None])
+        grad[rows] = np.matmul(xr[at, active][:, None, :], columns)[:, 0] - batch.corr[items]
     return grad
 
 
-def _face_steps(gram, corr, lam, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
+def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
     """Move each live item's weights toward a lower objective on its sign face.
 
     Row r is item live[r], with weights x[r] (a copy of w[live[r]]), signs
@@ -278,10 +293,10 @@ def _face_steps(gram, corr, lam, w, live, x, theta, joining, pivot_floor) -> np.
         rows = np.arange(live.size)[rows]
         items = live[rows]
         face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
-        fgram = gram[items[:, None, None], face[:, :, None], face[:, None, :]]
+        fgram = _gram_entries(batch, items[:, None, None], face[:, :, None], face[:, None, :])
         fx = x[rows[:, None], face]
-        fcorr = corr[items[:, None], face]
-        rhs = fcorr - 0.5 * lam * theta[rows[:, None], face]
+        fcorr = batch.corr[items[:, None], face]
+        rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]
         chol, found = _cholesky(fgram, pivot_floor[items])
         if found.all():
             target = _cholesky_solve(chol, rhs)
@@ -296,7 +311,7 @@ def _face_steps(gram, corr, lam, w, live, x, theta, joining, pivot_floor) -> np.
             rows, items, face, fgram, fcorr, fx, target = (
                 a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
             )
-        points, lower = _line_search(fgram, fcorr, lam, fx, target)
+        points, lower = _line_search(fgram, fcorr, batch.l1_weight, fx, target)
         moved[rows] = lower
         w[items[lower, None], face[lower]] = points[lower]
     return moved

@@ -36,9 +36,17 @@ class StructureBuildError(TagCompleteError, RuntimeError):
 
 _BLOCK = 64  # query rows per preselecting product, which is _BLOCK x n
 
-# Bytes of grams in one lockstep batch of a structure build, which holds
-# max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at once
+# Bytes of grams in one lockstep batch of the image structure build, which
+# holds max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at
+# once.  The tag build reads its grams out of D'D and needs no buffer.
 _GRAM_BUDGET = 2 << 20
+
+
+def _check_population(n: int, k: int) -> None:
+    if n < 2:
+        raise ValidationError("need at least 2 vectors to build a neighbor index")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes delta inf, below
@@ -55,10 +63,7 @@ def knn_index(vectors, k: int) -> tuple:
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
     n, dim = pts.shape
-    if n < 2:
-        raise ValidationError("need at least 2 vectors to build a neighbor index")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_population(n, k)
     if not np.all(np.isfinite(pts)):
         raise ValidationError("vectors contain non-finite values")
 
@@ -89,26 +94,14 @@ def knn_index(vectors, k: int) -> tuple:
     return tuple(neighbors)
 
 
-def _reconstruction_matrix(vectors, l1_weight, hp) -> sp.csr_matrix:
-    """Row i holds the lasso weights, KKT-certified within hp.lasso_tol by
-    solve_lasso, that rebuild vectors[i] from its hp.knn_k nearest neighbors.
+def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
+    """Row i holds item i's lasso weights over its neighbors, KKT-certified
+    within hp.lasso_tol by solve_lasso.
 
-    The lassos run in lockstep, one chunk of items at a time: as many as
-    _GRAM_BUDGET holds grams for, all written into one reused buffer."""
-    neighbors = knn_index(vectors, hp.knn_k)
-    size, k = len(neighbors), neighbors[0].size
-    chunk = max(1, _GRAM_BUDGET // (8 * k * k))
-    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # rows per product
-    gram, corr = np.empty((min(chunk, size), k, k)), np.empty((min(chunk, size), k, 1))
+    `neighbors` is (items, k) and `batches` yields (first item, LassoBatch)
+    for consecutive runs of items, whose rows are posed over those neighbors."""
     counts, indices, data = [], [], []
-    for start in range(0, size, chunk):
-        nb = np.stack(neighbors[start:start + chunk])
-        for lo in range(0, nb.shape[0], fill):
-            hi = min(lo + fill, nb.shape[0])
-            rows = vectors[nb[lo:hi]]
-            np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
-            np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
-        problem = LassoBatch(gram[:nb.shape[0]], corr[:nb.shape[0], :, 0], l1_weight)
+    for start, problem in batches:
         try:
             weights = solve_lasso(problem, hp.lasso_tol).weights
         except LassoConvergenceError as exc:
@@ -120,12 +113,38 @@ def _reconstruction_matrix(vectors, l1_weight, hp) -> sp.csr_matrix:
             ) from exc
         nz = weights != 0.0
         counts.append(nz.sum(axis=1))
-        indices.append(nb[nz])
+        indices.append(neighbors[start:start + weights.shape[0]][nz])
         data.append(weights[nz])
+    size = neighbors.shape[0]
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
     )
+
+
+def _row_batches(vectors, neighbors, l1_weight):
+    """Lockstep batches that rebuild each row of vectors from its neighbor rows.
+
+    A batch holds as many items as _GRAM_BUDGET holds grams for.  Their
+    grams and correlations are written into one reused buffer, which is the
+    pool of every batch, so consume each batch before taking the next."""
+    size, k = neighbors.shape
+    chunk = max(1, _GRAM_BUDGET // (8 * k * k))
+    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # rows per product
+    gram, corr = np.empty((min(chunk, size), k, k)), np.empty((min(chunk, size), k, 1))
+    pool_rows = np.arange(gram.shape[0] * k).reshape(-1, k)  # item b's: b k + arange(k)
+    pool_cols = np.broadcast_to(np.arange(k), pool_rows.shape)
+    for start in range(0, size, chunk):
+        nb = neighbors[start:start + chunk]
+        n = nb.shape[0]
+        for lo in range(0, n, fill):
+            hi = min(lo + fill, n)
+            rows = vectors[nb[lo:hi]]
+            np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
+            np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
+        yield start, LassoBatch(
+            gram[:n].reshape(n * k, k), pool_rows[:n], pool_cols[:n], corr[:n, :, 0], l1_weight
+        )
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -160,7 +179,36 @@ def build_feature_structure(
     solution is KKT-certified.  Deterministic for fixed inputs.
     """
     vectors = combined_feature_rows(features, tags)
-    return StructureMatrix(_reconstruction_matrix(vectors, hp.alpha, hp))
+    neighbors = np.stack(knn_index(vectors, hp.knn_k))
+    return StructureMatrix(
+        _reconstruction_matrix(neighbors, _row_batches(vectors, neighbors, hp.alpha), hp)
+    )
+
+
+def _tag_gram(D: TaggingMatrix) -> np.ndarray:
+    """G = D'D, M x M, of a binary tagging matrix; every entry is an exact
+    integer, so G holds every tag gram, correlation and distance exactly."""
+    data = D.matrix.data
+    bad = np.flatnonzero((data != 0.0) & (data != 1.0))
+    if bad.size:
+        row = np.searchsorted(D.matrix.indptr, bad[0], side="right") - 1
+        raise ValidationError(
+            f"the tag structure needs a binary tagging matrix, but D stores "
+            f"{float(data[bad[0]])!r} at image {row}, tag {D.matrix.indices[bad[0]]}"
+        )
+    return (D.matrix.T @ D.matrix).toarray()
+
+
+def _tag_neighbors(G: np.ndarray, k: int) -> np.ndarray:
+    """knn_index(D.T, k) as an (M, min(k, M - 1)) array, read from G = D'D.
+
+    The squared distances g_ii + g_jj - 2 g_ij are exact integers, and a
+    stable sort breaks their ties by ascending index, as knn_index does."""
+    _check_population(G.shape[0], k)
+    sq = np.diagonal(G)
+    dist = sq[:, None] + sq - 2.0 * G
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :min(k, G.shape[0] - 1)]
 
 
 def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
@@ -168,18 +216,23 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
 
     Column m holds the lasso coefficients (L1 weight hp.mu) that rebuild tag
     column m of the tagging matrix from its hp.knn_k nearest tag columns.
-    Tags that no image carries get a warning and, since their lasso target is
-    zero, an all-zero column.
+    D must be binary (ValidationError otherwise).  Neighbors, grams and
+    correlations are all read out of one G = D'D, and every tag's lasso runs
+    in one lockstep batch with G as its pool.  Tags that no image carries
+    get a warning and, since their lasso target is zero, an all-zero column.
     """
-    cols = np.ascontiguousarray(D.to_dense().T)
-    empty = ~np.any(cols != 0.0, axis=1)
+    G = _tag_gram(D)
+    neighbors = _tag_neighbors(G, hp.knn_k)
+    empty = np.diagonal(G) == 0.0
     if empty.any():
         warnings.warn(
             f"{int(empty.sum())} tag column(s) are all-zero; "
             "their reconstruction weights are set to zero",
             stacklevel=2,
         )
-    return StructureMatrix(_reconstruction_matrix(cols, hp.mu, hp).T)
+    corr = G[neighbors, np.arange(G.shape[0])[:, None]]
+    batch = LassoBatch(G, neighbors, neighbors, corr, hp.mu)
+    return StructureMatrix(_reconstruction_matrix(neighbors, [(0, batch)], hp).T)
 
 
 def reinitialize(
@@ -202,15 +255,16 @@ def reinitialize(
     return TaggingMatrix(blended)
 
 
-def _kkt_per_item(vectors, weights, l1_weight, k):
+def _kkt_per_item(vectors, weights, l1_weight, neighbors):
     """Recomputed KKT residual per item, reading item i's weights from the
-    i-th compressed row of `weights` (CSR rows, or CSC columns).
+    i-th compressed row of `weights` (CSR rows, or CSC columns) and its
+    neighbor list from neighbors[i].
 
     The gradient gram @ w - corr is formed as A (A'w - b), with no gram.  inf
-    when weight sits outside the recomputed neighborhood.
+    when weight sits outside the neighborhood.
     """
     residuals = np.zeros(vectors.shape[0])
-    for i, nb in enumerate(knn_index(vectors, k)):
+    for i, nb in enumerate(neighbors):
         span = slice(weights.indptr[i], weights.indptr[i + 1])
         cols, vals = weights.indices[span], weights.data[span]
         at, found = np.nonzero(nb[:, None] == cols)
@@ -237,7 +291,7 @@ def feature_structure_kkt(
     hp.lasso_tol.
     """
     vectors = combined_feature_rows(features, tags)
-    return _kkt_per_item(vectors, structure.matrix, hp.alpha, hp.knn_k)
+    return _kkt_per_item(vectors, structure.matrix, hp.alpha, knn_index(vectors, hp.knn_k))
 
 
 def tag_structure_kkt(
@@ -245,8 +299,12 @@ def tag_structure_kkt(
 ) -> np.ndarray:
     """Re-certify each column of a tag structure matrix from scratch.
 
-    An all-zero tag column with zero weights is its lasso's exact answer and
-    reports residual 0.
+    D must be binary, as for build_tag_structure, whose G = D'D neighbor
+    lists it recomputes.  Each gradient is still formed from the columns of
+    D, so the certificate does not rest on G's grams.  An all-zero tag
+    column with zero weights is its lasso's exact answer and reports
+    residual 0.
     """
+    neighbors = _tag_neighbors(_tag_gram(D), hp.knn_k)
     cols = np.ascontiguousarray(D.to_dense().T)
-    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, hp.knn_k)
+    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, neighbors)

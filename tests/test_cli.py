@@ -153,6 +153,22 @@ class TestBuildStructure:
         assert code == EXIT_USAGE
 
 
+    def test_tag_mode_non_binary_tags_exit_2(self, capsys, tmp_path):
+        tags = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [1.0, 0.5, 0.0]]))
+        tgio.write_sparse_matrix(str(tmp_path / "tags.mtx"), tags)
+        out = tmp_path / "T.mtx"
+        code, stdout, err = run_cli(
+            ["build-structure", "--mode", "tag", "--tags", str(tmp_path / "tags.mtx"),
+             "--knn", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE and stdout == "" and not out.exists()
+        assert err == (
+            "error: the tag structure needs a binary tagging matrix, "
+            "but D stores 0.5 at image 1, tag 1\n"
+        )
+
+
 @pytest.fixture(scope="module")
 def built_structures(pipeline_files, tmp_path_factory):
     base = tmp_path_factory.mktemp("structures")

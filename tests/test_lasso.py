@@ -466,24 +466,42 @@ def solve_alone(gram, corr, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
         return exc
 
 
-def assert_batch_matches_items(grams, corrs, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
+def stacked_batch(grams, corrs, l1_weight):
+    """The LassoBatch whose item b has gram grams[b] and correlations corrs[b]."""
+    n, k = corrs.shape
+    rows = np.arange(n * k).reshape(n, k)
+    return LassoBatch(grams.reshape(n * k, k), rows, rows % k, corrs, l1_weight)
+
+
+def batch_items(batch, keep):
+    """The LassoBatch of the items `keep` of batch, over the same pool."""
+    return batch._replace(rows=batch.rows[keep], cols=batch.cols[keep], corr=batch.corr[keep])
+
+
+def assert_batch_matches(batch, alone, max_iters=lasso.DEFAULT_MAX_ITERS):
     """The batch raises for its first failing item, and every other item's
-    weights and residual are bitwise those of its batch of one."""
-    alone = [solve_alone(g, c, l1_weight, max_iters) for g, c in zip(grams, corrs)]
+    weights and residual are bitwise those of its batch-of-one answer alone[i]."""
     failing = [i for i, a in enumerate(alone) if isinstance(a, LassoConvergenceError)]
     if failing:
         with pytest.raises(LassoConvergenceError) as exc:
-            solve_lasso(LassoBatch(grams, corrs, l1_weight), max_iters=max_iters)
+            solve_lasso(batch, max_iters=max_iters)
         first = alone[failing[0]]
         assert exc.value.item == failing[0]
         assert str(exc.value) == str(first)
         assert exc.value.kkt_residual == first.kkt_residual
     keep = [i for i in range(len(alone)) if i not in failing]
-    sol = solve_lasso(LassoBatch(grams[keep], corrs[keep], l1_weight), max_iters=max_iters)
-    assert sol.weights.shape == (len(keep), grams.shape[1])
+    sol = solve_lasso(batch_items(batch, keep), max_iters=max_iters)
+    assert sol.weights.shape == (len(keep), batch.rows.shape[1])
     for row, i in enumerate(keep):
         assert sol.weights[row].tobytes() == alone[i].weights.tobytes(), i
     assert sol.kkt_residual == max((alone[i].kkt_residual for i in keep), default=0.0)
+
+
+def assert_batch_matches_items(grams, corrs, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
+    """assert_batch_matches for the stacked batch of grams and corrs, each
+    item's answer solved alone; returns those answers."""
+    alone = [solve_alone(g, c, l1_weight, max_iters) for g, c in zip(grams, corrs)]
+    assert_batch_matches(stacked_batch(grams, corrs, l1_weight), alone, max_iters)
     return alone
 
 
@@ -501,6 +519,46 @@ class TestLockstepBatches:
         grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
         assert_batch_matches_items(grams, corrs, l1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(2, 24),
+        d=st.integers(1, 8),
+        k=st.integers(1, 10),
+        n_items=st.integers(1, 8),
+        binary=st.booleans(),
+        l1=st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1.0]),
+    )
+    def test_items_sharing_one_pool(self, seed, n, d, k, n_items, binary, l1):
+        # items index overlapping, permuted subsets of one pool A A', as the
+        # tag builder's neighborhoods index D'D; with duplicate and all-zero
+        # rows when binary
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        if binary:
+            A, b = (rng.random((n, d)) < 0.4).astype(float), (rng.random((n_items, d)) < 0.5) * 1.0
+        else:
+            A, b = unit_rows(rng.normal(size=(n, d))), rng.normal(size=(n_items, d))
+        pool = A @ A.T
+        index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
+        corr = np.einsum("ikd,id->ik", A[index], b)
+        batch = LassoBatch(pool, index, index, corr, l1)
+        alone = []
+        for i in range(n_items):
+            try:
+                alone.append(solve_lasso(batch_items(batch, [i])))
+            except LassoConvergenceError as exc:
+                alone.append(exc)
+            # a batch of one over the pool is the lasso of its explicit gram
+            explicit = solve_alone(pool[np.ix_(index[i], index[i])], corr[i], l1)
+            assert type(explicit) is type(alone[i])
+            if isinstance(explicit, LassoSolution):
+                assert explicit.weights.tobytes() == alone[i].weights[0].tobytes()
+                alone[i] = explicit
+            else:
+                assert str(explicit) == str(alone[i])
+        assert_batch_matches(batch, alone)
+
     def test_round_cap_counts_each_items_own_rounds(self):
         # the swap-step instance needs 4 rounds and the zero-diagonal violator
         # fails after 2; the other items finish within 3
@@ -509,7 +567,7 @@ class TestLockstepBatches:
         items = [BATCH_ITEMS[kind](rng, 8) for kind in kinds]
         grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
         with pytest.raises(LassoConvergenceError, match="after 3 rounds") as exc:
-            solve_lasso(LassoBatch(grams, corrs, 0.01), max_iters=3)
+            solve_lasso(stacked_batch(grams, corrs, 0.01), max_iters=3)
         assert exc.value.item == 2
         alone = assert_batch_matches_items(grams, corrs, 0.01, max_iters=3)
         assert [type(a).__name__ for a in alone] == [
@@ -522,7 +580,8 @@ class TestLockstepBatches:
     def test_problem_solves_as_a_batch_of_one(self):
         problem = random_problem(np.random.default_rng(45), 6, l1_weight=0.05)
         sol = solve_lasso(problem)
-        batch = solve_lasso(LassoBatch(problem.gram[None], problem.corr[None], 0.05))
+        at = np.arange(6)[None]
+        batch = solve_lasso(LassoBatch(problem.gram, at, at, problem.corr[None], 0.05))
         assert sol.weights.shape == (6,) and batch.weights.shape == (1, 6)
         assert batch.weights[0].tobytes() == sol.weights.tobytes()
         assert batch.kkt_residual == sol.kkt_residual

@@ -252,6 +252,77 @@ class TestBuildTagStructure:
         assert T.matrix.tocsc()[:, 3].nnz == 0
 
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1e-300])
+    def test_non_binary_tagging_matrix_rejected(self, value):
+        # every entry of D'D must be an exact integer
+        D = np.zeros((4, 3))
+        D[:, 0] = 1.0
+        D[2, 1] = value
+        tags = TaggingMatrix.from_dense(D)
+        message = (
+            "the tag structure needs a binary tagging matrix, "
+            f"but D stores {value!r} at image 2, tag 1"
+        )
+        with pytest.raises(ValidationError) as exc:
+            build_tag_structure(tags, Hyperparams(knn_k=2))
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            tag_structure_kkt(tags, StructureMatrix.zeros(3), Hyperparams(knn_k=2))
+        assert str(exc.value) == message
+
+    def test_stored_zeros_accepted(self):
+        rng = np.random.default_rng(18)
+        D = (rng.random((10, 6)) < 0.5).astype(float)
+        stored = sp.csr_matrix(D)
+        stored.data[::3] = 0.0  # kept as stored entries
+        hp = Hyperparams(mu=0.05, knn_k=3)
+        T = build_tag_structure(TaggingMatrix(stored), hp)
+        want = build_tag_structure(TaggingMatrix(sp.csr_matrix(stored.toarray())), hp)
+        assert (T.matrix != want.matrix).nnz == 0
+        assert np.all(tag_structure_kkt(TaggingMatrix(stored), T, hp) <= hp.lasso_tol)
+
+    def test_fewer_than_two_tags_rejected(self):
+        tags = TaggingMatrix.from_dense(np.ones((3, 1)))
+        with pytest.raises(ValidationError, match="^need at least 2 vectors"):
+            build_tag_structure(tags, Hyperparams(knn_k=2))
+        with pytest.raises(ValidationError, match="^need at least 2 vectors"):
+            tag_structure_kkt(tags, StructureMatrix.zeros(1), Hyperparams(knn_k=2))
+        with pytest.raises(ValidationError, match="^k must be >= 1$"):
+            structure._tag_neighbors(np.eye(3), 0)
+
+    def test_zero_row_tagging_matrix(self):
+        tags = TaggingMatrix.from_dense(np.zeros((0, 4)))
+        hp = Hyperparams(knn_k=2)
+        with pytest.warns(UserWarning, match="^4 tag column"):
+            T = build_tag_structure(tags, hp)
+        assert T.matrix.shape == (4, 4) and T.matrix.nnz == 0
+        assert tag_structure_kkt(tags, T, hp).tolist() == [0.0] * 4
+
+
+class TestTagNeighbors:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_images=st.integers(0, 30),
+        n_tags=st.integers(2, 40),
+        density=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
+        n_copies=st.integers(0, 5),
+        n_zero=st.integers(0, 3),
+        k=st.integers(1, 45),
+    )
+    def test_equal_knn_index(self, seed, n_images, n_tags, density, n_copies, n_zero, k):
+        # duplicate and all-zero columns tie exactly; k may reach or pass
+        # the population, and D may have no rows
+        rng = np.random.default_rng(seed)
+        D = (rng.random((n_images, n_tags)) < density).astype(float)
+        D[:, rng.integers(0, n_tags, n_copies)] = D[:, rng.integers(0, n_tags, n_copies)]
+        D[:, rng.integers(0, n_tags, n_zero)] = 0.0
+        got = structure._tag_neighbors(structure._tag_gram(TaggingMatrix.from_dense(D)), k)
+        assert got.shape == (n_tags, min(k, n_tags - 1))
+        for mine, want in zip(got, knn_index(D.T, k), strict=True):
+            assert np.array_equal(mine, want)
+
+
 def with_weight(structure, row, col, value):
     m = structure.matrix.tolil()
     m[row, col] = value
@@ -400,9 +471,10 @@ def chunk_size(k):
 
 
 class TestLockstepChunks:
-    # The builders solve the lassos of one chunk of items in lockstep; each
-    # chunk holds as many grams as fit in structure._GRAM_BUDGET.  Chunking
-    # must not change a bit of either structure.
+    # The image builder solves the lassos of one chunk of items in lockstep;
+    # each chunk holds as many grams as fit in structure._GRAM_BUDGET.  The
+    # tag builder solves every tag in one batch over D'D.  Neither may
+    # change a bit of its structure.
     def assert_builds_match_item_loop(self, features, D, hp):
         S = build_feature_structure(features, hp).matrix.toarray()
         want_S, failed = structure_by_item_loop(
@@ -416,8 +488,8 @@ class TestLockstepChunks:
         assert not failed and np.array_equal(T, want_T.T)
 
     def test_item_counts_not_a_multiple_of_the_chunk(self):
-        # k = 50 gives chunks of 104: 250 images are 104 + 104 + 42 items
-        # and 130 tags are 104 + 26
+        # k = 50 gives chunks of 104: 250 images are 104 + 104 + 42 items;
+        # the 130 tags run in one batch
         features, D = random_instance(61, n_images=250, n_tags=130, dim=8)
         assert chunk_size(50) == 104
         self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=50, alpha=0.1, mu=0.1))
@@ -452,14 +524,16 @@ class TestLockstepChunks:
     def test_build_error_names_the_first_failing_item(self, monkeypatch, mode, seed, cap):
         # under a lowered round cap some items fail; the error names the
         # first in build order, with the message of its own solve, although
-        # a later item of its chunk of 4 fails too and the earlier chunk
-        # succeeds
+        # a later item of its batch fails too and earlier items succeed
         features, D = random_instance(seed, n_images=14, n_tags=14, dim=4)
         hp = Hyperparams(knn_k=6, alpha=0.1, mu=0.1)
         vectors = combined_feature_rows(features, None) if mode == "image" else D.to_dense().T
         _, failed = structure_by_item_loop(vectors, 0.1, hp.knn_k, hp.lasso_tol, max_iters=cap)
         first, error = failed[0]
-        assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
+        if mode == "image":  # chunks of 4, and the chunk before succeeds
+            assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
+        else:  # the 14 tags run in one batch
+            assert first >= 1 and len(failed) >= 2
         monkeypatch.setattr(structure, "_GRAM_BUDGET", 4 * 8 * 6 * 6)
         monkeypatch.setattr(
             structure, "solve_lasso",
