@@ -84,6 +84,9 @@ def _print_lines(lines, out_path=None) -> None:
 
 
 def _cmd_build_structure(args) -> int:
+    unused = {"image": "mu", "tag": "alpha"}[args.mode]
+    if getattr(args, unused) is not None:
+        raise ValidationError(f"--mode {args.mode} does not use --{unused}")
     hp = _hyperparams_from(args)
     if args.mode == "image":
         if args.features is None:

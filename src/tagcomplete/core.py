@@ -288,26 +288,6 @@ class Hyperparams:
         return [f.name for f in fields(cls)]
 
 
-def objective(
-    D: TaggingMatrix,
-    S: StructureMatrix,
-    T: StructureMatrix,
-    model: FactorModel,
-    hp: Hyperparams,
-) -> float:
-    """Value of the completion objective at the given state.
-
-    Pure function; all inputs are read-only.  Raises DimensionMismatchError
-    (check_structure_sizes) when shapes disagree.  See objective_from_arrays
-    for the formula.
-    """
-    check_structure_sizes(D, S, T, model)
-    return objective_from_arrays(
-        D.to_dense(), model.U, model.V.toarray(), model.E.toarray(),
-        S.matrix, T.matrix, hp,
-    )
-
-
 def objective_from_arrays(data, U, V, E, S, T, hp: Hyperparams) -> float:
     """The completion objective on raw arrays:
 

@@ -47,49 +47,14 @@ class LassoProblem:
     """min_w  ||b - A w||^2 + l1_weight * ||w||_1, posed via gram = A'A, corr = A'b.
 
     target_sq_norm is ||b||^2 so objective values can be recovered without b.
+    Like LassoBatch it checks nothing: gram must be a symmetric PSD float
+    array and corr a vector of the same size.
     """
 
     gram: np.ndarray
     corr: np.ndarray
     target_sq_norm: float
     l1_weight: float
-
-    def __post_init__(self):
-        gram = np.ascontiguousarray(np.asarray(self.gram, dtype=float))
-        corr = np.ascontiguousarray(np.asarray(self.corr, dtype=float)).ravel()
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValidationError(f"gram must be square, got shape {gram.shape}")
-        if corr.shape[0] != gram.shape[0]:
-            raise ValidationError(
-                f"corr has {corr.shape[0]} entries for a {gram.shape[0]}-variable gram"
-            )
-        if not np.all(np.isfinite(gram)) or not np.all(np.isfinite(corr)):
-            raise ValidationError("lasso problem has non-finite gram or corr")
-        if not np.isfinite(self.target_sq_norm) or self.target_sq_norm < 0:
-            raise ValidationError("target_sq_norm must be finite and >= 0")
-        if not np.isfinite(self.l1_weight) or self.l1_weight < 0:
-            raise ValidationError("l1_weight must be finite and >= 0")
-        scale = max(float(np.abs(gram).max(initial=0.0)), 1.0)
-        if np.abs(gram - gram.T).max(initial=0.0) > 1e-8 * scale:
-            raise ValidationError("gram matrix is not symmetric")
-        _check_psd(gram, scale)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "corr", corr)
-
-    @property
-    def n_vars(self) -> int:
-        return self.gram.shape[0]
-
-    def objective_at(self, weights: np.ndarray) -> float:
-        """||b - A w||^2 + l1_weight ||w||_1 expanded through the Gram form."""
-        w = np.asarray(weights, dtype=float)
-        quad = float(w @ self.gram @ w)
-        return (
-            self.target_sq_norm
-            - 2.0 * float(self.corr @ w)
-            + quad
-            + self.l1_weight * float(np.abs(w).sum())
-        )
 
 
 class LassoBatch(NamedTuple):
@@ -98,8 +63,8 @@ class LassoBatch(NamedTuple):
     Item b's gram is pool[rows[b]][:, cols[b]], for index arrays rows and
     cols of shape (B, k), and its correlations are corr[b].  So grams that
     items share, such as neighborhoods of one matrix D'D, are stored once.
-    Unlike LassoProblem it checks nothing, so every gram it indexes must be
-    symmetric PSD by construction, as products of finite rows are.
+    It checks nothing, so every gram it indexes must be symmetric PSD by
+    construction, as products of finite rows are.
     """
 
     pool: np.ndarray
@@ -107,16 +72,6 @@ class LassoBatch(NamedTuple):
     cols: np.ndarray
     corr: np.ndarray
     l1_weight: float
-
-
-def _check_psd(gram: np.ndarray, scale: float) -> None:
-    # Cheap PSD certificate: Cholesky after a 1e-8-scaled diagonal shift.
-    if gram.shape[0] == 0:
-        return
-    try:
-        np.linalg.cholesky(gram + (1e-8 * scale) * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError:
-        raise ValidationError("gram matrix is not positive semidefinite") from None
 
 
 @dataclass(frozen=True)
@@ -186,7 +141,7 @@ def solve_lasso(
         raise ValidationError(f"max_iters must be an int >= 0, got {max_iters!r}")
     single = isinstance(problem, LassoProblem)
     if single:
-        at = np.arange(problem.n_vars)[None]
+        at = np.arange(problem.corr.shape[0])[None]
         problem = LassoBatch(problem.gram, at, at, problem.corr[None], problem.l1_weight)
     corr, lam = problem.corr, problem.l1_weight
     w = np.zeros(corr.shape)
@@ -400,9 +355,9 @@ def kkt_residual(problem: LassoProblem, weights: np.ndarray) -> float:
     certificate.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] != problem.n_vars:
+    if w.shape[0] != problem.corr.shape[0]:
         raise ValidationError(
-            f"got {w.shape[0]} weights for a {problem.n_vars}-variable problem"
+            f"got {w.shape[0]} weights for a {problem.corr.shape[0]}-variable problem"
         )
     grad = problem.gram @ w - problem.corr
     return float(_violations(w, grad, problem.l1_weight).max(initial=0.0))

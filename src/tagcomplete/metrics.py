@@ -16,7 +16,8 @@ class EvalSplit:
 
     observed is the post-deletion tagging matrix.  test_image_ids[i] names an
     evaluated image and deleted[i] holds the tag indices removed from it.
-    Every test image keeps at least one observed tag and loses at least one.
+    Test images are distinct, and each keeps at least one observed tag and
+    loses at least one.
     """
 
     observed: TaggingMatrix
@@ -36,9 +37,13 @@ class EvalSplit:
                 f"but {len(self.deleted)} deleted sets"
             )
         n, m = self.observed.n_images, self.observed.n_tags
+        seen = set()
         for img, dels in zip(self.test_image_ids, self.deleted):
             if not (0 <= img < n):
                 raise ValidationError(f"test image {img} out of range")
+            if img in seen:
+                raise ValidationError(f"test image {img} is listed more than once")
+            seen.add(img)
             if not dels:
                 raise ValidationError(f"image {img} has no deleted tags")
             if any(not (0 <= t < m) for t in dels):

@@ -69,16 +69,6 @@ def coeff_update_value(p: float, eta: float, denom: float) -> float:
     return (p - eta if p > 0.0 else p + eta) / denom
 
 
-def basis_update_value(q: float, denom: float, radius: float) -> float:
-    """Exact minimizer of denom*u^2 - 2*q*u over |u| <= radius, denom > 0."""
-    u = q / denom
-    if u > radius:
-        return radius
-    if u < -radius:
-        return -radius
-    return u
-
-
 def error_update_value(r, beta: float):
     """Exact minimizer of (r - e)^2 + beta*|e|, elementwise."""
     return soft_threshold(r, 0.5 * beta)

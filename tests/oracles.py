@@ -31,6 +31,16 @@ def dense_objective(D, S, T, U, V, E, hp) -> float:
     return float(fit + feat + tag + sparse_v + sparse_e)
 
 
+def basis_update_value(q: float, denom: float, radius: float) -> float:
+    """Exact minimizer of denom*u^2 - 2*q*u over |u| <= radius, denom > 0."""
+    u = q / denom
+    if u > radius:
+        return radius
+    if u < -radius:
+        return -radius
+    return u
+
+
 def lasso_objective(gram, corr, target_sq_norm, l1_weight, w) -> float:
     w = np.asarray(w, dtype=float)
     return float(

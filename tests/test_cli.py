@@ -152,6 +152,18 @@ class TestBuildStructure:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("mode, flag", [("image", "--mu"), ("tag", "--alpha")])
+    def test_other_modes_l1_flag_rejected(self, pipeline_files, capsys, tmp_path, mode, flag):
+        # the flag used to parse and then be ignored
+        out = tmp_path / "x.mtx"
+        inputs = {"image": ["--features", pipeline_files["features"]],
+                  "tag": ["--tags", pipeline_files["observed"]]}[mode]
+        code, stdout, err = run_cli(
+            ["build-structure", "--mode", mode, *inputs, flag, "0.5", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE and stdout == "" and not out.exists()
+        assert err == f"error: --mode {mode} does not use {flag}\n"
 
     def test_tag_mode_non_binary_tags_exit_2(self, capsys, tmp_path):
         tags = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [1.0, 0.5, 0.0]]))

@@ -9,8 +9,9 @@ from tagcomplete.core import (
     StructureMatrix,
     TaggingMatrix,
     ValidationError,
+    check_structure_sizes,
     normalize_rows,
-    objective,
+    objective_from_arrays,
 )
 
 from oracles import dense_objective
@@ -194,29 +195,17 @@ class TestObjective:
         hp = Hyperparams(eta=0.3, beta=0.7, gamma=1.2, lambda_=0.5)
         for _ in range(25):
             D, S, T, U, V, E = random_instance(rng)
-            model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
-            got = objective(
-                TaggingMatrix.from_dense(D),
-                StructureMatrix(sp.csr_matrix(S)),
-                StructureMatrix(sp.csr_matrix(T)),
-                model,
-                hp,
+            got = objective_from_arrays(
+                D, U, V, E, sp.csr_matrix(S), sp.csr_matrix(T), hp
             )
             want = dense_objective(D, S, T, U, V, E, hp)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_model_is_pure_data_plus_error_terms(self):
-        D = np.eye(3)
-        model = FactorModel(
-            U=np.zeros((3, 2)), V=sp.csr_matrix((2, 3)), E=sp.csr_matrix((3, 3))
-        )
-        hp = Hyperparams()
-        got = objective(
-            TaggingMatrix.from_dense(D),
-            StructureMatrix.zeros(3),
-            StructureMatrix.zeros(3),
-            model,
-            hp,
+        zero = sp.csr_matrix((3, 3))
+        got = objective_from_arrays(
+            np.eye(3), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((3, 3)),
+            zero, zero, Hyperparams(),
         )
         np.testing.assert_allclose(got, 3.0)
 
@@ -226,12 +215,11 @@ class TestObjective:
             U=np.zeros((3, 2)), V=sp.csr_matrix((2, 4)), E=sp.csr_matrix((3, 4))
         )
         with pytest.raises(DimensionMismatchError) as exc:
-            objective(
+            check_structure_sizes(
                 D,
                 StructureMatrix.zeros(5),
                 StructureMatrix.zeros(4),
                 model,
-                Hyperparams(),
             )
         assert "image structure" in str(exc.value)
 
@@ -242,11 +230,10 @@ class TestObjective:
         )
         message = "^model is 3x5 but D is 3x4$"
         with pytest.raises(DimensionMismatchError, match=message) as exc:
-            objective(
+            check_structure_sizes(
                 D,
                 StructureMatrix.zeros(3),
                 StructureMatrix.zeros(4),
                 model,
-                Hyperparams(),
             )
         assert isinstance(exc.value, ValidationError)

@@ -420,6 +420,22 @@ class TestSplitFormat:
         with pytest.raises(ParseError, match="invalid split"):
             read_split(path)
 
+    def test_repeated_test_image_id_rejected(self, tmp_path):
+        path = tmp_path / "split.json"
+        payload = {
+            "format": "tagcomplete-split",
+            "version": 1,
+            "n_images": 1,
+            "n_tags": 3,
+            "observed": {"rows": [0], "cols": [0], "values": [1.0]},
+            "test_image_ids": [0, 0],
+            "deleted": [[1], [2]],
+        }
+        path.write_text(json.dumps(payload))
+        message = f"^{re.escape(str(path))}: invalid split \\(test image 0 is listed more than once\\)$"
+        with pytest.raises(ParseError, match=message):
+            read_split(path)
+
 
 # Finite doubles at the edges of the format: both signed zeros, subnormals
 # down to 5e-324, the smallest normal and the largest magnitude.

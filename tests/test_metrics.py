@@ -40,6 +40,11 @@ class TestEvalSplit:
         with pytest.raises(ValidationError):
             make_split([[1, 0, 0], [0, 1, 0]], [{1}], test_ids=(0, 1))
 
+    def test_rejects_repeated_test_image(self):
+        # evaluate used to count image 0 twice (AP = AR = C = 0.5)
+        with pytest.raises(ValidationError, match="^test image 0 is listed more than once$"):
+            make_split([[1, 0, 0]], [{1}, {2}], test_ids=(0, 0))
+
     def test_accepts_valid_split(self):
         split = make_split([[1, 0, 0], [0, 1, 0]], [{1}, {0, 2}])
         assert split.n_test_images == 2

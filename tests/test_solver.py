@@ -13,13 +13,11 @@ from tagcomplete.core import (
     StructureMatrix,
     TaggingMatrix,
     ValidationError,
-    objective,
 )
 from tagcomplete.lasso import LassoProblem, solve_lasso
 from tagcomplete.solver import (
     NumericalBlowupError,
     SolverWorkspace,
-    basis_update_value,
     coeff_update_value,
     error_update_value,
     fit,
@@ -33,6 +31,7 @@ from tagcomplete.structure import build_feature_structure, build_tag_structure
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 from oracles import (
+    basis_update_value,
     coefficient_sweep_by_residual,
     dense_objective,
     scalar_min_by_search,
@@ -554,7 +553,10 @@ class TestFit:
         report = fit(D, S, T, hp)
         report.model.validate()
         np.testing.assert_allclose(
-            objective(D, S, T, report.model, hp),
+            dense_objective(
+                D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
+                report.model.U, report.model.V.toarray(), report.model.E.toarray(), hp,
+            ),
             report.objective_trace[-1],
             rtol=1e-12,
         )
