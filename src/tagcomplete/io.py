@@ -42,6 +42,17 @@ def _fail(path, line_no, message):
     raise ParseError(f"{path}:{line_no}: {message}")
 
 
+def _read_text(path) -> str:
+    """The file's contents decoded as UTF-8; ParseError naming the file and
+    line otherwise."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            _fail(path, line_no, f"not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a sibling temp file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -63,8 +74,7 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
     out-of-range indices, non-numeric or non-finite values all raise
     ParseError naming the line.
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         _fail(path, 1, "empty file, expected MatrixMarket header")
     if lines[0].strip().lower().split() != MATRIX_HEADER.lower().split():
@@ -131,8 +141,7 @@ def read_dense_matrix(path) -> np.ndarray:
     """Parse a CSV matrix, one row per line; a non-numeric first line is
     treated as a header and skipped.  Ragged rows and non-finite values raise
     ParseError naming the line."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path).splitlines()
     content = [
         (idx + 1, line.strip()) for idx, line in enumerate(lines) if line.strip()
     ]
@@ -182,9 +191,9 @@ def write_dense_matrix(path, array) -> None:
 def read_matrix_auto(path) -> np.ndarray:
     """Dense array from either format: MatrixMarket if the file starts with
     '%%', CSV otherwise."""
-    with open(path) as handle:
+    with open(path, "rb") as handle:  # the reader called decodes the file
         head = handle.read(2)
-    if head == "%%":
+    if head == b"%%":
         return read_sparse_matrix(path).toarray()
     return read_dense_matrix(path)
 
@@ -217,8 +226,7 @@ def _sparse_from_lists(payload, shape, path) -> sp.csr_matrix:
 
 def _load_json(path, expected_format) -> dict:
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(payload, dict):
@@ -337,21 +345,20 @@ def parse_key_values(path, target) -> dict:
     """
     types = get_type_hints(target)
     values = {}
-    with open(path) as handle:
-        for idx, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                _fail(path, idx, f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                _fail(path, idx, f"unknown {target.__name__} field {key!r}")
-            try:
-                values[key] = types[key](value)
-            except ValueError:
-                _fail(path, idx, f"bad value {value!r} for {key}")
+    for idx, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            _fail(path, idx, f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in types:
+            _fail(path, idx, f"unknown {target.__name__} field {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            _fail(path, idx, f"bad value {value!r} for {key}")
     return values
 
 

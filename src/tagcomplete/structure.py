@@ -34,7 +34,7 @@ class StructureBuildError(TagCompleteError, RuntimeError):
         self.item = item
 
 
-_BLOCK = 64  # query rows per preselecting product, which is _BLOCK x n
+_BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
 # Bytes of grams in one lockstep batch of the image structure build, which
 # holds max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at
@@ -50,15 +50,15 @@ def _check_population(n: int, k: int) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes delta inf, below
-def knn_index(vectors, k: int) -> tuple:
-    """Exact euclidean k-nearest-neighbor lists, one per item, self excluded.
+def knn_index(vectors, k: int) -> np.ndarray:
+    """Exact euclidean k-nearest-neighbor lists, self excluded, as the rows
+    of an integer array of shape (population, min(k, population - 1)).
 
-    Each list is sorted by ascending distance with ties broken by ascending
-    index, and has length min(k, population - 1).  A matrix product per
-    block of query rows gives approximate squared distances
-    |x|^2 + |y|^2 - 2 x.y.  The items within a rounding margin of a row's
-    k-th smallest are ranked by the exact sqrt(sum((y - x)^2)), so the lists
-    equal those of a full exact scan."""
+    Each row is sorted by ascending distance with ties broken by ascending
+    index.  A matrix product per block of query rows gives approximate
+    squared distances |x|^2 + |y|^2 - 2 x.y.  The items within a rounding
+    margin of a row's k-th smallest are ranked by the exact
+    sqrt(sum((y - x)^2)), so the lists equal those of a full exact scan."""
     pts = np.ascontiguousarray(np.asarray(vectors, dtype=float))
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
@@ -75,7 +75,7 @@ def knn_index(vectors, k: int) -> tuple:
     # and is inf when the product could overflow: then every item is kept.
     fp = np.finfo(float)
     delta = 4 * (dim + 2) * (fp.eps * (4.0 * sq.max()) + fp.smallest_subnormal)
-    neighbors = []
+    neighbors = np.empty((n, take), dtype=np.intp)
     for start in range(0, n, _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, n))
         approx = -2.0 * (pts[rows] @ pts.T)
@@ -90,8 +90,8 @@ def knn_index(vectors, k: int) -> tuple:
             diff -= pts[i]
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             order = np.lexsort((cand, dist))[:take]
-            neighbors.append(cand[order])
-    return tuple(neighbors)
+            neighbors[i] = cand[order]
+    return neighbors
 
 
 def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
@@ -99,11 +99,12 @@ def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
     within hp.lasso_tol by solve_lasso.
 
     `neighbors` is (items, k) and `batches` yields (first item, LassoBatch)
-    for consecutive runs of items, whose rows are posed over those neighbors."""
-    counts, indices, data = [], [], []
+    for consecutive runs of items, whose rows are posed over those neighbors.
+    The weights fill one (items, k) array, whose nonzeros are the CSR data."""
+    weights = np.zeros(neighbors.shape)
     for start, problem in batches:
         try:
-            weights = solve_lasso(problem, hp.lasso_tol).weights
+            solved = solve_lasso(problem, hp.lasso_tol).weights
         except LassoConvergenceError as exc:
             item = start + exc.item
             raise StructureBuildError(
@@ -111,15 +112,11 @@ def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
                 f"(KKT residual {exc.kkt_residual:g})",
                 item=item,
             ) from exc
-        nz = weights != 0.0
-        counts.append(nz.sum(axis=1))
-        indices.append(neighbors[start:start + weights.shape[0]][nz])
-        data.append(weights[nz])
+        weights[start:start + solved.shape[0]] = solved
+    nz = weights != 0.0
     size = neighbors.shape[0]
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
-    )
+    indptr = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
+    return sp.csr_matrix((weights[nz], neighbors[nz], indptr), shape=(size, size))
 
 
 def _row_batches(vectors, neighbors, l1_weight):
@@ -179,7 +176,7 @@ def build_feature_structure(
     solution is KKT-certified.  Deterministic for fixed inputs.
     """
     vectors = combined_feature_rows(features, tags)
-    neighbors = np.stack(knn_index(vectors, hp.knn_k))
+    neighbors = knn_index(vectors, hp.knn_k)
     return StructureMatrix(
         _reconstruction_matrix(neighbors, _row_batches(vectors, neighbors, hp.alpha), hp)
     )
@@ -200,7 +197,7 @@ def _tag_gram(D: TaggingMatrix) -> np.ndarray:
 
 
 def _tag_neighbors(G: np.ndarray, k: int) -> np.ndarray:
-    """knn_index(D.T, k) as an (M, min(k, M - 1)) array, read from G = D'D.
+    """knn_index(D.T, k), an (M, min(k, M - 1)) array, read from G = D'D.
 
     The squared distances g_ii + g_jj - 2 g_ij are exact integers, and a
     stable sort breaks their ties by ascending index, as knn_index does."""
@@ -256,25 +253,26 @@ def reinitialize(
 
 
 def _kkt_per_item(vectors, weights, l1_weight, neighbors):
-    """Recomputed KKT residual per item, reading item i's weights from the
-    i-th compressed row of `weights` (CSR rows, or CSC columns) and its
-    neighbor list from neighbors[i].
+    """Recomputed KKT residual per item, whose lasso rebuilds vectors[i] from
+    vectors[neighbors[i]] with the weights in row i of `weights`, a canonical
+    CSR matrix that stores no zeros.
 
-    The gradient gram @ w - corr is formed as A (A'w - b), with no gram.  inf
+    The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
+    block of _BLOCK items, a sparse product gives their A'w - b, and one
+    product of those with all rows is read at the neighbor positions.  inf
     when weight sits outside the neighborhood.
     """
-    residuals = np.zeros(vectors.shape[0])
-    for i, nb in enumerate(neighbors):
-        span = slice(weights.indptr[i], weights.indptr[i + 1])
-        cols, vals = weights.indices[span], weights.data[span]
-        at, found = np.nonzero(nb[:, None] == cols)
-        if found.size < cols.size:
-            residuals[i] = np.inf
-            continue
-        w = np.zeros(nb.size)
-        w[at] = vals[found]
-        grad = vectors[nb] @ (vals @ vectors[cols] - vectors[i])
-        residuals[i] = _violations(w, grad, l1_weight).max(initial=0.0)
+    stored = np.diff(weights.indptr)
+    size = vectors.shape[0]
+    residuals = np.empty(size)
+    for start in range(0, size, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, size))
+        nb = neighbors[rows]
+        resid = weights[rows] @ vectors - vectors[rows]
+        grad = np.take_along_axis(resid @ vectors.T, nb, axis=1)
+        w = weights[rows[:, None], nb].toarray()
+        residuals[rows] = _violations(w, grad, l1_weight).max(axis=1, initial=0.0)
+        residuals[rows[np.count_nonzero(w, axis=1) < stored[rows]]] = np.inf
     return residuals
 
 
@@ -301,10 +299,10 @@ def tag_structure_kkt(
 
     D must be binary, as for build_tag_structure, whose G = D'D neighbor
     lists it recomputes.  Each gradient is still formed from the columns of
-    D, so the certificate does not rest on G's grams.  An all-zero tag
-    column with zero weights is its lasso's exact answer and reports
-    residual 0.
+    D, passed as rows with T's columns as the rows of the weights, so the
+    certificate does not rest on G's grams.  An all-zero tag column with
+    zero weights is its lasso's exact answer and reports residual 0.
     """
     neighbors = _tag_neighbors(_tag_gram(D), hp.knn_k)
     cols = np.ascontiguousarray(D.to_dense().T)
-    return _kkt_per_item(cols, structure.matrix.tocsc(), hp.mu, neighbors)
+    return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors)

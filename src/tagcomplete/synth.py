@@ -40,8 +40,8 @@ class SynthConfig:
             raise ValidationError(
                 "n_topics cannot exceed min(n_images, n_tags)"
             )
-        if self.feature_noise < 0:
-            raise ValidationError("feature_noise must be >= 0")
+        if not 0 <= self.feature_noise < np.inf:  # nan fails too
+            raise ValidationError("feature_noise must be finite and >= 0")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
         if not (0.0 < self.delete_fraction < 1.0):

@@ -707,10 +707,50 @@ class TestSynthBench:
         for name in ("n_tags", "n_topics", "feature_dim", "rng_seed"):
             assert name in err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_feature_noise_exits_2(self, noise, capsys, tmp_path):
+        config = write_config(tmp_path / "synth.cfg", feature_noise=noise)
+        code, stdout, err = run_cli(["synth-bench", "--config", config], capsys)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == "error: feature_noise must be finite and >= 0\n"
+
     def test_infeasible_config(self, capsys, tmp_path):
         config = write_config(tmp_path / "synth.cfg", tags_per_image=50)
         code, _, err = run_cli(["synth-bench", "--config", config], capsys)
         assert code == EXIT_USAGE
+
+
+class TestNonUtf8Input:
+    """Every subcommand exits 2 on an input file that is not UTF-8, with the
+    reader's message naming the file, line and byte."""
+
+    AT_FIRST_BYTE = (b"\xff\xfe1,2\n", "1: not UTF-8 text (invalid start byte at byte 0)")
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["evaluate", "--scores", "BAD", "--split", "SPLIT"], AT_FIRST_BYTE),
+            (["evaluate", "--scores", "SCORES", "--split", "BAD"], AT_FIRST_BYTE),
+            (["build-structure", "--mode", "tag", "--tags", "BAD", "--out", "OUT"],
+             AT_FIRST_BYTE),
+            (["build-structure", "--mode", "image", "--features", "BAD", "--out", "OUT"],
+             AT_FIRST_BYTE),
+            (["complete", "--manifest", "BAD"], AT_FIRST_BYTE),
+            (["synth-bench", "--config", "BAD"],
+             (b"n_images = 10\n\xff = 3\n", "2: not UTF-8 text (invalid start byte at byte 14)")),
+        ],
+        ids=["scores", "split", "tag-structure", "image-structure", "manifest", "config"],
+    )
+    def test_exits_2_naming_the_file(self, argv, bad, capsys, tmp_path):
+        content, where = bad
+        paths = {name: tmp_path / name for name in ("BAD", "SCORES", "SPLIT", "OUT")}
+        paths["BAD"].write_bytes(content)
+        tgio.write_dense_matrix(paths["SCORES"], np.zeros((2, 4)))
+        paths["SPLIT"].write_text(json.dumps(TestWronglyTypedJson.SPLIT))
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {paths['BAD']}:{where}\n")
+        assert not paths["OUT"].exists()
 
 
 class TestHyperparamFlags:

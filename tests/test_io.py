@@ -574,6 +574,37 @@ class TestOverrides:
             parse_key_values(path, Hyperparams)
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is a ParseError naming the file, the line and
+    the byte, from every reader."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            read_sparse_matrix,
+            read_dense_matrix,
+            read_matrix_auto,
+            read_split,  # and read_model and read_manifest, through _load_json
+            lambda path: parse_key_values(path, Hyperparams),
+        ],
+        ids=["sparse", "dense", "auto", "json", "key_values"],
+    )
+    def test_reader_names_file_and_line(self, read, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"%%MatrixMarket\n# x\n\xff\xfe\n")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:3: not UTF-8 text (invalid start byte at byte 19)"
+
+    @pytest.mark.parametrize("read", [read_model, read_manifest])
+    def test_json_readers_at_first_byte(self, read, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:1: not UTF-8 text (invalid start byte at byte 0)"
+
+
 def write_manifest_json(path, **paths):
     """A manifest as the CLI reads it: format marker, version and input paths."""
     payload = {"format": "tagcomplete-manifest", "version": 1, **paths}

@@ -72,6 +72,12 @@ class TestKnnIndex:
         with pytest.raises(ValidationError):
             knn_index(np.zeros((1, 3)), k=1)
 
+    @pytest.mark.parametrize("n, k", [(2, 1), (7, 3), (7, 6), (7, 7), (7, 20), (130, 5)])
+    def test_returns_one_integer_array(self, n, k):
+        idx = knn_index(np.random.default_rng(n).normal(size=(n, 3)), k)
+        assert type(idx) is np.ndarray and np.issubdtype(idx.dtype, np.integer)
+        assert idx.shape == (n, min(k, n - 1))
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -383,6 +389,56 @@ class TestResidualFormCertificate:
             problem = LassoProblem(A @ A.T, A @ b, float(b @ b), l1_weight)
             out[i] = kkt_residual(problem, weights[i, nb])
         return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        width=st.integers(0, 6),
+        kind=st.sampled_from(["features", "tags"]),
+        k=st.integers(1, 12),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        n_stray=st.integers(0, 6),
+    )
+    def test_random_weights_against_gram_form(self, seed, n, width, kind, k, density, n_stray):
+        # items span several blocks of the certificate; "tags" are 0/1 columns
+        # of width images with duplicate and all-zero columns, and "features"
+        # may have zero width.  Weight outside an item's neighborhood, at
+        # several items at once, must give inf at exactly those items.
+        rng = np.random.default_rng(seed)
+        if kind == "tags":
+            D = (rng.random((width, n)) < 0.4).astype(float)
+            D[:, rng.integers(0, n, 3)] = D[:, rng.integers(0, n, 3)]
+            D[:, rng.integers(0, n, 2)] = 0.0
+            vectors = D.T.copy()
+        else:
+            features = FeatureMatrix(rng.normal(size=(n, width)))
+            vectors = combined_feature_rows(features, None)
+        neighbors = knn_index(vectors, k)
+        weights = np.zeros((n, n))
+        rows = np.arange(n)[:, None]
+        weights[rows, neighbors] = rng.uniform(-1, 1, neighbors.shape) * (
+            rng.random(neighbors.shape) < density
+        )
+        outside = np.ones((n, n), dtype=bool)
+        outside[rows, neighbors] = False
+        outside[np.arange(n), np.arange(n)] = False
+        stray = rng.choice(n, min(n_stray, n), replace=False)
+        stray = stray[outside[stray].any(axis=1)]
+        for i in stray:
+            weights[i, rng.choice(np.flatnonzero(outside[i]))] = 0.5
+        if kind == "tags":
+            hp = Hyperparams(mu=0.05, knn_k=k)
+            got = tag_structure_kkt(
+                TaggingMatrix.from_dense(D), StructureMatrix(sp.csr_matrix(weights.T)), hp
+            )
+        else:
+            hp = Hyperparams(alpha=0.05, knn_k=k)
+            got = feature_structure_kkt(features, StructureMatrix(sp.csr_matrix(weights)), hp)
+        want = self.gram_form(vectors, weights, 0.05, k)
+        is_stray = np.isin(np.arange(n), stray)
+        assert np.array_equal(np.isinf(got), is_stray)
+        assert np.abs(got - want)[~is_stray].max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 1.3])
     def test_feature_rows(self, scale):

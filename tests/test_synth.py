@@ -46,6 +46,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_config(feature_noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise(self, noise):
+        # nan passes a "< 0" check, and inf only fails later, in FeatureMatrix
+        with pytest.raises(ValidationError, match="^feature_noise must be finite and >= 0$"):
+            small_config(feature_noise=noise)
+
 
 class TestTagBlocks:
     def test_partition_covers_all_tags(self):
