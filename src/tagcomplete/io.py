@@ -184,7 +184,7 @@ def write_dense_matrix(path, array) -> None:
     arr = np.asarray(array, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"dense matrix must be 2-D, got ndim={arr.ndim}")
-    lines = [",".join(repr(float(v)) for v in row) for row in arr]
+    lines = [",".join(map(repr, row)) for row in arr.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -261,8 +261,8 @@ def write_model(path, model: FactorModel, hp: Hyperparams, trace=None) -> None:
         "n_tags": model.n_tags,
         "n_factors": model.n_factors,
         "hyperparams": {f.name: getattr(hp, f.name) for f in fields(hp)},
-        "objective_trace": [float(v) for v in (trace if trace is not None else [])],
-        "basis": [[float(v) for v in row] for row in model.U],
+        "objective_trace": list(map(float, trace if trace is not None else [])),
+        "basis": model.U.tolist(),
         "coeffs": _sparse_to_lists(model.V),
         "error": _sparse_to_lists(model.E),
     }

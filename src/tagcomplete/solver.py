@@ -7,9 +7,12 @@ matrix in closed form, so the objective trace is non-increasing block by
 block.
 
 The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
-with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  Basis
-column k, with everything else fixed, solves the trust-region subproblem
-(More & Sorensen, SIAM J. Sci. Stat. Comput. 1983)
+with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
+of each row first finds the zero coordinates that provably stay zero, so the
+sweep starts at the row's first coordinate that may move and passes over
+rows, such as dead factors, where none may.  Basis column k, with everything
+else fixed, solves the trust-region subproblem (More & Sorensen, SIAM J.
+Sci. Stat. Comput. 1983)
 
     min  g||u||^2 - 2q'u + gamma||Bu||^2   subject to  ||u|| <= 1
 
@@ -17,8 +20,11 @@ with g = (VV')_kk, q the column's coupling to the data and to the other
 columns, and the sparse B = S - I.  The minimizer solves
 (gI + gamma B'B + sigma I)u = q for the ball's multiplier sigma >= 0.
 Conjugate gradients on products with B and B' do each solve, and Newton's
-method on 1/||u(sigma)|| - 1 finds sigma, so no N x N array is formed.
-Every step is certified by these optimality conditions before it is written.
+method on 1/||u(sigma)|| - 1 finds sigma, so no N x N array is formed.  The
+step is solved to a relative residual of 1e-12; the derivative solve, which
+only sets Newton's step length, to 1e-6 (an inexact Newton method: Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982).  Every step is certified
+by these optimality conditions before it is written.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from .core import (
     objective_from_arrays,
 )
 
-# Stopping rules of the basis step's conjugate gradients (relative residual,
-# and steps beyond the N of exact arithmetic, which rounding needs on
-# ill-conditioned columns) and Newton iteration (| ||u|| - 1 |, steps), and
+# Stopping rules of the basis step's conjugate gradients (relative residual
+# of the step, and of the Newton derivative that only sets a step length of
+# the multiplier; steps beyond the N of exact arithmetic, which rounding needs
+# on ill-conditioned columns) and Newton iteration (| ||u|| - 1 |, steps), and
 # the tolerance, relative to ||q||, of the certificate every step must pass.
-_CG_RTOL, _CG_EXTRA_ITERS = 1e-12, 100
+_CG_RTOL, _SLOPE_CG_RTOL, _CG_EXTRA_ITERS = 1e-12, 1e-6, 100
 _NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-10, 50
 _CERT_RTOL = 1e-8
 
@@ -160,22 +167,36 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     coeffs[k] @ tag_penalty, is kept current by adding rows of the symmetric
     penalty.  Coordinates with d <= 0 (basis column identically zero and no
     tag-penalty mass) are skipped; the count of skips is returned.
+
+    Each row is scanned before its pass, with every q computed at once: a
+    zero coordinate whose |q| <= eta stays where it is (a NaN q may move).
+    Until a coordinate moves, the pass sees exactly the scanned q, so it
+    starts at the first coordinate that may move, and a row where none may
+    (a dead factor: zero basis column and zero row) is not swept at all.
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
     gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
-    diag = np.diagonal(penalty).tolist()
+    diag = np.diagonal(penalty)
+    diag_values = diag.tolist()
     skipped = 0
     for k in range(coeffs.shape[0]):
-        row = coeffs[k].tolist()
         gram_kk = float(gram[k, k])
-        coupling = (corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])).tolist()
+        coupling = corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])
         penalty_dot = coeffs[k] @ penalty
-        for m, old in enumerate(row):
-            denom = gram_kk + diag[m]
+        flat = gram_kk + diag <= 0.0
+        skipped += int(np.count_nonzero(flat))
+        q = coupling - (penalty_dot - diag * coeffs[k])
+        may_move = ~(flat | ((coeffs[k] == 0.0) & (np.abs(q) <= eta)))
+        start = int(may_move.argmax())
+        if not may_move[start]:
+            continue
+        row, coupling = coeffs[k].tolist(), coupling.tolist()
+        for m in range(start, len(row)):
+            denom = gram_kk + diag_values[m]
             if denom <= 0.0:
-                skipped += 1
                 continue
-            q = coupling[m] - (penalty_dot[m] - diag[m] * old)
+            old = row[m]
+            q = coupling[m] - (penalty_dot[m] - diag_values[m] * old)
             new = coeff_update_value(q, eta, denom)
             if new != old:
                 row[m] = new
@@ -184,11 +205,11 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     return skipped
 
 
-def _conjugate_gradients(apply, rhs, x):
+def _conjugate_gradients(apply, rhs, x, rtol=_CG_RTOL):
     """Solve apply(x) = rhs, apply symmetric positive definite, updating x.
 
     Starts from x, or from zero when that is closer.  Stops at a residual of
-    _CG_RTOL * ||rhs||, after N + _CG_EXTRA_ITERS steps, or on a step that is
+    rtol * ||rhs||, after N + _CG_EXTRA_ITERS steps, or on a step that is
     not finite and positive; the caller certifies the result.
     """
     r = rhs - apply(x)
@@ -198,7 +219,7 @@ def _conjugate_gradients(apply, rhs, x):
         r, rr = rhs.copy(), rhs_sq
     p = r.copy()
     for _ in range(rhs.shape[0] + _CG_EXTRA_ITERS):
-        if not rr > _CG_RTOL * _CG_RTOL * rhs_sq:
+        if not rr > rtol * rtol * rhs_sq:
             break
         ap = apply(p)
         curvature = float(p @ ap)
@@ -215,7 +236,10 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, start: np.ndarray)
     """Certified minimizer of g||u||^2 - 2q'u + gamma||(S - I)u||^2 over
     ||u|| <= 1, for nonzero q, with `start` as the first guess.
 
-    Returns None unless, for the multiplier sigma of the ball, the residual of
+    Each Newton step on sigma solves (gI + gamma B'B + sigma I)u = q to
+    _CG_RTOL and its derivative system (gI + gamma B'B + sigma I)w = u, whose
+    w only sets the step length, to the looser _SLOPE_CG_RTOL.  Returns None
+    unless, for the multiplier sigma of the ball, the residual of
     (gI + gamma B'B + sigma I)u = q and sigma*|1 - ||u||| are both within
     _CERT_RTOL * ||q||, sigma >= 0 and ||u|| <= 1 + COLUMN_NORM_SLACK.
     """
@@ -235,7 +259,7 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, start: np.ndarray)
         for _ in range(_NEWTON_MAX_ITERS):
             if not abs(norm - 1.0) > _NEWTON_TOL:
                 break
-            w = _conjugate_gradients(operator(sigma), u, np.zeros_like(u))
+            w = _conjugate_gradients(operator(sigma), u, np.zeros_like(u), _SLOPE_CG_RTOL)
             slope = float(u @ w)
             if not slope > 0.0:
                 break

@@ -304,5 +304,5 @@ def tag_structure_kkt(
     zero weights is its lasso's exact answer and reports residual 0.
     """
     neighbors = _tag_neighbors(_tag_gram(D), hp.knn_k)
-    cols = np.ascontiguousarray(D.to_dense().T)
+    cols = D.matrix.T.toarray(order="C")
     return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors)

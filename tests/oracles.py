@@ -2,10 +2,12 @@
 
 Everything here is deliberately brute force: enumeration, dense algebra,
 scalar grid search.  None of it shares code with the package under test, so
-agreement between the two is evidence, not tautology.  The one exception,
-structure_by_item_loop, runs the package's own lasso solver one item at a
-time: it is the reference that the builders' lockstep batches must match
-bit for bit.
+agreement between the two is evidence, not tautology.  The two exceptions
+are references that faster package paths must match bit for bit:
+structure_by_item_loop runs the package's own lasso solver one item at a
+time, against the builders' lockstep batches, and
+coefficient_sweep_by_scalar_loop takes the package's scalar step at every
+coordinate, against the row scan of solver.update_coeffs.
 """
 
 from __future__ import annotations
@@ -113,6 +115,39 @@ def coefficient_sweep_by_residual(D, T, U, V, E, hp):
         q = fit_q + pen_q
         V[k, m] = np.sign(q) * max(abs(q) - hp.eta, 0.0) / (fit_d + pen_d)
     return V
+
+
+def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
+    """One cyclic pass of solver.coeff_update_value over every coordinate of
+    the coefficient matrix, rows outer, with the covariance updates of
+    solver.update_coeffs but no row scan.
+
+    Coordinates whose curvature (U'U)_kk + tag_penalty[m, m] is not positive
+    are skipped.  Returns the swept copy of coeffs and the number of skips.
+    """
+    from tagcomplete.solver import coeff_update_value
+
+    coeffs = np.array(coeffs, dtype=float)
+    gram, corr = basis.T @ basis, basis.T @ target
+    diag = np.diagonal(tag_penalty).tolist()
+    skipped = 0
+    for k in range(coeffs.shape[0]):
+        row = coeffs[k].tolist()
+        gram_kk = float(gram[k, k])
+        coupling = (corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])).tolist()
+        penalty_dot = coeffs[k] @ tag_penalty
+        for m, old in enumerate(row):
+            denom = gram_kk + diag[m]
+            if denom <= 0.0:
+                skipped += 1
+                continue
+            q = coupling[m] - (penalty_dot[m] - diag[m] * old)
+            new = coeff_update_value(q, eta, denom)
+            if new != old:
+                row[m] = new
+                penalty_dot += (new - old) * tag_penalty[m]
+        coeffs[k] = row
+    return coeffs, skipped
 
 
 def knn_by_full_scan(points, query_index, k):

@@ -537,6 +537,36 @@ class TestExtremeFloatRoundTrips:
         assert (back.test_image_ids, back.deleted) == ((0,), (frozenset({1}),))
 
 
+
+class TestWritersExactBytes:
+    """The dense and model writers emit the per-element repr(float(v)) text of
+    every value, at the edges of float64 too."""
+
+    @ROUND_TRIPS
+    @given(arrays(float, st.tuples(SIDES, SIDES), elements=EXTREME_FLOATS))
+    def test_dense_csv(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dense_matrix(path, array)
+        lines = [",".join(repr(float(v)) for v in row) for row in array]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_model_json(self, tmp_path_factory, data):
+        n, k = data.draw(SIDES), data.draw(SIDES)
+        edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+        basis = data.draw(arrays(float, (n, k), elements=edge | st.floats(-0.5, 0.5)))
+        model = FactorModel(U=basis, V=sp.csr_matrix((k, 2)), E=sp.csr_matrix((n, 2)))
+        trace = data.draw(st.lists(EXTREME_FLOATS, max_size=5))
+        for given_trace in (trace, np.asarray(trace, dtype=float)):
+            path = tmp_path_factory.mktemp("model") / "model.json"
+            write_model(path, model, Hyperparams(K=k), given_trace)
+            written = path.read_bytes()
+            payload = json.loads(written)
+            payload["objective_trace"] = [float(v) for v in given_trace]
+            payload["basis"] = [[float(v) for v in row] for row in model.U]
+            assert written == (json.dumps(payload, indent=1) + "\n").encode()
+
 class TestOverrides:
     def test_parses_typed_values(self, tmp_path):
         path = tmp_path / "hp.conf"

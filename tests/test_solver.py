@@ -33,6 +33,7 @@ from tagcomplete.synth import SynthConfig, delete_tags, generate
 from oracles import (
     basis_update_value,
     coefficient_sweep_by_residual,
+    coefficient_sweep_by_scalar_loop,
     dense_objective,
     scalar_min_by_search,
 )
@@ -332,6 +333,71 @@ class TestSweepMatchesReference:
             assert (ws.image_shift_t != ws.image_shift.T).nnz == 0
 
 
+class TestCoefficientRowScan:
+    """update_coeffs, which scans each row before sweeping it, is bitwise equal
+    to the scalar step at every coordinate, skip counts included."""
+
+    def instance(self, rng):
+        """A workspace with dead rows, live rows, signed zeros and, at random,
+        eta = 0, lambda = 0 or tags without penalty mass (zero-curvature
+        coordinates) and a non-finite target."""
+        n, m, k = (int(v) for v in rng.integers(2, 10, size=3))
+        hp = Hyperparams(
+            K=k, knn_k=3, beta=0.5,
+            eta=float(rng.choice([0.0, 0.05, 0.3, 2.0])),
+            lambda_=float(rng.choice([0.0, 0.5])),
+        )
+        D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        dead = rng.random(k) < 0.4
+        ws.basis[:, dead] = 0.0
+        ws.coeffs[dead] = 0.0
+        ws.coeffs[rng.random((k, m)) < 0.2] = -0.0
+        if rng.random() < 0.3:
+            massless = rng.random(m) < 0.3
+            ws.tag_penalty[massless] = 0.0
+            ws.tag_penalty[:, massless] = 0.0
+        if rng.random() < 0.2:
+            spots = rng.random((n, m)) < 0.1
+            ws.target[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+        return ws
+
+    def check(self, ws):
+        for _ in range(3):
+            want, want_skipped = coefficient_sweep_by_scalar_loop(
+                ws.basis, ws.coeffs, ws.target, ws.tag_penalty, ws.hp.eta
+            )
+            basis = ws.basis.copy()
+            assert update_coeffs(ws) == want_skipped
+            np.testing.assert_array_equal(ws.coeffs, want)
+            np.testing.assert_array_equal(np.signbit(ws.coeffs), np.signbit(want))
+            np.testing.assert_array_equal(ws.basis, basis)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            ws = self.instance(rng)
+            with np.errstate(over="ignore", invalid="ignore"):  # as fit runs it
+                self.check(ws)
+
+    def test_sweeps_of_a_fit_with_dying_factors(self):
+        # at default weights 10 of these 12 factors die within three iterations
+        cfg = SynthConfig(
+            n_images=60, n_tags=30, n_topics=3, tags_per_image=3, feature_dim=8,
+            feature_noise=0.3, delete_fraction=0.4, rng_seed=1,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(K=12, knn_k=5)
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        ws = SolverWorkspace(split.observed, S, T, initial_model(split.observed, hp), hp)
+        for _ in range(4):
+            self.check(ws)
+            update_basis(ws)
+            update_error(ws)
+
+
 def check_basis_pass(ws, before, after, tol=1e-8):
     """Assert that `after` is one cyclic pass of exact trust-region steps from
     `before`, recomputed densely from the workspace's V, target and S.
@@ -410,6 +476,28 @@ class TestBasisTrustRegion:
         before = ws.basis.copy()
         assert update_basis(ws) == 0
         check_basis_pass(ws, before, ws.basis)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("v_scale", [1.0, 0.01])
+    def test_boundary_steps_are_certified(self, seed, gamma, v_scale):
+        # a target far above the data, scaled against the coefficients, gives
+        # every live column a coupling q large enough to end on the sphere
+        # with multiplier sigma > 0, where Newton's method and its derivative
+        # solve set sigma; with a dense S, v_scale = 0.01 leaves g ~ 1e-4
+        # against gamma*B'B, so the column systems are ill-conditioned
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=20, m=5, k=3, density=0.6, hp=hp)
+        E = -50.0 / v_scale * np.abs(rng.normal(size=(20, 5)))
+        model = FactorModel(U=model.U, V=v_scale * model.V, E=sp.csr_matrix(E))
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before = ws.basis.copy()
+        assert update_basis(ws) == 0
+        norms = check_basis_pass(ws, before, ws.basis)
+        live = ws.coeffs.any(axis=1)
+        assert live.any()
+        np.testing.assert_allclose(norms[live], 1.0, rtol=0.0, atol=1e-12)
 
     def test_zero_column_moves_to_origin(self):
         # g = 0 and q = 0 with gamma > 0: u = 0 is the exact minimizer
