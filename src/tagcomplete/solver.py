@@ -19,12 +19,12 @@ Sci. Stat. Comput. 1983)
 with g = (VV')_kk, q the column's coupling to the data and to the other
 columns, and the sparse B = S - I.  The minimizer solves
 (gI + gamma B'B + sigma I)u = q for the ball's multiplier sigma >= 0.
-Conjugate gradients on products with B and B' do each solve, and Newton's
-method on 1/||u(sigma)|| - 1 finds sigma, so no N x N array is formed.  The
-step is solved to a relative residual of 1e-12; the derivative solve, which
-only sets Newton's step length, to 1e-6 (an inexact Newton method: Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982).  Every step is certified
-by these optimality conditions before it is written.
+Shifts leave Krylov spaces unchanged, so one Lanczos process from q on
+products with B and B' serves every sigma: the projected subproblem is
+tridiagonal and solved exactly (GLTR: Gould, Lucidi, Roma & Toint, SIAM J.
+Optim. 1999).  The space grows until the step's residual is within 1e-12 of
+||q||, and no N x N array is formed.  Every step is certified by the
+optimality conditions of the full subproblem before it is written.
 """
 
 from __future__ import annotations
@@ -45,13 +45,10 @@ from .core import (
     objective_from_arrays,
 )
 
-# Stopping rules of the basis step's conjugate gradients (relative residual
-# of the step, and of the Newton derivative that only sets a step length of
-# the multiplier; steps beyond the N of exact arithmetic, which rounding needs
-# on ill-conditioned columns) and Newton iteration (| ||u|| - 1 |, steps), and
-# the tolerance, relative to ||q||, of the certificate every step must pass.
-_CG_RTOL, _SLOPE_CG_RTOL, _CG_EXTRA_ITERS = 1e-12, 1e-6, 100
-_NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-10, 50
+# Stopping rules of the basis step's Lanczos process (residual relative to
+# ||q||) and Newton's method (| ||h|| - 1 |, steps), and the tolerance,
+# relative to ||q||, of its certificate.
+_LANCZOS_RTOL, _NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-12, 1e-10, 50
 _CERT_RTOL = 1e-8
 
 
@@ -88,9 +85,7 @@ class SolverWorkspace:
     of the coefficient matrix; it is exactly symmetric and row-major, so the
     coefficient sweep reads rows for columns.  The basis penalty
     gamma*||(S - I) u||^2 is applied through the sparse image_shift = S - I
-    and its transpose image_shift_t, both CSR; image_penalty_bound is
-    gamma*||S - I||_1*||S - I||_inf, an upper bound on the largest eigenvalue
-    of gamma*(S - I)'(S - I).  The objective reads none of them.
+    and its transpose image_shift_t, both CSR; the objective reads none of them.
     basis/coeffs/error are mutable copies of the model; target caches
     data - error and is refreshed whenever error changes.
     """
@@ -114,10 +109,6 @@ class SolverWorkspace:
         eye_m = sp.identity(D.n_tags, format="csr")
         self.image_shift = (S.matrix - eye_n).tocsr()
         self.image_shift_t = self.image_shift.T.tocsr()
-        magnitude = abs(self.image_shift)
-        self.image_penalty_bound = hp.gamma * float(
-            magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
-        )
         t_shift = (T.matrix - eye_m).tocsr()
         self.tag_penalty = hp.lambda_ * (t_shift @ t_shift.T).toarray(order="C")
 
@@ -172,19 +163,24 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     zero coordinate whose |q| <= eta stays where it is (a NaN q may move).
     Until a coordinate moves, the pass sees exactly the scanned q, so it
     starts at the first coordinate that may move, and a row where none may
-    (a dead factor: zero basis column and zero row) is not swept at all.
+    (a dead factor: zero basis column and zero row) is not swept at all, nor,
+    while target and coeffs are finite (0 * inf is NaN), are its q formed.
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
     gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
+    dead = ~(ws.basis.any(axis=0) | coeffs.any(axis=1))
+    finite = bool(np.isfinite(ws.target).all() and np.isfinite(coeffs).all())
     skipped = 0
     for k in range(coeffs.shape[0]):
         gram_kk = float(gram[k, k])
-        coupling = corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])
-        penalty_dot = coeffs[k] @ penalty
         flat = gram_kk + diag <= 0.0
         skipped += int(np.count_nonzero(flat))
+        if dead[k] and finite:
+            continue
+        coupling = corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])
+        penalty_dot = coeffs[k] @ penalty
         q = coupling - (penalty_dot - diag * coeffs[k])
         may_move = ~(flat | ((coeffs[k] == 0.0) & (np.abs(q) <= eta)))
         start = int(may_move.argmax())
@@ -202,73 +198,54 @@ def update_coeffs(ws: SolverWorkspace) -> int:
                 row[m] = new
                 penalty_dot += (new - old) * penalty[m]
         coeffs[k] = row
+        finite = finite and bool(np.isfinite(coeffs[k]).all())
     return skipped
 
 
-def _conjugate_gradients(apply, rhs, x, rtol=_CG_RTOL):
-    """Solve apply(x) = rhs, apply symmetric positive definite, updating x.
-
-    Starts from x, or from zero when that is closer.  Stops at a residual of
-    rtol * ||rhs||, after N + _CG_EXTRA_ITERS steps, or on a step that is
-    not finite and positive; the caller certifies the result.
-    """
-    r = rhs - apply(x)
-    rr, rhs_sq = float(r @ r), float(rhs @ rhs)
-    if rr > rhs_sq:  # a start far larger than the solution cancels its digits
-        x[:] = 0.0
-        r, rr = rhs.copy(), rhs_sq
-    p = r.copy()
-    for _ in range(rhs.shape[0] + _CG_EXTRA_ITERS):
-        if not rr > rtol * rtol * rhs_sq:
-            break
-        ap = apply(p)
-        curvature = float(p @ ap)
-        if not curvature > 0.0:
-            break
-        x += (rr / curvature) * p
-        r -= (rr / curvature) * ap
-        rr, rr_old = float(r @ r), rr
-        p = r + (rr / rr_old) * p
-    return x
-
-
-def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, start: np.ndarray):
+def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray):
     """Certified minimizer of g||u||^2 - 2q'u + gamma||(S - I)u||^2 over
-    ||u|| <= 1, for nonzero q, with `start` as the first guess.
+    ||u|| <= 1, for nonzero q, by the Lanczos method (GLTR).
 
-    Each Newton step on sigma solves (gI + gamma B'B + sigma I)u = q to
-    _CG_RTOL and its derivative system (gI + gamma B'B + sigma I)w = u, whose
-    w only sets the step length, to the looser _SLOPE_CG_RTOL.  Returns None
-    unless, for the multiplier sigma of the ball, the residual of
-    (gI + gamma B'B + sigma I)u = q and sigma*|1 - ||u||| are both within
-    _CERT_RTOL * ||q||, sigma >= 0 and ||u|| <= 1 + COLUMN_NORM_SLACK.
+    Fully reorthogonalized Lanczos from q gives A Q_j = Q_j T_j +
+    beta_{j+1} q_{j+1} e_j' for A = gI + gamma B'B, so u = Q_j h, h the step
+    projected on Q_j at j = 4, 6, 9, 13, ..., leaves a residual
+    beta_{j+1} |h_j|; Q_j grows until that is within _LANCZOS_RTOL * ||q||,
+    as it is for every ||h|| <= 1 once beta_{j+1} is, or j = N.  Returns None
+    for a non-finite q, g or T_j, and unless the residual and
+    sigma*|1 - ||u||| are within _CERT_RTOL * ||q||, sigma >= 0 and
+    ||u|| <= 1 + COLUMN_NORM_SLACK.
     """
     shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
-
-    def operator(sigma):
-        return lambda x: (g + sigma) * x + gamma * (shift_t @ (shift @ x))
-
-    q_norm = math.sqrt(float(q @ q))
-    # the root lies above this, as g + image_penalty_bound bounds the spectrum
-    sigma = max(0.0, q_norm - g - ws.image_penalty_bound)
-    u = _conjugate_gradients(operator(sigma), q, start)
+    n, q_norm = q.shape[0], math.sqrt(float(q @ q))
+    if not (0.0 < q_norm < math.inf and math.isfinite(g)):
+        return None
+    lanczos = np.empty((min(n, 8), n))
+    lanczos[0] = q / q_norm
+    diagonal, off_diagonal, check, sigma = [], [], 4, 0.0
+    for j in range(1, n + 1):
+        w = gamma * (shift_t @ (shift @ lanczos[j - 1]))
+        coeffs = lanczos[:j] @ w
+        diagonal.append(g + float(coeffs[-1]))
+        w -= coeffs @ lanczos[:j]
+        w -= (lanczos[:j] @ w) @ lanczos[:j]  # again, for orthogonality lost to rounding
+        beta = math.sqrt(float(w @ w))
+        done = not beta > _LANCZOS_RTOL * q_norm or j == n
+        if done or j == check:
+            h, sigma = _projected_step(diagonal, off_diagonal, q_norm, sigma)
+            if h is None:
+                return None
+            if done or beta * abs(h[-1]) <= _LANCZOS_RTOL * q_norm:
+                break
+            check = int(1.5 * check)
+        if j == len(lanczos):
+            lanczos = np.concatenate([lanczos, np.empty((min(n, 2 * j) - j, n))])
+        lanczos[j] = w / beta
+        off_diagonal.append(beta)
+    u = np.array(h) @ lanczos[:j]
+    if sigma > 0.0:
+        u /= math.sqrt(float(u @ u))
     norm = math.sqrt(float(u @ u))
-    if sigma > 0.0 or norm > 1.0:
-        # 1/||u(sigma)|| - 1 is concave and increasing, so Newton steps from
-        # the left of its root climb to it without passing it
-        for _ in range(_NEWTON_MAX_ITERS):
-            if not abs(norm - 1.0) > _NEWTON_TOL:
-                break
-            w = _conjugate_gradients(operator(sigma), u, np.zeros_like(u), _SLOPE_CG_RTOL)
-            slope = float(u @ w)
-            if not slope > 0.0:
-                break
-            sigma += (norm - 1.0) * norm * norm / slope
-            u = _conjugate_gradients(operator(sigma), q, u)
-            norm = math.sqrt(float(u @ u))
-        u /= norm
-        norm = math.sqrt(float(u @ u))
-    residual = operator(sigma)(u) - q
+    residual = (g + sigma) * u + gamma * (shift_t @ (shift @ u)) - q
     tol = _CERT_RTOL * q_norm
     if (
         math.sqrt(float(residual @ residual)) <= tol
@@ -278,6 +255,41 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, start: np.ndarray)
     ):
         return u
     return None
+
+
+def _projected_step(diagonal, off_diagonal, q_norm, sigma):
+    """(h, sigma) minimizing h'Th - 2 q_norm h_1 over ||h|| <= 1, T tridiagonal
+    (h None if T + sigma I is not positive definite): h = q_norm (T + sigma I)^-1
+    e_1 by LDL', and sigma = 0 if ||h(0)|| <= 1.  Else Newton's method on the
+    concave, increasing 1/||h(sigma)|| - 1 climbs to its root from two points
+    left of it: q_norm - G, G >= lam_max(T) (Gershgorin), and the given sigma,
+    a root for fewer Lanczos steps (||h|| is a Gauss quadrature from below).
+    """
+    sigma = max(sigma, q_norm - max(diagonal) - 2.0 * max(off_diagonal, default=0.0))
+    for _ in range(_NEWTON_MAX_ITERS):
+        pivots, ratios, h = [diagonal[0] + sigma], [], [q_norm]  # h = L^-1 q_norm e_1
+        for a, b in zip(diagonal[1:], off_diagonal):
+            if not pivots[-1] > 0.0:
+                return None, sigma
+            ratios.append(b / pivots[-1])
+            pivots.append(a + sigma - b * ratios[-1])
+            h.append(-ratios[-1] * h[-1])
+        if not pivots[-1] > 0.0:
+            return None, sigma
+        h = [x / pivot for x, pivot in zip(h, pivots)]  # then h = L'^-1 D^-1 h
+        for i in range(len(ratios) - 1, -1, -1):
+            h[i] -= ratios[i] * h[i + 1]
+        norm = math.sqrt(sum(x * x for x in h))
+        if (sigma == 0.0 and norm <= 1.0) or not abs(norm - 1.0) > _NEWTON_TOL:
+            break
+        y = h[:1]  # slope h'(T + sigma I)^-1 h = y'D^-1 y for L y = h
+        for ratio, x in zip(ratios, h[1:]):
+            y.append(x - ratio * y[-1])
+        slope = sum(x * x / pivot for x, pivot in zip(y, pivots))
+        if not slope > 0.0:
+            break
+        sigma += (norm - 1.0) * norm * norm / slope
+    return h, sigma
 
 
 def update_basis(ws: SolverWorkspace) -> int:
@@ -308,7 +320,7 @@ def update_basis(ws: SolverWorkspace) -> int:
             else:
                 basis[:, k] = 0.0
             continue
-        u = _basis_step(ws, g, q, old.copy())
+        u = _basis_step(ws, g, q)
         if u is None:
             skipped += ws.n_images
         elif value(g, q, u) <= value(g, q, old):

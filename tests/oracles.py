@@ -117,6 +117,32 @@ def coefficient_sweep_by_residual(D, T, U, V, E, hp):
     return V
 
 
+def trust_region_by_eigh(operator, q):
+    """Minimizer of u'Au - 2q'u over ||u|| <= 1 for a dense symmetric
+    positive definite A, and its ball multiplier sigma, from the full
+    eigendecomposition A = W diag(lam) W'.
+
+    With c = W'q, u(sigma) = W c/(lam + sigma).  sigma = 0 when
+    ||u(0)|| <= 1; otherwise sigma is found by bisection on ||u(sigma)|| = 1
+    between 0 and ||q|| - lam_min, where ||u|| <= 1.
+    """
+    lam, vectors = np.linalg.eigh(np.asarray(operator, dtype=float))
+    c = vectors.T @ np.asarray(q, dtype=float)
+    assert lam[0] > 0.0, "the operator must be positive definite"
+    if np.linalg.norm(c / lam) <= 1.0:
+        return vectors @ (c / lam), 0.0
+    lo, hi = 0.0, max(float(np.linalg.norm(c)) - lam[0], 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.linalg.norm(c / (lam + mid)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return vectors @ (c / (lam + hi)), hi
+
+
 def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
     """One cyclic pass of solver.coeff_update_value over every coordinate of
     the coefficient matrix, rows outer, with the covariance updates of

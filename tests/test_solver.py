@@ -36,6 +36,7 @@ from oracles import (
     coefficient_sweep_by_scalar_loop,
     dense_objective,
     scalar_min_by_search,
+    trust_region_by_eigh,
 )
 
 
@@ -397,6 +398,22 @@ class TestCoefficientRowScan:
             update_basis(ws)
             update_error(ws)
 
+    def test_dead_row_after_a_row_that_overflows(self):
+        # row 0's tiny basis column against a huge target overflows its
+        # coefficient on the massless tag 0 mid-sweep; then the dead row 1
+        # sees 0 * inf = NaN in its coupling, and the scalar loop writes NaN
+        # on tag 1, so its products must be formed
+        rng = np.random.default_rng(45)
+        D, S, T, model, hp = random_setup(rng, n=3, m=2, k=2, hp=Hyperparams(K=2, knn_k=2))
+        ws = SolverWorkspace(D, S, T, model, hp)
+        ws.basis[:] = [[1e-100, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        ws.coeffs[:] = 0.0
+        ws.target[:] = 1e250
+        ws.tag_penalty[:] = [[0.0, 0.0], [0.0, 1.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(ws)
+        assert np.isnan(ws.coeffs[1, 1])
+
 
 def check_basis_pass(ws, before, after, tol=1e-8):
     """Assert that `after` is one cyclic pass of exact trust-region steps from
@@ -436,6 +453,52 @@ def check_basis_pass(ws, before, after, tol=1e-8):
             assert abs(moved) <= tol * max(1.0, scale / d)
         norms.append(norm)
     return np.array(norms)
+
+
+def chain_structure(n):
+    """Items on a line, each a near duplicate of its neighbors and rebuilt by
+    them with equal weights: S - I sends constant vectors to zero, and
+    gamma (S - I)'(S - I) has many distinct eigenvalues near 0, so small g
+    leaves A = gI + gamma (S - I)'(S - I) ill-conditioned."""
+    S = np.zeros((n, n))
+    for i in range(n):
+        neighbors = [j for j in (i - 1, i + 1) if 0 <= j < n]
+        S[i, neighbors] = 1.0 / len(neighbors)
+    return StructureMatrix(sp.csr_matrix(S))
+
+
+def workspace_for(S, gamma):
+    """A workspace on structure S, for direct calls of the basis step."""
+    n = S.matrix.shape[0]
+    D = TaggingMatrix.from_dense(np.eye(n, 3))
+    model = FactorModel(U=np.zeros((n, 2)), V=sp.csr_matrix((2, 3)), E=sp.csr_matrix((n, 3)))
+    hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
+    return SolverWorkspace(D, S, StructureMatrix.zeros(3), model, hp)
+
+
+def basis_step_and_dimension(ws, g, q, monkeypatch):
+    """solver._basis_step(ws, g, q) and the dimension of the largest Lanczos
+    space it solved the projected subproblem in."""
+    dimensions = [0]
+    projected = solver._projected_step
+
+    def recorded(diagonal, *args):
+        dimensions.append(len(diagonal))
+        return projected(diagonal, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_projected_step", recorded)
+        u = solver._basis_step(ws, g, q)
+    return u, max(dimensions)
+
+
+def check_against_dense_solve(ws, g, q, u, atol):
+    """u is the trust-region minimizer of the dense reference solve."""
+    shift = ws.image_shift.toarray()
+    operator = g * np.eye(q.shape[0]) + ws.hp.gamma * shift.T @ shift
+    want, _ = trust_region_by_eigh(operator, q)
+    assert u is not None
+    np.testing.assert_allclose(u, want, rtol=0.0, atol=atol)
 
 
 class TestBasisTrustRegion:
@@ -519,7 +582,7 @@ class TestBasisTrustRegion:
         hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
         ws = SolverWorkspace(*random_setup(rng, n=10, m=4, k=2, hp=hp))
         q = 40.0 * rng.normal(size=10)
-        u = solver._basis_step(ws, 0.0, q, np.zeros(10))
+        u = solver._basis_step(ws, 0.0, q)
         assert u is not None
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         shift = ws.image_structure.matrix.toarray() - np.eye(10)
@@ -556,6 +619,127 @@ class TestBasisTrustRegion:
         assert update_basis(ws) == 0
         check_basis_pass(ws, before, ws.basis)
 
+
+    def test_agrees_with_dense_solve(self, monkeypatch):
+        # interior and boundary steps on small random instances, up to a
+        # Lanczos space of the full dimension
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            n = int(rng.integers(1, 16))
+            gamma = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+            hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
+            ws = SolverWorkspace(*random_setup(rng, n=n, m=4, k=2, hp=hp))
+            g = float(rng.uniform(0.1, 3.0))
+            q = float(rng.choice([0.01, 0.3, 3.0, 30.0])) * rng.normal(size=n)
+            u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
+            assert dimension <= n
+            check_against_dense_solve(ws, g, q, u, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("scale", [0.1, 10.0])
+    def test_one_and_two_items(self, n, gamma, scale, monkeypatch):
+        # the Lanczos space reaches the dimension N of the whole space, except
+        # for gamma = 0, where A = gI and q spans an invariant space
+        rng = np.random.default_rng(61)
+        hp = Hyperparams(K=2, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        D, _, T, model, hp = random_setup(rng, n=n, m=3, k=2, hp=hp)
+        S = StructureMatrix(sp.csr_matrix(np.array([[0.0, 0.7], [0.3, 0.0]])[:n, :n]))
+        ws = SolverWorkspace(D, S, T, model, hp)
+        q = scale * rng.normal(size=n)
+        u, dimension = basis_step_and_dimension(ws, 0.5, q, monkeypatch)
+        assert dimension == (n if gamma else 1)
+        check_against_dense_solve(ws, 0.5, q, u, atol=1e-12)
+        before = ws.basis.copy()
+        constant = int((~ws.coeffs.any(axis=1)).sum()) if gamma == 0.0 else 0
+        assert update_basis(ws) == n * constant
+        check_basis_pass(ws, before, ws.basis)
+
+    @pytest.mark.parametrize("n", [40, 90])
+    @pytest.mark.parametrize("g, scale", [(1e-3, 0.01), (1e-3, 1.0), (1e-6, 1e-4)])
+    def test_near_duplicate_chain(self, n, g, scale, monkeypatch):
+        # many small, distinct eigenvalues of A that the space must resolve
+        ws = workspace_for(chain_structure(n), gamma=1.0)
+        q = scale * np.random.default_rng(62).normal(size=n)
+        u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
+        assert dimension >= 13
+        check_against_dense_solve(ws, g, q, u, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [0.01, 10.0])
+    def test_invariant_space_ends_the_process(self, scale, monkeypatch):
+        # S = 0 makes A = (g + gamma) I, so q spans an invariant space and the
+        # next Lanczos vector would be rounding noise scaled up to norm 1
+        ws = workspace_for(StructureMatrix.zeros(6), gamma=0.1)
+        q = scale * np.random.default_rng(65).normal(size=6)
+        u, dimension = basis_step_and_dimension(ws, 0.3, q, monkeypatch)
+        assert dimension == 1
+        check_against_dense_solve(ws, 0.3, q, u, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_g_against_large_gamma(self, seed, monkeypatch):
+        # g = 1e-6 against gamma = 100 on a dense random S: the column system
+        # is conditioned at 1e8 or worse, so u is pinned by the optimality
+        # conditions rather than by distance to the dense solve
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=2, knn_k=3, gamma=100.0)
+        ws = SolverWorkspace(*random_setup(rng, n=28, m=4, k=2, density=0.6, hp=hp))
+        q = 1e-3 * rng.normal(size=28)
+        u, dimension = basis_step_and_dimension(ws, 1e-6, q, monkeypatch)
+        assert u is not None and dimension > 8
+        shift = ws.image_shift.toarray()
+        operator = 1e-6 * np.eye(28) + 100.0 * shift.T @ shift
+        _, sigma = trust_region_by_eigh(operator, q)
+        scale = np.linalg.norm(q)
+        assert np.linalg.norm(u) <= 1.0 + 1e-12
+        assert np.linalg.norm(operator @ u + sigma * u - q) <= 1e-8 * scale
+
+    def test_coupling_nearly_orthogonal_to_the_low_spectrum(self, monkeypatch):
+        # q lies in the top half of A's spectrum up to a 1e-6 part in the
+        # bottom half; the interior step divides that part by the smallest
+        # eigenvalues, so the space must reach them
+        n, g = 60, 1e-2
+        ws = workspace_for(chain_structure(n), gamma=1.0)
+        shift = ws.image_shift.toarray()
+        _, vectors = np.linalg.eigh(g * np.eye(n) + shift.T @ shift)
+        rng = np.random.default_rng(63)
+        weights = rng.normal(size=n)
+        weights[: n // 2] *= 1e-6
+        q = 1e-2 * vectors @ weights
+        u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
+        assert dimension >= 19
+        check_against_dense_solve(ws, g, q, u, atol=1e-10)
+
+    def test_steps_see_nonzero_coupling_and_positive_curvature(self, monkeypatch):
+        # update_basis calls the step only with q != 0 and g > 0, so
+        # A = gI + gamma B'B is positive definite and the hard case of the
+        # trust-region subproblem cannot arise
+        calls = []
+        step = solver._basis_step
+
+        def checked(ws, g, q):
+            assert g > 0.0 and q.any()
+            calls.append(g)
+            return step(ws, g, q)
+
+        monkeypatch.setattr(solver, "_basis_step", checked)
+        rng = np.random.default_rng(64)
+        for _ in range(30):
+            D, S, T, model, hp = random_setup(rng, n=9, m=6, k=4)
+            V = model.V.toarray()
+            V[rng.random(4) < 0.5] = 0.0
+            model = FactorModel(U=model.U, V=sp.csr_matrix(V), E=model.E)
+            update_basis(SolverWorkspace(D, S, T, model, hp))
+        cfg = SynthConfig(
+            n_images=60, n_tags=30, n_topics=3, tags_per_image=3, feature_dim=8,
+            feature_noise=0.3, delete_fraction=0.4, rng_seed=1,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(K=12, knn_k=5, max_outer_iters=4)
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        fit(split.observed, S, T, hp)
+        assert len(calls) > 30
 
 class TestUpdateError:
     def test_closed_form_is_global_minimum(self):
