@@ -66,9 +66,12 @@ def rank_predictions(scores: np.ndarray, split: EvalSplit, n: int) -> list:
     """Top-n candidate tags per test image, highest score first.
 
     Candidates are the tags NOT observed for the image (completion looks for
-    missing tags only).  Ties are broken by ascending tag index.  If fewer
-    than n candidates exist the full candidate list is returned and a warning
-    is emitted.
+    missing tags only).  One stable lexsort orders each test image's row by
+    (observed, -score), so candidates come before observed tags, then by
+    descending score, with ties in ascending tag index; each row is cut at
+    min(n, candidate count).  Among the candidates +inf ranks first, -inf
+    after every finite score and NaN last.  Images with fewer than n
+    candidates get their full candidate list, and one warning counts them.
     """
     scores = np.asarray(scores, dtype=float)
     if n < 1:
@@ -78,25 +81,18 @@ def rank_predictions(scores: np.ndarray, split: EvalSplit, n: int) -> list:
             f"scores are {scores.shape} but split expects "
             f"{(split.observed.n_images, split.observed.n_tags)}"
         )
-    m = split.observed.n_tags
-    predictions = []
-    short = 0
-    for img in split.test_image_ids:
-        mask = np.ones(m, dtype=bool)
-        mask[split.observed.tags_of(img)] = False
-        candidates = np.flatnonzero(mask)
-        if len(candidates) < n:
-            short += 1
-        # stable ordering: descending score, then ascending tag index
-        order = np.lexsort((candidates, -scores[img, candidates]))
-        predictions.append([int(t) for t in candidates[order][:n]])
+    ids = np.asarray(split.test_image_ids, dtype=np.intp)
+    observed = split.observed.matrix[ids].toarray() != 0.0
+    top = np.lexsort((-scores[ids], observed))[:, :n]
+    counts = np.minimum(n, split.observed.n_tags - observed.sum(axis=1))
+    short = int(np.count_nonzero(counts < n))
     if short:
         warnings.warn(
             f"{short} test image(s) have fewer than {n} candidate tags; "
             "their prediction lists are shorter",
             stacklevel=2,
         )
-    return predictions
+    return [row[:count] for row, count in zip(top.tolist(), counts.tolist())]
 
 
 def evaluate(predictions: list, split: EvalSplit, n: int) -> dict:
@@ -112,14 +108,13 @@ def evaluate(predictions: list, split: EvalSplit, n: int) -> dict:
             f"{len(predictions)} prediction lists for "
             f"{split.n_test_images} test images"
         )
-    precision, recall, covered = [], [], []
-    for preds, dels in zip(predictions, split.deleted):
-        hits = len(set(preds[:n]) & dels)
-        precision.append(hits / n)
-        recall.append(hits / len(dels))
-        covered.append(1.0 if hits else 0.0)
+    hits = np.array(
+        [len(set(preds[:n]) & dels) for preds, dels in zip(predictions, split.deleted)],
+        dtype=float,
+    )
+    sizes = np.array([len(dels) for dels in split.deleted])
     return {
-        "AP": float(np.mean(precision)),
-        "AR": float(np.mean(recall)),
-        "C": float(np.mean(covered)),
+        "AP": float(np.mean(hits / n)),
+        "AR": float(np.mean(hits / sizes)),
+        "C": float(np.mean(hits > 0)),
     }

@@ -37,8 +37,8 @@ class StructureBuildError(TagCompleteError, RuntimeError):
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
 # Bytes of grams in one lockstep batch of the image structure build, which
-# holds max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at
-# once.  The tag build reads its grams out of D'D and needs no buffer.
+# holds max(1, _GRAM_BUDGET // 8k^2) items.  The tag build reads its grams out
+# of D'D and needs no batching.
 _GRAM_BUDGET = 2 << 20
 
 
@@ -113,6 +113,7 @@ def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
                 item=item,
             ) from exc
         weights[start:start + solved.shape[0]] = solved
+        del problem  # its grams go before the next batch's are formed
     nz = weights != 0.0
     size = neighbors.shape[0]
     indptr = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
@@ -122,25 +123,19 @@ def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
 def _row_batches(vectors, neighbors, l1_weight):
     """Lockstep batches that rebuild each row of vectors from its neighbor rows.
 
-    A batch holds as many items as _GRAM_BUDGET holds grams for.  Their
-    grams and correlations are written into one reused buffer, which is the
-    pool of every batch, so consume each batch before taking the next."""
+    A batch holds as many items as _GRAM_BUDGET holds grams for.  Its pool
+    stacks their grams, formed like their correlations by one stacked
+    product, and the generator keeps no reference to it once yielded."""
     size, k = neighbors.shape
     chunk = max(1, _GRAM_BUDGET // (8 * k * k))
-    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # rows per product
-    gram, corr = np.empty((min(chunk, size), k, k)), np.empty((min(chunk, size), k, 1))
-    pool_rows = np.arange(gram.shape[0] * k).reshape(-1, k)  # item b's: b k + arange(k)
-    pool_cols = np.broadcast_to(np.arange(k), pool_rows.shape)
     for start in range(0, size, chunk):
-        nb = neighbors[start:start + chunk]
-        n = nb.shape[0]
-        for lo in range(0, n, fill):
-            hi = min(lo + fill, n)
-            rows = vectors[nb[lo:hi]]
-            np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
-            np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
+        rows = vectors[neighbors[start:start + chunk]]
+        n = rows.shape[0]
+        corr = np.matmul(rows, vectors[start:start + n, :, None])[:, :, 0]
+        at = np.arange(n * k).reshape(n, k)  # item b's pool rows: b k + arange(k)
+        cols = np.broadcast_to(np.arange(k), at.shape)
         yield start, LassoBatch(
-            gram[:n].reshape(n * k, k), pool_rows[:n], pool_cols[:n], corr[:n, :, 0], l1_weight
+            np.matmul(rows, rows.transpose(0, 2, 1)).reshape(n * k, k), at, cols, corr, l1_weight
         )
 
 

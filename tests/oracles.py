@@ -2,17 +2,20 @@
 
 Everything here is deliberately brute force: enumeration, dense algebra,
 scalar grid search.  None of it shares code with the package under test, so
-agreement between the two is evidence, not tautology.  The two exceptions
+agreement between the two is evidence, not tautology.  The three exceptions
 are references that faster package paths must match bit for bit:
 structure_by_item_loop runs the package's own lasso solver one item at a
-time, against the builders' lockstep batches, and
+time, against the builders' lockstep batches,
 coefficient_sweep_by_scalar_loop takes the package's scalar step at every
-coordinate, against the row scan of solver.update_coeffs.
+coordinate, against the row scan of solver.update_coeffs, and
+rank_by_image_loop ranks one test image at a time, against the one sort of
+metrics.rank_predictions.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -282,6 +285,32 @@ def rank_by_full_sort(scores, observed):
     scores = np.asarray(scores, dtype=float)
     candidates = [j for j in range(scores.shape[0]) if j not in set(observed)]
     return sorted(candidates, key=lambda j: (-scores[j], j))
+
+
+def rank_by_image_loop(scores, split, n):
+    """metrics.rank_predictions as one mask, flatnonzero and lexsort per test
+    image: candidates by descending score, ties by ascending tag index, cut
+    at n, with one warning counting the images that have fewer than n."""
+    scores = np.asarray(scores, dtype=float)
+    m = split.observed.n_tags
+    predictions = []
+    short = 0
+    for img in split.test_image_ids:
+        mask = np.ones(m, dtype=bool)
+        mask[split.observed.tags_of(img)] = False
+        candidates = np.flatnonzero(mask)
+        if len(candidates) < n:
+            short += 1
+        # stable ordering: descending score, then ascending tag index
+        order = np.lexsort((candidates, -scores[img, candidates]))
+        predictions.append([int(t) for t in candidates[order][:n]])
+    if short:
+        warnings.warn(
+            f"{short} test image(s) have fewer than {n} candidate tags; "
+            "their prediction lists are shorter",
+            stacklevel=2,
+        )
+    return predictions
 
 
 def average_precision_by_hand(rankings, deleted_sets, n):

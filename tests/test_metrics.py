@@ -1,5 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tagcomplete.core import TaggingMatrix, ValidationError
 from tagcomplete.metrics import EvalSplit, evaluate, rank_predictions
@@ -9,6 +15,12 @@ from oracles import (
     average_recall_by_hand,
     coverage_by_hand,
     rank_by_full_sort,
+    rank_by_image_loop,
+)
+
+# ties, signed zeros and every non-finite value a score can take
+SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]) | st.floats(
+    -2.0, 2.0, width=16
 )
 
 
@@ -95,6 +107,45 @@ class TestRankPredictions:
         b = rank_predictions(3.0 * scores + 11.0, split, 4)
         assert a == b
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_image_loop(self, data):
+        n_images, n_tags = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        # stored entries include real values and explicit zeros, which are
+        # not observed tags
+        values = data.draw(
+            arrays(float, (n_images, n_tags), elements=st.sampled_from([0.0, 1.0, -0.5]))
+        )
+        stored = data.draw(arrays(bool, (n_images, n_tags))) | (values != 0.0)
+        r, c = np.nonzero(stored)
+        observed = TaggingMatrix(sp.csr_matrix((values[r, c], (r, c)), shape=values.shape))
+        eligible = [i for i in range(n_images) if 0 < np.count_nonzero(values[i]) < n_tags]
+        order = data.draw(st.permutations(eligible))
+        ids = order[: data.draw(st.integers(0, len(order)))]
+        deleted = [
+            data.draw(st.sets(st.sampled_from(np.flatnonzero(values[i] == 0.0)), min_size=1))
+            for i in ids
+        ]
+        split = EvalSplit(observed=observed, deleted=tuple(deleted), test_image_ids=tuple(ids))
+        scores = data.draw(arrays(float, (n_images, n_tags), elements=SCORES))
+        n = data.draw(st.integers(1, 5))
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = rank_predictions(scores, split, n)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = rank_by_image_loop(scores, split, n)
+        assert got == want
+        assert all(type(t) is int for row in got for t in row)
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+
+    def test_empty_test_set_ranks_nothing(self):
+        observed = TaggingMatrix.from_dense(np.ones((2, 3)))
+        split = EvalSplit(observed=observed, deleted=(), test_image_ids=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank_predictions(np.zeros((2, 3)), split, 2) == []
+
     def test_rejects_bad_shapes(self):
         split = make_split([[1, 0]], [{1}])
         with pytest.raises(ValidationError):
@@ -128,9 +179,8 @@ class TestEvaluate:
 
     def test_matches_hand_oracles_on_random_sets(self):
         rng = np.random.default_rng(52)
-        for _ in range(20):
+        for n_img in [6] * 20 + [3000]:
             n_tags = 10
-            n_img = 6
             observed = np.zeros((n_img, n_tags))
             observed[:, 9] = 1.0
             deleted = []
@@ -145,13 +195,9 @@ class TestEvaluate:
             n = 3
             out = evaluate(preds, split, n)
             dsets = [set(d) for d in deleted]
-            np.testing.assert_allclose(
-                out["AP"], average_precision_by_hand(preds, dsets, n)
-            )
-            np.testing.assert_allclose(
-                out["AR"], average_recall_by_hand(preds, dsets, n)
-            )
-            np.testing.assert_allclose(out["C"], coverage_by_hand(preds, dsets, n))
+            assert out["AP"] == average_precision_by_hand(preds, dsets, n)
+            assert out["AR"] == average_recall_by_hand(preds, dsets, n)
+            assert out["C"] == coverage_by_hand(preds, dsets, n)
 
     def test_recall_and_coverage_monotone_in_n(self):
         rng = np.random.default_rng(53)

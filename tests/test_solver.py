@@ -249,6 +249,36 @@ class TestUpdateBasis:
         assert skipped == 5 * 3
         np.testing.assert_array_equal(ws.basis, before)
 
+    def test_failed_step_leaves_its_column(self, monkeypatch):
+        # when _basis_step gives up, its column keeps every bit, and its
+        # n_images coordinates count as skipped in update_basis and in fit
+        step, calls = solver._basis_step, []
+
+        def fails_on_column_1(ws, g, q):
+            calls.append(g)
+            return None if len(calls) % ws.n_factors == 2 else step(ws, g, q)
+
+        D, S, T, model, hp = random_setup(np.random.default_rng(24), n=10, m=7, k=3)
+        plain = SolverWorkspace(D, S, T, model, hp)
+        assert update_basis(plain) == 0
+        monkeypatch.setattr(solver, "_basis_step", fails_on_column_1)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        assert update_basis(ws) == 10
+        # every column took a step, so call 2 was column 1's
+        assert len(calls) == 3
+        assert ws.basis[:, 1].tobytes() == model.U[:, 1].tobytes()
+        assert not np.array_equal(ws.basis, plain.basis)
+
+        calls.clear()
+        hp = Hyperparams(K=3, knn_k=3, eta=0.1, beta=1.0, max_outer_iters=6)
+        report = fit(D, S, T, hp, model)
+        assert len(calls) == 3 * report.iterations
+        assert report.skipped_coordinates == 10 * report.iterations
+        assert report.model.U[:, 1].tobytes() == model.U[:, 1].tobytes()
+        chain = np.concatenate(([report.objective_trace[0]], report.block_trace.ravel()))
+        for prev, cur in zip(chain, chain[1:]):
+            assert cur <= prev + 1e-10 * abs(prev)
+
     def test_single_coordinate_scalar_case(self):
         # N=1, K=1, no image penalty: minimizer is Q/(VV') clipped to [-1, 1]
         rng = np.random.default_rng(23)

@@ -568,6 +568,24 @@ class TestLockstepChunks:
         features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
         self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=6, alpha=0.1, mu=0.1))
 
+    @pytest.mark.parametrize("n_items, k, dim", [(366, 363, 2), (250, 50, 8)])
+    def test_batches_hold_each_items_products(self, n_items, k, dim):
+        # one item per chunk, and chunks of 104 whose last holds 42 items:
+        # every item's gram and correlations are bitwise its own A A' and A b
+        vectors = np.random.default_rng(64).normal(size=(n_items, dim))
+        neighbors = knn_index(vectors, k)
+        done = 0
+        for start, batch in structure._row_batches(vectors, neighbors, 0.1):
+            n = batch.corr.shape[0]
+            assert start == done and n == min(chunk_size(k), n_items - start)
+            for b, i in enumerate(range(start, start + n)):
+                rows = vectors[neighbors[i]]
+                gram = batch.pool[batch.rows[b]][:, batch.cols[b]]
+                assert gram.tobytes() == (rows @ rows.T).tobytes()
+                assert batch.corr[b].tobytes() == (rows @ vectors[i]).tobytes()
+            done += n
+        assert done == n_items
+
     def test_zero_width_vectors(self):
         # rows of width 0 fill the chunk's grams with zeros, and every weight is 0
         S = build_feature_structure(FeatureMatrix(np.zeros((5, 0))), Hyperparams(knn_k=2))
