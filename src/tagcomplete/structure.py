@@ -9,6 +9,7 @@ factorizations that break these reconstructions.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -37,8 +38,8 @@ class StructureBuildError(TagCompleteError, RuntimeError):
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
 # Bytes of grams in one lockstep batch of the image structure build, which
-# holds max(1, _GRAM_BUDGET // 8k^2) items.  The tag build reads its grams out
-# of D'D and needs no batching.
+# holds max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at
+# once.  The tag build reads its grams out of D'D, in one batch.
 _GRAM_BUDGET = 2 << 20
 
 
@@ -94,17 +95,21 @@ def knn_index(vectors, k: int) -> np.ndarray:
     return neighbors
 
 
-def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
+def _reconstruction_matrix(neighbors, chunk, pose, hp) -> sp.csr_matrix:
     """Row i holds item i's lasso weights over its neighbors, KKT-certified
     within hp.lasso_tol by solve_lasso.
 
-    `neighbors` is (items, k) and `batches` yields (first item, LassoBatch)
-    for consecutive runs of items, whose rows are posed over those neighbors.
-    The weights fill one (items, k) array, whose nonzeros are the CSR data."""
+    `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`,
+    and pose(start, stop) forms the LassoBatch of items start..stop-1 over
+    their neighbors.  A batch is formed as its solve starts and is dropped
+    when the solve returns, so the build holds one batch at a time.  The
+    weights fill one (items, k) array, whose nonzeros are the CSR data."""
+    size = neighbors.shape[0]
     weights = np.zeros(neighbors.shape)
-    for start, problem in batches:
+    for start in range(0, size, chunk):
+        stop = min(start + chunk, size)
         try:
-            solved = solve_lasso(problem, hp.lasso_tol).weights
+            weights[start:stop] = solve_lasso(pose(start, stop), hp.lasso_tol).weights
         except LassoConvergenceError as exc:
             item = start + exc.item
             raise StructureBuildError(
@@ -112,31 +117,30 @@ def _reconstruction_matrix(neighbors, batches, hp) -> sp.csr_matrix:
                 f"(KKT residual {exc.kkt_residual:g})",
                 item=item,
             ) from exc
-        weights[start:start + solved.shape[0]] = solved
-        del problem  # its grams go before the next batch's are formed
     nz = weights != 0.0
-    size = neighbors.shape[0]
     indptr = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
     return sp.csr_matrix((weights[nz], neighbors[nz], indptr), shape=(size, size))
 
 
-def _row_batches(vectors, neighbors, l1_weight):
-    """Lockstep batches that rebuild each row of vectors from its neighbor rows.
+def _row_batch(vectors, neighbors, l1_weight, start, stop) -> LassoBatch:
+    """The lassos that rebuild rows start..stop-1 of vectors from their
+    neighbor rows, in lockstep.
 
-    A batch holds as many items as _GRAM_BUDGET holds grams for.  Its pool
-    stacks their grams, formed like their correlations by one stacked
-    product, and the generator keeps no reference to it once yielded."""
-    size, k = neighbors.shape
-    chunk = max(1, _GRAM_BUDGET // (8 * k * k))
-    for start in range(0, size, chunk):
-        rows = vectors[neighbors[start:start + chunk]]
-        n = rows.shape[0]
-        corr = np.matmul(rows, vectors[start:start + n, :, None])[:, :, 0]
-        at = np.arange(n * k).reshape(n, k)  # item b's pool rows: b k + arange(k)
-        cols = np.broadcast_to(np.arange(k), at.shape)
-        yield start, LassoBatch(
-            np.matmul(rows, rows.transpose(0, 2, 1)).reshape(n * k, k), at, cols, corr, l1_weight
-        )
+    Their grams and correlations go into fresh arrays, formed by stacked
+    products over at most _GRAM_BUDGET bytes of gathered neighbor rows (or
+    one item's rows, when they alone are larger) at a time."""
+    nb = neighbors[start:stop]
+    n, k = nb.shape
+    gram, corr = np.empty((n, k, k)), np.empty((n, k, 1))
+    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # items per product
+    for lo in range(0, n, fill):
+        hi = min(lo + fill, n)
+        rows = vectors[nb[lo:hi]]
+        np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
+        np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
+    at = np.arange(n * k).reshape(n, k)  # item b's pool rows: b k + arange(k)
+    cols = np.broadcast_to(np.arange(k), at.shape)
+    return LassoBatch(gram.reshape(n * k, k), at, cols, corr[:, :, 0], l1_weight)
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -172,8 +176,10 @@ def build_feature_structure(
     """
     vectors = combined_feature_rows(features, tags)
     neighbors = knn_index(vectors, hp.knn_k)
+    k = neighbors.shape[1]
+    pose = functools.partial(_row_batch, vectors, neighbors, hp.alpha)
     return StructureMatrix(
-        _reconstruction_matrix(neighbors, _row_batches(vectors, neighbors, hp.alpha), hp)
+        _reconstruction_matrix(neighbors, max(1, _GRAM_BUDGET // (8 * k * k)), pose, hp)
     )
 
 
@@ -224,7 +230,9 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
         )
     corr = G[neighbors, np.arange(G.shape[0])[:, None]]
     batch = LassoBatch(G, neighbors, neighbors, corr, hp.mu)
-    return StructureMatrix(_reconstruction_matrix(neighbors, [(0, batch)], hp).T)
+    return StructureMatrix(
+        _reconstruction_matrix(neighbors, G.shape[0], lambda start, stop: batch, hp).T
+    )
 
 
 def reinitialize(

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -568,23 +570,63 @@ class TestLockstepChunks:
         features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
         self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=6, alpha=0.1, mu=0.1))
 
-    @pytest.mark.parametrize("n_items, k, dim", [(366, 363, 2), (250, 50, 8)])
-    def test_batches_hold_each_items_products(self, n_items, k, dim):
-        # one item per chunk, and chunks of 104 whose last holds 42 items:
-        # every item's gram and correlations are bitwise its own A A' and A b
-        vectors = np.random.default_rng(64).normal(size=(n_items, dim))
+    @pytest.mark.parametrize("n_items, k, dim", [(366, 363, 2), (250, 50, 8), (250, 50, 120)])
+    def test_batches_hold_each_items_products(self, monkeypatch, n_items, k, dim):
+        # one item per chunk; chunks of 104 whose last holds 42 items; and
+        # the same chunks formed from 43 items' wide rows at a time: every
+        # item's gram and correlations are bitwise its own A A' and A b
+        features = FeatureMatrix(np.random.default_rng(64).normal(size=(n_items, dim)))
+        vectors = combined_feature_rows(features, None)
         neighbors = knn_index(vectors, k)
         done = 0
-        for start, batch in structure._row_batches(vectors, neighbors, 0.1):
+
+        def check(batch, tol):
+            nonlocal done
             n = batch.corr.shape[0]
-            assert start == done and n == min(chunk_size(k), n_items - start)
-            for b, i in enumerate(range(start, start + n)):
+            assert n == min(chunk_size(k), n_items - done)
+            for b, i in enumerate(range(done, done + n)):
                 rows = vectors[neighbors[i]]
                 gram = batch.pool[batch.rows[b]][:, batch.cols[b]]
                 assert gram.tobytes() == (rows @ rows.T).tobytes()
                 assert batch.corr[b].tobytes() == (rows @ vectors[i]).tobytes()
             done += n
+            return lasso.LassoSolution(np.zeros((n, k)), 0.0)
+
+        monkeypatch.setattr(structure, "solve_lasso", check)
+        build_feature_structure(features, Hyperparams(knn_k=k, alpha=0.1))
         assert done == n_items
+
+    def test_wide_rows_are_multiplied_within_the_budget(self, monkeypatch):
+        # a chunk of 16 items has 16 x 6 rows of width 2,000 (1.5 MB), past
+        # the 4.6 kB budget, so they are gathered one item (96 kB) at a time
+        monkeypatch.setattr(structure, "_GRAM_BUDGET", 16 * 8 * 6 * 6)
+        vectors = np.random.default_rng(65).normal(size=(40, 2000))
+        neighbors = knn_index(vectors, 6)
+        tracemalloc.start()
+        try:
+            batch = structure._row_batch(vectors, neighbors, 0.1, 8, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.corr.shape == (16, 6)
+        assert peak < 3 * 8 * 6 * 2000
+
+    def test_build_holds_one_batch_at_a_time(self, monkeypatch):
+        # each batch is freed when its solve returns, before the next is formed
+        monkeypatch.setattr(structure, "_GRAM_BUDGET", 4 * 8 * 6 * 6)
+        formed = []
+        row_batch = structure._row_batch
+
+        def pose(*args):
+            assert all(ref() is None for ref in formed)
+            batch = row_batch(*args)
+            formed.append(weakref.ref(batch.pool))
+            return batch
+
+        monkeypatch.setattr(structure, "_row_batch", pose)
+        features, _ = random_instance(67, n_images=14, n_tags=3, dim=4)
+        build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.1))
+        assert len(formed) == 4 and formed[-1]() is None
 
     def test_zero_width_vectors(self):
         # rows of width 0 fill the chunk's grams with zeros, and every weight is 0
