@@ -1,8 +1,12 @@
-"""L1-regularized least squares in Gram form, with a KKT certificate.
+"""L1-regularized least squares over pooled grams or rows, with a KKT certificate.
 
 Every structure subproblem here shares one design matrix restricted to a
-small neighborhood, so problems are posed directly in terms of the Gram
-matrix A'A and the correlation vector A'b.  The solver is feature-sign
+small neighborhood, so problems are posed through the correlation vector
+A'b and a pool that holds the design once: either one Gram matrix whose
+entries the neighborhoods index (the tags' D'D), or the design's rows
+themselves, whose dot products are the gram entries (the image features).
+Over rows, the solver forms just the face grams and gradient A(A'x) - A'b
+it needs, and no neighborhood's whole gram.  The solver is feature-sign
 search (Lee, Battle, Raina & Ng, NIPS 2006), an exact active-set method:
 on a fixed sign pattern the objective is a quadratic minimized by one
 Cholesky solve.  On a numerically singular pattern a LARS-style swap step
@@ -57,17 +61,26 @@ class LassoProblem:
     l1_weight: float
 
 
+class RowPool(NamedTuple):
+    """The rows of one design matrix, as the pool of a LassoBatch: an item
+    over it has rows = cols, and its gram is A A' for A = vectors[rows[b]]."""
+
+    vectors: np.ndarray
+
+
 class LassoBatch(NamedTuple):
     """B lassos with k variables each, whose grams are read out of one pool.
 
-    Item b's gram is pool[rows[b]][:, cols[b]], for index arrays rows and
-    cols of shape (B, k), and its correlations are corr[b].  So grams that
-    items share, such as neighborhoods of one matrix D'D, are stored once.
-    It checks nothing, so every gram it indexes must be symmetric PSD by
+    For index arrays rows and cols of shape (B, k), item b's gram is
+    pool[rows[b]][:, cols[b]] when pool is an array of gram entries, and
+    A A' for its rows A = pool.vectors[rows[b]] when pool is a RowPool; its
+    correlations are corr[b].  So what items share, such as neighborhoods
+    of one matrix D'D or of one set of feature rows, is stored once.  It
+    checks nothing, so every gram it indexes must be symmetric PSD by
     construction, as products of finite rows are.
     """
 
-    pool: np.ndarray
+    pool: np.ndarray | RowPool
     rows: np.ndarray
     cols: np.ndarray
     corr: np.ndarray
@@ -101,9 +114,10 @@ def solve_lasso(
     A LassoProblem is solved as a batch of one, with rows = cols = arange(k)
     over its gram.  The items of a LassoBatch run their rounds in lockstep,
     and each leaves the batch at its own stop, so its weights are bitwise
-    those of its own batch of one.  Every gram entry the rounds need (the
-    diagonal, the active columns of the gradient and the face grams) is
-    gathered from the pool through rows and cols.
+    those of its own batch of one.  The rounds read what they need of each
+    item's gram (the diagonal, the gradient's product and the face grams)
+    out of the pool through rows and cols; over a row pool no whole gram is
+    formed.
 
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
@@ -147,7 +161,7 @@ def solve_lasso(
     w = np.zeros(corr.shape)
     kkt = np.zeros(corr.shape[0])
     failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
-    diag = problem.pool[problem.rows, problem.cols]
+    diag = _diagonal(problem)
     unusable = ~(diag > 0.0)
     pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
     live = np.arange(corr.shape[0])
@@ -208,26 +222,61 @@ def _groups(counts):
     return [(count, np.flatnonzero(counts == count)) for count in distinct]
 
 
-def _gram_entries(batch, items, i, j) -> np.ndarray:
-    """Entries [i, j] of the grams of `items`; the three index arrays broadcast."""
-    return batch.pool[batch.rows[items, i], batch.cols[items, j]]
+# The two pool kinds differ only in how _diagonal, _gradients and _face_grams
+# form gram entries and products.
+
+def _diagonal(batch) -> np.ndarray:
+    """(B, k) gram diagonals: pool entries, or squared norms of pooled rows."""
+    if isinstance(batch.pool, RowPool):
+        vectors = batch.pool.vectors
+        return np.einsum("ij,ij->i", vectors, vectors)[batch.rows]
+    return batch.pool[batch.rows, batch.cols]
+
+
+def _face_grams(batch, items, face) -> np.ndarray:
+    """(items, s, s) grams of `items` at their coordinates face (items, s)."""
+    if isinstance(batch.pool, RowPool):
+        rows = batch.pool.vectors[batch.rows[items[:, None], face]]
+        return np.matmul(rows, rows.transpose(0, 2, 1))
+    return batch.pool[
+        batch.rows[items[:, None, None], face[:, :, None]],
+        batch.cols[items[:, None, None], face[:, None, :]],
+    ]
 
 
 def _gradients(batch, live, x) -> np.ndarray:
-    """gram @ x - corr for the live items, formed from their active columns.
+    """gram @ x - corr for the live items, formed from their active coordinates.
 
-    Items with one number of active coordinates are done together, so each
-    item's arithmetic is that of its own.
+    Over a gram pool the product sums the gram's active columns.  Over a row
+    pool it is A (A'x): A'x sums the active rows, and one stacked product
+    with each item's k rows of width d takes k d per item, with no gram
+    formed.  Items with one number of active coordinates are done together,
+    so each item's arithmetic is that of its own.
     """
-    grad = np.empty(x.shape)
+    grad = -batch.corr[live]
+    counts = (x != 0.0).sum(axis=1)
+    rowpool = isinstance(batch.pool, RowPool)
+    if rowpool:
+        vectors = batch.pool.vectors
+        half = np.zeros((live.size, vectors.shape[1]))  # A'x
     every = np.arange(x.shape[1])
-    for count, rows in _groups((x != 0.0).sum(axis=1)):
+    for count, rows in _groups(counts):
+        if count == 0:
+            continue
         items, xr = live[rows], x[rows]
-        at = np.arange(items.size)[:, None]
         active = np.nonzero(xr)[1].reshape(items.size, count)
-        # (items, count, k): row c holds the gram's column active[:, c]
-        columns = _gram_entries(batch, items[:, None, None], every, active[:, :, None])
-        grad[rows] = np.matmul(xr[at, active][:, None, :], columns)[:, 0] - batch.corr[items]
+        xa = xr[np.arange(items.size)[:, None], active][:, None, :]
+        if rowpool:  # (items, count, d): the active rows
+            half[rows] = np.matmul(xa, vectors[batch.rows[items[:, None], active]])[:, 0]
+        else:  # (items, count, k): row c holds the gram's column active[:, c]
+            grad[rows] += np.matmul(xa, batch.pool[
+                batch.rows[items[:, None, None], every],
+                batch.cols[items[:, None, None], active[:, :, None]],
+            ])[:, 0]
+    if rowpool:
+        moving = np.flatnonzero(counts)
+        gathered = vectors[batch.rows[live[moving]]]  # (moving items, k, d)
+        grad[moving] += np.matmul(gathered, half[moving, :, None])[:, :, 0]
     return grad
 
 
@@ -248,7 +297,7 @@ def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
         rows = np.arange(live.size)[rows]
         items = live[rows]
         face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
-        fgram = _gram_entries(batch, items[:, None, None], face[:, :, None], face[:, None, :])
+        fgram = _face_grams(batch, items, face)
         fx = x[rows[:, None], face]
         fcorr = batch.corr[items[:, None], face]
         rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]

@@ -259,26 +259,39 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray):
 
 def _projected_step(diagonal, off_diagonal, q_norm, sigma):
     """(h, sigma) minimizing h'Th - 2 q_norm h_1 over ||h|| <= 1, T tridiagonal
-    (h None if T + sigma I is not positive definite): h = q_norm (T + sigma I)^-1
-    e_1 by LDL', and sigma = 0 if ||h(0)|| <= 1.  Else Newton's method on the
-    concave, increasing 1/||h(sigma)|| - 1 climbs to its root from two points
-    left of it: q_norm - G, G >= lam_max(T) (Gershgorin), and the given sigma,
-    a root for fewer Lanczos steps (||h|| is a Gauss quadrature from below).
+    (h None if no sigma tried makes T + sigma I positive definite):
+    h = q_norm (T + sigma I)^-1 e_1 by LDL', and sigma = 0 if ||h(0)|| <= 1.
+    Else Newton's method on the concave, increasing 1/||h(sigma)|| - 1 climbs
+    to its root from two points left of it: q_norm - G, G >= lam_max(T)
+    (Gershgorin), and the given sigma, a root for fewer Lanczos steps (||h||
+    is a Gauss quadrature from below).
+
+    A sigma where T + sigma I has no positive LDL' lies left of -lam_min(T),
+    and so of the root: rounding can leave a start there on columns
+    conditioned near 1e14 or worse, and a Newton step from right of the root
+    can overshoot there.  It moves halfway to hi, the last sigma with
+    ||h|| < 1, at first q_norm + G', G' >= -lam_min(T) (Gershgorin), where
+    ||h|| <= 1 and the LDL' is positive.
     """
-    sigma = max(sigma, q_norm - max(diagonal) - 2.0 * max(off_diagonal, default=0.0))
+    radius = 2.0 * max(off_diagonal, default=0.0)  # of every Gershgorin disc
+    hi = q_norm + max(radius - min(diagonal), 0.0)
+    sigma = max(sigma, q_norm - max(diagonal) - radius)
+    step = None, sigma
     for _ in range(_NEWTON_MAX_ITERS):
         pivots, ratios, h = [diagonal[0] + sigma], [], [q_norm]  # h = L^-1 q_norm e_1
         for a, b in zip(diagonal[1:], off_diagonal):
             if not pivots[-1] > 0.0:
-                return None, sigma
+                break
             ratios.append(b / pivots[-1])
             pivots.append(a + sigma - b * ratios[-1])
             h.append(-ratios[-1] * h[-1])
-        if not pivots[-1] > 0.0:
-            return None, sigma
+        if not pivots[-1] > 0.0:  # sigma < -lam_min(T)
+            sigma = 0.5 * (sigma + hi)
+            continue
         h = [x / pivot for x, pivot in zip(h, pivots)]  # then h = L'^-1 D^-1 h
         for i in range(len(ratios) - 1, -1, -1):
             h[i] -= ratios[i] * h[i + 1]
+        step = h, sigma
         norm = math.sqrt(sum(x * x for x in h))
         if (sigma == 0.0 and norm <= 1.0) or not abs(norm - 1.0) > _NEWTON_TOL:
             break
@@ -288,8 +301,10 @@ def _projected_step(diagonal, off_diagonal, q_norm, sigma):
         slope = sum(x * x / pivot for x, pivot in zip(y, pivots))
         if not slope > 0.0:
             break
+        if norm < 1.0:
+            hi = sigma
         sigma += (norm - 1.0) * norm * norm / slope
-    return h, sigma
+    return step
 
 
 def update_basis(ws: SolverWorkspace) -> int:

@@ -25,7 +25,7 @@ from .core import (
     check_structure_sizes,
     normalize_rows,
 )
-from .lasso import LassoBatch, LassoConvergenceError, _violations, solve_lasso
+from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, solve_lasso
 
 class StructureBuildError(TagCompleteError, RuntimeError):
     """A reconstruction subproblem failed; carries the item index."""
@@ -37,10 +37,10 @@ class StructureBuildError(TagCompleteError, RuntimeError):
 
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
-# Bytes of grams in one lockstep batch of the image structure build, which
-# holds max(1, _GRAM_BUDGET // 8k^2) items, and of neighbor rows multiplied at
-# once.  The tag build reads its grams out of D'D, in one batch.
-_GRAM_BUDGET = 2 << 20
+# Bytes of neighbor rows that one lockstep batch of the image structure build
+# gathers at once: a batch holds max(1, _ROW_BUDGET // 8kd) items of k
+# neighbors of width d.  The tag build reads its grams out of D'D, in one batch.
+_ROW_BUDGET = 2 << 20
 
 
 def _check_population(n: int, k: int) -> None:
@@ -102,14 +102,14 @@ def _reconstruction_matrix(neighbors, chunk, pose, hp) -> sp.csr_matrix:
     `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`,
     and pose(start, stop) forms the LassoBatch of items start..stop-1 over
     their neighbors.  A batch is formed as its solve starts and is dropped
-    when the solve returns, so the build holds one batch at a time.  The
-    weights fill one (items, k) array, whose nonzeros are the CSR data."""
+    when the solve returns, so the build holds one batch at a time.  Each
+    batch keeps only its nonzero weights, in row order: the CSR data."""
     size = neighbors.shape[0]
-    weights = np.zeros(neighbors.shape)
+    data, indices, counts = [], [], []
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         try:
-            weights[start:stop] = solve_lasso(pose(start, stop), hp.lasso_tol).weights
+            weights = solve_lasso(pose(start, stop), hp.lasso_tol).weights
         except LassoConvergenceError as exc:
             item = start + exc.item
             raise StructureBuildError(
@@ -117,30 +117,26 @@ def _reconstruction_matrix(neighbors, chunk, pose, hp) -> sp.csr_matrix:
                 f"(KKT residual {exc.kkt_residual:g})",
                 item=item,
             ) from exc
-    nz = weights != 0.0
-    indptr = np.concatenate(([0], np.cumsum(nz.sum(axis=1))))
-    return sp.csr_matrix((weights[nz], neighbors[nz], indptr), shape=(size, size))
+        nz = weights != 0.0
+        data.append(weights[nz])
+        indices.append(neighbors[start:stop][nz])
+        counts.append(nz.sum(axis=1))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
+    )
 
 
-def _row_batch(vectors, neighbors, l1_weight, start, stop) -> LassoBatch:
-    """The lassos that rebuild rows start..stop-1 of vectors from their
-    neighbor rows, in lockstep.
+def _row_batch(pool, neighbors, l1_weight, start, stop) -> LassoBatch:
+    """The lassos that rebuild rows start..stop-1 of pool.vectors from their
+    neighbor rows, in lockstep over the RowPool `pool`, so no gram is formed.
 
-    Their grams and correlations go into fresh arrays, formed by stacked
-    products over at most _GRAM_BUDGET bytes of gathered neighbor rows (or
-    one item's rows, when they alone are larger) at a time."""
+    The correlations are one stacked product of the items' gathered
+    neighbor rows with the rows they rebuild."""
     nb = neighbors[start:stop]
-    n, k = nb.shape
-    gram, corr = np.empty((n, k, k)), np.empty((n, k, 1))
-    fill = max(1, _GRAM_BUDGET // (8 * k * max(vectors.shape[1], 1)))  # items per product
-    for lo in range(0, n, fill):
-        hi = min(lo + fill, n)
-        rows = vectors[nb[lo:hi]]
-        np.matmul(rows, rows.transpose(0, 2, 1), out=gram[lo:hi])
-        np.matmul(rows, vectors[start + lo:start + hi, :, None], out=corr[lo:hi])
-    at = np.arange(n * k).reshape(n, k)  # item b's pool rows: b k + arange(k)
-    cols = np.broadcast_to(np.arange(k), at.shape)
-    return LassoBatch(gram.reshape(n * k, k), at, cols, corr[:, :, 0], l1_weight)
+    vectors = pool.vectors
+    corr = np.matmul(vectors[nb], vectors[start:stop, :, None])[:, :, 0]
+    return LassoBatch(pool, nb, nb, corr, l1_weight)
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -176,11 +172,9 @@ def build_feature_structure(
     """
     vectors = combined_feature_rows(features, tags)
     neighbors = knn_index(vectors, hp.knn_k)
-    k = neighbors.shape[1]
-    pose = functools.partial(_row_batch, vectors, neighbors, hp.alpha)
-    return StructureMatrix(
-        _reconstruction_matrix(neighbors, max(1, _GRAM_BUDGET // (8 * k * k)), pose, hp)
-    )
+    chunk = max(1, _ROW_BUDGET // (8 * neighbors.shape[1] * max(vectors.shape[1], 1)))
+    pose = functools.partial(_row_batch, RowPool(vectors), neighbors, hp.alpha)
+    return StructureMatrix(_reconstruction_matrix(neighbors, chunk, pose, hp))
 
 
 def _tag_gram(D: TaggingMatrix) -> np.ndarray:

@@ -3,13 +3,13 @@
 Everything here is deliberately brute force: enumeration, dense algebra,
 scalar grid search.  None of it shares code with the package under test, so
 agreement between the two is evidence, not tautology.  The three exceptions
-are references that faster package paths must match bit for bit:
-structure_by_item_loop runs the package's own lasso solver one item at a
-time, against the builders' lockstep batches,
-coefficient_sweep_by_scalar_loop takes the package's scalar step at every
-coordinate, against the row scan of solver.update_coeffs, and
-rank_by_image_loop ranks one test image at a time, against the one sort of
-metrics.rank_predictions.
+are references that faster package paths must match bit for bit, or, for
+the image structure, up to rounding: structure_by_item_loop runs the
+package's own lasso solver one item at a time on explicit grams, against
+the builders' lockstep batches, coefficient_sweep_by_scalar_loop takes
+the package's scalar step at every coordinate, against the row scan of
+solver.update_coeffs, and rank_by_image_loop ranks one test image at a
+time, against the one sort of metrics.rank_predictions.
 """
 
 from __future__ import annotations
@@ -125,16 +125,19 @@ def trust_region_by_eigh(operator, q):
     positive definite A, and its ball multiplier sigma, from the full
     eigendecomposition A = W diag(lam) W'.
 
-    With c = W'q, u(sigma) = W c/(lam + sigma).  sigma = 0 when
-    ||u(0)|| <= 1; otherwise sigma is found by bisection on ||u(sigma)|| = 1
-    between 0 and ||q|| - lam_min, where ||u|| <= 1.
+    With c = W'q, u(sigma) = W c/(lam + sigma).  sigma = 0 when lam_min > 0
+    and ||u(0)|| <= 1; otherwise sigma is found by bisection on
+    ||u(sigma)|| = 1 between max(0, -lam_min) and ||q|| - lam_min, where
+    ||u|| <= 1.  So an A conditioned past what eigh resolves, whose lam_min
+    rounding puts a few ulps of ||A|| at or below 0, gets its boundary step.
     """
     lam, vectors = np.linalg.eigh(np.asarray(operator, dtype=float))
     c = vectors.T @ np.asarray(q, dtype=float)
-    assert lam[0] > 0.0, "the operator must be positive definite"
-    if np.linalg.norm(c / lam) <= 1.0:
+    rounding = 8 * lam.size * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
+    assert lam[0] > -rounding, "the operator must be positive definite"
+    if lam[0] > 0.0 and np.linalg.norm(c / lam) <= 1.0:
         return vectors @ (c / lam), 0.0
-    lo, hi = 0.0, max(float(np.linalg.norm(c)) - lam[0], 0.0)
+    lo, hi = max(0.0, -lam[0]), max(float(np.linalg.norm(c)) - lam[0], 0.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -10,6 +10,7 @@ from tagcomplete.lasso import (
     LassoConvergenceError,
     LassoProblem,
     LassoSolution,
+    RowPool,
     kkt_residual,
     solve_lasso,
     verify_kkt,
@@ -526,6 +527,46 @@ class TestLockstepBatches:
             else:
                 assert str(explicit) == str(alone[i])
         assert_batch_matches(batch, alone)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(2, 24),
+        d=st.integers(1, 8),
+        k=st.integers(1, 10),
+        n_items=st.integers(1, 8),
+        binary=st.booleans(),
+        l1=st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1.0]),
+    )
+    def test_items_over_a_row_pool(self, seed, n, d, k, n_items, binary, l1):
+        # the same items over the pooled rows A themselves, as the image
+        # builder poses them: each solves as it does alone, and its answer
+        # meets the KKT conditions of its explicit gram A A' up to rounding
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        if binary:
+            A, b = (rng.random((n, d)) < 0.4).astype(float), (rng.random((n_items, d)) < 0.5) * 1.0
+        else:
+            A, b = unit_rows(rng.normal(size=(n, d))), rng.normal(size=(n_items, d))
+        index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
+        corr = np.matmul(A[index], b[:, :, None])[:, :, 0]
+        batch = LassoBatch(RowPool(A), index, index, corr, l1)
+        explicit_grams = np.matmul(A[index], A[index].transpose(0, 2, 1))
+        np.testing.assert_allclose(
+            lasso._diagonal(batch), np.diagonal(explicit_grams, axis1=1, axis2=2), rtol=1e-14
+        )
+        alone = []
+        for i in range(n_items):
+            try:
+                alone.append(solve_lasso(batch_items(batch, [i])))
+            except LassoConvergenceError as exc:
+                alone.append(exc)
+        assert_batch_matches(batch, alone)
+        for i, answer in enumerate(alone):
+            if isinstance(answer, LassoSolution):
+                rows = A[index[i]]
+                explicit = LassoProblem(rows @ rows.T, corr[i], 0.0, l1)
+                assert kkt_residual(explicit, answer.weights[0]) <= lasso.DEFAULT_TOL + 1e-12
 
     def test_round_cap_counts_each_items_own_rounds(self):
         # the swap-step instance needs 4 rounds and the zero-diagonal violator

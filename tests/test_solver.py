@@ -723,6 +723,40 @@ class TestBasisTrustRegion:
         assert np.linalg.norm(u) <= 1.0 + 1e-12
         assert np.linalg.norm(operator @ u + sigma * u - q) <= 1e-8 * scale
 
+    def test_tiny_g_against_a_singular_penalty(self):
+        # rows of S scaled to sum to 1 make B = S - I singular (B 1 = 0), or
+        # nearly so when a row of S is empty, so with g in [1e-16, 1e-8] and
+        # gamma up to 100, A = gI + gamma B'B is conditioned near 1e9 or far
+        # worse: rounding can leave T_j + sigma I without a positive LDL'
+        # where Newton's method starts.  Every step is still certified and
+        # matches the minimizer of the eigendecomposition.
+        rng = np.random.default_rng(71)
+        for _ in range(150):
+            n = int(rng.integers(5, 40))
+            gamma = float(10 ** rng.uniform(-1, 2))
+            hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
+            D, S, T, model, hp = random_setup(
+                rng, n=n, m=4, k=2, density=float(rng.uniform(0.1, 0.9)), hp=hp
+            )
+            weights = np.abs(S.matrix.toarray())
+            sums = weights.sum(axis=1, keepdims=True)
+            S = StructureMatrix(sp.csr_matrix(weights / np.where(sums > 0.0, sums, 1.0)))
+            ws = SolverWorkspace(D, S, T, model, hp)
+            shift = ws.image_shift.toarray()
+            for _ in range(3):
+                g = float(10 ** rng.uniform(-16, -8))
+                q = float(10 ** rng.uniform(-4, 1)) * rng.normal(size=n)
+                u = solver._basis_step(ws, g, q)
+                assert u is not None
+                operator = g * np.eye(n) + gamma * shift.T @ shift
+                want, sigma = trust_region_by_eigh(operator, q)
+                scale = np.linalg.norm(q)
+                assert np.linalg.norm(u) <= 1.0 + 1e-12
+                assert np.linalg.norm(operator @ u + sigma * u - q) <= 1e-8 * scale
+                value = float(u @ operator @ u - 2.0 * q @ u)
+                best = float(want @ operator @ want - 2.0 * q @ want)
+                assert value <= best + 1e-9 * abs(best)
+
     def test_coupling_nearly_orthogonal_to_the_low_spectrum(self, monkeypatch):
         # q lies in the top half of A's spectrum up to a 1e-6 part in the
         # bottom half; the interior step divides that part by the smallest

@@ -524,71 +524,129 @@ def random_instance(seed, n_images, n_tags, dim):
     return FeatureMatrix(rng.normal(size=(n_images, dim))), TaggingMatrix.from_dense(dense)
 
 
-def chunk_size(k):
-    return max(1, structure._GRAM_BUDGET // (8 * k * k))
+def chunk_size(k, width):
+    return max(1, structure._ROW_BUDGET // (8 * k * max(width, 1)))
+
+
+def set_chunk(monkeypatch, per_chunk, k, width):
+    """Lower the row budget so that image batches hold per_chunk items."""
+    monkeypatch.setattr(structure, "_ROW_BUDGET", per_chunk * 8 * k * width)
+    assert chunk_size(k, width) == per_chunk
+
+
+def csr_bytes(matrix):
+    return (matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes())
+
+
+# S weights built over the feature rows agree with those of explicit grams to
+# this relative bound: the gram entries differ in the last bits, and the
+# face solves amplify that by the face grams' conditioning.
+ROUNDING_RTOL = 1e-9
+
+
+def assert_rounding_equal(S, want, features, hp):
+    """S has the support of the dense item-loop weights `want`, weights within
+    ROUNDING_RTOL of them, and every recomputed KKT residual within lasso_tol."""
+    dense = S.matrix.toarray()
+    np.testing.assert_array_equal(dense != 0.0, want != 0.0)
+    np.testing.assert_allclose(dense, want, rtol=ROUNDING_RTOL, atol=0.0)
+    assert feature_structure_kkt(features, S, hp).max() <= hp.lasso_tol
 
 
 class TestLockstepChunks:
-    # The image builder solves the lassos of one chunk of items in lockstep;
-    # each chunk holds as many grams as fit in structure._GRAM_BUDGET.  The
-    # tag builder solves every tag in one batch over D'D.  Neither may
-    # change a bit of its structure.
-    def assert_builds_match_item_loop(self, features, D, hp):
-        S = build_feature_structure(features, hp).matrix.toarray()
-        want_S, failed = structure_by_item_loop(
-            combined_feature_rows(features, None), hp.alpha, hp.knn_k, hp.lasso_tol
-        )
-        assert not failed and np.array_equal(S, want_S)
+    # The image builder solves the lassos of one chunk of items in lockstep
+    # over the pooled feature rows; each chunk gathers at most
+    # structure._ROW_BUDGET bytes of neighbor rows.  Its structure is bitwise
+    # the same at every chunk width, and equal to the explicit-gram item loop
+    # up to rounding.  The tag builder solves every tag in one batch over
+    # D'D, bitwise equal to the item loop.
+    def assert_widths_agree(self, monkeypatch, features, hp, widths):
+        """The image structure is bitwise equal at the default chunk width and
+        at each of `widths`, and rounding-equal to the item loop; returns it."""
+        S = build_feature_structure(features, hp)
+        vectors = combined_feature_rows(features, None)
+        k = min(hp.knn_k, vectors.shape[0] - 1)
+        for per_chunk in widths:
+            with monkeypatch.context() as patch:
+                set_chunk(patch, per_chunk, k, vectors.shape[1])
+                assert csr_bytes(build_feature_structure(features, hp).matrix) == csr_bytes(S.matrix)
+        want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
+        assert not failed
+        assert_rounding_equal(S, want, features, hp)
+        return S
+
+    def assert_tags_match_item_loop(self, D, hp):
         T = build_tag_structure(D, hp).matrix.toarray()
-        want_T, failed = structure_by_item_loop(
-            D.to_dense().T, hp.mu, hp.knn_k, hp.lasso_tol
-        )
+        want_T, failed = structure_by_item_loop(D.to_dense().T, hp.mu, hp.knn_k, hp.lasso_tol)
         assert not failed and np.array_equal(T, want_T.T)
 
-    def test_item_counts_not_a_multiple_of_the_chunk(self):
-        # k = 50 gives chunks of 104: 250 images are 104 + 104 + 42 items;
-        # the 130 tags run in one batch
-        features, D = random_instance(61, n_images=250, n_tags=130, dim=8)
-        assert chunk_size(50) == 104
-        self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=50, alpha=0.1, mu=0.1))
+    def test_item_counts_not_a_multiple_of_the_chunk(self, monkeypatch):
+        # k = 50 rows of width 120 give chunks of 43: 151 images are three
+        # chunks and a final 22, or 50 chunks of 3 and a final 1; the 130
+        # tags run in one batch
+        features, D = random_instance(61, n_images=151, n_tags=130, dim=120)
+        assert chunk_size(50, 120) == 43
+        hp = Hyperparams(knn_k=50, alpha=0.1, mu=0.1)
+        S = self.assert_widths_agree(monkeypatch, features, hp, [3])
+        assert S.matrix.nnz > 151
+        self.assert_tags_match_item_loop(D, hp)
 
-    def test_one_item_per_chunk(self):
-        # a k = 363 gram alone fills more than half the budget
-        assert chunk_size(363) == 1 and chunk_size(362) == 2
-        features, D = random_instance(62, n_images=366, n_tags=12, dim=2)
-        hp = Hyperparams(knn_k=363, alpha=0.1, mu=0.1)
-        S = build_feature_structure(features, hp).matrix.toarray()
-        want, failed = structure_by_item_loop(
-            combined_feature_rows(features, None), hp.alpha, hp.knn_k, hp.lasso_tol
-        )
-        assert not failed and np.array_equal(S, want)
+    def test_one_item_per_chunk(self, monkeypatch):
+        # one item's 20 neighbor rows of width 7,000 fill more than half the
+        # budget; the rows lie near a plane, so neighbors carry weight
+        assert chunk_size(20, 7000) == 1 and chunk_size(20, 6553) == 2
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(24, 2)) @ rng.normal(size=(2, 7000))
+        features = FeatureMatrix(X + 0.1 * rng.normal(size=X.shape))
+        hp = Hyperparams(knn_k=20, alpha=0.1)
+        S = self.assert_widths_agree(monkeypatch, features, hp, [3])
+        assert S.matrix.nnz > 24
 
     @pytest.mark.parametrize("per_chunk", [1, 3])
     def test_small_budgets(self, monkeypatch, per_chunk):
-        monkeypatch.setattr(structure, "_GRAM_BUDGET", per_chunk * 8 * 6 * 6)
-        assert chunk_size(6) == per_chunk
+        # 11 images in one default chunk, or in chunks of per_chunk
         features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
-        self.assert_builds_match_item_loop(features, D, Hyperparams(knn_k=6, alpha=0.1, mu=0.1))
+        hp = Hyperparams(knn_k=6, alpha=0.1, mu=0.1)
+        assert chunk_size(6, 4) >= 11
+        self.assert_widths_agree(monkeypatch, features, hp, [per_chunk])
+        self.assert_tags_match_item_loop(D, hp)
 
     @pytest.mark.parametrize("n_items, k, dim", [(366, 363, 2), (250, 50, 8), (250, 50, 120)])
     def test_batches_hold_each_items_products(self, monkeypatch, n_items, k, dim):
-        # one item per chunk; chunks of 104 whose last holds 42 items; and
-        # the same chunks formed from 43 items' wide rows at a time: every
-        # item's gram and correlations are bitwise its own A A' and A b
+        # chunks of 361 whose last holds 5 items; one chunk; and chunks of 43
+        # whose last holds 35: every item's gram entries, correlations and
+        # gradient, formed over the pooled rows, are its own A A', A b and
+        # A A' x - A b up to rounding, and its gradient is bitwise that of
+        # its batch of one
         features = FeatureMatrix(np.random.default_rng(64).normal(size=(n_items, dim)))
         vectors = combined_feature_rows(features, None)
         neighbors = knn_index(vectors, k)
+        x = np.random.default_rng(65).normal(size=(n_items, k))
+        x[:, ::3] = 0.0
         done = 0
 
         def check(batch, tol):
             nonlocal done
             n = batch.corr.shape[0]
-            assert n == min(chunk_size(k), n_items - done)
+            assert n == min(chunk_size(k, dim), n_items - done)
+            assert np.array_equal(batch.pool.vectors, vectors)
+            assert np.array_equal(batch.rows, neighbors[done:done + n])
+            assert np.array_equal(batch.cols, batch.rows)
+            diagonal = lasso._diagonal(batch)
+            grad = lasso._gradients(batch, np.arange(n), x[done:done + n])
             for b, i in enumerate(range(done, done + n)):
                 rows = vectors[neighbors[i]]
-                gram = batch.pool[batch.rows[b]][:, batch.cols[b]]
-                assert gram.tobytes() == (rows @ rows.T).tobytes()
-                assert batch.corr[b].tobytes() == (rows @ vectors[i]).tobytes()
+                gram = rows @ rows.T
+                face = lasso._face_grams(batch, np.array([b]), np.arange(k)[None])[0]
+                np.testing.assert_allclose(face, gram, rtol=0.0, atol=1e-14)
+                np.testing.assert_allclose(diagonal[b], np.diagonal(gram), rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(batch.corr[b], rows @ vectors[i], rtol=0.0, atol=1e-15)
+                want = gram @ x[i] - rows @ vectors[i]
+                np.testing.assert_allclose(grad[b], want, rtol=0.0, atol=1e-13 * np.abs(x[i]).sum())
+                alone = batch._replace(
+                    rows=batch.rows[b:b + 1], cols=batch.cols[b:b + 1], corr=batch.corr[b:b + 1]
+                )
+                assert lasso._gradients(alone, np.arange(1), x[i:i + 1])[0].tobytes() == grad[b].tobytes()
             done += n
             return lasso.LassoSolution(np.zeros((n, k)), 0.0)
 
@@ -596,31 +654,62 @@ class TestLockstepChunks:
         build_feature_structure(features, Hyperparams(knn_k=k, alpha=0.1))
         assert done == n_items
 
-    def test_wide_rows_are_multiplied_within_the_budget(self, monkeypatch):
-        # a chunk of 16 items has 16 x 6 rows of width 2,000 (1.5 MB), past
-        # the 4.6 kB budget, so they are gathered one item (96 kB) at a time
-        monkeypatch.setattr(structure, "_GRAM_BUDGET", 16 * 8 * 6 * 6)
-        vectors = np.random.default_rng(65).normal(size=(40, 2000))
-        neighbors = knn_index(vectors, 6)
+    def test_rounds_gather_within_the_budget(self, monkeypatch):
+        # chunks of 16 items gather 16 x 6 neighbor rows of width 2,000
+        # (1.5 MB) per round; the 40 items in one batch would gather 3.8 MB
+        set_chunk(monkeypatch, 16, 6, 2000)
+        budget = structure._ROW_BUDGET
+        features = FeatureMatrix(np.random.default_rng(65).normal(size=(40, 2000)))
+        peaks = []
+
+        def traced(function):
+            def run(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = function(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                return result
+            return run
+
+        monkeypatch.setattr(lasso, "_gradients", traced(lasso._gradients))
+        monkeypatch.setattr(structure, "_row_batch", traced(structure._row_batch))
         tracemalloc.start()
         try:
-            batch = structure._row_batch(vectors, neighbors, 0.1, 8, 24)
-            peak = tracemalloc.get_traced_memory()[1]
+            S = build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.01))
         finally:
             tracemalloc.stop()
-        assert batch.corr.shape == (16, 6)
-        assert peak < 3 * 8 * 6 * 2000
+        assert S.matrix.nnz > 0 and len(peaks) > 3
+        # the gathered rows, plus the round's (items, width) and (items, k) arrays
+        assert max(peaks) <= 1.5 * budget
+
+    def test_peak_grows_with_the_budget_alone(self, monkeypatch):
+        # widening the chunks from 2 to 64 items adds at most the wider
+        # chunks' budget of gathered rows, and their (items, k) arrays, to
+        # the peak of the whole build
+        features = FeatureMatrix(np.random.default_rng(66).normal(size=(128, 64)))
+        hp = Hyperparams(knn_k=20, alpha=0.05)
+        peaks = {}
+        for per_chunk in (2, 64):
+            set_chunk(monkeypatch, per_chunk, 20, 64)
+            tracemalloc.start()
+            try:
+                build_feature_structure(features, hp)
+                peaks[per_chunk] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] - peaks[2] <= 1.5 * 62 * 8 * 20 * 64
 
     def test_build_holds_one_batch_at_a_time(self, monkeypatch):
-        # each batch is freed when its solve returns, before the next is formed
-        monkeypatch.setattr(structure, "_GRAM_BUDGET", 4 * 8 * 6 * 6)
+        # each batch's arrays are freed when its solve returns, before the
+        # next is formed; the pooled rows are shared by all of them
+        set_chunk(monkeypatch, 4, 6, 4)
         formed = []
         row_batch = structure._row_batch
 
         def pose(*args):
             assert all(ref() is None for ref in formed)
             batch = row_batch(*args)
-            formed.append(weakref.ref(batch.pool))
+            formed.append(weakref.ref(batch.corr))
             return batch
 
         monkeypatch.setattr(structure, "_row_batch", pose)
@@ -629,7 +718,7 @@ class TestLockstepChunks:
         assert len(formed) == 4 and formed[-1]() is None
 
     def test_zero_width_vectors(self):
-        # rows of width 0 fill the chunk's grams with zeros, and every weight is 0
+        # rows of width 0 have zero norms, and every weight is 0
         S = build_feature_structure(FeatureMatrix(np.zeros((5, 0))), Hyperparams(knn_k=2))
         assert S.matrix.shape == (5, 5) and S.matrix.nnz == 0
         with pytest.warns(UserWarning, match="all-zero"):
@@ -650,7 +739,7 @@ class TestLockstepChunks:
             assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
         else:  # the 14 tags run in one batch
             assert first >= 1 and len(failed) >= 2
-        monkeypatch.setattr(structure, "_GRAM_BUDGET", 4 * 8 * 6 * 6)
+        set_chunk(monkeypatch, 4, 6, 4)
         monkeypatch.setattr(
             structure, "solve_lasso",
             lambda problem, tol: lasso.solve_lasso(problem, tol, max_iters=cap),
