@@ -122,6 +122,8 @@ def _cmd_build_structure(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    if args.sparse_out and not args.out_scores:
+        raise ValidationError("--sparse-out needs --out-scores")
     overrides = None
     tags_path = args.tags
     image_structure_path = args.image_structure

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -54,9 +53,13 @@ def _read_text(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a sibling temp file and an atomic rename."""
+    """Write text to path via a sibling temp file and an atomic rename.
+
+    The file gets the mode that open(path, "w") gives a new file, 0666 less
+    the umask, also when it replaces an existing one."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

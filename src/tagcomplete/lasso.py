@@ -2,14 +2,15 @@
 
 Every structure subproblem here shares one design matrix restricted to a
 small neighborhood, so problems are posed through the correlation vector
-A'b and a pool that holds the design once: either one Gram matrix whose
-entries the neighborhoods index (the tags' D'D), or the design's rows
-themselves, whose dot products are the gram entries (the image features).
-Over rows, the solver forms just the face grams and gradient A(A'x) - A'b
-it needs, and no neighborhood's whole gram.  The solver is feature-sign
-search (Lee, Battle, Raina & Ng, NIPS 2006), an exact active-set method:
-on a fixed sign pattern the objective is a quadratic minimized by one
-Cholesky solve.  On a numerically singular pattern a LARS-style swap step
+A'b, a pool that holds the design once, and the neighborhood's index into
+it: the pool is either one Gram matrix whose entries the neighborhoods
+index (the tags' D'D), or the design's rows themselves, whose dot products
+are the gram entries (the image features).  Only this module reads gram
+entries out of a pool.  Over rows, the solver forms just the face grams and
+gradient A(A'x) - A'b it needs, and no neighborhood's whole gram.  The
+solver is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006), an
+exact active-set method: on a fixed sign pattern the objective is a
+quadratic minimized by one Cholesky solve.  On a numerically singular pattern a LARS-style swap step
 (Efron et al., 2004) trades one active coordinate for the joining one,
 which makes the next pattern nonsingular again.  The problems of a batch
 with one size run their rounds in lockstep, so that stacked factorizations
@@ -62,8 +63,8 @@ class LassoProblem:
 
 
 class RowPool(NamedTuple):
-    """The rows of one design matrix, as the pool of a LassoBatch: an item
-    over it has rows = cols, and its gram is A A' for A = vectors[rows[b]]."""
+    """The rows of one design matrix, as the pool of a LassoBatch: the gram
+    entry of members i and j is vectors[i] . vectors[j]."""
 
     vectors: np.ndarray
 
@@ -71,18 +72,17 @@ class RowPool(NamedTuple):
 class LassoBatch(NamedTuple):
     """B lassos with k variables each, whose grams are read out of one pool.
 
-    For index arrays rows and cols of shape (B, k), item b's gram is
-    pool[rows[b]][:, cols[b]] when pool is an array of gram entries, and
-    A A' for its rows A = pool.vectors[rows[b]] when pool is a RowPool; its
-    correlations are corr[b].  So what items share, such as neighborhoods
-    of one matrix D'D or of one set of feature rows, is stored once.  It
-    checks nothing, so every gram it indexes must be symmetric PSD by
-    construction, as products of finite rows are.
+    For an index array of shape (B, k), item b's gram is
+    pool[index[b]][:, index[b]] when pool is an array of gram entries, and
+    A A' for its rows A = pool.vectors[index[b]] when pool is a RowPool;
+    its correlations are corr[b].  So what items share, such as
+    neighborhoods of one matrix D'D or of one set of feature rows, is
+    stored once.  It checks nothing, so every gram it indexes must be
+    symmetric PSD by construction, as products of finite rows are.
     """
 
     pool: np.ndarray | RowPool
-    rows: np.ndarray
-    cols: np.ndarray
+    index: np.ndarray
     corr: np.ndarray
     l1_weight: float
 
@@ -111,13 +111,12 @@ def solve_lasso(
 ) -> LassoSolution:
     """Minimize the lasso objective of every item by guarded feature-sign search.
 
-    A LassoProblem is solved as a batch of one, with rows = cols = arange(k)
-    over its gram.  The items of a LassoBatch run their rounds in lockstep,
-    and each leaves the batch at its own stop, so its weights are bitwise
-    those of its own batch of one.  The rounds read what they need of each
-    item's gram (the diagonal, the gradient's product and the face grams)
-    out of the pool through rows and cols; over a row pool no whole gram is
-    formed.
+    A LassoProblem is solved as a batch of one, with index arange(k) over
+    its gram.  The items of a LassoBatch run their rounds in lockstep, and
+    each leaves the batch at its own stop, so its weights are bitwise those
+    of its own batch of one.  The rounds read what they need of each item's
+    gram (the diagonal, the gradient's product and the face grams) out of
+    the pool through its index; over a row pool no whole gram is formed.
 
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
@@ -156,7 +155,7 @@ def solve_lasso(
     single = isinstance(problem, LassoProblem)
     if single:
         at = np.arange(problem.corr.shape[0])[None]
-        problem = LassoBatch(problem.gram, at, at, problem.corr[None], problem.l1_weight)
+        problem = LassoBatch(problem.gram, at, problem.corr[None], problem.l1_weight)
     corr, lam = problem.corr, problem.l1_weight
     w = np.zeros(corr.shape)
     kkt = np.zeros(corr.shape[0])
@@ -222,26 +221,25 @@ def _groups(counts):
     return [(count, np.flatnonzero(counts == count)) for count in distinct]
 
 
-# The two pool kinds differ only in how _diagonal, _gradients and _face_grams
+# The two pool kinds differ only in how pool_gram, _diagonal and _gradients
 # form gram entries and products.
+
+def pool_gram(pool, left, right=None) -> np.ndarray:
+    """(..., m, n) gram entries between the pool members left (..., m) and
+    right (..., n), by default left itself: over a RowPool, one product of
+    one gather, which numpy forms exactly symmetric."""
+    if isinstance(pool, RowPool):
+        rows = pool.vectors[left]
+        return rows @ (rows if right is None else pool.vectors[right]).swapaxes(-1, -2)
+    return pool[left[..., :, None], (left if right is None else right)[..., None, :]]
+
 
 def _diagonal(batch) -> np.ndarray:
     """(B, k) gram diagonals: pool entries, or squared norms of pooled rows."""
     if isinstance(batch.pool, RowPool):
         vectors = batch.pool.vectors
-        return np.einsum("ij,ij->i", vectors, vectors)[batch.rows]
-    return batch.pool[batch.rows, batch.cols]
-
-
-def _face_grams(batch, items, face) -> np.ndarray:
-    """(items, s, s) grams of `items` at their coordinates face (items, s)."""
-    if isinstance(batch.pool, RowPool):
-        rows = batch.pool.vectors[batch.rows[items[:, None], face]]
-        return np.matmul(rows, rows.transpose(0, 2, 1))
-    return batch.pool[
-        batch.rows[items[:, None, None], face[:, :, None]],
-        batch.cols[items[:, None, None], face[:, None, :]],
-    ]
+        return np.einsum("ij,ij->i", vectors, vectors)[batch.index]
+    return batch.pool[batch.index, batch.index]
 
 
 def _gradients(batch, live, x) -> np.ndarray:
@@ -259,23 +257,20 @@ def _gradients(batch, live, x) -> np.ndarray:
     if rowpool:
         vectors = batch.pool.vectors
         half = np.zeros((live.size, vectors.shape[1]))  # A'x
-    every = np.arange(x.shape[1])
     for count, rows in _groups(counts):
         if count == 0:
             continue
         items, xr = live[rows], x[rows]
         active = np.nonzero(xr)[1].reshape(items.size, count)
         xa = xr[np.arange(items.size)[:, None], active][:, None, :]
+        members = batch.index[items[:, None], active]
         if rowpool:  # (items, count, d): the active rows
-            half[rows] = np.matmul(xa, vectors[batch.rows[items[:, None], active]])[:, 0]
-        else:  # (items, count, k): row c holds the gram's column active[:, c]
-            grad[rows] += np.matmul(xa, batch.pool[
-                batch.rows[items[:, None, None], every],
-                batch.cols[items[:, None, None], active[:, :, None]],
-            ])[:, 0]
+            half[rows] = np.matmul(xa, vectors[members])[:, 0]
+        else:  # (items, count, k): row c holds the gram's row active[:, c]
+            grad[rows] += np.matmul(xa, pool_gram(batch.pool, members, batch.index[items]))[:, 0]
     if rowpool:
         moving = np.flatnonzero(counts)
-        gathered = vectors[batch.rows[live[moving]]]  # (moving items, k, d)
+        gathered = vectors[batch.index[live[moving]]]  # (moving items, k, d)
         grad[moving] += np.matmul(gathered, half[moving, :, None])[:, :, 0]
     return grad
 
@@ -297,7 +292,7 @@ def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
         rows = np.arange(live.size)[rows]
         items = live[rows]
         face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
-        fgram = _face_grams(batch, items, face)
+        fgram = pool_gram(batch.pool, batch.index[items[:, None], face])
         fx = x[rows[:, None], face]
         fcorr = batch.corr[items[:, None], face]
         rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]

@@ -3,13 +3,14 @@
 Each image row (or tag column) is approximated as a sparse combination of its
 k nearest neighbors by solving a small L1-regularized least-squares problem;
 the learned weights populate one row of the image structure matrix (or one
-column of the tag structure matrix).  The completion solver then penalizes
+column of the tag structure matrix).  Both sides pose their lassos the same
+way, as a lasso pool (the feature rows, or the tags' gram D'D) and one
+neighbor list per item.  The completion solver then penalizes
 factorizations that break these reconstructions.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     check_structure_sizes,
     normalize_rows,
 )
-from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, solve_lasso
+from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, pool_gram, solve_lasso
 
 class StructureBuildError(TagCompleteError, RuntimeError):
     """A reconstruction subproblem failed; carries the item index."""
@@ -95,21 +96,25 @@ def knn_index(vectors, k: int) -> np.ndarray:
     return neighbors
 
 
-def _reconstruction_matrix(neighbors, chunk, pose, hp) -> sp.csr_matrix:
-    """Row i holds item i's lasso weights over its neighbors, KKT-certified
-    within hp.lasso_tol by solve_lasso.
+def _reconstruction_matrix(pool, neighbors, chunk, l1_weight, tol) -> sp.csr_matrix:
+    """Row i holds the weights of the lasso that rebuilds pool member i from
+    its neighbors, KKT-certified within tol by solve_lasso.
 
-    `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`,
-    and pose(start, stop) forms the LassoBatch of items start..stop-1 over
-    their neighbors.  A batch is formed as its solve starts and is dropped
-    when the solve returns, so the build holds one batch at a time.  Each
-    batch keeps only its nonzero weights, in row order: the CSR data."""
+    `neighbors` is (items, k).  Items are solved in lockstep runs of
+    `chunk`, each a LassoBatch over `pool` with the gram entries between
+    each item's neighbors and itself as correlations.  A batch is formed as
+    its solve starts and is dropped when the solve returns, so the build
+    holds one batch at a time.  Each batch keeps only its nonzero weights,
+    in row order: the CSR data."""
     size = neighbors.shape[0]
     data, indices, counts = [], [], []
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
+        nb = neighbors[start:stop]
         try:
-            weights = solve_lasso(pose(start, stop), hp.lasso_tol).weights
+            weights = solve_lasso(LassoBatch(
+                pool, nb, pool_gram(pool, nb, np.arange(start, stop)[:, None])[:, :, 0], l1_weight
+            ), tol).weights
         except LassoConvergenceError as exc:
             item = start + exc.item
             raise StructureBuildError(
@@ -119,24 +124,12 @@ def _reconstruction_matrix(neighbors, chunk, pose, hp) -> sp.csr_matrix:
             ) from exc
         nz = weights != 0.0
         data.append(weights[nz])
-        indices.append(neighbors[start:stop][nz])
+        indices.append(nb[nz])
         counts.append(nz.sum(axis=1))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
     )
-
-
-def _row_batch(pool, neighbors, l1_weight, start, stop) -> LassoBatch:
-    """The lassos that rebuild rows start..stop-1 of pool.vectors from their
-    neighbor rows, in lockstep over the RowPool `pool`, so no gram is formed.
-
-    The correlations are one stacked product of the items' gathered
-    neighbor rows with the rows they rebuild."""
-    nb = neighbors[start:stop]
-    vectors = pool.vectors
-    corr = np.matmul(vectors[nb], vectors[start:stop, :, None])[:, :, 0]
-    return LassoBatch(pool, nb, nb, corr, l1_weight)
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -173,8 +166,9 @@ def build_feature_structure(
     vectors = combined_feature_rows(features, tags)
     neighbors = knn_index(vectors, hp.knn_k)
     chunk = max(1, _ROW_BUDGET // (8 * neighbors.shape[1] * max(vectors.shape[1], 1)))
-    pose = functools.partial(_row_batch, RowPool(vectors), neighbors, hp.alpha)
-    return StructureMatrix(_reconstruction_matrix(neighbors, chunk, pose, hp))
+    return StructureMatrix(
+        _reconstruction_matrix(RowPool(vectors), neighbors, chunk, hp.alpha, hp.lasso_tol)
+    )
 
 
 def _tag_gram(D: TaggingMatrix) -> np.ndarray:
@@ -222,11 +216,7 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
             "their reconstruction weights are set to zero",
             stacklevel=2,
         )
-    corr = G[neighbors, np.arange(G.shape[0])[:, None]]
-    batch = LassoBatch(G, neighbors, neighbors, corr, hp.mu)
-    return StructureMatrix(
-        _reconstruction_matrix(neighbors, G.shape[0], lambda start, stop: batch, hp).T
-    )
+    return StructureMatrix(_reconstruction_matrix(G, neighbors, G.shape[0], hp.mu, hp.lasso_tol).T)
 
 
 def reinitialize(

@@ -230,7 +230,7 @@ def structure_by_item_loop(vectors, l1_weight, k, tol, max_iters=None):
     cap = {} if max_iters is None else {"max_iters": max_iters}
     for i, nb in enumerate(knn_by_einsum_scan(vectors, k)):
         rows, at = vectors[nb], np.arange(nb.size)[None]
-        problem = LassoBatch(rows @ rows.T, at, at, (rows @ vectors[i])[None], l1_weight)
+        problem = LassoBatch(rows @ rows.T, at, (rows @ vectors[i])[None], l1_weight)
         try:
             weights[i, nb] = solve_lasso(problem, tol, **cap).weights[0]
         except LassoConvergenceError as exc:

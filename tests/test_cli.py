@@ -311,6 +311,20 @@ class TestComplete:
         from_sparse = tgio.read_sparse_matrix(sparse_path).toarray()
         np.testing.assert_allclose(from_sparse, dense, rtol=0, atol=1e-15)
 
+    def test_sparse_out_without_out_scores_exit_2(
+        self, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        model = tmp_path / "model.json"
+        code, stdout, err = run_cli(
+            ["complete", "--tags", pipeline_files["observed"],
+             "--image-structure", built_structures["S"],
+             "--tag-structure", built_structures["T"],
+             "--out-model", str(model), "--sparse-out"],
+            capsys,
+        )
+        assert code == EXIT_USAGE and stdout == "" and not model.exists()
+        assert err == "error: --sparse-out needs --out-scores\n"
+
     def test_manifest_supplies_inputs_and_overrides(
         self, pipeline_files, built_structures, capsys, tmp_path
     ):

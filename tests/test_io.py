@@ -681,6 +681,18 @@ class TestAtomicity:
         np.testing.assert_array_equal(read_dense_matrix(path), np.ones((2, 2)))
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_mode_is_that_of_open(self, tmp_path):
+        # 0666 less the umask, for a new file and for one it replaces
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w"):
+            pass
+        path = tmp_path / "out.csv"
+        write_dense_matrix(path, np.eye(2))
+        assert path.stat().st_mode == plain.stat().st_mode
+        os.chmod(path, 0o600)
+        write_dense_matrix(path, np.ones((2, 2)))
+        assert path.stat().st_mode == plain.stat().st_mode
+
     def test_failed_write_cleans_up(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,15 +438,18 @@ def solve_alone(gram, corr, l1_weight, max_iters=lasso.DEFAULT_MAX_ITERS):
 
 
 def stacked_batch(grams, corrs, l1_weight):
-    """The LassoBatch whose item b has gram grams[b] and correlations corrs[b]."""
+    """The LassoBatch whose item b has gram grams[b] and correlations corrs[b],
+    over the block-diagonal pool of the grams, so its entries are grams[b]'s."""
     n, k = corrs.shape
-    rows = np.arange(n * k).reshape(n, k)
-    return LassoBatch(grams.reshape(n * k, k), rows, rows % k, corrs, l1_weight)
+    index = np.arange(n * k).reshape(n, k)
+    pool = np.zeros((n * k, n * k))
+    pool[index[:, :, None], index[:, None, :]] = grams
+    return LassoBatch(pool, index, corrs, l1_weight)
 
 
 def batch_items(batch, keep):
     """The LassoBatch of the items `keep` of batch, over the same pool."""
-    return batch._replace(rows=batch.rows[keep], cols=batch.cols[keep], corr=batch.corr[keep])
+    return batch._replace(index=batch.index[keep], corr=batch.corr[keep])
 
 
 def assert_batch_matches(batch, alone, max_iters=lasso.DEFAULT_MAX_ITERS):
@@ -460,7 +465,7 @@ def assert_batch_matches(batch, alone, max_iters=lasso.DEFAULT_MAX_ITERS):
         assert exc.value.kkt_residual == first.kkt_residual
     keep = [i for i in range(len(alone)) if i not in failing]
     sol = solve_lasso(batch_items(batch, keep), max_iters=max_iters)
-    assert sol.weights.shape == (len(keep), batch.rows.shape[1])
+    assert sol.weights.shape == (len(keep), batch.index.shape[1])
     for row, i in enumerate(keep):
         assert sol.weights[row].tobytes() == alone[i].weights.tobytes(), i
     assert sol.kkt_residual == max((alone[i].kkt_residual for i in keep), default=0.0)
@@ -511,7 +516,7 @@ class TestLockstepBatches:
         pool = A @ A.T
         index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
         corr = np.einsum("ikd,id->ik", A[index], b)
-        batch = LassoBatch(pool, index, index, corr, l1)
+        batch = LassoBatch(pool, index, corr, l1)
         alone = []
         for i in range(n_items):
             try:
@@ -550,18 +555,29 @@ class TestLockstepBatches:
             A, b = unit_rows(rng.normal(size=(n, d))), rng.normal(size=(n_items, d))
         index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
         corr = np.matmul(A[index], b[:, :, None])[:, :, 0]
-        batch = LassoBatch(RowPool(A), index, index, corr, l1)
+        batch = LassoBatch(RowPool(A), index, corr, l1)
         explicit_grams = np.matmul(A[index], A[index].transpose(0, 2, 1))
         np.testing.assert_allclose(
             lasso._diagonal(batch), np.diagonal(explicit_grams, axis1=1, axis2=2), rtol=1e-14
         )
+        faces, pool_gram = [], lasso.pool_gram
+
+        def face_grams(pool, left, right=None):
+            entries = pool_gram(pool, left, right)
+            if right is None:
+                faces.append(entries)
+            return entries
+
         alone = []
-        for i in range(n_items):
-            try:
-                alone.append(solve_lasso(batch_items(batch, [i])))
-            except LassoConvergenceError as exc:
-                alone.append(exc)
-        assert_batch_matches(batch, alone)
+        with mock.patch.object(lasso, "pool_gram", face_grams):
+            for i in range(n_items):
+                try:
+                    alone.append(solve_lasso(batch_items(batch, [i])))
+                except LassoConvergenceError as exc:
+                    alone.append(exc)
+            assert_batch_matches(batch, alone)
+        # every face gram formed over the rows is exactly symmetric
+        assert all(np.array_equal(face, face.swapaxes(1, 2)) for face in faces)
         for i, answer in enumerate(alone):
             if isinstance(answer, LassoSolution):
                 rows = A[index[i]]
@@ -590,7 +606,7 @@ class TestLockstepBatches:
         problem = random_problem(np.random.default_rng(45), 6, l1_weight=0.05)
         sol = solve_lasso(problem)
         at = np.arange(6)[None]
-        batch = solve_lasso(LassoBatch(problem.gram, at, at, problem.corr[None], 0.05))
+        batch = solve_lasso(LassoBatch(problem.gram, at, problem.corr[None], 0.05))
         assert sol.weights.shape == (6,) and batch.weights.shape == (1, 6)
         assert batch.weights[0].tobytes() == sol.weights.tobytes()
         assert batch.kkt_residual == sol.kkt_residual

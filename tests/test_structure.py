@@ -630,22 +630,22 @@ class TestLockstepChunks:
             n = batch.corr.shape[0]
             assert n == min(chunk_size(k, dim), n_items - done)
             assert np.array_equal(batch.pool.vectors, vectors)
-            assert np.array_equal(batch.rows, neighbors[done:done + n])
-            assert np.array_equal(batch.cols, batch.rows)
+            assert np.array_equal(batch.index, neighbors[done:done + n])
+            # one neighbor list per item indexes both sides of its gram
+            assert batch._fields == ("pool", "index", "corr", "l1_weight")
             diagonal = lasso._diagonal(batch)
             grad = lasso._gradients(batch, np.arange(n), x[done:done + n])
             for b, i in enumerate(range(done, done + n)):
                 rows = vectors[neighbors[i]]
                 gram = rows @ rows.T
-                face = lasso._face_grams(batch, np.array([b]), np.arange(k)[None])[0]
+                face = lasso.pool_gram(batch.pool, batch.index[b:b + 1])[0]
+                assert np.array_equal(face, face.T)
                 np.testing.assert_allclose(face, gram, rtol=0.0, atol=1e-14)
                 np.testing.assert_allclose(diagonal[b], np.diagonal(gram), rtol=0.0, atol=1e-15)
                 np.testing.assert_allclose(batch.corr[b], rows @ vectors[i], rtol=0.0, atol=1e-15)
                 want = gram @ x[i] - rows @ vectors[i]
                 np.testing.assert_allclose(grad[b], want, rtol=0.0, atol=1e-13 * np.abs(x[i]).sum())
-                alone = batch._replace(
-                    rows=batch.rows[b:b + 1], cols=batch.cols[b:b + 1], corr=batch.corr[b:b + 1]
-                )
+                alone = batch._replace(index=batch.index[b:b + 1], corr=batch.corr[b:b + 1])
                 assert lasso._gradients(alone, np.arange(1), x[i:i + 1])[0].tobytes() == grad[b].tobytes()
             done += n
             return lasso.LassoSolution(np.zeros((n, k)), 0.0)
@@ -671,8 +671,10 @@ class TestLockstepChunks:
                 return result
             return run
 
+        # each round's gradient, each face gram, and each batch's correlations
         monkeypatch.setattr(lasso, "_gradients", traced(lasso._gradients))
-        monkeypatch.setattr(structure, "_row_batch", traced(structure._row_batch))
+        monkeypatch.setattr(lasso, "pool_gram", traced(lasso.pool_gram))
+        monkeypatch.setattr(structure, "pool_gram", traced(structure.pool_gram))
         tracemalloc.start()
         try:
             S = build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.01))
@@ -704,18 +706,23 @@ class TestLockstepChunks:
         # next is formed; the pooled rows are shared by all of them
         set_chunk(monkeypatch, 4, 6, 4)
         formed = []
-        row_batch = structure._row_batch
+        pool_gram, solve_lasso = structure.pool_gram, structure.solve_lasso
 
-        def pose(*args):
+        def correlations(*args):
             assert all(ref() is None for ref in formed)
-            batch = row_batch(*args)
-            formed.append(weakref.ref(batch.corr))
-            return batch
+            entries = pool_gram(*args)
+            formed.append(weakref.ref(entries))
+            return entries
 
-        monkeypatch.setattr(structure, "_row_batch", pose)
+        def solve(batch, tol):
+            formed.append(weakref.ref(batch.corr))
+            return solve_lasso(batch, tol)
+
+        monkeypatch.setattr(structure, "pool_gram", correlations)
+        monkeypatch.setattr(structure, "solve_lasso", solve)
         features, _ = random_instance(67, n_images=14, n_tags=3, dim=4)
         build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.1))
-        assert len(formed) == 4 and formed[-1]() is None
+        assert len(formed) == 2 * 4 and all(ref() is None for ref in formed)
 
     def test_zero_width_vectors(self):
         # rows of width 0 have zero norms, and every weight is 0
