@@ -4,6 +4,13 @@ All writers are atomic (temp file + rename) and produce deterministic bytes
 for identical inputs; floats are serialized with repr, so every write→read
 round-trip is exact.  All readers reject non-finite values and report the
 offending line.
+
+The MatrixMarket and CSV readers parse all entry or row lines in one
+np.loadtxt call and check index ranges and finiteness on the whole array.
+Only a file that numpy refuses, or whose checks flag a row, is scanned line
+by line with Python's int and float, to name the bad line.  A number that
+only Python reads, such as 1_0 or one with non-ASCII digits, is a parse
+error ("non-numeric entry", "non-numeric cell in").
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -70,6 +78,32 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _loadtxt(lines, **kwargs):
+    """np.loadtxt over the text lines, which hold no comments; None where
+    numpy refuses them."""
+    with warnings.catch_warnings():
+        # some numpy versions read an integer field spelled as a float
+        # ("1.5" as 1) with only a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, comments=None, **kwargs)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _fail_first_refused(path, content, what, **kwargs):
+    """ParseError naming the first of the (line number, text) lines that numpy
+    refuses, for a number only Python reads, such as 1_0."""
+    line_no, text = next(
+        (line for line in content if _loadtxt([line[1]], **kwargs) is None),
+        content[-1],
+    )
+    _fail(path, line_no, f"{what} {text!r}")
+
+
 def read_sparse_matrix(path) -> sp.csr_matrix:
     """Parse a MatrixMarket coordinate file (1-based indices).
 
@@ -102,10 +136,25 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
     if n < 0 or m < 0 or nnz < 0:
         _fail(path, line_no, "matrix dimensions must be non-negative")
 
-    # collected as parsed: the declared count sizes nothing before it is checked
-    rows, cols, vals = [], [], []
-    for line_no, text in content[1:]:
-        if len(vals) >= nnz:
+    # the declared count sizes nothing: the entries are parsed as found
+    entries = content[1:]
+    parsed = np.empty(0, _ENTRY)
+    if entries:  # loadtxt warns on no lines
+        parsed = _loadtxt([text for _, text in entries], dtype=_ENTRY, ndmin=1)
+    if parsed is not None and len(parsed) == nnz:
+        i, j, v = parsed["i"], parsed["j"], parsed["v"]
+        if ((1 <= i) & (i <= n) & (1 <= j) & (j <= m) & np.isfinite(v)).all():
+            # tocsr sums duplicates and sorts indices
+            return sp.coo_matrix((v, (i - 1, j - 1)), shape=(n, m)).tocsr()
+    _refuse_entries(path, entries, (n, m, nnz), len(lines))
+
+
+def _refuse_entries(path, entries, size, last_line):
+    """Raise the ParseError of the first bad entry line, reading each line with
+    Python's int and float, or else of the first line numpy refuses."""
+    n, m, nnz = size
+    for count, (line_no, text) in enumerate(entries):
+        if count >= nnz:
             _fail(path, line_no, f"more than the declared {nnz} entries")
         parts = text.split()
         if len(parts) != 3:
@@ -117,15 +166,11 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
             _fail(path, line_no, f"non-numeric entry {text!r}")
         if not (1 <= i <= n and 1 <= j <= m):
             _fail(path, line_no, f"index ({i}, {j}) outside {n}x{m} matrix")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             _fail(path, line_no, f"non-finite value {parts[2]!r}")
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-    if len(vals) != nnz:
-        _fail(path, len(lines), f"declared {nnz} entries but found {len(vals)}")
-    # tocsr sums duplicates and sorts indices
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+    if len(entries) != nnz:
+        _fail(path, last_line, f"declared {nnz} entries but found {len(entries)}")
+    _fail_first_refused(path, entries, "non-numeric entry", dtype=_ENTRY, ndmin=1)
 
 
 def write_sparse_matrix(path, matrix) -> None:
@@ -134,10 +179,28 @@ def write_sparse_matrix(path, matrix) -> None:
     csr.sum_duplicates()
     csr.sort_indices()
     coo = csr.tocoo()
-    out = [MATRIX_HEADER, f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}"]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        out.append(f"{i + 1} {j + 1} {float(v)!r}")
+    entries = map(
+        "{} {} {!r}".format,
+        (coo.row + 1).tolist(),
+        (coo.col + 1).tolist(),
+        coo.data.astype(float).tolist(),
+    )
+    out = [MATRIX_HEADER, f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}", *entries]
     atomic_write_text(path, "\n".join(out) + "\n")
+
+
+def _csv_row(path, line_no, text):
+    """The line's cells as floats, or None if a cell is not a number;
+    ParseError naming the first non-finite cell."""
+    cells = [c.strip() for c in text.split(",")]
+    try:
+        row = [float(c) for c in cells]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, row)):
+        c = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+        _fail(path, line_no, f"non-finite value {c!r}")
+    return row
 
 
 def read_dense_matrix(path) -> np.ndarray:
@@ -150,26 +213,21 @@ def read_dense_matrix(path) -> np.ndarray:
     ]
     if not content:
         _fail(path, 1, "empty file")
-
-    def parse_row(line_no, text):
-        cells = [c.strip() for c in text.split(",")]
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            return None
-        if not all(map(math.isfinite, row)):
-            c = next(c for c, v in zip(cells, row) if not math.isfinite(v))
-            _fail(path, line_no, f"non-finite value {c!r}")
-        return row
-
-    first = parse_row(*content[0])
-    start = 0 if first is not None else 1
-    if first is None and len(content) == 1:
+    rows = content[0 if _csv_row(path, *content[0]) is not None else 1:]
+    if not rows:
         _fail(path, content[0][0], "no numeric rows after header")
-    rows = []
+    array = _loadtxt([text for _, text in rows], delimiter=",", ndmin=2)
+    if array is None or not np.isfinite(array).all():
+        _refuse_rows(path, rows)
+    return array
+
+
+def _refuse_rows(path, rows):
+    """Raise the ParseError of the first bad CSV row, reading each cell with
+    Python's float, or else of the first row numpy refuses."""
     width = None
-    for line_no, text in content[start:]:
-        row = parse_row(line_no, text)
+    for line_no, text in rows:
+        row = _csv_row(path, line_no, text)
         if row is None:
             _fail(path, line_no, f"non-numeric cell in {text!r}")
         if width is None:
@@ -179,8 +237,7 @@ def read_dense_matrix(path) -> np.ndarray:
                 path, line_no,
                 f"ragged row: {len(row)} cells, expected {width}",
             )
-        rows.append(row)
-    return np.asarray(rows, dtype=float)
+    _fail_first_refused(path, rows, "non-numeric cell in", delimiter=",", ndmin=2)
 
 
 def write_dense_matrix(path, array) -> None:
@@ -204,10 +261,19 @@ def read_matrix_auto(path) -> np.ndarray:
 def _sparse_to_lists(matrix) -> dict:
     coo = sp.csr_matrix(matrix).tocoo()
     return {
-        "rows": [int(i) for i in coo.row],
-        "cols": [int(j) for j in coo.col],
-        "values": [float(v) for v in coo.data],
+        "rows": coo.row.tolist(),
+        "cols": coo.col.tolist(),
+        "values": coo.data.astype(float).tolist(),
     }
+
+
+def _json_list(items, level) -> str:
+    """Encoded items laid out as json.dumps(list, indent=1) lays out a list
+    nested `level` deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
 
 
 def _require_ints(values, what) -> None:
@@ -265,11 +331,20 @@ def write_model(path, model: FactorModel, hp: Hyperparams, trace=None) -> None:
         "n_factors": model.n_factors,
         "hyperparams": {f.name: getattr(hp, f.name) for f in fields(hp)},
         "objective_trace": list(map(float, trace if trace is not None else [])),
-        "basis": model.U.tolist(),
-        "coeffs": _sparse_to_lists(model.V),
-        "error": _sparse_to_lists(model.E),
     }
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    tail = {"coeffs": _sparse_to_lists(model.V), "error": _sparse_to_lists(model.E)}
+    # the text of json.dumps({**payload, "basis": U.tolist(), **tail}, indent=1),
+    # with the basis joined here, as json's indented encoder is pure Python;
+    # U is finite, so repr spells each value as json does
+    basis = _json_list(
+        [_json_list(list(map(repr, row)), 2) for row in model.U.tolist()], 1
+    )
+    text = (
+        json.dumps(payload, indent=1)[:-2]
+        + f',\n "basis": {basis},'
+        + json.dumps(tail, indent=1)[1:]
+    )
+    atomic_write_text(path, text + "\n")
 
 
 def read_model(path) -> ModelRecord:

@@ -9,15 +9,20 @@ package's own lasso solver one item at a time on explicit grams, against
 the builders' lockstep batches, coefficient_sweep_by_scalar_loop takes
 the package's scalar step at every coordinate, against the row scan of
 solver.update_coeffs, and rank_by_image_loop ranks one test image at a
-time, against the one sort of metrics.rank_predictions.
+time, against the one sort of metrics.rank_predictions.  The two file
+readers read_sparse_by_lines and read_dense_by_cells parse one line and one
+cell at a time with Python's int and float; io's one-call numpy readers must
+return the same bits and raise the same messages.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def dense_objective(D, S, T, U, V, E, hp) -> float:
@@ -329,3 +334,102 @@ def average_recall_by_hand(rankings, deleted_sets, n):
 def coverage_by_hand(rankings, deleted_sets, n):
     vals = [1.0 if set(r[:n]) & d else 0.0 for r, d in zip(rankings, deleted_sets)]
     return float(np.mean(vals))
+
+
+def _fail(path, line_no, message):
+    raise ValueError(f"{path}:{line_no}: {message}")
+
+
+MATRIX_HEADER = "%%MatrixMarket matrix coordinate real general"
+
+
+def read_sparse_by_lines(path) -> sp.csr_matrix:
+    """io.read_sparse_matrix as a loop over the entry lines, each read with
+    Python's int and float and checked before the next; ValueError with the
+    reader's ParseError message."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        _fail(path, 1, "empty file, expected MatrixMarket header")
+    if lines[0].strip().lower().split() != MATRIX_HEADER.lower().split():
+        _fail(path, 1, f"bad header {lines[0].strip()!r}, expected {MATRIX_HEADER!r}")
+    content = [
+        (line_no, text)
+        for line_no, text in enumerate(map(str.strip, lines[1:]), start=2)
+        if text and not text.startswith("%")
+    ]
+    if not content:
+        _fail(path, len(lines), "missing size line")
+    line_no, text = content[0]
+    parts = text.split()
+    if len(parts) != 3:
+        _fail(path, line_no, f"size line needs 3 fields, got {len(parts)}")
+    try:
+        n, m, nnz = (int(p) for p in parts)
+    except ValueError:
+        _fail(path, line_no, f"non-integer size line {text!r}")
+    if n < 0 or m < 0 or nnz < 0:
+        _fail(path, line_no, "matrix dimensions must be non-negative")
+    rows, cols, vals = [], [], []
+    for line_no, text in content[1:]:
+        if len(vals) >= nnz:
+            _fail(path, line_no, f"more than the declared {nnz} entries")
+        parts = text.split()
+        if len(parts) != 3:
+            _fail(path, line_no, f"entry needs 3 fields, got {len(parts)}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            v = float(parts[2])
+        except ValueError:
+            _fail(path, line_no, f"non-numeric entry {text!r}")
+        if not (1 <= i <= n and 1 <= j <= m):
+            _fail(path, line_no, f"index ({i}, {j}) outside {n}x{m} matrix")
+        if not math.isfinite(v):
+            _fail(path, line_no, f"non-finite value {parts[2]!r}")
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(vals) != nnz:
+        _fail(path, len(lines), f"declared {nnz} entries but found {len(vals)}")
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+
+
+def read_dense_by_cells(path) -> np.ndarray:
+    """io.read_dense_matrix as a loop over the rows, each cell read with
+    Python's float; a first line with a non-numeric cell is a header.
+    ValueError with the reader's ParseError message."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    content = [
+        (idx + 1, line.strip()) for idx, line in enumerate(lines) if line.strip()
+    ]
+    if not content:
+        _fail(path, 1, "empty file")
+
+    def parse_row(line_no, text):
+        cells = [c.strip() for c in text.split(",")]
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, row)):
+            c = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+            _fail(path, line_no, f"non-finite value {c!r}")
+        return row
+
+    first = parse_row(*content[0])
+    start = 0 if first is not None else 1
+    if first is None and len(content) == 1:
+        _fail(path, content[0][0], "no numeric rows after header")
+    rows = []
+    width = None
+    for line_no, text in content[start:]:
+        row = parse_row(line_no, text)
+        if row is None:
+            _fail(path, line_no, f"non-numeric cell in {text!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            _fail(path, line_no, f"ragged row: {len(row)} cells, expected {width}")
+        rows.append(row)
+    return np.asarray(rows, dtype=float)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import read_dense_by_cells, read_sparse_by_lines
 
 from tagcomplete.core import FactorModel, Hyperparams, TaggingMatrix
 from tagcomplete.io import (
+    MATRIX_HEADER,
     ParseError,
     parse_key_values,
     read_dense_matrix,
@@ -539,8 +542,19 @@ class TestExtremeFloatRoundTrips:
 
 
 class TestWritersExactBytes:
-    """The dense and model writers emit the per-element repr(float(v)) text of
-    every value, at the edges of float64 too."""
+    """The MatrixMarket, dense and model writers emit the per-element
+    repr(float(v)) text of every value, at the edges of float64 too."""
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_matrix_market(self, tmp_path_factory, data):
+        shape = (data.draw(SIDES), data.draw(SIDES))
+        entries = data.draw(sparse_entries(shape))
+        path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+        write_sparse_matrix(path, stored_matrix(shape, entries))
+        lines = [MATRIX_HEADER, f"{shape[0]} {shape[1]} {len(entries)}"]
+        lines += [f"{i + 1} {j + 1} {float(v)!r}" for (i, j), v in sorted(entries.items())]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @ROUND_TRIPS
     @given(arrays(float, st.tuples(SIDES, SIDES), elements=EXTREME_FLOATS))
@@ -566,6 +580,219 @@ class TestWritersExactBytes:
             payload["objective_trace"] = [float(v) for v in given_trace]
             payload["basis"] = [[float(v) for v in row] for row in model.U]
             assert written == (json.dumps(payload, indent=1) + "\n").encode()
+
+    @ROUND_TRIPS
+    @given(st.data())
+    def test_model_json_sparse_blocks(self, tmp_path_factory, data):
+        n, k, m = data.draw(SIDES), data.draw(SIDES), data.draw(SIDES)
+        V = stored_matrix((k, m), data.draw(sparse_entries((k, m))))
+        E = stored_matrix((n, m), data.draw(sparse_entries((n, m))))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model(path, FactorModel(U=np.zeros((n, k)), V=V, E=E), Hyperparams(K=k))
+        written = path.read_bytes()
+        payload = json.loads(written)
+        for key, matrix in (("coeffs", V), ("error", E)):
+            coo = matrix.tocoo()
+            payload[key] = {
+                "rows": [int(i) for i in coo.row],
+                "cols": [int(j) for j in coo.col],
+                "values": [float(v) for v in coo.data],
+            }
+        assert written == (json.dumps(payload, indent=1) + "\n").encode()
+
+
+# spellings of a finite double that both Python's float and numpy read exactly
+SPELLINGS = st.sampled_from([repr, "{:.17e}".format, "{:.17g}".format, "{:+.17E}".format])
+PADS = st.sampled_from(["", " ", "  ", "\t", " \t"])
+BLANKS = st.sampled_from(["", "   ", "\t"])
+NON_NUMERIC = st.sampled_from(["x", "1.0.0", "--1", "1e", "0x10"])
+NON_FINITE = st.sampled_from(["nan", "inf", "-Infinity", "NaN", "1e400"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+ORACLE_CHECKS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def matrix_market_file(draw, corrupt=False):
+    """MatrixMarket text with blank and % lines between the lines, padded
+    fields and several float spellings.  With corrupt, one entry gets a bad
+    field, a 0 or out-of-range index, or 2 or 4 fields, or the declared
+    count is one off."""
+    n, m = draw(SIDES), draw(SIDES)
+    cell = st.tuples(st.integers(1, n), st.integers(1, m), EXTREME_FLOATS)
+    entries = [
+        [str(i), str(j), draw(SPELLINGS)(v)]
+        for i, j, v in draw(st.lists(cell, min_size=int(corrupt), max_size=8))
+    ]
+    declared = len(entries)
+    if corrupt:
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        kind = draw(st.sampled_from(["non-numeric", "non-finite", "index", "fields", "count"]))
+        if kind == "non-numeric":
+            field = draw(st.integers(0, 2))
+            # an index spelled as a float is not an integer either
+            entry[field] = draw(NON_NUMERIC | st.sampled_from(["1.0", "2.5"]) if field < 2
+                                else NON_NUMERIC)
+        elif kind == "non-finite":
+            entry[2] = draw(NON_FINITE)
+        elif kind == "index":
+            axis = draw(st.integers(0, 1))
+            entry[axis] = draw(st.sampled_from(["0", "-1", str((n, m)[axis] + 1)]))
+        elif kind == "fields":
+            entry[:] = entry[:2] if draw(st.booleans()) else [*entry, "1.0"]
+        else:
+            declared += draw(st.sampled_from([-1, 1]))
+    fillers = st.lists(BLANKS | st.sampled_from(["%", "% a comment", "\t% c"]), max_size=2)
+    lines = [MATRIX_HEADER, *draw(fillers), f"{n} {m} {declared}"]
+    for fields in entries:
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines += [*draw(fillers), draw(PADS) + sep.join(fields) + draw(PADS)]
+    lines += draw(fillers)
+    end = draw(LINE_ENDS)
+    return end.join(lines) + end
+
+
+@st.composite
+def csv_file(draw, corrupt=False):
+    """CSV text with blank lines between the rows, spaces and tabs around
+    the cells, several float spellings and maybe a header line.  With
+    corrupt, a header is always there and one row gets a cell more or
+    less, a non-numeric cell or a non-finite one."""
+    n_rows, width = draw(st.integers(1 + int(corrupt), 4)), draw(SIDES)
+    row = st.lists(EXTREME_FLOATS, min_size=width, max_size=width)
+    rows = [[draw(SPELLINGS)(v) for v in values] for values in draw(
+        st.lists(row, min_size=n_rows, max_size=n_rows))]
+    if corrupt:
+        cells = rows[draw(st.integers(0, n_rows - 1))]
+        kind = draw(st.sampled_from(["ragged", "non-numeric", "non-finite"]))
+        if kind == "ragged":
+            if width == 1 or draw(st.booleans()):
+                cells.append("1.0")
+            else:
+                cells.pop()
+        else:
+            # an empty cell, unless it would leave a blank line
+            bad = NON_NUMERIC | st.just("") if width > 1 else NON_NUMERIC
+            cells[draw(st.integers(0, width - 1))] = draw(
+                bad if kind == "non-numeric" else NON_FINITE
+            )
+    lines = []
+    if corrupt or draw(st.booleans()):
+        lines.append(",".join(f"col{c}" for c in range(width)))
+    for cells in rows:
+        lines += draw(st.lists(BLANKS, max_size=1))
+        lines.append(",".join(draw(PADS) + c + draw(PADS) for c in cells))
+    end = draw(LINE_ENDS)
+    return end.join(lines) + end
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert a.data.dtype == b.data.dtype
+    assert_same_bits(a.data, b.data)
+
+
+class TestReadersMatchLineOracles:
+    """The one-call numpy readers return the bits, and raise the messages, of
+    the line-at-a-time Python readers they replace (tests/oracles.py)."""
+
+    @ORACLE_CHECKS
+    @given(matrix_market_file())
+    def test_matrix_market(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+        path.write_bytes(text.encode())
+        got = read_sparse_matrix(path)
+        assert_same_csr(got, read_sparse_by_lines(path))
+        assert got.has_canonical_format
+
+    @ORACLE_CHECKS
+    @given(csv_file())
+    def test_dense_csv(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        got = read_dense_matrix(path)
+        assert_same_bits(got, read_dense_by_cells(path))
+        assert got.flags.c_contiguous
+
+    @ORACLE_CHECKS
+    @given(st.data())
+    def test_corrupt_files(self, tmp_path_factory, data):
+        read, oracle, strategy = data.draw(st.sampled_from([
+            (read_sparse_matrix, read_sparse_by_lines, matrix_market_file(corrupt=True)),
+            (read_dense_matrix, read_dense_by_cells, csv_file(corrupt=True)),
+        ]))
+        path = tmp_path_factory.mktemp("corrupt") / "input"
+        path.write_bytes(data.draw(strategy).encode())
+        with pytest.raises(ValueError) as expected:
+            oracle(path)
+        with pytest.raises(ParseError) as got:
+            read(path)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSpellingsOnlyPythonReads:
+    """A number that Python's int or float reads but numpy's parser does not,
+    such as 1_0 or a non-ASCII digit, is a parse error naming its line.  A
+    fault that Python sees on any line is named first."""
+
+    @pytest.mark.parametrize(
+        "read, oracle, text, line_no, message",
+        [
+            (read_sparse_matrix, read_sparse_by_lines,
+             f"{MATRIX_HEADER}\n2 2 2\n1 1 1.0\n% c\n1 2 1_0\n",
+             5, "non-numeric entry '1 2 1_0'"),
+            (read_sparse_matrix, read_sparse_by_lines,
+             f"{MATRIX_HEADER}\n2 2 1\n\n1 \u0661 1.0\n",
+             4, "non-numeric entry '1 \u0661 1.0'"),
+            (read_dense_matrix, read_dense_by_cells,
+             "a,b\n1.0,2.0\n\n3.0, 1_0\n", 4, "non-numeric cell in '3.0, 1_0'"),
+        ],
+    )
+    def test_names_the_line(self, read, oracle, text, line_no, message, tmp_path):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        oracle(path)  # the Python readers took these
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    def test_python_fault_named_first(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"{MATRIX_HEADER}\n2 2 2\n1 1 1_0\n1 1 x\n")
+        with pytest.raises(ParseError) as exc:
+            read_sparse_matrix(path)
+        assert str(exc.value) == f"{path}:4: non-numeric entry '1 1 x'"
+
+    def test_index_read_via_a_float_is_refused(self, tmp_path, monkeypatch):
+        # some numpy versions read "1.0" into an integer field, warning only
+        def old_loadtxt(lines, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.ones(len(lines), dtype)
+
+        monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+        path = tmp_path / "m.mtx"
+        path.write_text(f"{MATRIX_HEADER}\n2 2 1\n1.0 1 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as outside a test run
+            with pytest.raises(ParseError) as exc:
+                read_sparse_matrix(path)
+        assert str(exc.value) == f"{path}:3: non-numeric entry '1.0 1 1.0'"
+
+
+class TestNoWarningOnEmptyInput:
+    def test_no_entries_and_one_row(self, tmp_path):
+        mtx, csv = tmp_path / "m.mtx", tmp_path / "d.csv"
+        mtx.write_text(f"{MATRIX_HEADER}\n3 4 0\n")
+        csv.write_text("a,b\n1.0,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_sparse_matrix(mtx).shape == (3, 4)
+            np.testing.assert_array_equal(read_dense_matrix(csv), [[1.0, 2.0]])
+
 
 class TestOverrides:
     def test_parses_typed_values(self, tmp_path):
