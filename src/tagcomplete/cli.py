@@ -2,7 +2,7 @@
 
 Subcommands: build-structure, complete, evaluate, synth-bench.  Exit codes:
 0 on success, 2 on usage or input problems, 3 on numerical failures
-(objective blow-up, lasso non-convergence or a failed structure build).
+(objective blow-up, or a structure lasso that runs out of rounds).
 Reaching --max-iters is not a failure: the run exits 0 and prints
 converged=False.  All randomness is controlled by explicit seeds, so
 repeated invocations produce identical output files.
@@ -30,7 +30,6 @@ from .metrics import evaluate as evaluate_metrics
 from .metrics import rank_predictions
 from .solver import NumericalBlowupError, fit
 from .structure import (
-    StructureBuildError,
     build_feature_structure,
     build_tag_structure,
     feature_structure_kkt,
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (NumericalBlowupError, LassoConvergenceError, StructureBuildError) as exc:
+    except (NumericalBlowupError, LassoConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)
         if trace:

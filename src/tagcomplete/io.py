@@ -3,14 +3,17 @@
 All writers are atomic (temp file + rename) and produce deterministic bytes
 for identical inputs; floats are serialized with repr, so every write→read
 round-trip is exact.  All readers reject non-finite values and report the
-offending line.
+offending line; a MatrixMarket cell whose duplicate entries sum to a
+non-finite value is refused at the last of those entries.
 
 The MatrixMarket and CSV readers parse all entry or row lines in one
-np.loadtxt call and check index ranges and finiteness on the whole array.
-Only a file that numpy refuses, or whose checks flag a row, is scanned line
-by line with Python's int and float, to name the bad line.  A number that
-only Python reads, such as 1_0 or one with non-ASCII digits, is a parse
-error ("non-numeric entry", "non-numeric cell in").
+np.loadtxt call and check index ranges and finiteness on the whole array
+(on the summed matrix, for MatrixMarket).  Only a file that numpy refuses,
+or whose checks flag a row, is scanned line by line with Python's int and
+float, to name the bad line.  A number that only Python reads, such as 1_0
+or one with non-ASCII digits, is a parse error ("non-numeric entry",
+"non-numeric cell in"); halving over runs of lines finds the first such
+line in about log2(lines) np.loadtxt calls.
 """
 
 from __future__ import annotations
@@ -96,11 +99,18 @@ def _loadtxt(lines, **kwargs):
 
 def _fail_first_refused(path, content, what, **kwargs):
     """ParseError naming the first of the (line number, text) lines that numpy
-    refuses, for a number only Python reads, such as 1_0."""
-    line_no, text = next(
-        (line for line in content if _loadtxt([line[1]], **kwargs) is None),
-        content[-1],
-    )
+    refuses, for a number only Python reads, such as 1_0, or else the last.
+    Once the line scan has passed, every line has the format's field count,
+    so numpy refuses a run of lines only if it holds a line that it refuses
+    alone: halving finds the first in about log2(len(content)) calls."""
+    lo, hi = 0, len(content)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _loadtxt([text for _, text in content[lo:mid]], **kwargs) is None:
+            hi = mid
+        else:
+            lo = mid
+    line_no, text = content[lo]
     _fail(path, line_no, f"{what} {text!r}")
 
 
@@ -109,7 +119,8 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
 
     Duplicate entries are summed.  Malformed headers, short/long entry lists,
     out-of-range indices, non-numeric or non-finite values all raise
-    ParseError naming the line.
+    ParseError naming the line; so do duplicates whose sum is not finite,
+    at the line of their last entry.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -139,20 +150,27 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
     # the declared count sizes nothing: the entries are parsed as found
     entries = content[1:]
     parsed = np.empty(0, _ENTRY)
+    summed = None
     if entries:  # loadtxt warns on no lines
         parsed = _loadtxt([text for _, text in entries], dtype=_ENTRY, ndmin=1)
     if parsed is not None and len(parsed) == nnz:
         i, j, v = parsed["i"], parsed["j"], parsed["v"]
-        if ((1 <= i) & (i <= n) & (1 <= j) & (j <= m) & np.isfinite(v)).all():
-            # tocsr sums duplicates and sorts indices
-            return sp.coo_matrix((v, (i - 1, j - 1)), shape=(n, m)).tocsr()
-    _refuse_entries(path, entries, (n, m, nnz), len(lines))
+        if ((1 <= i) & (i <= n) & (1 <= j) & (j <= m)).all():
+            # tocsr sums duplicates and sorts indices.  A sum is non-finite
+            # whenever one of its terms is, so this checks every value.
+            summed = sp.coo_matrix((v, (i - 1, j - 1)), shape=(n, m)).tocsr()
+            if np.isfinite(summed.data).all():
+                return summed
+    _refuse_entries(path, entries, (n, m, nnz), len(lines), summed)
 
 
-def _refuse_entries(path, entries, size, last_line):
+def _refuse_entries(path, entries, size, last_line, summed):
     """Raise the ParseError of the first bad entry line, reading each line with
-    Python's int and float, or else of the first line numpy refuses."""
+    Python's int and float.  Failing that, when numpy refused the file
+    (summed is None), of the first line numpy refuses; else of the first
+    non-finite cell of the summed matrix, in row-major order."""
     n, m, nnz = size
+    last = {}  # (i, j) -> line number of the cell's last entry
     for count, (line_no, text) in enumerate(entries):
         if count >= nnz:
             _fail(path, line_no, f"more than the declared {nnz} entries")
@@ -168,9 +186,15 @@ def _refuse_entries(path, entries, size, last_line):
             _fail(path, line_no, f"index ({i}, {j}) outside {n}x{m} matrix")
         if not math.isfinite(v):
             _fail(path, line_no, f"non-finite value {parts[2]!r}")
+        last[i, j] = line_no
     if len(entries) != nnz:
         _fail(path, last_line, f"declared {nnz} entries but found {len(entries)}")
-    _fail_first_refused(path, entries, "non-numeric entry", dtype=_ENTRY, ndmin=1)
+    if summed is None:
+        _fail_first_refused(path, entries, "non-numeric entry", dtype=_ENTRY, ndmin=1)
+    at = np.flatnonzero(~np.isfinite(summed.data))[0]
+    i = int(np.searchsorted(summed.indptr, at, side="right"))
+    j = int(summed.indices[at]) + 1
+    _fail(path, last[i, j], f"duplicate entries at ({i}, {j}) sum to a non-finite value")
 
 
 def write_sparse_matrix(path, matrix) -> None:

@@ -39,7 +39,8 @@ _SINGULAR_PIVOT = 1e-12
 
 
 class LassoConvergenceError(TagCompleteError, RuntimeError):
-    """An item's rounds ran out; carries its batch index and last KKT residual."""
+    """An item's rounds ran out; carries its last KKT residual and its index:
+    in the batch, or in the whole build when a structure builder re-raises it."""
 
     def __init__(self, message: str, kkt_residual: float, item: int = 0):
         super().__init__(message)

@@ -20,21 +20,12 @@ from .core import (
     FeatureMatrix,
     Hyperparams,
     StructureMatrix,
-    TagCompleteError,
     TaggingMatrix,
     ValidationError,
     check_structure_sizes,
     normalize_rows,
 )
 from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, pool_gram, solve_lasso
-
-class StructureBuildError(TagCompleteError, RuntimeError):
-    """A reconstruction subproblem failed; carries the item index."""
-
-    def __init__(self, message: str, item: int):
-        super().__init__(message)
-        self.item = item
-
 
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
@@ -105,7 +96,8 @@ def _reconstruction_matrix(pool, neighbors, chunk, l1_weight, tol) -> sp.csr_mat
     each item's neighbors and itself as correlations.  A batch is formed as
     its solve starts and is dropped when the solve returns, so the build
     holds one batch at a time.  Each batch keeps only its nonzero weights,
-    in row order: the CSR data."""
+    in row order: the CSR data.  An item whose rounds run out is re-raised as
+    a LassoConvergenceError whose `item` counts over the whole build."""
     size = neighbors.shape[0]
     data, indices, counts = [], [], []
     for start in range(0, size, chunk):
@@ -117,10 +109,11 @@ def _reconstruction_matrix(pool, neighbors, chunk, l1_weight, tol) -> sp.csr_mat
             ), tol).weights
         except LassoConvergenceError as exc:
             item = start + exc.item
-            raise StructureBuildError(
+            raise LassoConvergenceError(
                 f"reconstruction subproblem for item {item} did not converge "
                 f"(KKT residual {exc.kkt_residual:g})",
-                item=item,
+                exc.kkt_residual,
+                item,
             ) from exc
         nz = weights != 0.0
         data.append(weights[nz])

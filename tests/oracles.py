@@ -370,7 +370,7 @@ def read_sparse_by_lines(path) -> sp.csr_matrix:
         _fail(path, line_no, f"non-integer size line {text!r}")
     if n < 0 or m < 0 or nnz < 0:
         _fail(path, line_no, "matrix dimensions must be non-negative")
-    rows, cols, vals = [], [], []
+    rows, cols, vals, line_nos = [], [], [], []
     for line_no, text in content[1:]:
         if len(vals) >= nnz:
             _fail(path, line_no, f"more than the declared {nnz} entries")
@@ -389,9 +389,18 @@ def read_sparse_by_lines(path) -> sp.csr_matrix:
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
+        line_nos.append(line_no)
     if len(vals) != nnz:
         _fail(path, len(lines), f"declared {nnz} entries but found {len(vals)}")
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+    summed = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+    dense = summed.toarray()
+    for r, c in zip(*np.nonzero(~np.isfinite(dense))):  # row-major order
+        line_no = max(
+            no for no, i, j in zip(line_nos, rows, cols) if (i, j) == (r, c)
+        )
+        _fail(path, line_no,
+              f"duplicate entries at ({r + 1}, {c + 1}) sum to a non-finite value")
+    return summed
 
 
 def read_dense_by_cells(path) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tagcomplete import io as tgio
+from tagcomplete import lasso, structure
 from tagcomplete.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -179,6 +180,25 @@ class TestBuildStructure:
             "error: the tag structure needs a binary tagging matrix, "
             "but D stores 0.5 at image 1, tag 1\n"
         )
+
+    @pytest.mark.parametrize("mode", ["image", "tag"])
+    def test_lasso_out_of_rounds_exits_3(
+        self, pipeline_files, capsys, tmp_path, monkeypatch, mode
+    ):
+        # one round per item is too few for these lassos
+        monkeypatch.setattr(
+            structure, "solve_lasso",
+            lambda batch, tol: lasso.solve_lasso(batch, tol, max_iters=1),
+        )
+        out = tmp_path / "x.mtx"
+        inputs = {"image": ["--features", pipeline_files["features"]],
+                  "tag": ["--tags", pipeline_files["observed"]]}[mode]
+        code, stdout, err = run_cli(
+            ["build-structure", "--mode", mode, *inputs, "--knn", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL and stdout == "" and not out.exists()
+        assert err.startswith("numerical failure: reconstruction subproblem for item ")
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +547,23 @@ class TestEvaluate:
         )
         assert code == EXIT_USAGE
 
+
+    def test_duplicates_summing_to_inf_exit_2(self, capsys, tmp_path):
+        scores_path = tmp_path / "scores.mtx"
+        scores_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 4 2\n1 1 1e308\n1 1 1e308\n"
+        )
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(TestWronglyTypedJson.SPLIT))
+        code, stdout, err = run_cli(
+            ["evaluate", "--scores", str(scores_path), "--split", str(split_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE and stdout == ""
+        assert err == (
+            f"error: {scores_path}:4: duplicate entries at (1, 1) sum to a non-finite value\n"
+        )
 
     def test_huge_declared_count_exits_2(self, capsys, tmp_path):
         scores_path = tmp_path / "scores.mtx"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import read_dense_by_cells, read_sparse_by_lines
@@ -72,6 +72,27 @@ class TestSparseMatrixFormat:
         m = read_sparse_matrix(path)
         assert m[0, 0] == 3.5
         assert m.nnz == 1
+
+    @pytest.mark.parametrize(
+        "body, line_no, cell",
+        [
+            ("2 2 2\n1 1 1e308\n1 1 1e308\n", 4, (1, 1)),
+            # the first such cell in row-major order, at its last entry
+            ("2 2 5\n2 1 1e308\n1 2 -1e308\n2 1 1e308\n1 2 -1e308\n1 2 1.0\n",
+             7, (1, 2)),
+        ],
+        ids=["one-cell", "first-cell-in-row-major-order"],
+    )
+    def test_duplicates_summing_past_the_largest_double(self, tmp_path, body, line_no, cell):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"{MATRIX_HEADER}\n{body}")
+        message = f"{path}:{line_no}: duplicate entries at {cell} sum to a non-finite value"
+        with pytest.raises(ParseError) as exc:
+            read_sparse_matrix(path)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as expected:
+            read_sparse_by_lines(path)
+        assert str(expected.value) == message
 
     def test_bad_header_names_line_one(self, tmp_path):
         path = tmp_path / "m.mtx"
@@ -608,25 +629,49 @@ BLANKS = st.sampled_from(["", "   ", "\t"])
 NON_NUMERIC = st.sampled_from(["x", "1.0.0", "--1", "1e", "0x10"])
 NON_FINITE = st.sampled_from(["nan", "inf", "-Infinity", "NaN", "1e400"])
 LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+HUGE = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308])
 ORACLE_CHECKS = settings(max_examples=150, deadline=None)
+
+
+def sums_overflow(shape, cells):
+    """Whether some cell's (1-based i, j, value) entries sum, as the readers
+    sum them, to a non-finite value."""
+    if not cells:
+        return False
+    i, j, v = map(np.asarray, zip(*cells))
+    summed = sp.coo_matrix((v, (i - 1, j - 1)), shape=shape).tocsr()
+    return not np.isfinite(summed.data).all()
 
 
 @st.composite
 def matrix_market_file(draw, corrupt=False):
     """MatrixMarket text with blank and % lines between the lines, padded
-    fields and several float spellings.  With corrupt, one entry gets a bad
-    field, a 0 or out-of-range index, or 2 or 4 fields, or the declared
-    count is one off."""
+    fields and several float spellings.  Some cells get duplicate entries
+    at ±1.7976931348623157e308; no cell's sum overflows.  With corrupt, one
+    entry gets a bad field, a 0 or out-of-range index, or 2 or 4 fields, or
+    the declared count is one off, or two entries of a cell sum past the
+    largest double."""
     n, m = draw(SIDES), draw(SIDES)
     cell = st.tuples(st.integers(1, n), st.integers(1, m), EXTREME_FLOATS)
-    entries = [
-        [str(i), str(j), draw(SPELLINGS)(v)]
-        for i, j, v in draw(st.lists(cell, min_size=int(corrupt), max_size=8))
-    ]
+    cells = draw(st.lists(cell, min_size=int(corrupt), max_size=8))
+    if cells:
+        again = draw(st.lists(st.tuples(st.sampled_from(cells), HUGE), max_size=2))
+        cells = draw(st.permutations(cells + [(i, j, v) for (i, j, _), v in again]))
+    kind = None
+    if corrupt:
+        kind = draw(st.sampled_from(
+            ["non-numeric", "non-finite", "index", "fields", "count", "sum"]
+        ))
+    if kind == "sum":
+        at, v = draw(st.integers(0, len(cells) - 1)), draw(HUGE)
+        cells[at] = (*cells[at][:2], v)
+        cells.insert(draw(st.integers(0, len(cells))), cells[at])
+    if kind in (None, "sum"):  # other faults come before the sums
+        assume(sums_overflow((n, m), cells) == (kind == "sum"))
+    entries = [[str(i), str(j), draw(SPELLINGS)(v)] for i, j, v in cells]
     declared = len(entries)
     if corrupt:
         entry = entries[draw(st.integers(0, len(entries) - 1))]
-        kind = draw(st.sampled_from(["non-numeric", "non-finite", "index", "fields", "count"]))
         if kind == "non-numeric":
             field = draw(st.integers(0, 2))
             # an index spelled as a float is not an integer either
@@ -639,7 +684,7 @@ def matrix_market_file(draw, corrupt=False):
             entry[axis] = draw(st.sampled_from(["0", "-1", str((n, m)[axis] + 1)]))
         elif kind == "fields":
             entry[:] = entry[:2] if draw(st.booleans()) else [*entry, "1.0"]
-        else:
+        elif kind == "count":
             declared += draw(st.sampled_from([-1, 1]))
     fillers = st.lists(BLANKS | st.sampled_from(["%", "% a comment", "\t% c"]), max_size=2)
     lines = [MATRIX_HEADER, *draw(fillers), f"{n} {m} {declared}"]
@@ -758,6 +803,25 @@ class TestSpellingsOnlyPythonReads:
         with pytest.raises(ParseError) as exc:
             read(path)
         assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("read", [read_sparse_matrix, read_dense_matrix])
+    def test_halving_finds_the_line(self, read, tmp_path, monkeypatch):
+        # 4,096 entries or rows with 1_0 last: one loadtxt call for the file,
+        # then one per halving, not one per line
+        if read is read_sparse_matrix:
+            lines = [MATRIX_HEADER, "4096 1 4096", *(f"{i} 1 1.0" for i in range(1, 4096)),
+                     "4096 1 1_0"]
+        else:
+            lines = [*("1.0,2.0" for _ in range(4095)), "1.0,1_0"]
+        path = tmp_path / "input"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value).startswith(f"{path}:{len(lines)}: non-numeric ")
+        assert len(calls) <= 26
 
     def test_python_fault_named_first(self, tmp_path):
         path = tmp_path / "m.mtx"

@@ -18,7 +18,6 @@ from tagcomplete.core import (
 from tagcomplete import lasso, structure
 from tagcomplete.lasso import LassoProblem, kkt_residual
 from tagcomplete.structure import (
-    StructureBuildError,
     build_feature_structure,
     build_tag_structure,
     combined_feature_rows,
@@ -751,7 +750,7 @@ class TestLockstepChunks:
             structure, "solve_lasso",
             lambda problem, tol: lasso.solve_lasso(problem, tol, max_iters=cap),
         )
-        with pytest.raises(StructureBuildError) as exc:
+        with pytest.raises(lasso.LassoConvergenceError) as exc:
             if mode == "image":
                 build_feature_structure(features, hp)
             else:
