@@ -4,8 +4,10 @@ Subcommands: build-structure, complete, evaluate, synth-bench.  Exit codes:
 0 on success, 2 on usage or input problems, 3 on numerical failures
 (objective blow-up, or a structure lasso that runs out of rounds).
 Reaching --max-iters is not a failure: the run exits 0 and prints
-converged=False.  All randomness is controlled by explicit seeds, so
-repeated invocations produce identical output files.
+converged=False.  complete warns on stderr, in one line naming eta and K,
+when tags end with an all-zero column of V, and so score 0 on every image.
+All randomness is controlled by explicit seeds, so repeated invocations
+produce identical output files.
 """
 
 from __future__ import annotations
@@ -159,6 +161,14 @@ def _cmd_complete(args) -> int:
             tgio.write_sparse_matrix(args.out_scores, scores)
         else:
             tgio.write_dense_matrix(args.out_scores, scores)
+    V = report.model.V
+    empty = V.shape[1] - np.unique(V.indices[V.data != 0.0]).size
+    if empty:
+        print(
+            f"warning: {empty} of {V.shape[1]} tags have an all-zero column of V, "
+            f"so every image scores 0 on them (eta={hp.eta!r}, K={hp.K})",
+            file=sys.stderr,
+        )
     tail = report.objective_trace[-5:]
     _print_lines(
         [

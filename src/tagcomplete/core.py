@@ -296,16 +296,41 @@ def objective_from_arrays(data, U, V, E, S, T, hp: Hyperparams) -> float:
 
     data, U, V and E are dense; S and T are the sparse structure matrices.
     Shapes are not checked and non-finite values propagate to the result
-    instead of raising, so a solver can detect blow-ups from the value.
+    instead of raising, so a solver can detect blow-ups from the value.  It
+    is objective_from_terms of the terms below, so a caller that keeps the
+    terms of the blocks it did not change gets the same value bit for bit.
     """
-    residual = data - E - U @ V
-    value = float(np.sum(residual * residual))
-    if hp.gamma != 0.0:
-        u_res = U - S @ U
-        value += hp.gamma * float(np.sum(u_res * u_res))
-    if hp.lambda_ != 0.0:
-        v_res = V - V @ T
-        value += hp.lambda_ * float(np.sum(v_res * v_res))
-    value += 2.0 * hp.eta * float(np.abs(V).sum())
-    value += hp.beta * float(np.abs(E).sum())
-    return value
+    return objective_from_terms(
+        residual_term(data - E - U @ V),
+        basis_term(U, S, hp),
+        coeff_terms(V, T, hp),
+        error_term(E, hp),
+    )
+
+
+def residual_term(residual: np.ndarray) -> float:
+    """||residual||_F^2, for residual = D - E - UV; it overwrites residual."""
+    return float(np.sum(np.multiply(residual, residual, out=residual)))
+
+
+def basis_term(U, S, hp: Hyperparams) -> float:
+    """gamma ||U - SU||_F^2."""
+    return hp.gamma * residual_term(U - S @ U) if hp.gamma != 0.0 else 0.0
+
+
+def coeff_terms(V, T, hp: Hyperparams) -> tuple[float, float]:
+    """lambda ||V - VT||_F^2 and 2 eta ||V||_1."""
+    smooth = hp.lambda_ * residual_term(V - V @ T) if hp.lambda_ != 0.0 else 0.0
+    return smooth, 2.0 * hp.eta * float(np.abs(V).sum())
+
+
+def error_term(E, hp: Hyperparams) -> float:
+    """beta ||E||_1."""
+    return hp.beta * float(np.abs(E).sum())
+
+
+def objective_from_terms(residual, basis, coeffs, error) -> float:
+    """The sum of the terms, in one fixed order.  No term is -0.0, so the
+    0.0 of a term whose weight is 0 changes no bit of the sum."""
+    smooth, sparse = coeffs
+    return residual + basis + smooth + sparse + error

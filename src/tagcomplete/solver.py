@@ -6,11 +6,20 @@ coefficient in turn, over each basis column in turn, and over the error
 matrix in closed form, so the objective trace is non-increasing block by
 block.
 
+fit works at the live rank.  A dead factor, a zero basis column with a zero
+coefficient row, is an exact fixed point of all three blocks while the
+target and the coefficients are finite, so fit takes such factors out of
+the working arrays at the start and after each basis pass, counts the
+skips a sweep over them would count, and puts them back, bit for bit, in
+the model it returns.  Each state of the blocks forms the product UV once,
+and each term of the objective once: the value after the basis pass, the
+error refresh and the value after it share one product.
+
 The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
 with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
 of each row first finds the zero coordinates that provably stay zero, so the
 sweep starts at the row's first coordinate that may move and passes over
-rows, such as dead factors, where none may.  Basis column k, with everything
+rows where none may.  Basis column k, with everything
 else fixed, solves the trust-region subproblem (More & Sorensen, SIAM J.
 Sci. Stat. Comput. 1983)
 
@@ -41,8 +50,12 @@ from .core import (
     StructureMatrix,
     TagCompleteError,
     TaggingMatrix,
+    basis_term,
     check_structure_sizes,
-    objective_from_arrays,
+    coeff_terms,
+    error_term,
+    objective_from_terms,
+    residual_term,
 )
 
 # Stopping rules of the basis step's Lanczos process (residual relative to
@@ -60,22 +73,29 @@ class NumericalBlowupError(TagCompleteError, RuntimeError):
         self.trace = list(trace)
 
 
-def soft_threshold(x, threshold):
-    """sign(x) * max(|x| - threshold, 0), elementwise."""
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
-
-
 def coeff_update_value(p: float, eta: float, denom: float) -> float:
-    """Exact minimizer of denom*v^2 - 2*p*v + 2*eta*|v| for denom > 0: the
-    scalar soft_threshold(p, eta) / denom, down to the sign of a zero."""
+    """Exact minimizer of denom*v^2 - 2*p*v + 2*eta*|v| for denom > 0: p
+    shrunk toward 0 by eta, then divided by denom."""
     if -eta <= p <= eta:
         return -0.0 if p < 0.0 else 0.0
     return (p - eta if p > 0.0 else p + eta) / denom
 
 
-def error_update_value(r, beta: float):
-    """Exact minimizer of (r - e)^2 + beta*|e|, elementwise."""
-    return soft_threshold(r, 0.5 * beta)
+def error_update_value(r, beta: float, out=None):
+    """Exact minimizer of (r - e)^2 + beta*|e|, elementwise.
+
+    r shrunk toward 0 by beta/2 in the one buffer out: |r| less beta/2,
+    clipped at 0, times the sign of r.  Bit for bit sign(r) * max(|r| -
+    beta/2, 0), signed zeros and NaN included.  Given out, r must be a float
+    array, and it is left holding its sign; otherwise both are new arrays.
+    """
+    if out is None:
+        r = np.array(r, dtype=float)
+        out = np.empty(r.shape)
+    np.abs(r, out=out)
+    out -= 0.5 * beta
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(r, out=r), out, out=out)
 
 
 class SolverWorkspace:
@@ -88,6 +108,12 @@ class SolverWorkspace:
     and its transpose image_shift_t, both CSR; the objective reads none of them.
     basis/coeffs/error are mutable copies of the model; target caches
     data - error and is refreshed whenever error changes.
+
+    The working factors are the model's factors at the positions `factors`:
+    drop_dead_factors takes dead ones out, and snapshot() puts the others
+    back in their places.  The product basis @ coeffs and the objective's
+    terms are kept for the current state, so each is formed once per state
+    of the blocks it reads; a block update calls changed() to forget them.
     """
 
     def __init__(
@@ -116,6 +142,11 @@ class SolverWorkspace:
         self.coeffs = model.V.toarray()
         self.error = model.E.toarray()
         self.target = self.data - self.error
+        self.factors = np.arange(model.n_factors)
+        # all K columns, until a drop makes basis a new array; the dropped
+        # columns here keep the bits they had when they were dropped
+        self._model_basis = self.basis
+        self._product, self._terms = None, {}
 
     @property
     def n_images(self) -> int:
@@ -127,24 +158,64 @@ class SolverWorkspace:
 
     @property
     def n_factors(self) -> int:
+        """The number of working factors."""
         return self.basis.shape[1]
 
+    def drop_dead_factors(self) -> None:
+        """Take the dead factors, a zero basis column with a zero coefficient
+        row, out of the working arrays.  Such a factor is a fixed point of
+        all three blocks while target and coeffs are finite, so it is kept
+        while they are not (0 * inf is NaN)."""
+        live = self.basis.any(axis=0) | self.coeffs.any(axis=1)
+        if live.all() or not (
+            np.isfinite(self.target).all() and np.isfinite(self.coeffs).all()
+        ):
+            return
+        self._model_basis[:, self.factors[~live]] = self.basis[:, ~live]
+        self.factors = self.factors[live]
+        self.basis = np.ascontiguousarray(self.basis[:, live])
+        self.coeffs = self.coeffs[live]
+
     def snapshot(self) -> FactorModel:
-        return FactorModel(
-            U=self.basis.copy(),
-            V=sp.csr_matrix(self.coeffs),
-            E=sp.csr_matrix(self.error),
-        )
+        """The model: the working factors in their places among the dropped."""
+        U = self._model_basis.copy()
+        U[:, self.factors] = self.basis
+        V = np.zeros((U.shape[1], self.n_tags))
+        V[self.factors] = self.coeffs
+        return FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(self.error))
+
+    def changed(self, block: str) -> None:
+        """Forget the product and terms that read block ("basis", "coeffs" or
+        "error"), after it changed."""
+        if block != "error":
+            self._product = None
+        self._terms.pop("residual", None)
+        self._terms.pop(block, None)
+
+    def product(self) -> np.ndarray:
+        """basis @ coeffs at the current state."""
+        if self._product is None:
+            self._product = self.basis @ self.coeffs
+        return self._product
 
     def objective_value(self) -> float:
-        """Objective at the current state, via core.objective_from_arrays.
+        """Objective at the current state: core.objective_from_terms, with
+        each term formed once per state of the blocks it reads.
 
         Never raises on non-finite state, so blow-ups surface as inf/nan for
         fit to catch.
         """
-        return objective_from_arrays(
-            self.data, self.basis, self.coeffs, self.error,
-            self.image_structure.matrix, self.tag_structure.matrix, self.hp,
+        terms, hp = self._terms, self.hp
+        if "residual" not in terms:
+            terms["residual"] = residual_term(self.target - self.product())
+        if "basis" not in terms:
+            terms["basis"] = basis_term(self.basis, self.image_structure.matrix, hp)
+        if "coeffs" not in terms:
+            terms["coeffs"] = coeff_terms(self.coeffs, self.tag_structure.matrix, hp)
+        if "error" not in terms:
+            terms["error"] = error_term(self.error, hp)
+        return objective_from_terms(
+            terms["residual"], terms["basis"], terms["coeffs"], terms["error"]
         )
 
 
@@ -163,22 +234,17 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     zero coordinate whose |q| <= eta stays where it is (a NaN q may move).
     Until a coordinate moves, the pass sees exactly the scanned q, so it
     starts at the first coordinate that may move, and a row where none may
-    (a dead factor: zero basis column and zero row) is not swept at all, nor,
-    while target and coeffs are finite (0 * inf is NaN), are its q formed.
+    is not swept at all.
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
     gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
-    dead = ~(ws.basis.any(axis=0) | coeffs.any(axis=1))
-    finite = bool(np.isfinite(ws.target).all() and np.isfinite(coeffs).all())
     skipped = 0
     for k in range(coeffs.shape[0]):
         gram_kk = float(gram[k, k])
         flat = gram_kk + diag <= 0.0
         skipped += int(np.count_nonzero(flat))
-        if dead[k] and finite:
-            continue
         coupling = corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])
         penalty_dot = coeffs[k] @ penalty
         q = coupling - (penalty_dot - diag * coeffs[k])
@@ -198,7 +264,7 @@ def update_coeffs(ws: SolverWorkspace) -> int:
                 row[m] = new
                 penalty_dot += (new - old) * penalty[m]
         coeffs[k] = row
-        finite = finite and bool(np.isfinite(coeffs[k]).all())
+    ws.changed("coeffs")
     return skipped
 
 
@@ -340,14 +406,17 @@ def update_basis(ws: SolverWorkspace) -> int:
             skipped += ws.n_images
         elif value(g, q, u) <= value(g, q, old):
             basis[:, k] = u
+    ws.changed("basis")
     return skipped
 
 
 def update_error(ws: SolverWorkspace) -> None:
-    """Exact global refresh of the error matrix by elementwise shrinkage."""
-    residual = ws.data - ws.basis @ ws.coeffs
-    ws.error = error_update_value(residual, ws.hp.beta)
-    ws.target = ws.data - ws.error
+    """Exact global refresh of the error matrix by elementwise shrinkage of
+    data - basis @ coeffs, in the buffers of the old target and error."""
+    residual = np.subtract(ws.data, ws.product(), out=ws.target)
+    error_update_value(residual, ws.hp.beta, out=ws.error)
+    np.subtract(ws.data, ws.error, out=ws.target)
+    ws.changed("error")
 
 
 @dataclass
@@ -416,11 +485,25 @@ def fit(
     hp.rel_tol or after hp.max_outer_iters iterations.  Deterministic given
     hp.rng_seed.
 
+    The blocks run at the live rank: dead factors leave the working arrays
+    at the start and after each basis pass (see drop_dead_factors), and the
+    skips of a sweep over them are counted as a full-rank sweep counts them.
+    The returned model has all K factors in their places, a dropped basis
+    column with the bits it had when it was dropped.  The result equals the
+    fit at full rank up to rounding: the products run over fewer terms.
+
     Raises NumericalBlowupError (trace attached) if the objective leaves the
     finite range.
     """
     model = initial_model(D, hp) if start is None else start
     ws = SolverWorkspace(D, S, T, model, hp)
+    # a dropped factor's skips per sweep, as a sweep over it would count
+    # them: its coefficients on tags without penalty mass, and its basis
+    # column's coordinates when that column's subproblem is constant
+    coeff_skips = int(np.count_nonzero(np.diagonal(ws.tag_penalty) <= 0.0))
+    basis_skips = ws.n_images if hp.gamma == 0.0 else 0
+    K = model.n_factors
+    ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
     block_rows = []
@@ -430,9 +513,10 @@ def fit(
     for _ in range(hp.max_outer_iters):
         iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            skipped += update_coeffs(ws)
+            skipped += update_coeffs(ws) + (K - ws.n_factors) * coeff_skips
             after_coeffs = ws.objective_value()
-            skipped += update_basis(ws)
+            skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
+            ws.drop_dead_factors()
             after_basis = ws.objective_value()
             update_error(ws)
             after_error = ws.objective_value()

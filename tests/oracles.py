@@ -12,7 +12,11 @@ solver.update_coeffs, and rank_by_image_loop ranks one test image at a
 time, against the one sort of metrics.rank_predictions.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
 cell at a time with Python's int and float; io's one-call numpy readers must
-return the same bits and raise the same messages.
+return the same bits and raise the same messages.  soft_threshold is the
+reference for the one-buffer shrinkage of solver.error_update_value, bit
+for bit, and fit_at_full_rank runs the package's coefficient and basis
+blocks at the full rank K, with each objective from core and the error
+block by soft_threshold, against solver.fit, which drops dead factors.
 """
 
 from __future__ import annotations
@@ -185,6 +189,65 @@ def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
                 penalty_dot += (new - old) * tag_penalty[m]
         coeffs[k] = row
     return coeffs, skipped
+
+
+def soft_threshold(x, threshold):
+    """sign(x) * max(|x| - threshold, 0), elementwise."""
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+
+
+def fit_at_full_rank(D, S, T, hp, start=None):
+    """solver.fit without dropping dead factors: every block at rank K, every
+    objective from core.objective_from_arrays, and the error block as
+    soft_threshold of data - UV by beta/2.  Returns a solver.SolverReport and
+    raises solver.NumericalBlowupError as fit does."""
+    from tagcomplete.core import objective_from_arrays
+    from tagcomplete.solver import (
+        NumericalBlowupError,
+        SolverReport,
+        SolverWorkspace,
+        initial_model,
+        update_basis,
+        update_coeffs,
+    )
+
+    ws = SolverWorkspace(D, S, T, initial_model(D, hp) if start is None else start, hp)
+
+    def objective():
+        return objective_from_arrays(
+            ws.data, ws.basis, ws.coeffs, ws.error, S.matrix, T.matrix, hp
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [objective()]
+    rows, skipped, converged = [], 0, False
+    for iteration in range(1, hp.max_outer_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            skipped += update_coeffs(ws)
+            after_coeffs = objective()
+            skipped += update_basis(ws)
+            after_basis = objective()
+            ws.error = soft_threshold(ws.data - ws.basis @ ws.coeffs, 0.5 * hp.beta)
+            ws.target = ws.data - ws.error
+            after_error = objective()
+        rows.append((after_coeffs, after_basis, after_error))
+        trace.append(after_error)
+        if not np.isfinite(rows[-1]).all():
+            raise NumericalBlowupError(
+                f"objective became non-finite at iteration {iteration}", trace
+            )
+        prev = trace[-2]
+        if after_error == 0.0 or prev - after_error <= hp.rel_tol * max(abs(prev), 1e-30):
+            converged = True
+            break
+    return SolverReport(
+        model=ws.snapshot(),
+        objective_trace=np.asarray(trace),
+        block_trace=np.asarray(rows).reshape(len(rows), 3),
+        converged=converged,
+        iterations=len(rows),
+        skipped_coordinates=skipped,
+    )
 
 
 def knn_by_full_scan(points, query_index, k):

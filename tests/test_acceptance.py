@@ -17,6 +17,7 @@ from oracles import (
     lasso_by_enumeration,
     lasso_objective,
     scalar_min_by_search,
+    soft_threshold,
 )
 from tagcomplete import io as tgio
 from tagcomplete.core import Hyperparams, StructureMatrix, TaggingMatrix
@@ -27,7 +28,6 @@ from tagcomplete.solver import (
     coeff_update_value,
     error_update_value,
     fit,
-    soft_threshold,
 )
 from tagcomplete.structure import (
     build_feature_structure,

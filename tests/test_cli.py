@@ -312,6 +312,51 @@ class TestComplete:
         assert trace.size >= 2
         assert np.all(np.diff(trace) <= 1e-10 * np.abs(trace[:-1]))
 
+    def complete_with_model(self, pipeline_files, built_structures, capsys, tmp_path, flags):
+        """complete on the pipeline files: exit code, stdout, stderr and the
+        number of tags whose column of V is all zero in the model file."""
+        model_path = str(tmp_path / "model.json")
+        code, stdout, err = run_cli(
+            [
+                "complete", "--tags", pipeline_files["observed"],
+                "--image-structure", built_structures["S"],
+                "--tag-structure", built_structures["T"],
+                "--out-model", model_path, *flags,
+            ],
+            capsys,
+        )
+        V = tgio.read_model(model_path).model.V.toarray()
+        return code, stdout, err, int((~V.any(axis=0)).sum())
+
+    def test_empty_tags_warn_on_stderr(
+        self, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        # at the default eta, 2 of the 20 tags end with an all-zero column
+        code, stdout, err, empty = self.complete_with_model(
+            pipeline_files, built_structures, capsys, tmp_path, ["--K", "4"]
+        )
+        assert code == EXIT_OK
+        assert empty == 2
+        assert err == (
+            "warning: 2 of 20 tags have an all-zero column of V, "
+            "so every image scores 0 on them (eta=1.0, K=4)\n"
+        )
+        assert list(kv(stdout)) == [
+            "iterations", "converged", "skipped_coordinates",
+            "objective_trace_tail", "relative_residual",
+        ]
+
+    def test_no_warning_without_empty_tags(
+        self, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        code, _, err, empty = self.complete_with_model(
+            pipeline_files, built_structures, capsys, tmp_path,
+            ["--K", "4", "--eta", "0.05", "--beta", "2.0"],
+        )
+        assert code == EXIT_OK
+        assert empty == 0
+        assert err == ""
+
     def test_sparse_out_matches_dense(
         self, pipeline_files, built_structures, capsys, tmp_path
     ):

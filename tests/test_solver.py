@@ -22,7 +22,6 @@ from tagcomplete.solver import (
     error_update_value,
     fit,
     initial_model,
-    soft_threshold,
     update_basis,
     update_coeffs,
     update_error,
@@ -35,7 +34,9 @@ from oracles import (
     coefficient_sweep_by_residual,
     coefficient_sweep_by_scalar_loop,
     dense_objective,
+    fit_at_full_rank,
     scalar_min_by_search,
+    soft_threshold,
     trust_region_by_eigh,
 )
 
@@ -129,6 +130,26 @@ class TestScalarForms:
         np.testing.assert_allclose(
             soft_threshold(x, 0.5), [-1.5, 0.0, 0.0, 0.0, 1.5]
         )
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-310, 0.7, 2.0, 1e300])
+    def test_error_update_is_soft_threshold_bit_for_bit(self, beta):
+        # signed zeros, subnormals, infinities, NaN of either sign, and values
+        # at beta/2 and one ulp either side of it, as arrays and one scalar at
+        # a time (numpy's scalar arithmetic may pick either NaN's sign)
+        half = 0.5 * beta
+        edges = [
+            0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.3, 1.7976931348623157e308,
+            np.inf, np.nan, half, np.nextafter(half, 0.0), np.nextafter(half, np.inf),
+        ]
+        x = np.array(edges + [-v for v in edges])
+        with np.errstate(invalid="ignore"):
+            want = soft_threshold(x, half)
+            assert error_update_value(x, beta).tobytes() == want.tobytes()
+            grid = x.reshape(2, -1)
+            assert error_update_value(grid, beta).tobytes() == want.tobytes()
+            for value, bits in zip(x.tolist(), want):
+                got = error_update_value(value, beta)
+                assert got.tobytes() == bits.tobytes() or np.isnan(got) == np.isnan(bits)
 
 
 class TestSolverWorkspace:
@@ -946,6 +967,139 @@ class TestFit:
         with pytest.raises(NumericalBlowupError) as exc:
             fit(D, S, T, hp.with_overrides(K=2), start=huge)
         assert len(exc.value.trace) >= 1
+
+
+class TestLiveRank:
+    """fit takes dead factors, a zero basis column with a zero coefficient
+    row, out of its working arrays and puts them back in the model.  It ends
+    where the fit at the full rank K ends, up to rounding: the same iteration
+    and skip counts and sparsity pattern of V, and the same final objective
+    to a relative 1e-9.  Columns of U stay in their places, and a column
+    that is dead at the start keeps its bits, -0.0 included."""
+
+    def check(self, D, S, T, hp, start=None):
+        want = fit_at_full_rank(D, S, T, hp, start)
+        got = fit(D, S, T, hp, start)
+        assert (got.iterations, got.converged, got.skipped_coordinates) == (
+            want.iterations, want.converged, want.skipped_coordinates
+        )
+        for name in ("indptr", "indices"):
+            assert getattr(got.model.V, name).tolist() == getattr(want.model.V, name).tolist()
+        final = want.objective_trace[-1]
+        assert abs(got.objective_trace[-1] - final) <= 1e-9 * abs(final)
+        np.testing.assert_allclose(got.model.U, want.model.U, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(got.model.V.toarray(), want.model.V.toarray(), atol=1e-8)
+        np.testing.assert_allclose(got.model.E.toarray(), want.model.E.toarray(), atol=1e-8)
+        dead = np.zeros(hp.K, dtype=bool)
+        if start is not None:
+            dead = ~(start.U.any(axis=0) | (start.V.getnnz(axis=1) > 0))
+            assert got.model.U[:, dead].tobytes() == start.U[:, dead].tobytes()
+        died = ~got.model.U.any(axis=0) & ~dead
+        assert got.model.U[:, died].tobytes() == want.model.U[:, died].tobytes()
+        return got
+
+    def with_dead_factors(self, rng, model):
+        """model with about 40% of its factors dead, their basis columns a
+        mix of 0.0 and -0.0."""
+        U, V = model.U.copy(), model.V.toarray()
+        dead = rng.random(U.shape[1]) < 0.4
+        U[:, dead] = rng.choice([0.0, -0.0], size=(U.shape[0], int(dead.sum())))
+        V[dead] = 0.0
+        return FactorModel(U=U, V=sp.csr_matrix(V), E=model.E)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{}, {"gamma": 0.0}, {"lambda_": 0.0}, {"eta": 0.0}, {"gamma": 0.0, "lambda_": 0.0}],
+    )
+    def test_random_starts_with_dead_factors(self, weights):
+        rng = np.random.default_rng(46)
+        for _ in range(15):
+            n, m, k = (int(v) for v in rng.integers(2, 10, size=3))
+            hp = Hyperparams(K=k, knn_k=3, eta=0.3, beta=0.5, max_outer_iters=30)
+            D, S, T, model, hp = random_setup(
+                rng, n=n, m=m, k=k, hp=hp.with_overrides(**weights)
+            )
+            self.check(D, S, T, hp, self.with_dead_factors(rng, model))
+            self.check(D, S, T, hp)
+
+    def test_factors_dying_in_the_fit(self, monkeypatch):
+        # at default weights 2 of these 12 factors die in the first basis
+        # pass and the others later on, so the blocks run at ever lower rank
+        cfg = SynthConfig(
+            n_images=60, n_tags=30, n_topics=3, tags_per_image=3, feature_dim=8,
+            feature_noise=0.3, delete_fraction=0.4, rng_seed=1,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(K=12, knn_k=5)
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        ranks, refresh = [], solver.update_error
+
+        def recorded(ws):
+            ranks.append(ws.n_factors)
+            refresh(ws)
+
+        monkeypatch.setattr(solver, "update_error", recorded)
+        got = self.check(split.observed, S, T, hp)
+        assert ranks == [10, 3, 2, 2, 1, 0, 0]
+        assert not got.model.U.any() and got.model.V.nnz == 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_every_factor_dies(self, gamma):
+        # an L1 weight above every coupling zeroes V in the first sweep; with
+        # gamma > 0 the basis pass then zeroes U, and the fit runs at rank 0
+        rng = np.random.default_rng(47)
+        hp = Hyperparams(K=3, knn_k=3, eta=1e3, beta=0.5, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=9, m=6, k=3, hp=hp)
+        got = self.check(D, S, T, hp, model)
+        assert got.model.V.nnz == 0
+        assert got.model.U.any() == (gamma == 0.0)
+
+    def test_zero_data(self):
+        rng = np.random.default_rng(48)
+        D, S, T, model, hp = random_setup(rng, n=7, m=5, k=3)
+        zero = TaggingMatrix.from_dense(np.zeros((7, 5)))
+        start = FactorModel(U=model.U, V=sp.csr_matrix((3, 5)), E=sp.csr_matrix((7, 5)))
+        self.check(zero, S, T, hp)
+        self.check(zero, S, T, hp, self.with_dead_factors(rng, start))
+
+    def test_dead_factor_and_infinite_target_blow_up(self):
+        # data - E overflows to inf: a dead factor is no fixed point there
+        # (0 * inf is NaN), so it stays in the working arrays, and the fit
+        # fails as the fit at full rank does
+        rng = np.random.default_rng(49)
+        D, S, T, model, hp = random_setup(rng, n=6, m=4, k=3)
+        D = TaggingMatrix.from_dense(np.where(D.to_dense() > 0.0, 1.5e308, 0.0))
+        E = sp.csr_matrix(np.where(D.to_dense() > 0.0, -1.5e308, 0.0))
+        start = FactorModel(U=model.U, V=model.V, E=E)
+        start = self.with_dead_factors(np.random.default_rng(1), start)
+        assert not (start.U.any(axis=0) | (start.V.getnnz(axis=1) > 0)).all()
+        with np.errstate(over="ignore"):  # the workspace's target
+            with pytest.raises(NumericalBlowupError) as want:
+                fit_at_full_rank(D, S, T, hp, start)
+            with pytest.raises(NumericalBlowupError) as got:
+                fit(D, S, T, hp, start)
+        np.testing.assert_array_equal(got.value.trace, want.value.trace)
+
+    def test_workspace_keeps_dead_factors_unless_all_is_finite(self):
+        rng = np.random.default_rng(50)
+        D, S, T, model, hp = random_setup(rng, n=6, m=5, k=4)
+        model = self.with_dead_factors(np.random.default_rng(3), model)
+        live = model.U.any(axis=0) | (model.V.getnnz(axis=1) > 0)
+        assert 0 < live.sum() < 4
+        for spoil in ("target", "coeffs"):
+            ws = SolverWorkspace(D, S, T, model, hp)
+            getattr(ws, spoil)[live.argmax(), 0] = np.inf
+            ws.drop_dead_factors()
+            np.testing.assert_array_equal(ws.factors, np.arange(4))
+        ws = SolverWorkspace(D, S, T, model, hp)
+        ws.drop_dead_factors()
+        np.testing.assert_array_equal(ws.factors, np.flatnonzero(live))
+        assert ws.n_factors == live.sum()
+        after = ws.snapshot()
+        assert after.U.tobytes() == model.U.tobytes()
+        assert (after.V != model.V).nnz == 0
 
 
 def check_fit_invariants(D, S, T, hp):
