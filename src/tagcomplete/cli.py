@@ -34,7 +34,9 @@ from .solver import NumericalBlowupError, fit
 from .structure import (
     build_feature_structure,
     build_tag_structure,
+    combined_feature_rows,
     feature_structure_kkt,
+    knn_index,
     reinitialize,
     tag_structure_kkt,
 )
@@ -98,8 +100,12 @@ def _cmd_build_structure(args) -> int:
             if args.tags
             else None
         )
-        structure = build_feature_structure(features, hp, tags=tags)
-        residuals = feature_structure_kkt(features, structure, hp, tags=tags)
+        # one neighbor search for the build and its certificate
+        neighbors = knn_index(combined_feature_rows(features, tags), hp.knn_k)
+        structure = build_feature_structure(features, hp, tags=tags, neighbors=neighbors)
+        residuals = feature_structure_kkt(
+            features, structure, hp, tags=tags, neighbors=neighbors
+        )
     else:
         if args.tags is None:
             raise ValidationError("--mode tag requires --tags")

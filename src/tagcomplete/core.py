@@ -1,4 +1,4 @@
-"""Core domain types and the objective function shared by all other modules.
+"""Core domain types and the objective's terms, shared by all other modules.
 
 The completion model represents an N x M image-tag score matrix D as
 
@@ -136,10 +136,6 @@ class StructureMatrix:
         # drop explicitly stored zeros so the zero diagonal is structural
         m.eliminate_zeros()
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def zeros(cls, size: int) -> "StructureMatrix":
-        return cls(sp.csr_matrix((size, size)))
 
     @property
     def size(self) -> int:
@@ -288,26 +284,6 @@ class Hyperparams:
         return [f.name for f in fields(cls)]
 
 
-def objective_from_arrays(data, U, V, E, S, T, hp: Hyperparams) -> float:
-    """The completion objective on raw arrays:
-
-    ||D - E - UV||_F^2 + gamma ||U - SU||_F^2 + lambda ||V - VT||_F^2
-        + 2 eta ||V||_1 + beta ||E||_1
-
-    data, U, V and E are dense; S and T are the sparse structure matrices.
-    Shapes are not checked and non-finite values propagate to the result
-    instead of raising, so a solver can detect blow-ups from the value.  It
-    is objective_from_terms of the terms below, so a caller that keeps the
-    terms of the blocks it did not change gets the same value bit for bit.
-    """
-    return objective_from_terms(
-        residual_term(data - E - U @ V),
-        basis_term(U, S, hp),
-        coeff_terms(V, T, hp),
-        error_term(E, hp),
-    )
-
-
 def residual_term(residual: np.ndarray) -> float:
     """||residual||_F^2, for residual = D - E - UV; it overwrites residual."""
     return float(np.sum(np.multiply(residual, residual, out=residual)))
@@ -330,7 +306,12 @@ def error_term(E, hp: Hyperparams) -> float:
 
 
 def objective_from_terms(residual, basis, coeffs, error) -> float:
-    """The sum of the terms, in one fixed order.  No term is -0.0, so the
-    0.0 of a term whose weight is 0 changes no bit of the sum."""
+    """The completion objective
+
+    ||D - E - UV||_F^2 + gamma ||U - SU||_F^2 + lambda ||V - VT||_F^2
+        + 2 eta ||V||_1 + beta ||E||_1
+
+    as the sum of the terms above, in one fixed order.  No term is -0.0, so
+    the 0.0 of a term whose weight is 0 changes no bit of the sum."""
     smooth, sparse = coeffs
     return residual + basis + smooth + sparse + error

@@ -1,6 +1,6 @@
 """Alternating minimization for the structure-preserving factorization.
 
-The objective (core.objective_from_arrays) is separately convex in each of
+The objective (core.objective_from_terms) is separately convex in each of
 the three blocks.  One outer iteration minimizes it exactly over each
 coefficient in turn, over each basis column in turn, and over the error
 matrix in closed form, so the objective trace is non-increasing block by

@@ -30,9 +30,19 @@ from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, pool
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
 # Bytes of neighbor rows that one lockstep batch of the image structure build
-# gathers at once: a batch holds max(1, _ROW_BUDGET // 8kd) items of k
-# neighbors of width d.  The tag build reads its grams out of D'D, in one batch.
+# gathers in a round.  A chunk holds _batch_size(W, d) items, each solved on
+# its W = min(k, d) nearest neighbors of width d; the full-k check after it
+# gathers the k - W far rows in slices of at most this size, and items solved
+# again at full k go in batches of _batch_size(k, d).  The tag build reads
+# its grams out of D'D, in one batch at full k.
 _ROW_BUDGET = 2 << 20
+
+
+def _batch_size(rows: int, dim: int) -> int:
+    """How many groups of `rows` rows of width `dim` fit in _ROW_BUDGET, at
+    least 1: the items of a batch of lassos on `rows` neighbors, or the far
+    neighbors per slice of a chunk of `rows` items."""
+    return max(1, _ROW_BUDGET // (8 * rows * max(dim, 1)))
 
 
 def _check_population(n: int, k: int) -> None:
@@ -87,42 +97,89 @@ def knn_index(vectors, k: int) -> np.ndarray:
     return neighbors
 
 
-def _reconstruction_matrix(pool, neighbors, chunk, l1_weight, tol) -> sp.csr_matrix:
+def _reconstruction_matrix(pool, neighbors, width, chunk, l1_weight, tol) -> sp.csr_matrix:
     """Row i holds the weights of the lasso that rebuilds pool member i from
-    its neighbors, KKT-certified within tol by solve_lasso.
+    its k neighbors, KKT-certified within tol over all k.
 
-    `neighbors` is (items, k).  Items are solved in lockstep runs of
-    `chunk`, each a LassoBatch over `pool` with the gram entries between
-    each item's neighbors and itself as correlations.  A batch is formed as
-    its solve starts and is dropped when the solve returns, so the build
-    holds one batch at a time.  Each batch keeps only its nonzero weights,
-    in row order: the CSR data.  An item whose rounds run out is re-raised as
-    a LassoConvergenceError whose `item` counts over the whole build."""
+    `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`
+    by _chunk_entries, and each run keeps only its nonzero weights, in row
+    order: the CSR data.
+    """
     size = neighbors.shape[0]
-    data, indices, counts = [], [], []
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        nb = neighbors[start:stop]
-        try:
-            weights = solve_lasso(LassoBatch(
-                pool, nb, pool_gram(pool, nb, np.arange(start, stop)[:, None])[:, :, 0], l1_weight
-            ), tol).weights
-        except LassoConvergenceError as exc:
-            item = start + exc.item
-            raise LassoConvergenceError(
-                f"reconstruction subproblem for item {item} did not converge "
-                f"(KKT residual {exc.kkt_residual:g})",
-                exc.kkt_residual,
-                item,
-            ) from exc
-        nz = weights != 0.0
-        data.append(weights[nz])
-        indices.append(nb[nz])
-        counts.append(nz.sum(axis=1))
+    data, indices, counts = zip(*(
+        _chunk_entries(pool, neighbors[start:start + chunk],
+                       np.arange(start, min(start + chunk, size)), width, l1_weight, tol)
+        for start in range(0, size, chunk)
+    ))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
     )
+
+
+def _chunk_entries(pool, nb, items, width, l1_weight, tol):
+    """The nonzero weights of pool members `items`, in row order, their
+    neighbor indices out of nb, and their count per item.
+
+    The items are first solved on their nearest `width` neighbors.  When
+    width < k, which only a row pool is given, the items whose gradient at
+    a far neighbor violates KKT by more than tol (see _far_violations) are
+    solved again at full k, in batches of _batch_size(k, d); the others'
+    zero far weights already meet the conditions.  A batch is formed as its
+    solve starts and is dropped when the solve returns, so the build holds
+    one batch at a time, and the chunk's arrays are dropped when this
+    returns.
+    """
+    weights = _solve(pool, nb[:, :width], items, l1_weight, tol)
+    k = nb.shape[1]
+    if width < k:
+        redo = np.flatnonzero(_far_violations(pool.vectors, items, nb, weights, l1_weight) > tol)
+        weights = np.pad(weights, ((0, 0), (0, k - width)))
+        step = _batch_size(k, pool.vectors.shape[1])
+        for lo in range(0, redo.size, step):
+            part = redo[lo:lo + step]
+            weights[part] = _solve(pool, nb[part], items[part], l1_weight, tol)
+    nz = weights != 0.0
+    return weights[nz], nb[nz], nz.sum(axis=1)
+
+
+def _solve(pool, nb, items, l1_weight, tol) -> np.ndarray:
+    """Weights of the lassos that rebuild pool members `items` from their
+    neighbor lists nb, as one LassoBatch with the gram entries between each
+    item's neighbors and itself as correlations.  An item whose rounds run
+    out is re-raised as a LassoConvergenceError whose `item` counts over the
+    whole build."""
+    try:
+        return solve_lasso(LassoBatch(
+            pool, nb, pool_gram(pool, nb, items[:, None])[:, :, 0], l1_weight
+        ), tol).weights
+    except LassoConvergenceError as exc:
+        item = int(items[exc.item])
+        raise LassoConvergenceError(
+            f"reconstruction subproblem for item {item} did not converge "
+            f"(KKT residual {exc.kkt_residual:g})",
+            exc.kkt_residual,
+            item,
+        ) from exc
+
+
+def _far_violations(vectors, items, nb, near, l1_weight) -> np.ndarray:
+    """Per item, the largest KKT violation at its neighbors past the
+    near.shape[1] nearest, where its weights are zero.
+
+    Item i's weights `near` on its nearest rows A give the residual
+    r = A'w - vectors[i], and each far row a its gradient a.r and violation
+    |2 a.r| - l1_weight.  The far rows are gathered in slices of at most
+    _ROW_BUDGET bytes.
+    """
+    width = near.shape[1]
+    resid = np.matmul(near[:, None, :], vectors[nb[:, :width]])[:, 0] - vectors[items]
+    worst = np.full(items.size, -np.inf)
+    step = _batch_size(items.size, vectors.shape[1])
+    for lo in range(width, nb.shape[1], step):
+        grad = np.matmul(vectors[nb[:, lo:lo + step]], resid[:, :, None])[:, :, 0]
+        worst = np.maximum(worst, np.abs(2.0 * grad).max(axis=1) - l1_weight)
+    return worst
 
 
 def combined_feature_rows(features: FeatureMatrix, tags: TaggingMatrix | None):
@@ -148,20 +205,32 @@ def build_feature_structure(
     features: FeatureMatrix,
     hp: Hyperparams,
     tags: TaggingMatrix | None = None,
+    *,
+    neighbors: np.ndarray | None = None,
 ) -> StructureMatrix:
     """Learn the image-side reconstruction matrix.
 
     Row n holds the lasso coefficients (L1 weight hp.alpha) that rebuild
     image n's feature row from its hp.knn_k nearest neighbors; all other
-    entries, including the diagonal, are structurally zero.  Every row's
-    solution is KKT-certified.  Deterministic for fixed inputs.
+    entries, including the diagonal, are structurally zero.  `neighbors`,
+    when given, must be knn_index(combined_feature_rows(features, tags),
+    hp.knn_k); by default it is computed here.
+
+    Rows of width d have rank at most d, so each lasso is first solved on
+    the nearest W = min(k, d) neighbors (all k when d = 0), and solved
+    again at full k only when a farther neighbor violates its KKT
+    conditions.  Every row's solution is KKT-certified over all k neighbors.
+    Deterministic for fixed inputs.
     """
     vectors = combined_feature_rows(features, tags)
-    neighbors = knn_index(vectors, hp.knn_k)
-    chunk = max(1, _ROW_BUDGET // (8 * neighbors.shape[1] * max(vectors.shape[1], 1)))
-    return StructureMatrix(
-        _reconstruction_matrix(RowPool(vectors), neighbors, chunk, hp.alpha, hp.lasso_tol)
-    )
+    if neighbors is None:
+        neighbors = knn_index(vectors, hp.knn_k)
+    k, dim = neighbors.shape[1], vectors.shape[1]
+    width = min(k, dim) or k
+    chunk = _batch_size(width, dim)
+    return StructureMatrix(_reconstruction_matrix(
+        RowPool(vectors), neighbors, width, chunk, hp.alpha, hp.lasso_tol
+    ))
 
 
 def _tag_gram(D: TaggingMatrix) -> np.ndarray:
@@ -209,7 +278,9 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
             "their reconstruction weights are set to zero",
             stacklevel=2,
         )
-    return StructureMatrix(_reconstruction_matrix(G, neighbors, G.shape[0], hp.mu, hp.lasso_tol).T)
+    return StructureMatrix(_reconstruction_matrix(
+        G, neighbors, neighbors.shape[1], G.shape[0], hp.mu, hp.lasso_tol
+    ).T)
 
 
 def reinitialize(
@@ -261,15 +332,22 @@ def feature_structure_kkt(
     structure: StructureMatrix,
     hp: Hyperparams,
     tags: TaggingMatrix | None = None,
+    *,
+    neighbors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Re-certify each row of an image structure matrix from scratch.
 
-    Rebuilds the neighborhoods and returns one stationarity residual per
-    image; rows reconstructed by build_feature_structure stay within
-    hp.lasso_tol.
+    Returns one stationarity residual per image, recomputed from the
+    feature rows and the weights alone; rows reconstructed by
+    build_feature_structure stay within hp.lasso_tol.  The neighborhoods
+    are rebuilt unless `neighbors` passes the build's own, as
+    build_feature_structure takes them; then the check covers the weights
+    but not the neighbor search.
     """
     vectors = combined_feature_rows(features, tags)
-    return _kkt_per_item(vectors, structure.matrix, hp.alpha, knn_index(vectors, hp.knn_k))
+    if neighbors is None:
+        neighbors = knn_index(vectors, hp.knn_k)
+    return _kkt_per_item(vectors, structure.matrix, hp.alpha, neighbors)
 
 
 def tag_structure_kkt(

@@ -15,8 +15,10 @@ cell at a time with Python's int and float; io's one-call numpy readers must
 return the same bits and raise the same messages.  soft_threshold is the
 reference for the one-buffer shrinkage of solver.error_update_value, bit
 for bit, and fit_at_full_rank runs the package's coefficient and basis
-blocks at the full rank K, with each objective from core and the error
-block by soft_threshold, against solver.fit, which drops dead factors.
+blocks at the full rank K, with each objective from objective_from_arrays
+and the error block by soft_threshold, against solver.fit, which drops dead
+factors.  objective_from_arrays sums core's objective terms on raw arrays,
+against dense_objective.
 """
 
 from __future__ import annotations
@@ -196,12 +198,34 @@ def soft_threshold(x, threshold):
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
+def objective_from_arrays(data, U, V, E, S, T, hp) -> float:
+    """The completion objective on raw arrays, as core's term functions
+    give it; dense_objective is its reference.
+
+    data, U, V and E are dense; S and T are the sparse structure matrices.
+    Shapes are not checked and non-finite values propagate to the result.
+    """
+    from tagcomplete.core import (
+        basis_term,
+        coeff_terms,
+        error_term,
+        objective_from_terms,
+        residual_term,
+    )
+
+    return objective_from_terms(
+        residual_term(data - E - U @ V),
+        basis_term(U, S, hp),
+        coeff_terms(V, T, hp),
+        error_term(E, hp),
+    )
+
+
 def fit_at_full_rank(D, S, T, hp, start=None):
     """solver.fit without dropping dead factors: every block at rank K, every
-    objective from core.objective_from_arrays, and the error block as
+    objective from objective_from_arrays, and the error block as
     soft_threshold of data - UV by beta/2.  Returns a solver.SolverReport and
     raises solver.NumericalBlowupError as fit does."""
-    from tagcomplete.core import objective_from_arrays
     from tagcomplete.solver import (
         NumericalBlowupError,
         SolverReport,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import zero_structure
 from oracles import (
     basis_update_value,
     lasso_by_enumeration,
@@ -443,8 +444,8 @@ def test_exact_factorization():
     )
     report = _tracked_fit(
         instance.truth,
-        StructureMatrix.zeros(cfg.n_images),
-        StructureMatrix.zeros(cfg.n_tags),
+        zero_structure(cfg.n_images),
+        zero_structure(cfg.n_tags),
         hp,
     )
     rel = float(

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tagcomplete import io as tgio
-from tagcomplete import lasso, structure
+from tagcomplete import cli, lasso, structure
 from tagcomplete.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -16,7 +16,7 @@ from tagcomplete.cli import (
     build_parser,
     main,
 )
-from tagcomplete.core import Hyperparams
+from tagcomplete.core import FeatureMatrix, Hyperparams, StructureMatrix, TaggingMatrix
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 
@@ -132,6 +132,39 @@ class TestBuildStructure:
             )
             assert code == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("with_tags", [False, True])
+    def test_image_mode_searches_neighbors_once(
+        self, pipeline_files, capsys, tmp_path, monkeypatch, with_tags
+    ):
+        # the build and its certificate share one neighbor search; the
+        # certificate's residuals are those of a check that searches again
+        search, calls = structure.knn_index, []
+
+        def counted(vectors, k):
+            calls.append(k)
+            return search(vectors, k)
+
+        monkeypatch.setattr(structure, "knn_index", counted)
+        monkeypatch.setattr(cli, "knn_index", counted)
+        out = str(tmp_path / "S.mtx")
+        tag_args = ["--tags", pipeline_files["observed"]] if with_tags else []
+        code, stdout, _ = run_cli(
+            ["build-structure", "--mode", "image", "--features", pipeline_files["features"],
+             *tag_args, "--knn", "10", "--out", out],
+            capsys,
+        )
+        assert code == EXIT_OK and calls == [10]
+        features = FeatureMatrix(tgio.read_dense_matrix(pipeline_files["features"]))
+        tags = TaggingMatrix(tgio.read_sparse_matrix(pipeline_files["observed"])) if with_tags else None
+        residuals = structure.feature_structure_kkt(
+            features, StructureMatrix(tgio.read_sparse_matrix(out)),
+            Hyperparams(knn_k=10), tags=tags,
+        )
+        assert calls == [10, 10]
+        report = kv(stdout)
+        assert report["kkt_max"] == repr(float(np.max(residuals)))
+        assert report["kkt_mean"] == repr(float(np.mean(residuals)))
 
     def test_image_mode_requires_features(self, capsys, tmp_path):
         code, _, err = run_cli(

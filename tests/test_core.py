@@ -11,10 +11,10 @@ from tagcomplete.core import (
     ValidationError,
     check_structure_sizes,
     normalize_rows,
-    objective_from_arrays,
 )
 
-from oracles import dense_objective
+from helpers import zero_structure
+from oracles import dense_objective, objective_from_arrays
 
 
 def random_instance(rng, n_images=7, n_tags=5, k=3):
@@ -83,7 +83,7 @@ class TestStructureMatrix:
             StructureMatrix(sp.csr_matrix((2, 3)))
 
     def test_zeros(self):
-        sm = StructureMatrix.zeros(4)
+        sm = zero_structure(4)
         assert sm.matrix.nnz == 0
         assert sm.size == 4
 
@@ -217,8 +217,8 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError) as exc:
             check_structure_sizes(
                 D,
-                StructureMatrix.zeros(5),
-                StructureMatrix.zeros(4),
+                zero_structure(5),
+                zero_structure(4),
                 model,
             )
         assert "image structure" in str(exc.value)
@@ -232,8 +232,8 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError, match=message) as exc:
             check_structure_sizes(
                 D,
-                StructureMatrix.zeros(3),
-                StructureMatrix.zeros(4),
+                zero_structure(3),
+                zero_structure(4),
                 model,
             )
         assert isinstance(exc.value, ValidationError)

@@ -29,6 +29,7 @@ from tagcomplete.solver import (
 from tagcomplete.structure import build_feature_structure, build_tag_structure
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
+from helpers import zero_structure
 from oracles import (
     basis_update_value,
     coefficient_sweep_by_residual,
@@ -220,8 +221,8 @@ class TestUpdateCoeffs:
         )
         ws = SolverWorkspace(
             D,
-            StructureMatrix.zeros(4),
-            StructureMatrix.zeros(3),
+            zero_structure(4),
+            zero_structure(3),
             model,
             hp,
         )
@@ -260,8 +261,8 @@ class TestUpdateBasis:
         )
         ws = SolverWorkspace(
             D,
-            StructureMatrix.zeros(5),
-            StructureMatrix.zeros(4),
+            zero_structure(5),
+            zero_structure(4),
             model,
             hp,
         )
@@ -312,8 +313,8 @@ class TestUpdateBasis:
             )
             ws = SolverWorkspace(
                 TaggingMatrix.from_dense(d),
-                StructureMatrix.zeros(1),
-                StructureMatrix.zeros(3),
+                zero_structure(1),
+                zero_structure(3),
                 model,
                 hp,
             )
@@ -524,7 +525,7 @@ def workspace_for(S, gamma):
     D = TaggingMatrix.from_dense(np.eye(n, 3))
     model = FactorModel(U=np.zeros((n, 2)), V=sp.csr_matrix((2, 3)), E=sp.csr_matrix((n, 3)))
     hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
-    return SolverWorkspace(D, S, StructureMatrix.zeros(3), model, hp)
+    return SolverWorkspace(D, S, zero_structure(3), model, hp)
 
 
 def basis_step_and_dimension(ws, g, q, monkeypatch):
@@ -720,7 +721,7 @@ class TestBasisTrustRegion:
     def test_invariant_space_ends_the_process(self, scale, monkeypatch):
         # S = 0 makes A = (g + gamma) I, so q spans an invariant space and the
         # next Lanczos vector would be rounding noise scaled up to norm 1
-        ws = workspace_for(StructureMatrix.zeros(6), gamma=0.1)
+        ws = workspace_for(zero_structure(6), gamma=0.1)
         q = scale * np.random.default_rng(65).normal(size=6)
         u, dimension = basis_step_and_dimension(ws, 0.3, q, monkeypatch)
         assert dimension == 1
@@ -871,8 +872,8 @@ class TestFit:
         hp = Hyperparams(K=2, knn_k=2)
         report = fit(
             D,
-            StructureMatrix.zeros(5),
-            StructureMatrix.zeros(4),
+            zero_structure(5),
+            zero_structure(4),
             hp,
         )
         assert report.converged

@@ -28,6 +28,7 @@ from tagcomplete.structure import (
 )
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
+from helpers import zero_structure
 from oracles import (
     knn_by_einsum_scan,
     knn_by_full_scan,
@@ -274,7 +275,7 @@ class TestBuildTagStructure:
             build_tag_structure(tags, Hyperparams(knn_k=2))
         assert str(exc.value) == message
         with pytest.raises(ValidationError) as exc:
-            tag_structure_kkt(tags, StructureMatrix.zeros(3), Hyperparams(knn_k=2))
+            tag_structure_kkt(tags, zero_structure(3), Hyperparams(knn_k=2))
         assert str(exc.value) == message
 
     def test_stored_zeros_accepted(self):
@@ -293,7 +294,7 @@ class TestBuildTagStructure:
         with pytest.raises(ValidationError, match="^need at least 2 vectors"):
             build_tag_structure(tags, Hyperparams(knn_k=2))
         with pytest.raises(ValidationError, match="^need at least 2 vectors"):
-            tag_structure_kkt(tags, StructureMatrix.zeros(1), Hyperparams(knn_k=2))
+            tag_structure_kkt(tags, zero_structure(1), Hyperparams(knn_k=2))
         with pytest.raises(ValidationError, match="^k must be >= 1$"):
             structure._tag_neighbors(np.eye(3), 0)
 
@@ -523,13 +524,19 @@ def random_instance(seed, n_images, n_tags, dim):
     return FeatureMatrix(rng.normal(size=(n_images, dim))), TaggingMatrix.from_dense(dense)
 
 
+def near_width(k, width):
+    """W: the image builder first solves each item on its nearest
+    min(k, width) neighbors, or on all k when the rows have width 0."""
+    return min(k, width) or k
+
+
 def chunk_size(k, width):
-    return max(1, structure._ROW_BUDGET // (8 * k * max(width, 1)))
+    return max(1, structure._ROW_BUDGET // (8 * near_width(k, width) * max(width, 1)))
 
 
 def set_chunk(monkeypatch, per_chunk, k, width):
-    """Lower the row budget so that image batches hold per_chunk items."""
-    monkeypatch.setattr(structure, "_ROW_BUDGET", per_chunk * 8 * k * width)
+    """Lower the row budget so that image chunks hold per_chunk items."""
+    monkeypatch.setattr(structure, "_ROW_BUDGET", per_chunk * 8 * near_width(k, width) * width)
     assert chunk_size(k, width) == per_chunk
 
 
@@ -554,11 +561,13 @@ def assert_rounding_equal(S, want, features, hp):
 
 class TestLockstepChunks:
     # The image builder solves the lassos of one chunk of items in lockstep
-    # over the pooled feature rows; each chunk gathers at most
+    # over the pooled feature rows, each on its nearest W = min(k, width)
+    # neighbors, checks KKT at the k - W far ones, and solves again at full k
+    # the items that violate it there.  No round or check gathers more than
     # structure._ROW_BUDGET bytes of neighbor rows.  Its structure is bitwise
     # the same at every chunk width, and equal to the explicit-gram item loop
     # up to rounding.  The tag builder solves every tag in one batch over
-    # D'D, bitwise equal to the item loop.
+    # D'D at full k, bitwise equal to the item loop.
     def assert_widths_agree(self, monkeypatch, features, hp, widths):
         """The image structure is bitwise equal at the default chunk width and
         at each of `widths`, and rounding-equal to the item loop; returns it."""
@@ -610,78 +619,129 @@ class TestLockstepChunks:
         self.assert_widths_agree(monkeypatch, features, hp, [per_chunk])
         self.assert_tags_match_item_loop(D, hp)
 
-    @pytest.mark.parametrize("n_items, k, dim", [(366, 363, 2), (250, 50, 8), (250, 50, 120)])
+    @pytest.mark.parametrize(
+        "n_items, k, dim", [(366, 363, 2), (250, 50, 8), (300, 60, 40), (250, 50, 120)]
+    )
     def test_batches_hold_each_items_products(self, monkeypatch, n_items, k, dim):
-        # chunks of 361 whose last holds 5 items; one chunk; and chunks of 43
-        # whose last holds 35: every item's gram entries, correlations and
-        # gradient, formed over the pooled rows, are its own A A', A b and
-        # A A' x - A b up to rounding, and its gradient is bitwise that of
-        # its batch of one
+        # W = 2, 8, 40 and 50: one chunk of 366 and one of 250, each followed
+        # by re-solves at full k in batches of at most 361 and 655; chunks of
+        # 163 and 137 with re-solves in batches of at most 109; and at W = k,
+        # chunks of 43 whose last holds 35.  Every item's gram entries,
+        # correlations and gradient, formed over the pooled rows, are its own
+        # A A', A b and A A' x - A b up to rounding, and its gradient is
+        # bitwise that of its batch of one.  The solves here return zero
+        # weights, so an item is solved again at full k exactly when
+        # 2 |a . b| > alpha + tol for one of its far rows a.
         features = FeatureMatrix(np.random.default_rng(64).normal(size=(n_items, dim)))
         vectors = combined_feature_rows(features, None)
         neighbors = knn_index(vectors, k)
+        near, hp = near_width(k, dim), Hyperparams(knn_k=k, alpha=0.1)
         x = np.random.default_rng(65).normal(size=(n_items, k))
         x[:, ::3] = 0.0
-        done = 0
+        done, chunk, widths = 0, None, []
+
+        def items_of(batch):
+            """The items a batch solves: the next chunk, or some of its items."""
+            nonlocal done, chunk
+            n, width = batch.index.shape
+            widths.append((n, width))
+            if width == near:
+                assert n == min(chunk_size(k, dim), n_items - done)
+                chunk = np.arange(done, done + n)
+                done += n
+                return chunk
+            assert width == k > near and n <= chunk_size(k, dim)
+            items = np.array([
+                chunk[np.flatnonzero((neighbors[chunk] == row).all(axis=1)).item()]
+                for row in batch.index
+            ])
+            far = np.einsum("ijd,id->ij", vectors[neighbors[chunk, near:]], vectors[chunk])
+            redo = chunk[2.0 * np.abs(far).max(axis=1) - hp.alpha > hp.lasso_tol]
+            assert np.isin(items, redo).all() and np.all(np.diff(items) > 0)
+            return items
 
         def check(batch, tol):
-            nonlocal done
-            n = batch.corr.shape[0]
-            assert n == min(chunk_size(k, dim), n_items - done)
+            items = items_of(batch)
+            n, width = batch.index.shape
             assert np.array_equal(batch.pool.vectors, vectors)
-            assert np.array_equal(batch.index, neighbors[done:done + n])
+            assert np.array_equal(batch.index, neighbors[items, :width])
             # one neighbor list per item indexes both sides of its gram
             assert batch._fields == ("pool", "index", "corr", "l1_weight")
             diagonal = lasso._diagonal(batch)
-            grad = lasso._gradients(batch, np.arange(n), x[done:done + n])
-            for b, i in enumerate(range(done, done + n)):
-                rows = vectors[neighbors[i]]
+            grad = lasso._gradients(batch, np.arange(n), x[items, :width])
+            for b, i in enumerate(items):
+                rows = vectors[neighbors[i, :width]]
                 gram = rows @ rows.T
                 face = lasso.pool_gram(batch.pool, batch.index[b:b + 1])[0]
                 assert np.array_equal(face, face.T)
                 np.testing.assert_allclose(face, gram, rtol=0.0, atol=1e-14)
                 np.testing.assert_allclose(diagonal[b], np.diagonal(gram), rtol=0.0, atol=1e-15)
                 np.testing.assert_allclose(batch.corr[b], rows @ vectors[i], rtol=0.0, atol=1e-15)
-                want = gram @ x[i] - rows @ vectors[i]
-                np.testing.assert_allclose(grad[b], want, rtol=0.0, atol=1e-13 * np.abs(x[i]).sum())
+                want = gram @ x[i, :width] - rows @ vectors[i]
+                np.testing.assert_allclose(
+                    grad[b], want, rtol=0.0, atol=1e-13 * np.abs(x[i, :width]).sum()
+                )
                 alone = batch._replace(index=batch.index[b:b + 1], corr=batch.corr[b:b + 1])
-                assert lasso._gradients(alone, np.arange(1), x[i:i + 1])[0].tobytes() == grad[b].tobytes()
-            done += n
-            return lasso.LassoSolution(np.zeros((n, k)), 0.0)
+                got = lasso._gradients(alone, np.arange(1), x[i:i + 1, :width])[0]
+                assert got.tobytes() == grad[b].tobytes()
+            return lasso.LassoSolution(np.zeros((n, width)), 0.0)
 
         monkeypatch.setattr(structure, "solve_lasso", check)
-        build_feature_structure(features, Hyperparams(knn_k=k, alpha=0.1))
+        build_feature_structure(features, hp)
         assert done == n_items
+        # every item with a far violation was solved again, once
+        resolved = sum(n for n, width in widths if width > near)
+        far = np.einsum("ijd,id->ij", vectors[neighbors[:, near:]], vectors)
+        assert resolved == np.count_nonzero(2.0 * np.abs(far).max(axis=1, initial=-np.inf)
+                                            - hp.alpha > hp.lasso_tol)
+        assert (resolved > 0) == (near < k)
 
     def test_rounds_gather_within_the_budget(self, monkeypatch):
         # chunks of 16 items gather 16 x 6 neighbor rows of width 2,000
         # (1.5 MB) per round; the 40 items in one batch would gather 3.8 MB
-        set_chunk(monkeypatch, 16, 6, 2000)
+        self.assert_gathers_within_budget(monkeypatch, 40, 6, 2000)
+
+    def test_far_checks_and_full_k_solves_gather_within_the_budget(self, monkeypatch):
+        # at k = 50 and width 20, chunks of 16 gather 16 x 20 near rows, the
+        # full-k check the 30 far rows in slices of 20, and the items solved
+        # again at full k go in batches of 6, each within the budget
+        self.assert_gathers_within_budget(monkeypatch, 60, 50, 20)
+
+    @staticmethod
+    def assert_gathers_within_budget(monkeypatch, n_items, k, dim):
+        """No round, correlation, face gram or far check of an image build in
+        chunks of 16 allocates more than 1.5 times the row budget."""
+        set_chunk(monkeypatch, 16, k, dim)
         budget = structure._ROW_BUDGET
-        features = FeatureMatrix(np.random.default_rng(65).normal(size=(40, 2000)))
-        peaks = []
+        features = FeatureMatrix(np.random.default_rng(65).normal(size=(n_items, dim)))
+        peaks = {}
 
         def traced(function):
             def run(*args):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 result = function(*args)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                peak = tracemalloc.get_traced_memory()[1] - start
+                peaks.setdefault(function.__name__, []).append(peak)
                 return result
             return run
 
-        # each round's gradient, each face gram, and each batch's correlations
+        # each round's gradient, each face gram, each batch's correlations,
+        # and each chunk's full-k check
         monkeypatch.setattr(lasso, "_gradients", traced(lasso._gradients))
         monkeypatch.setattr(lasso, "pool_gram", traced(lasso.pool_gram))
         monkeypatch.setattr(structure, "pool_gram", traced(structure.pool_gram))
+        monkeypatch.setattr(structure, "_far_violations", traced(structure._far_violations))
         tracemalloc.start()
         try:
-            S = build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.01))
+            S = build_feature_structure(features, Hyperparams(knn_k=k, alpha=0.01))
         finally:
             tracemalloc.stop()
-        assert S.matrix.nnz > 0 and len(peaks) > 3
+        assert S.matrix.nnz > 0 and len(peaks["_gradients"]) > 3
+        # the far rows are checked only past W = min(k, width)
+        assert len(peaks.get("_far_violations", [])) == (len(range(0, n_items, 16)) if dim < k else 0)
         # the gathered rows, plus the round's (items, width) and (items, k) arrays
-        assert max(peaks) <= 1.5 * budget
+        assert max(max(p) for p in peaks.values()) <= 1.5 * budget
 
     def test_peak_grows_with_the_budget_alone(self, monkeypatch):
         # widening the chunks from 2 to 64 items adds at most the wider
@@ -702,9 +762,13 @@ class TestLockstepChunks:
 
     def test_build_holds_one_batch_at_a_time(self, monkeypatch):
         # each batch's arrays are freed when its solve returns, before the
-        # next is formed; the pooled rows are shared by all of them
+        # next is formed; the pooled rows are shared by all of them.  Rows of
+        # width 4 put 14 images in chunks of 4, 4, 4 and 2 on their nearest
+        # 4 of 6 neighbors, and a chunk's items with a far violation are
+        # solved again at full k, in batches of at most 2 (the budget's 512
+        # bytes over 6 rows of width 4)
         set_chunk(monkeypatch, 4, 6, 4)
-        formed = []
+        formed, widths = [], []
         pool_gram, solve_lasso = structure.pool_gram, structure.solve_lasso
 
         def correlations(*args):
@@ -715,13 +779,80 @@ class TestLockstepChunks:
 
         def solve(batch, tol):
             formed.append(weakref.ref(batch.corr))
+            widths.append(batch.index.shape)
             return solve_lasso(batch, tol)
 
         monkeypatch.setattr(structure, "pool_gram", correlations)
         monkeypatch.setattr(structure, "solve_lasso", solve)
         features, _ = random_instance(67, n_images=14, n_tags=3, dim=4)
         build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.1))
-        assert len(formed) == 2 * 4 and all(ref() is None for ref in formed)
+        assert len(formed) == 2 * len(widths) and all(ref() is None for ref in formed)
+        chunks = []  # [items, items solved again] per chunk
+        for n, width in widths:
+            if width == 4:
+                chunks.append([n, 0])
+            else:
+                assert width == 6 and n <= 2
+                chunks[-1][1] += n
+        assert [n for n, _ in chunks] == [4, 4, 4, 2]
+        assert all(again <= n for n, again in chunks) and any(again for _, again in chunks)
+
+    @staticmethod
+    def clustered_rows(seed, n_images, dim, noise):
+        """Rows around 6 random centers, so that most neighbors are near."""
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(6, dim))[np.arange(n_images) % 6]
+        return FeatureMatrix(centers + noise * rng.normal(size=(n_images, dim)))
+
+    def test_supports_past_the_near_rows_are_solved_again(self, monkeypatch):
+        # 90 rows of width 4 and k = 30, so W = 4: the item loop puts weight
+        # past the nearest 4 neighbors for 45 items, and exactly those are
+        # solved again at full k, to the item loop's weights and a full-k
+        # certificate, bitwise alike in one chunk and in chunks of 1 and 3
+        features = self.clustered_rows(70, 90, 4, 0.2)
+        hp = Hyperparams(knn_k=30, alpha=0.5)
+        vectors = combined_feature_rows(features, None)
+        want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
+        neighbors = knn_index(vectors, hp.knn_k)
+        past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
+        assert not failed and past.size == 45 and chunk_size(30, 4) >= 90
+        again = []
+        solve = structure._solve
+
+        def spy(pool, nb, items, l1_weight, tol):
+            if nb.shape[1] == hp.knn_k:
+                again.extend(items.tolist())
+            return solve(pool, nb, items, l1_weight, tol)
+
+        monkeypatch.setattr(structure, "_solve", spy)
+        S = self.assert_widths_agree(monkeypatch, features, hp, [1, 3])
+        assert again == past.tolist() * 3  # in each of the three builds
+        assert feature_structure_kkt(features, S, hp)[past].max() <= hp.lasso_tol
+
+    def test_error_in_a_full_k_solve_names_the_build_item(self, monkeypatch):
+        # with full-k solves capped at 6 rounds, items 6, 18, ... of the 45
+        # solved again fail; the error names item 6, which is item 4 of its
+        # batch, with the message of its own solve.  Item 1 would fail at
+        # full k too, but its lasso is never posed there: its support lies
+        # within its nearest 4 neighbors
+        features = self.clustered_rows(70, 90, 4, 0.2)
+        hp = Hyperparams(knn_k=30, alpha=0.5)
+        vectors = combined_feature_rows(features, None)
+        _, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol, max_iters=6)
+        first, error = failed[1]
+        assert failed[0][0] == 1 and first == 6
+        cap = {hp.knn_k: {"max_iters": 6}}
+        monkeypatch.setattr(
+            structure, "solve_lasso",
+            lambda batch, tol: lasso.solve_lasso(batch, tol, **cap.get(batch.index.shape[1], {})),
+        )
+        with pytest.raises(lasso.LassoConvergenceError) as exc:
+            build_feature_structure(features, hp)
+        assert exc.value.item == first and exc.value.__cause__.item == 4
+        assert str(exc.value) == (
+            f"reconstruction subproblem for item {first} did not converge "
+            f"(KKT residual {error.kkt_residual:g})"
+        )
 
     def test_zero_width_vectors(self):
         # rows of width 0 have zero norms, and every weight is 0
@@ -766,7 +897,7 @@ class TestReinitialize:
     def test_zero_structures_reject_nonzero_matrix(self):
         D = TaggingMatrix.from_dense(np.eye(3))
         with pytest.raises(ValidationError, match="all zeros.*--no-reinit"):
-            reinitialize(D, StructureMatrix.zeros(3), StructureMatrix.zeros(3))
+            reinitialize(D, zero_structure(3), zero_structure(3))
 
     def test_two_by_two_hand_example(self):
         D = TaggingMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -798,7 +929,7 @@ class TestReinitialize:
         flip = np.zeros((4, 4))
         flip[0, 1] = 1.0
         S = StructureMatrix(sp.csr_matrix(flip))
-        reinitialize(D, S, StructureMatrix.zeros(4))
+        reinitialize(D, S, zero_structure(4))
         np.testing.assert_array_equal(D.to_dense(), Dd)
 
     def test_dimension_mismatch(self):
@@ -806,7 +937,7 @@ class TestReinitialize:
         with pytest.raises(ValidationError):
             reinitialize(
                 D,
-                StructureMatrix.zeros(4),
-                StructureMatrix.zeros(3),
+                zero_structure(4),
+                zero_structure(3),
             )
 

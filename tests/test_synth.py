@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tagcomplete.core import ValidationError
+from tagcomplete.io import parse_key_values
 from tagcomplete.synth import (
     SynthConfig,
     delete_tags,
@@ -51,6 +54,16 @@ class TestConfigValidation:
         # nan passes a "< 0" check, and inf only fails later, in FeatureMatrix
         with pytest.raises(ValidationError, match="^feature_noise must be finite and >= 0$"):
             small_config(feature_noise=noise)
+
+
+def test_corel_shape_config_parses():
+    # the committed Corel-shape instance, as synth-bench reads it
+    path = Path(__file__).resolve().parent.parent / "configs" / "corel_shape.cfg"
+    cfg = SynthConfig(**parse_key_values(path, SynthConfig))
+    assert cfg == SynthConfig(
+        n_images=4500, n_tags=260, n_topics=20, tags_per_image=6, feature_dim=32,
+        feature_noise=0.3, delete_fraction=0.4, off_topic_prob=0.05, rng_seed=7,
+    )
 
 
 class TestTagBlocks:
