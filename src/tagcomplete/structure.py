@@ -32,9 +32,10 @@ _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 # Bytes of neighbor rows that one lockstep batch of the image structure build
 # gathers in a round.  A chunk holds _batch_size(W, d) items, each solved on
 # its W = min(k, d) nearest neighbors of width d; the full-k check after it
-# gathers the k - W far rows in slices of at most this size, and items solved
-# again at full k go in batches of _batch_size(k, d).  The tag build reads
-# its grams out of D'D, in one batch at full k.
+# gathers the k - W far rows in slices of at most this size.  The items of
+# all chunks that must be solved again at full k go, after the last chunk,
+# in batches of _batch_size(k, d).  The tag build reads its grams out of
+# D'D, in one batch at full k.
 _ROW_BUDGET = 2 << 20
 
 
@@ -59,9 +60,11 @@ def knn_index(vectors, k: int) -> np.ndarray:
 
     Each row is sorted by ascending distance with ties broken by ascending
     index.  A matrix product per block of query rows gives approximate
-    squared distances |x|^2 + |y|^2 - 2 x.y.  The items within a rounding
-    margin of a row's k-th smallest are ranked by the exact
-    sqrt(sum((y - x)^2)), so the lists equal those of a full exact scan."""
+    squared distances |x|^2 + |y|^2 - 2 x.y.  A row whose k + 1 smallest
+    are finite and lie more than a rounding margin apart takes its order
+    from them.  In any other row, the items within the margin of its k-th
+    smallest are ranked by the exact sqrt(sum((y - x)^2)).  So the lists
+    equal those of a full exact scan."""
     pts = np.ascontiguousarray(np.asarray(vectors, dtype=float))
     if pts.ndim != 2:
         raise ValidationError(f"vectors must be 2-D, got ndim={pts.ndim}")
@@ -72,29 +75,57 @@ def knn_index(vectors, k: int) -> np.ndarray:
 
     take = min(k, n - 1)
     sq = np.einsum("ij,ij->i", pts, pts)
-    # Rounding puts an approximate squared distance at most
-    # 4(dim + 2)(eps max|x|^2 + tiny) from the exact one.  delta has fourfold
-    # room, which covers squared distances a few ulps apart whose roots tie,
-    # and is inf when the product could overflow: then every item is kept.
+    # Rounding puts the approximate squared distance, and the einsum of the
+    # difference, each within delta/4 of the true squared distance, which
+    # is at most 4 max|x|^2.  delta is inf when the product could overflow.
     fp = np.finfo(float)
     delta = 4 * (dim + 2) * (fp.eps * (4.0 * sq.max()) + fp.smallest_subnormal)
     neighbors = np.empty((n, take), dtype=np.intp)
     for start in range(0, n, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, n))
-        approx = -2.0 * (pts[rows] @ pts.T)
-        approx += sq[rows, None] + sq
-        approx[rows - start, rows] = np.inf
-        cutoff = np.partition(approx, take - 1, axis=1)[:, take - 1] + 2.0 * delta
-        for i, row, limit in zip(rows, approx, cutoff):
-            keep = ~(row > limit)
-            keep[i] = False
-            cand = np.flatnonzero(keep)
-            diff = pts[cand]
-            diff -= pts[i]
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            order = np.lexsort((cand, dist))[:take]
-            neighbors[i] = cand[order]
+        neighbors[start:start + _BLOCK] = _block_neighbors(pts, sq, start, take, delta)
     return neighbors
+
+
+def _block_neighbors(pts, sq, start, take, delta) -> np.ndarray:
+    """knn_index's lists for the _BLOCK query rows from pts[start].
+
+    A row whose `head` = take + 1 smallest approximations (all others when
+    take = n - 1) are finite and more than 4 delta apart is settled: as
+    each approximation and each computed exact squared distance lies
+    within delta/4 of the true one, the exact ones keep gaps above 3 delta.
+    So no other item enters its first `take`, their order is that of the
+    approximations, and since 3 delta is far above the spacing at which two
+    squared distances' roots could round to one value, the roots do not tie
+    and index tie-breaking never applies.  Any other row, with near or
+    exact ties or with delta inf, ranks by exact distance the items within
+    2 delta of its take-th smallest approximation.
+    """
+    rows = np.arange(start, min(start + _BLOCK, pts.shape[0]))
+    approx = -2.0 * (pts[rows] @ pts.T)
+    approx += sq[rows, None] + sq
+    approx[rows - start, rows] = np.inf
+    head = min(take + 1, pts.shape[0] - 1)
+    near = np.argpartition(approx, head - 1, axis=1)[:, :head]
+    dist = np.take_along_axis(approx, near, axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
+    lists = np.take_along_axis(near, order[:, :take], axis=1)
+    settled = np.isfinite(dist).all(axis=1) & (np.diff(dist, axis=1) > 4.0 * delta).all(axis=1)
+    cutoff = dist[:, take - 1] + 2.0 * delta
+    for at in np.flatnonzero(~settled):
+        lists[at] = _exact_rank(pts, rows[at], ~(approx[at] > cutoff[at]), take)
+    return lists
+
+
+def _exact_rank(pts, item, keep, take) -> np.ndarray:
+    """The first `take` of the candidates `keep` (a mask over pts) ranked by
+    exact distance from pts[item], ties broken by ascending index."""
+    keep[item] = False
+    cand = np.flatnonzero(keep)
+    diff = pts[cand]
+    diff -= pts[item]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return cand[np.lexsort((cand, dist))[:take]]
 
 
 def _reconstruction_matrix(pool, neighbors, width, chunk, l1_weight, tol) -> sp.csr_matrix:
@@ -103,42 +134,55 @@ def _reconstruction_matrix(pool, neighbors, width, chunk, l1_weight, tol) -> sp.
 
     `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`
     by _chunk_entries, and each run keeps only its nonzero weights, in row
-    order: the CSR data.
+    order: the CSR data.  The items that a run leaves to solve again at full
+    k are held by id alone.  After the last run they are solved, all runs'
+    together, in batches of _batch_size(k, d), and their rows spliced in.
     """
-    size = neighbors.shape[0]
-    data, indices, counts = zip(*(
-        _chunk_entries(pool, neighbors[start:start + chunk],
-                       np.arange(start, min(start + chunk, size)), width, l1_weight, tol)
-        for start in range(0, size, chunk)
-    ))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(size, size)
-    )
+    size, k = neighbors.shape
+    runs, redo, again = [], [], []
+    for start in range(0, size, chunk):
+        items = np.arange(start, min(start + chunk, size))
+        runs.append(_chunk_entries(pool, neighbors[start:start + chunk], items,
+                                   width, l1_weight, tol, redo))
+    if redo:
+        redo = np.array(redo, dtype=np.intp)
+        step = _batch_size(k, pool.vectors.shape[1])
+        again = [_entries(_solve(pool, neighbors[part], part, l1_weight, tol), neighbors[part])
+                 for part in np.split(redo, range(step, redo.size, step))]
+    data, indices, counts = (np.concatenate(parts) for parts in zip(*runs))
+    if again:
+        more, more_indices, more_counts = (np.concatenate(parts) for parts in zip(*again))
+        # a row of redo holds no entries yet, so its own go where it starts
+        at = np.repeat(np.cumsum(counts)[redo], more_counts)
+        data, indices = np.insert(data, at, more), np.insert(indices, at, more_indices)
+        counts[redo] = more_counts
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def _chunk_entries(pool, nb, items, width, l1_weight, tol):
+def _chunk_entries(pool, nb, items, width, l1_weight, tol, redo):
     """The nonzero weights of pool members `items`, in row order, their
     neighbor indices out of nb, and their count per item.
 
-    The items are first solved on their nearest `width` neighbors.  When
+    The items are solved on their nearest `width` neighbors.  When
     width < k, which only a row pool is given, the items whose gradient at
     a far neighbor violates KKT by more than tol (see _far_violations) are
-    solved again at full k, in batches of _batch_size(k, d); the others'
-    zero far weights already meet the conditions.  A batch is formed as its
-    solve starts and is dropped when the solve returns, so the build holds
-    one batch at a time, and the chunk's arrays are dropped when this
-    returns.
+    appended to the list `redo`, to be solved again at full k, and keep no
+    entries here; the others' zero far weights already meet the conditions.
+    The batch is formed as its solve starts and is dropped when the solve
+    returns, and the chunk's arrays are dropped when this returns.
     """
     weights = _solve(pool, nb[:, :width], items, l1_weight, tol)
-    k = nb.shape[1]
-    if width < k:
-        redo = np.flatnonzero(_far_violations(pool.vectors, items, nb, weights, l1_weight) > tol)
-        weights = np.pad(weights, ((0, 0), (0, k - width)))
-        step = _batch_size(k, pool.vectors.shape[1])
-        for lo in range(0, redo.size, step):
-            part = redo[lo:lo + step]
-            weights[part] = _solve(pool, nb[part], items[part], l1_weight, tol)
+    if width < nb.shape[1]:
+        again = _far_violations(pool.vectors, items, nb, weights, l1_weight) > tol
+        redo.extend(items[again].tolist())
+        weights[again] = 0.0
+    return _entries(weights, nb[:, :width])
+
+
+def _entries(weights, nb):
+    """The nonzero weights in row order, their neighbor indices, and their
+    count per row."""
     nz = weights != 0.0
     return weights[nz], nb[nz], nz.sum(axis=1)
 
@@ -220,7 +264,10 @@ def build_feature_structure(
     the nearest W = min(k, d) neighbors (all k when d = 0), and solved
     again at full k only when a farther neighbor violates its KKT
     conditions.  Every row's solution is KKT-certified over all k neighbors.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  The build solves every chunk on its
+    near neighbors first, then the full-k re-solves in ascending item
+    order; a LassoConvergenceError names the first failing item in that
+    order.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
@@ -309,21 +356,22 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors):
     CSR matrix that stores no zeros.
 
     The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
-    block of _BLOCK items, a sparse product gives their A'w - b, and one
-    product of those with all rows is read at the neighbor positions.  inf
-    when weight sits outside the neighborhood.
+    block of _BLOCK items, a sparse product of its slice of rows gives their
+    A'w - b, and one product of those with all rows is read at the neighbor
+    positions, as are the slice's weights, made dense.  inf when weight sits
+    outside the neighborhood: fewer weights are read than the row stores.
     """
     stored = np.diff(weights.indptr)
     size = vectors.shape[0]
     residuals = np.empty(size)
     for start in range(0, size, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, size))
-        nb = neighbors[rows]
-        resid = weights[rows] @ vectors - vectors[rows]
+        rows = slice(start, start + _BLOCK)
+        block, nb = weights[rows], neighbors[rows]
+        resid = block @ vectors - vectors[rows]
         grad = np.take_along_axis(resid @ vectors.T, nb, axis=1)
-        w = weights[rows[:, None], nb].toarray()
+        w = np.take_along_axis(block.toarray(), nb, axis=1)
         residuals[rows] = _violations(w, grad, l1_weight).max(axis=1, initial=0.0)
-        residuals[rows[np.count_nonzero(w, axis=1) < stored[rows]]] = np.inf
+        residuals[rows][np.count_nonzero(w, axis=1) < stored[rows]] = np.inf
     return residuals
 
 

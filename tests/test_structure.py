@@ -85,17 +85,26 @@ class TestKnnIndex:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 90),
         dim=st.integers(1, 8),
-        kind=st.sampled_from(["unit", "zero_one", "small_ints", "duplicates", "huge"]),
+        kind=st.sampled_from(["unit", "zero_one", "small_ints", "duplicates", "huge", "near_ties"]),
         n_zero_rows=st.integers(0, 3),
         k=st.integers(1, 45),
     )
     def test_equals_einsum_scan_bitwise(self, seed, n, dim, kind, n_zero_rows, k):
         # exact ties come from 0/1 and small-integer entries and from
         # duplicated and all-zero rows; k may reach or pass the population;
-        # "huge" entries overflow the squared distances to inf
+        # "huge" entries overflow the squared distances to inf; "near_ties"
+        # puts the others at distances from the first row some ulps apart,
+        # which the rounding margin must refuse to order
         rng = np.random.default_rng(seed)
         if kind == "huge":
             pts = rng.normal(size=(n, dim)) * 1e160
+        elif kind == "near_ties":
+            center = rng.normal(size=dim)
+            pts = rng.normal(size=(n, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            pts *= 1.0 + np.finfo(float).eps * rng.integers(-64, 65, size=(n, 1))
+            pts += center
+            pts[0] = center
         elif kind == "unit":
             pts = rng.normal(size=(n, dim))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -109,23 +118,74 @@ class TestKnnIndex:
         pts[rng.integers(0, n, n_zero_rows)] = 0.0
         self.assert_equals_scan(pts, k)
 
-    @pytest.mark.parametrize("n, dim, k", [(600, 12, 40), (300, 500, 200)])
+    @pytest.mark.parametrize(
+        "n, dim, k", [(600, 12, 40), (300, 500, 200), (400, 32, 200), (400, 332, 200)]
+    )
     def test_equals_einsum_scan_across_blocks(self, n, dim, k):
         # more items than one block of query rows; the wide 0/1 case is the
-        # tag-column shape, where the k-th distance ties with many items
+        # tag-column shape, where the k-th distance ties with many items, and
+        # 400 rows of width 32 and 332 are the image shapes at paper defaults
+        # without and with the tags as features
         rng = np.random.default_rng(n)
         if dim > n:
             pts = (rng.random((n, dim)) < 0.02).astype(float)
         else:
             pts = rng.normal(size=(n, dim))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            pts[::7] = pts[1::7][: pts[::7].shape[0]]
+            twins = pts[1::7]
+            pts[:7 * len(twins):7] = twins  # row 7j copies row 7j + 1
         self.assert_equals_scan(pts, k)
 
     @staticmethod
     def assert_equals_scan(pts, k):
         for got, want in zip(knn_index(pts, k), knn_by_einsum_scan(pts, k)):
             assert np.array_equal(got, want)
+
+    @staticmethod
+    def exactly_ranked(monkeypatch, pts, k):
+        """The rows knn_index ranks by exact distance, and its lists."""
+        ranked, exact_rank = [], structure._exact_rank
+
+        def spy(pts, item, keep, take):
+            ranked.append(int(item))
+            return exact_rank(pts, item, keep, take)
+
+        monkeypatch.setattr(structure, "_exact_rank", spy)
+        return ranked, knn_index(pts, k)
+
+    @pytest.mark.parametrize("n, dim, k", [(130, 5, 10), (400, 32, 200), (300, 8, 299)])
+    def test_generic_rows_need_no_exact_ranks(self, monkeypatch, n, dim, k):
+        # unit rows in general position: every row's k + 1 smallest
+        # approximate distances lie far more than the margin apart
+        pts = np.random.default_rng(n).normal(size=(n, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        ranked, got = self.exactly_ranked(monkeypatch, pts, k)
+        assert ranked == []
+        assert all(np.array_equal(g, w) for g, w in zip(got, knn_by_einsum_scan(pts, k)))
+
+    def test_rows_with_ties_are_ranked_exactly(self, monkeypatch):
+        # rows 60 and 61 copy rows 0 and 1: a row is ranked exactly when,
+        # and only when, its k + 1 nearest hold two items at one distance
+        pts = np.random.default_rng(71).normal(size=(62, 6))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[60:] = pts[:2]
+        ranked, got = self.exactly_ranked(monkeypatch, pts, 8)
+        tied = []
+        for i in range(62):
+            dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+            nearest = np.sort(np.delete(dist, i))[:9]
+            if np.any(np.diff(nearest) == 0.0):
+                tied.append(i)
+        assert 0 < len(tied) < 62 and ranked == tied
+        assert all(np.array_equal(g, w) for g, w in zip(got, knn_by_einsum_scan(pts, 8)))
+
+    def test_overflowing_rows_are_all_ranked_exactly(self, monkeypatch):
+        # squared distances that overflow make the margin inf
+        pts = np.random.default_rng(72).normal(size=(70, 3)) * 1e160
+        ranked, got = self.exactly_ranked(monkeypatch, pts, 5)
+        assert ranked == list(range(70))
+        assert all(np.array_equal(g, w) for g, w in zip(got, knn_by_einsum_scan(pts, 5)))
+
 
 class TestBuildFeatureStructure:
     def test_duplicate_rows_reconstruct_each_other(self):
@@ -623,42 +683,41 @@ class TestLockstepChunks:
         "n_items, k, dim", [(366, 363, 2), (250, 50, 8), (300, 60, 40), (250, 50, 120)]
     )
     def test_batches_hold_each_items_products(self, monkeypatch, n_items, k, dim):
-        # W = 2, 8, 40 and 50: one chunk of 366 and one of 250, each followed
-        # by re-solves at full k in batches of at most 361 and 655; chunks of
-        # 163 and 137 with re-solves in batches of at most 109; and at W = k,
-        # chunks of 43 whose last holds 35.  Every item's gram entries,
+        # W = 2, 8, 40 and 50: one chunk of 366 and one of 250, and the
+        # re-solves at full k in batches of 361 and 655, the last holding the
+        # rest; chunks of 163 and 137, and re-solves in batches of 109, one
+        # of which holds items of both chunks; and at W = k, chunks of 43
+        # whose last holds 35, and no re-solves.  Every item's gram entries,
         # correlations and gradient, formed over the pooled rows, are its own
         # A A', A b and A A' x - A b up to rounding, and its gradient is
         # bitwise that of its batch of one.  The solves here return zero
         # weights, so an item is solved again at full k exactly when
-        # 2 |a . b| > alpha + tol for one of its far rows a.
+        # 2 |a . b| > alpha + tol for one of its far rows a, and every such
+        # item is, once, in ascending order, after the last chunk.
         features = FeatureMatrix(np.random.default_rng(64).normal(size=(n_items, dim)))
         vectors = combined_feature_rows(features, None)
         neighbors = knn_index(vectors, k)
         near, hp = near_width(k, dim), Hyperparams(knn_k=k, alpha=0.1)
         x = np.random.default_rng(65).normal(size=(n_items, k))
         x[:, ::3] = 0.0
-        done, chunk, widths = 0, None, []
+        far = np.einsum("ijd,id->ij", vectors[neighbors[:, near:]], vectors)
+        redo = np.flatnonzero(2.0 * np.abs(far).max(axis=1, initial=-np.inf) - hp.alpha > hp.lasso_tol)
+        full = max(1, structure._ROW_BUDGET // (8 * k * dim))
+        done, resolved = 0, 0
 
         def items_of(batch):
-            """The items a batch solves: the next chunk, or some of its items."""
-            nonlocal done, chunk
+            """The items a batch solves: the next chunk, or once every chunk
+            is solved, the next full-k batch of the far violators."""
+            nonlocal done, resolved
             n, width = batch.index.shape
-            widths.append((n, width))
             if width == near:
-                assert n == min(chunk_size(k, dim), n_items - done)
-                chunk = np.arange(done, done + n)
+                assert resolved == 0 and n == min(chunk_size(k, dim), n_items - done)
                 done += n
-                return chunk
-            assert width == k > near and n <= chunk_size(k, dim)
-            items = np.array([
-                chunk[np.flatnonzero((neighbors[chunk] == row).all(axis=1)).item()]
-                for row in batch.index
-            ])
-            far = np.einsum("ijd,id->ij", vectors[neighbors[chunk, near:]], vectors[chunk])
-            redo = chunk[2.0 * np.abs(far).max(axis=1) - hp.alpha > hp.lasso_tol]
-            assert np.isin(items, redo).all() and np.all(np.diff(items) > 0)
-            return items
+                return np.arange(done - n, done)
+            assert width == k > near and done == n_items
+            assert n == min(full, redo.size - resolved) and n <= chunk_size(k, dim)
+            resolved += n
+            return redo[resolved - n:resolved]
 
         def check(batch, tol):
             items = items_of(batch)
@@ -688,13 +747,8 @@ class TestLockstepChunks:
 
         monkeypatch.setattr(structure, "solve_lasso", check)
         build_feature_structure(features, hp)
-        assert done == n_items
-        # every item with a far violation was solved again, once
-        resolved = sum(n for n, width in widths if width > near)
-        far = np.einsum("ijd,id->ij", vectors[neighbors[:, near:]], vectors)
-        assert resolved == np.count_nonzero(2.0 * np.abs(far).max(axis=1, initial=-np.inf)
-                                            - hp.alpha > hp.lasso_tol)
-        assert (resolved > 0) == (near < k)
+        assert done == n_items and resolved == redo.size
+        assert (redo.size > 0) == (near < k)
 
     def test_rounds_gather_within_the_budget(self, monkeypatch):
         # chunks of 16 items gather 16 x 6 neighbor rows of width 2,000
@@ -764,12 +818,13 @@ class TestLockstepChunks:
         # each batch's arrays are freed when its solve returns, before the
         # next is formed; the pooled rows are shared by all of them.  Rows of
         # width 4 put 14 images in chunks of 4, 4, 4 and 2 on their nearest
-        # 4 of 6 neighbors, and a chunk's items with a far violation are
-        # solved again at full k, in batches of at most 2 (the budget's 512
-        # bytes over 6 rows of width 4)
+        # 4 of 6 neighbors; after the last chunk, the items of every chunk
+        # with a far violation are solved again at full k, once each and in
+        # ascending order, in batches of 2 (the budget's 512 bytes over 6
+        # rows of width 4)
         set_chunk(monkeypatch, 4, 6, 4)
-        formed, widths = [], []
-        pool_gram, solve_lasso = structure.pool_gram, structure.solve_lasso
+        formed, widths, again = [], [], []
+        pool_gram, solve_lasso, solve = structure.pool_gram, structure.solve_lasso, structure._solve
 
         def correlations(*args):
             assert all(ref() is None for ref in formed)
@@ -777,25 +832,35 @@ class TestLockstepChunks:
             formed.append(weakref.ref(entries))
             return entries
 
-        def solve(batch, tol):
+        def solve_batch(batch, tol):
             formed.append(weakref.ref(batch.corr))
             widths.append(batch.index.shape)
             return solve_lasso(batch, tol)
 
+        def spy(pool, nb, items, l1_weight, tol):
+            if nb.shape[1] == 6:
+                again.extend(items.tolist())
+            return solve(pool, nb, items, l1_weight, tol)
+
         monkeypatch.setattr(structure, "pool_gram", correlations)
-        monkeypatch.setattr(structure, "solve_lasso", solve)
+        monkeypatch.setattr(structure, "solve_lasso", solve_batch)
+        monkeypatch.setattr(structure, "_solve", spy)
         features, _ = random_instance(67, n_images=14, n_tags=3, dim=4)
-        build_feature_structure(features, Hyperparams(knn_k=6, alpha=0.1))
+        hp = Hyperparams(knn_k=6, alpha=0.1)
+        S = build_feature_structure(features, hp)
         assert len(formed) == 2 * len(widths) and all(ref() is None for ref in formed)
-        chunks = []  # [items, items solved again] per chunk
-        for n, width in widths:
-            if width == 4:
-                chunks.append([n, 0])
-            else:
-                assert width == 6 and n <= 2
-                chunks[-1][1] += n
-        assert [n for n, _ in chunks] == [4, 4, 4, 2]
-        assert all(again <= n for n, again in chunks) and any(again for _, again in chunks)
+        assert widths[:4] == [(4, 4), (4, 4), (4, 4), (2, 4)]
+        assert all(n == 2 for n, _ in widths[4:-1]) and widths[-1][0] in (1, 2)
+        assert {width for _, width in widths[4:]} == {6}
+        # every item with weight past its nearest 4 neighbors is among those
+        # solved again
+        vectors = combined_feature_rows(features, None)
+        want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
+        neighbors = knn_index(vectors, hp.knn_k)
+        past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
+        assert not failed and past.size and again == sorted(set(again)) and set(past) <= set(again)
+        assert sum(n for n, _ in widths[4:]) == len(again)
+        assert S.matrix.nnz > 0
 
     @staticmethod
     def clustered_rows(seed, n_images, dim, noise):
@@ -828,6 +893,62 @@ class TestLockstepChunks:
         S = self.assert_widths_agree(monkeypatch, features, hp, [1, 3])
         assert again == past.tolist() * 3  # in each of the three builds
         assert feature_structure_kkt(features, S, hp)[past].max() <= hp.lasso_tol
+
+    def test_far_violators_of_several_chunks_share_a_batch(self, monkeypatch):
+        # in chunks of 30 of the 90 items, the 45 items with weight past
+        # their nearest 4 neighbors are solved again at full k after the
+        # third chunk, in ascending order and batches of 4 (the budget's
+        # 3,840 bytes over 30 rows of width 4), and some batch holds items
+        # of two chunks; S is bitwise that of the build in one chunk
+        features = self.clustered_rows(70, 90, 4, 0.2)
+        hp = Hyperparams(knn_k=30, alpha=0.5)
+        vectors = combined_feature_rows(features, None)
+        want, _ = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
+        neighbors = knn_index(vectors, hp.knn_k)
+        past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
+        S = build_feature_structure(features, hp)
+        batches = []
+        solve = structure._solve
+
+        def spy(pool, nb, items, l1_weight, tol):
+            batches.append((nb.shape[1], items.tolist()))
+            return solve(pool, nb, items, l1_weight, tol)
+
+        set_chunk(monkeypatch, 30, hp.knn_k, 4)
+        monkeypatch.setattr(structure, "_solve", spy)
+        assert csr_bytes(build_feature_structure(features, hp).matrix) == csr_bytes(S.matrix)
+        assert [width for width, _ in batches] == [4] * 3 + [hp.knn_k] * 12
+        again = [items for _, items in batches[3:]]
+        assert [len(items) for items in again] == [4] * 11 + [1]
+        assert sum(again, []) == past.tolist()
+        assert any(len({item // 30 for item in items}) > 1 for items in again)
+
+    def test_near_solves_fail_before_full_k_solves(self, monkeypatch):
+        # every chunk is solved on its near rows before any item at full k:
+        # with full-k solves capped at 6 rounds item 6 fails there, but a
+        # near solve that fails for item 83, item 3 of the eleventh chunk
+        # of 8, is met first and named
+        features = self.clustered_rows(70, 90, 4, 0.2)
+        hp = Hyperparams(knn_k=30, alpha=0.5)
+        neighbors = knn_index(combined_feature_rows(features, None), hp.knn_k)
+        set_chunk(monkeypatch, 8, hp.knn_k, 4)
+        fail_near = True
+
+        def solve(batch, tol):
+            if batch.index.shape[1] == hp.knn_k:
+                return lasso.solve_lasso(batch, tol, max_iters=6)
+            if fail_near and np.array_equal(batch.index[3:4], neighbors[83:84, :4]):
+                raise lasso.LassoConvergenceError("near solve failed", 1.0, 3)
+            return lasso.solve_lasso(batch, tol)
+
+        monkeypatch.setattr(structure, "solve_lasso", solve)
+        with pytest.raises(lasso.LassoConvergenceError) as exc:
+            build_feature_structure(features, hp)
+        assert exc.value.item == 83 and exc.value.__cause__.item == 3
+        fail_near = False
+        with pytest.raises(lasso.LassoConvergenceError) as exc:
+            build_feature_structure(features, hp)
+        assert exc.value.item == 6
 
     def test_error_in_a_full_k_solve_names_the_build_item(self, monkeypatch):
         # with full-k solves capped at 6 rounds, items 6, 18, ... of the 45
