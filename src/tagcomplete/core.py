@@ -34,9 +34,10 @@ class DimensionMismatchError(ValidationError):
 
 
 def _as_csr(matrix, shape=None) -> sp.csr_matrix:
-    """Canonical CSR: duplicates summed and indices sorted.  Explicitly stored
-    zeros are kept (with their sign), so readers of nonzeros filter them."""
-    m = sp.csr_matrix(matrix, shape=shape)
+    """Canonical float64 CSR: duplicates summed and indices sorted.  Explicitly
+    stored zeros are kept (with their sign), so readers of nonzeros filter
+    them.  Float64 input keeps its data array; any other dtype is converted."""
+    m = sp.csr_matrix(matrix, shape=shape, dtype=np.float64)
     m.sum_duplicates()
     m.sort_indices()
     return m
@@ -234,8 +235,9 @@ class Hyperparams:
     lasso_tol         KKT residual every structure lasso must reach within
                       lasso.DEFAULT_MAX_ITERS rounds
 
-    Int fields hold integers (Python or numpy, not bool) and float fields
-    real numbers (not bool).  Every float field is finite; the six weights
+    Int fields take integers (Python or numpy, not bool) and float fields
+    real numbers (not bool); each is stored as a Python int or float, so
+    write_model can encode it.  Every float field is finite; the six weights
     are >= 0, rel_tol and lasso_tol > 0, rng_seed >= 0 and the other int
     fields >= 1.
     """
@@ -261,6 +263,7 @@ class Hyperparams:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         for name in ("alpha", "mu", "beta", "gamma", "lambda_", "eta"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")

@@ -443,7 +443,8 @@ def parse_key_values(path, target) -> dict:
 
     `target` is the dataclass the values are for (Hyperparams or SynthConfig).
     Blank lines and lines starting with # are skipped.  Each value is coerced
-    with its field's declared type (int or float); unknown keys fail.
+    with its field's declared type (int or float); unknown and repeated keys
+    fail.
     """
     types = get_type_hints(target)
     values = {}
@@ -457,6 +458,8 @@ def parse_key_values(path, target) -> dict:
         key, value = key.strip(), value.strip()
         if key not in types:
             _fail(path, idx, f"unknown {target.__name__} field {key!r}")
+        if key in values:
+            _fail(path, idx, f"repeated {target.__name__} field {key!r}")
         try:
             values[key] = types[key](value)
         except ValueError:

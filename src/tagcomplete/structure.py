@@ -35,7 +35,7 @@ _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 # gathers the k - W far rows in slices of at most this size.  The items of
 # all chunks that must be solved again at full k go, after the last chunk,
 # in batches of _batch_size(k, d).  The tag build reads its grams out of
-# D'D, in one batch at full k.
+# D'D, in one solve at full k.
 _ROW_BUDGET = 2 << 20
 
 
@@ -128,63 +128,52 @@ def _exact_rank(pts, item, keep, take) -> np.ndarray:
     return cand[np.lexsort((cand, dist))[:take]]
 
 
-def _reconstruction_matrix(pool, neighbors, width, chunk, l1_weight, tol) -> sp.csr_matrix:
-    """Row i holds the weights of the lasso that rebuilds pool member i from
-    its k neighbors, KKT-certified within tol over all k.
+def _reconstruction_matrix(vectors, neighbors, l1_weight, tol) -> sp.csr_matrix:
+    """Row i holds the weights of the lasso that rebuilds vectors[i] from its
+    k neighbors, KKT-certified within tol over all k.
 
-    `neighbors` is (items, k).  Items are solved in lockstep runs of `chunk`
-    by _chunk_entries, and each run keeps only its nonzero weights, in row
-    order: the CSR data.  The items that a run leaves to solve again at full
-    k are held by id alone.  After the last run they are solved, all runs'
-    together, in batches of _batch_size(k, d), and their rows spliced in.
+    `neighbors` is (items, k).  Items are solved in lockstep chunks of
+    _batch_size(W, d) on their nearest W = min(k, d) neighbors (all k when
+    d = 0).  After the last chunk, the far violators of every chunk are
+    solved again at full k in batches of _batch_size(k, d).  Each solve
+    keeps only its nonzero triples, and the CSR matrix is formed from them
+    once, after the last.
     """
     size, k = neighbors.shape
-    runs, redo, again = [], [], []
+    dim = vectors.shape[1]
+    width = min(k, dim) or k
+    chunk = _batch_size(width, dim)
+    pool, again, parts = RowPool(vectors), np.zeros(size, dtype=bool), []
     for start in range(0, size, chunk):
         items = np.arange(start, min(start + chunk, size))
-        runs.append(_chunk_entries(pool, neighbors[start:start + chunk], items,
-                                   width, l1_weight, tol, redo))
-    if redo:
-        redo = np.array(redo, dtype=np.intp)
-        step = _batch_size(k, pool.vectors.shape[1])
-        again = [_entries(_solve(pool, neighbors[part], part, l1_weight, tol), neighbors[part])
-                 for part in np.split(redo, range(step, redo.size, step))]
-    data, indices, counts = (np.concatenate(parts) for parts in zip(*runs))
-    if again:
-        more, more_indices, more_counts = (np.concatenate(parts) for parts in zip(*again))
-        # a row of redo holds no entries yet, so its own go where it starts
-        at = np.repeat(np.cumsum(counts)[redo], more_counts)
-        data, indices = np.insert(data, at, more), np.insert(indices, at, more_indices)
-        counts[redo] = more_counts
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+        parts.append(_chunk_entries(pool, neighbors[start:start + chunk], items,
+                                   width, l1_weight, tol, again))
+    redo = np.flatnonzero(again)
+    step = _batch_size(k, dim)
+    for start in range(0, redo.size, step):
+        items = redo[start:start + step]
+        parts.append(_entries(_solve(pool, neighbors[items], items, l1_weight, tol),
+                              neighbors[items], items))
+    data, cols, counts, items = (np.concatenate(part) for part in zip(*parts))
+    return sp.csr_matrix((data, (np.repeat(items, counts), cols)), shape=(size, size))
 
 
-def _chunk_entries(pool, nb, items, width, l1_weight, tol, redo):
-    """The nonzero weights of pool members `items`, in row order, their
-    neighbor indices out of nb, and their count per item.
-
-    The items are solved on their nearest `width` neighbors.  When
-    width < k, which only a row pool is given, the items whose gradient at
-    a far neighbor violates KKT by more than tol (see _far_violations) are
-    appended to the list `redo`, to be solved again at full k, and keep no
-    entries here; the others' zero far weights already meet the conditions.
-    The batch is formed as its solve starts and is dropped when the solve
-    returns, and the chunk's arrays are dropped when this returns.
-    """
+def _chunk_entries(pool, nb, items, width, l1_weight, tol, again):
+    """_entries of `items` solved on their nearest `width` neighbors in nb,
+    the chunk's arrays dropped on return.  When width < k, the items with a
+    far KKT violation above tol are marked in `again` and keep no entries."""
     weights = _solve(pool, nb[:, :width], items, l1_weight, tol)
     if width < nb.shape[1]:
-        again = _far_violations(pool.vectors, items, nb, weights, l1_weight) > tol
-        redo.extend(items[again].tolist())
-        weights[again] = 0.0
-    return _entries(weights, nb[:, :width])
+        again[items] = far = _far_violations(pool.vectors, items, nb, weights, l1_weight) > tol
+        weights[far] = 0.0
+    return _entries(weights, nb[:, :width], items)
 
 
-def _entries(weights, nb):
-    """The nonzero weights in row order, their neighbor indices, and their
-    count per row."""
+def _entries(weights, nb, items):
+    """One solve's triples: its nonzero weights in row order, their neighbor
+    indices out of nb, the count per row, and the rows' item ids."""
     nz = weights != 0.0
-    return weights[nz], nb[nz], nz.sum(axis=1)
+    return weights[nz], nb[nz], nz.sum(axis=1), items
 
 
 def _solve(pool, nb, items, l1_weight, tol) -> np.ndarray:
@@ -272,12 +261,7 @@ def build_feature_structure(
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
         neighbors = knn_index(vectors, hp.knn_k)
-    k, dim = neighbors.shape[1], vectors.shape[1]
-    width = min(k, dim) or k
-    chunk = _batch_size(width, dim)
-    return StructureMatrix(_reconstruction_matrix(
-        RowPool(vectors), neighbors, width, chunk, hp.alpha, hp.lasso_tol
-    ))
+    return StructureMatrix(_reconstruction_matrix(vectors, neighbors, hp.alpha, hp.lasso_tol))
 
 
 def _tag_gram(D: TaggingMatrix) -> np.ndarray:
@@ -313,8 +297,10 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
     column m of the tagging matrix from its hp.knn_k nearest tag columns.
     D must be binary (ValidationError otherwise).  Neighbors, grams and
     correlations are all read out of one G = D'D, and every tag's lasso runs
-    in one lockstep batch with G as its pool.  Tags that no image carries
-    get a warning and, since their lasso target is zero, an all-zero column.
+    in one lockstep batch with G as its pool; T is formed from its nonzero
+    weights with each tag's neighbors as the rows.  Tags that no image
+    carries get a warning and, since their lasso target is zero, an all-zero
+    column.
     """
     G = _tag_gram(D)
     neighbors = _tag_neighbors(G, hp.knn_k)
@@ -325,9 +311,10 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
             "their reconstruction weights are set to zero",
             stacklevel=2,
         )
-    return StructureMatrix(_reconstruction_matrix(
-        G, neighbors, neighbors.shape[1], G.shape[0], hp.mu, hp.lasso_tol
-    ).T)
+    tags = np.arange(G.shape[0])
+    weights = _solve(G, neighbors, tags, hp.mu, hp.lasso_tol)
+    data, rows, counts, _ = _entries(weights, neighbors, tags)
+    return StructureMatrix(sp.csr_matrix((data, (rows, np.repeat(tags, counts))), shape=G.shape))
 
 
 def reinitialize(

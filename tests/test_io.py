@@ -332,6 +332,17 @@ class TestModelFormat:
         assert record.hyperparams == hp
         np.testing.assert_array_equal(record.objective_trace, trace)
 
+    def test_numpy_scalar_hyperparams_round_trip(self, tmp_path):
+        rng = np.random.default_rng(69)
+        model = self.make_model(rng)
+        hp = Hyperparams(K=np.int64(2), knn_k=np.int32(3), alpha=np.float32(0.25),
+                         mu=np.float64(0.5), beta=1)
+        path = tmp_path / "model.json"
+        write_model(path, model, hp)
+        record = read_model(path)
+        assert record.hyperparams == hp
+        assert json.loads(path.read_text())["hyperparams"]["beta"] == 1.0
+
     def test_version_mismatch(self, tmp_path):
         rng = np.random.default_rng(65)
         path = tmp_path / "model.json"
@@ -881,6 +892,22 @@ class TestOverrides:
         path.write_text("eta=0.5\nbogus=1\n")
         with pytest.raises(ParseError, match=":2:.*bogus"):
             parse_key_values(path, Hyperparams)
+
+    @pytest.mark.parametrize(
+        "target, text",
+        [
+            (Hyperparams, "eta=0.5\n# again\neta = 0.25\n"),
+            (SynthConfig, "n_images=10\n\nn_images=20\n"),
+        ],
+        ids=["Hyperparams", "SynthConfig"],
+    )
+    def test_repeated_key_names_second_line(self, tmp_path, target, text):
+        path = tmp_path / "repeated.conf"
+        path.write_text(text)
+        key = text.partition("=")[0]
+        expected = f"{path}:3: repeated {target.__name__} field {key!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            parse_key_values(path, target)
 
     def test_bad_int_value(self, tmp_path):
         path = tmp_path / "hp.conf"

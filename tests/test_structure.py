@@ -349,6 +349,21 @@ class TestBuildTagStructure:
         assert (T.matrix != want.matrix).nnz == 0
         assert np.all(tag_structure_kkt(TaggingMatrix(stored), T, hp) <= hp.lasso_tol)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+    def test_non_float_tagging_matrices(self, dtype):
+        # integer, boolean and float32 input is stored as float64, so T and
+        # its certificate are bitwise those of the float64 input
+        rng = np.random.default_rng(19)
+        D = rng.random((40, 15)) < 0.3
+        D[0, :] = True
+        hp = Hyperparams(mu=0.05, knn_k=6)
+        want_D = TaggingMatrix(sp.csr_matrix(D.astype(np.float64)))
+        got_D = TaggingMatrix(sp.csr_matrix(D.astype(dtype)))
+        want, got = build_tag_structure(want_D, hp), build_tag_structure(got_D, hp)
+        assert got_D.matrix.dtype == np.float64 and want.matrix.nnz > 15
+        assert csr_bytes(got.matrix) == csr_bytes(want.matrix)
+        assert tag_structure_kkt(got_D, got, hp).tobytes() == tag_structure_kkt(want_D, want, hp).tobytes()
+
     def test_fewer_than_two_tags_rejected(self):
         tags = TaggingMatrix.from_dense(np.ones((3, 1)))
         with pytest.raises(ValidationError, match="^need at least 2 vectors"):
@@ -749,6 +764,55 @@ class TestLockstepChunks:
         build_feature_structure(features, hp)
         assert done == n_items and resolved == redo.size
         assert (redo.size > 0) == (near < k)
+
+    @pytest.mark.parametrize("instance", ["re-solves", "W = k"])
+    def test_rows_and_columns_equal_their_own_solves(self, monkeypatch, instance):
+        # every row of S is bitwise its item's batch-of-one lasso over the
+        # rows, at the width its build used: W, or k when it was solved
+        # again; and every column of T is bitwise its tag's own lasso over
+        # D'D.  The first instance has 45 items solved again at W = 4 < k
+        # = 30; the second has W = k = 50 over rows of width 120, in 4
+        # chunks, and no far check
+        if instance == "re-solves":
+            features, D = self.clustered_rows(70, 90, 4, 0.2), None
+            hp = Hyperparams(knn_k=30, alpha=0.5)
+        else:
+            features, D = random_instance(61, n_images=151, n_tags=130, dim=120)
+            hp = Hyperparams(knn_k=50, alpha=0.1, mu=0.1)
+        widths = {}
+        solve = structure._solve
+
+        def spy(pool, nb, items, l1_weight, tol):
+            widths.update(dict.fromkeys(items.tolist(), nb.shape[1]))
+            return solve(pool, nb, items, l1_weight, tol)
+
+        monkeypatch.setattr(structure, "_solve", spy)
+        S = build_feature_structure(features, hp).matrix.toarray()
+        vectors = combined_feature_rows(features, None)
+        neighbors = knn_index(vectors, hp.knn_k)
+        again = [item for item, width in widths.items() if width == hp.knn_k]
+        assert len(widths) == vectors.shape[0]
+        assert len(again) == (45 if instance == "re-solves" else vectors.shape[0])
+
+        def own(pool, nb, item, l1_weight, size):
+            """The dense weights of one item's lasso, solved as a batch of one."""
+            corr = lasso.pool_gram(pool, nb[None], np.array([[item]]))[:, :, 0]
+            weights = lasso.solve_lasso(lasso.LassoBatch(pool, nb[None], corr, l1_weight),
+                                        hp.lasso_tol).weights[0]
+            dense = np.zeros(size)
+            dense[nb] = np.where(weights != 0.0, weights, 0.0)
+            return dense
+
+        pool = lasso.RowPool(vectors)
+        for i, width in widths.items():
+            want = own(pool, neighbors[i, :width], i, hp.alpha, vectors.shape[0])
+            assert S[i].tobytes() == want.tobytes(), i
+        if D is not None:
+            T = build_tag_structure(D, hp).matrix.toarray()
+            G = (D.matrix.T @ D.matrix).toarray()
+            for m, nb in enumerate(structure._tag_neighbors(G, hp.knn_k)):
+                want = own(G, nb, m, hp.mu, G.shape[0])
+                assert T[:, m].tobytes() == want.tobytes(), m
 
     def test_rounds_gather_within_the_budget(self, monkeypatch):
         # chunks of 16 items gather 16 x 6 neighbor rows of width 2,000
