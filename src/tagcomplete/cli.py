@@ -38,6 +38,7 @@ from .structure import (
     feature_structure_kkt,
     knn_index,
     reinitialize,
+    tag_neighbors,
     tag_structure_kkt,
 )
 from .synth import SynthConfig, delete_tags, generate
@@ -112,8 +113,9 @@ def _cmd_build_structure(args) -> int:
         if args.features is not None:
             raise ValidationError("--mode tag does not use --features")
         D = TaggingMatrix(tgio.read_sparse_matrix(args.tags))
-        structure = build_tag_structure(D, hp)
-        residuals = tag_structure_kkt(D, structure, hp)
+        neighbors = tag_neighbors(D, hp.knn_k)
+        structure = build_tag_structure(D, hp, neighbors=neighbors)
+        residuals = tag_structure_kkt(D, structure, hp, neighbors=neighbors)
     tgio.write_sparse_matrix(args.out, structure.matrix)
     _print_lines(
         [

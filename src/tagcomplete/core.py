@@ -36,10 +36,13 @@ class DimensionMismatchError(ValidationError):
 def _as_csr(matrix, shape=None) -> sp.csr_matrix:
     """Canonical float64 CSR: duplicates summed and indices sorted.  Explicitly
     stored zeros are kept (with their sign), so readers of nonzeros filter
-    them.  Float64 input keeps its data array; any other dtype is converted."""
+    them.  Canonical float64 input keeps its data array; any other dtype is
+    converted, and non-canonical CSR input is copied before it is summed,
+    so the caller's arrays are never rewritten."""
     m = sp.csr_matrix(matrix, shape=shape, dtype=np.float64)
-    m.sum_duplicates()
-    m.sort_indices()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     return m
 
 

@@ -6,8 +6,10 @@ A'b, a pool that holds the design once, and the neighborhood's index into
 it: the pool is either one Gram matrix whose entries the neighborhoods
 index (the tags' D'D), or the design's rows themselves, whose dot products
 are the gram entries (the image features).  Only this module reads gram
-entries out of a pool.  Over rows, the solver forms just the face grams and
-gradient A(A'x) - A'b it needs, and no neighborhood's whole gram.  The
+entries out of a pool.  Over a gram pool, a round's gradients are one
+sparse product of the live items' weights with the whole pool.  Over rows,
+the solver forms just the face grams and gradient A(A'x) - A'b it needs,
+and no neighborhood's whole gram.  The
 solver is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006), an
 exact active-set method: on a fixed sign pattern the objective is a
 quadratic minimized by one Cholesky solve.  On a numerically singular pattern a LARS-style swap step
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import TagCompleteError, ValidationError
 
@@ -116,8 +119,9 @@ def solve_lasso(
     its gram.  The items of a LassoBatch run their rounds in lockstep, and
     each leaves the batch at its own stop, so its weights are bitwise those
     of its own batch of one.  The rounds read what they need of each item's
-    gram (the diagonal, the gradient's product and the face grams) out of
-    the pool through its index; over a row pool no whole gram is formed.
+    gram (the diagonal and the face grams) out of the pool through its
+    index, and form the gradients from the whole pool (see _gradients);
+    over a row pool no whole gram is formed.
 
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
@@ -246,33 +250,42 @@ def _diagonal(batch) -> np.ndarray:
 def _gradients(batch, live, x) -> np.ndarray:
     """gram @ x - corr for the live items, formed from their active coordinates.
 
-    Over a gram pool the product sums the gram's active columns.  Over a row
-    pool it is A (A'x): A'x sums the active rows, and one stacked product
-    with each item's k rows of width d takes k d per item, with no gram
-    formed.  Items with one number of active coordinates are done together,
-    so each item's arithmetic is that of its own.
+    Over a gram pool it is one sparse product for all items, whatever their
+    active counts: a CSR matrix that holds each item's active weights at
+    their pool members, times the pool, read at each item's index with one
+    flat take.  Each item's sum runs over its active coordinates in order,
+    so its arithmetic is that of its own.  Over a row pool it is A (A'x):
+    A'x sums the active rows, and one stacked product with each item's k
+    rows of width d takes k d per item, with no gram formed.  There, items
+    with one number of active coordinates are done together, for the same
+    reason.
     """
     grad = -batch.corr[live]
+    if not isinstance(batch.pool, RowPool):
+        active = np.flatnonzero(x != 0.0)  # row by row, in coordinate order
+        if active.size:
+            members, size = batch.index[live], batch.pool.shape[0]
+            starts = np.searchsorted(active, np.arange(0, x.size + 1, x.shape[1]))
+            left = sp.csr_matrix(
+                (x.take(active), members.take(active).astype(np.int32), starts.astype(np.int32)),
+                shape=(live.size, size),
+            )
+            members += np.arange(0, live.size * size, size)[:, None]  # into the flat product
+            grad += (left @ batch.pool).take(members)
+        return grad
     counts = (x != 0.0).sum(axis=1)
-    rowpool = isinstance(batch.pool, RowPool)
-    if rowpool:
-        vectors = batch.pool.vectors
-        half = np.zeros((live.size, vectors.shape[1]))  # A'x
+    vectors = batch.pool.vectors
+    half = np.zeros((live.size, vectors.shape[1]))  # A'x
     for count, rows in _groups(counts):
         if count == 0:
             continue
         items, xr = live[rows], x[rows]
         active = np.nonzero(xr)[1].reshape(items.size, count)
         xa = xr[np.arange(items.size)[:, None], active][:, None, :]
-        members = batch.index[items[:, None], active]
-        if rowpool:  # (items, count, d): the active rows
-            half[rows] = np.matmul(xa, vectors[members])[:, 0]
-        else:  # (items, count, k): row c holds the gram's row active[:, c]
-            grad[rows] += np.matmul(xa, pool_gram(batch.pool, members, batch.index[items]))[:, 0]
-    if rowpool:
-        moving = np.flatnonzero(counts)
-        gathered = vectors[batch.index[live[moving]]]  # (moving items, k, d)
-        grad[moving] += np.matmul(gathered, half[moving, :, None])[:, :, 0]
+        half[rows] = np.matmul(xa, vectors[batch.index[items[:, None], active]])[:, 0]
+    moving = np.flatnonzero(counts)
+    gathered = vectors[batch.index[live[moving]]]  # (moving items, k, d)
+    grad[moving] += np.matmul(gathered, half[moving, :, None])[:, :, 0]
     return grad
 
 

@@ -77,17 +77,22 @@ def knn_index(vectors, k: int) -> np.ndarray:
     sq = np.einsum("ij,ij->i", pts, pts)
     # Rounding puts the approximate squared distance, and the einsum of the
     # difference, each within delta/4 of the true squared distance, which
-    # is at most 4 max|x|^2.  delta is inf when the product could overflow.
+    # is at most 4 max|x|^2.  For the approximation, the two squared norms
+    # and the doubled product carry at most 4 dim eps max|x|^2, and each of
+    # the two additions, in either order, one rounding of a partial sum
+    # within 4 max|x|^2.  delta is inf when the product could overflow.
     fp = np.finfo(float)
     delta = 4 * (dim + 2) * (fp.eps * (4.0 * sq.max()) + fp.smallest_subnormal)
     neighbors = np.empty((n, take), dtype=np.intp)
+    approx = np.empty((min(_BLOCK, n), n))  # every block's distances, in turn
     for start in range(0, n, _BLOCK):
-        neighbors[start:start + _BLOCK] = _block_neighbors(pts, sq, start, take, delta)
+        neighbors[start:start + _BLOCK] = _block_neighbors(pts, sq, start, take, delta, approx)
     return neighbors
 
 
-def _block_neighbors(pts, sq, start, take, delta) -> np.ndarray:
-    """knn_index's lists for the _BLOCK query rows from pts[start].
+def _block_neighbors(pts, sq, start, take, delta, approx) -> np.ndarray:
+    """knn_index's lists for the _BLOCK query rows from pts[start], with
+    their approximate squared distances formed in the buffer `approx`.
 
     A row whose `head` = take + 1 smallest approximations (all others when
     take = n - 1) are finite and more than 4 delta apart is settled: as
@@ -100,10 +105,12 @@ def _block_neighbors(pts, sq, start, take, delta) -> np.ndarray:
     exact ties or with delta inf, ranks by exact distance the items within
     2 delta of its take-th smallest approximation.
     """
-    rows = np.arange(start, min(start + _BLOCK, pts.shape[0]))
-    approx = -2.0 * (pts[rows] @ pts.T)
-    approx += sq[rows, None] + sq
-    approx[rows - start, rows] = np.inf
+    stop = min(start + _BLOCK, pts.shape[0])
+    approx = np.matmul(pts[start:stop], pts.T, out=approx[:stop - start])
+    approx *= -2.0
+    approx += sq[start:stop, None]
+    approx += sq
+    np.fill_diagonal(approx[:, start:], np.inf)
     head = min(take + 1, pts.shape[0] - 1)
     near = np.argpartition(approx, head - 1, axis=1)[:, :head]
     dist = np.take_along_axis(approx, near, axis=1)
@@ -113,7 +120,7 @@ def _block_neighbors(pts, sq, start, take, delta) -> np.ndarray:
     settled = np.isfinite(dist).all(axis=1) & (np.diff(dist, axis=1) > 4.0 * delta).all(axis=1)
     cutoff = dist[:, take - 1] + 2.0 * delta
     for at in np.flatnonzero(~settled):
-        lists[at] = _exact_rank(pts, rows[at], ~(approx[at] > cutoff[at]), take)
+        lists[at] = _exact_rank(pts, start + at, ~(approx[at] > cutoff[at]), take)
     return lists
 
 
@@ -275,7 +282,7 @@ def _tag_gram(D: TaggingMatrix) -> np.ndarray:
             f"the tag structure needs a binary tagging matrix, but D stores "
             f"{float(data[bad[0]])!r} at image {row}, tag {D.matrix.indices[bad[0]]}"
         )
-    return (D.matrix.T @ D.matrix).toarray()
+    return (D.matrix.T.tocsr() @ D.matrix).toarray()  # C order, as _gradients reads it
 
 
 def _tag_neighbors(G: np.ndarray, k: int) -> np.ndarray:
@@ -290,7 +297,15 @@ def _tag_neighbors(G: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(dist, axis=1, kind="stable")[:, :min(k, G.shape[0] - 1)]
 
 
-def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
+def tag_neighbors(D: TaggingMatrix, k: int) -> np.ndarray:
+    """The k nearest tag columns of each tag of a binary tagging matrix,
+    knn_index(D.T, k), read from G = D'D as build_tag_structure reads them."""
+    return _tag_neighbors(_tag_gram(D), k)
+
+
+def build_tag_structure(
+    D: TaggingMatrix, hp: Hyperparams, *, neighbors: np.ndarray | None = None
+) -> StructureMatrix:
     """Learn the tag-side reconstruction matrix.
 
     Column m holds the lasso coefficients (L1 weight hp.mu) that rebuild tag
@@ -298,12 +313,14 @@ def build_tag_structure(D: TaggingMatrix, hp: Hyperparams) -> StructureMatrix:
     D must be binary (ValidationError otherwise).  Neighbors, grams and
     correlations are all read out of one G = D'D, and every tag's lasso runs
     in one lockstep batch with G as its pool; T is formed from its nonzero
-    weights with each tag's neighbors as the rows.  Tags that no image
-    carries get a warning and, since their lasso target is zero, an all-zero
-    column.
+    weights with each tag's neighbors as the rows.  `neighbors`, when
+    given, must be tag_neighbors(D, hp.knn_k); by default they are read
+    from G here.  Tags that no image carries get a warning and, since their
+    lasso target is zero, an all-zero column.
     """
     G = _tag_gram(D)
-    neighbors = _tag_neighbors(G, hp.knn_k)
+    if neighbors is None:
+        neighbors = _tag_neighbors(G, hp.knn_k)
     empty = np.diagonal(G) == 0.0
     if empty.any():
         warnings.warn(
@@ -386,16 +403,23 @@ def feature_structure_kkt(
 
 
 def tag_structure_kkt(
-    D: TaggingMatrix, structure: StructureMatrix, hp: Hyperparams
+    D: TaggingMatrix,
+    structure: StructureMatrix,
+    hp: Hyperparams,
+    *,
+    neighbors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Re-certify each column of a tag structure matrix from scratch.
 
     D must be binary, as for build_tag_structure, whose G = D'D neighbor
-    lists it recomputes.  Each gradient is still formed from the columns of
-    D, passed as rows with T's columns as the rows of the weights, so the
+    lists it recomputes unless `neighbors` passes the build's own, as
+    build_tag_structure takes them; then the check covers the weights but
+    not the neighbor search.  Each gradient is still formed from the columns
+    of D, passed as rows with T's columns as the rows of the weights, so the
     certificate does not rest on G's grams.  An all-zero tag column with
     zero weights is its lasso's exact answer and reports residual 0.
     """
-    neighbors = _tag_neighbors(_tag_gram(D), hp.knn_k)
+    if neighbors is None:
+        neighbors = tag_neighbors(D, hp.knn_k)
     cols = D.matrix.T.toarray(order="C")
     return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors)

@@ -166,6 +166,35 @@ class TestBuildStructure:
         assert report["kkt_max"] == repr(float(np.max(residuals)))
         assert report["kkt_mean"] == repr(float(np.mean(residuals)))
 
+    def test_tag_mode_searches_neighbors_once(self, pipeline_files, capsys, tmp_path, monkeypatch):
+        # the build and its certificate share one tag-neighbor search; T and
+        # the report are those of the library calls that search on their own
+        search, calls = structure._tag_neighbors, []
+
+        def counted(G, k):
+            calls.append(k)
+            return search(G, k)
+
+        monkeypatch.setattr(structure, "_tag_neighbors", counted)
+        out = tmp_path / "T.mtx"
+        code, stdout, _ = run_cli(
+            ["build-structure", "--mode", "tag", "--tags", pipeline_files["observed"],
+             "--knn", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK and calls == [10]
+        tags, hp = TaggingMatrix(tgio.read_sparse_matrix(pipeline_files["observed"])), Hyperparams(knn_k=10)
+        T = structure.build_tag_structure(tags, hp)
+        residuals = structure.tag_structure_kkt(tags, T, hp)
+        assert calls == [10, 10, 10]
+        tgio.write_sparse_matrix(tmp_path / "want.mtx", T.matrix)
+        assert out.read_bytes() == (tmp_path / "want.mtx").read_bytes()
+        assert stdout.splitlines() == [
+            "mode=tag", f"items={T.size}", f"nnz={T.matrix.nnz}",
+            f"kkt_max={float(np.max(residuals))!r}", f"kkt_mean={float(np.mean(residuals))!r}",
+            f"wrote={out}",
+        ]
+
     def test_image_mode_requires_features(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["build-structure", "--mode", "image", "--out", str(tmp_path / "x")],

@@ -88,6 +88,40 @@ class TestStructureMatrix:
         assert sm.size == 4
 
 
+def non_canonical_csr():
+    # row 0 stores column 2 twice, then column 1; the matrix sums to 6 and
+    # its diagonal is zero
+    return sp.csr_matrix(
+        (np.array([1.0, 2.0, 3.0]), np.array([2, 2, 1]), np.array([0, 3, 3, 3])), shape=(3, 3)
+    )
+
+
+class TestCanonicalStorage:
+    """Domain objects store summed, sorted float64 CSR without rewriting the
+    caller's arrays."""
+
+    @pytest.mark.parametrize("store", [
+        lambda m: TaggingMatrix(m).matrix,
+        lambda m: StructureMatrix(m).matrix,
+        lambda m: FactorModel(U=np.zeros((4, 3)), V=m, E=sp.csr_matrix((4, 3))).V,
+        lambda m: FactorModel(U=np.zeros((3, 2)), V=sp.csr_matrix((2, 3)), E=m).E,
+    ], ids=["TaggingMatrix", "StructureMatrix", "V", "E"])
+    def test_non_canonical_caller_csr_unchanged(self, store):
+        given = non_canonical_csr()
+        before = [a.copy() for a in (given.data, given.indices, given.indptr)]
+        stored = store(given)
+        for now, then in zip((given.data, given.indices, given.indptr), before):
+            assert now.dtype == then.dtype and now.tobytes() == then.tobytes()
+        assert given.data.sum() == 6.0
+        assert stored.has_canonical_format
+        assert stored.indices.tolist() == [1, 2] and stored.data.tolist() == [3.0, 3.0]
+        assert stored.indptr.tolist() == [0, 2, 2, 2]
+
+    def test_canonical_float64_input_keeps_its_data(self):
+        given = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert np.shares_memory(TaggingMatrix(given).matrix.data, given.data)
+
+
 class TestFactorModel:
     def test_validate_catches_column_norm(self):
         with pytest.raises(ValidationError):

@@ -610,3 +610,32 @@ class TestLockstepBatches:
         assert sol.weights.shape == (6,) and batch.weights.shape == (1, 6)
         assert batch.weights[0].tobytes() == sol.weights.tobytes()
         assert batch.kkt_residual == sol.kkt_residual
+
+
+class TestGramPoolGradients:
+    """Over a gram pool, each live item's gradient is that of its explicit
+    gram, whatever the active counts of the other items in the batch."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("active", ["none", "mixed", "all"])
+    def test_matches_explicit_gram(self, seed, active):
+        rng = np.random.default_rng(seed)
+        n, k, n_items = 30, 12, 20
+        A = rng.normal(size=(n, 8))
+        pool = A @ A.T
+        index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
+        corr = rng.normal(size=(n_items, k))
+        live = np.sort(rng.choice(n_items, 14, replace=False))
+        x = rng.normal(size=(live.size, k))
+        if active == "none":
+            x[:] = 0.0
+        elif active == "mixed":  # every count from 0 to k, in shuffled rows
+            for r, count in enumerate(rng.permutation(np.arange(live.size) % (k + 1))):
+                x[r, rng.permutation(k)[count:]] = 0.0
+        grad = lasso._gradients(LassoBatch(pool, index, corr, 0.1), live, x)
+        assert grad.shape == x.shape
+        for r, item in enumerate(live):
+            gram = pool[np.ix_(index[item], index[item])]
+            want = gram @ x[r] - corr[item]
+            scale = np.abs(gram) @ np.abs(x[r]) + np.abs(corr[item])
+            assert np.all(np.abs(grad[r] - want) <= 1e-15 * scale)

@@ -364,12 +364,32 @@ class TestBuildTagStructure:
         assert csr_bytes(got.matrix) == csr_bytes(want.matrix)
         assert tag_structure_kkt(got_D, got, hp).tobytes() == tag_structure_kkt(want_D, want, hp).tobytes()
 
+    @pytest.mark.parametrize("k", [3, 40])
+    def test_neighbors_passed_in_equal_the_default(self, k):
+        # the lists the build and its certificate would search are passed
+        # in once, with a tag no image carries among them
+        rng = np.random.default_rng(20)
+        D = (rng.random((50, 25)) < 0.3).astype(float)
+        D[:, 7] = 0.0
+        tags, hp = TaggingMatrix.from_dense(D), Hyperparams(mu=0.05, knn_k=k)
+        neighbors = structure.tag_neighbors(tags, k)
+        assert np.array_equal(neighbors, knn_index(D.T, k))
+        with pytest.warns(UserWarning, match="^1 tag column"):
+            want = build_tag_structure(tags, hp)
+        with pytest.warns(UserWarning, match="^1 tag column"):
+            got = build_tag_structure(tags, hp, neighbors=neighbors)
+        assert want.matrix.nnz > 25 and csr_bytes(got.matrix) == csr_bytes(want.matrix)
+        residuals = tag_structure_kkt(tags, want, hp)
+        assert tag_structure_kkt(tags, want, hp, neighbors=neighbors).tobytes() == residuals.tobytes()
+
     def test_fewer_than_two_tags_rejected(self):
         tags = TaggingMatrix.from_dense(np.ones((3, 1)))
         with pytest.raises(ValidationError, match="^need at least 2 vectors"):
             build_tag_structure(tags, Hyperparams(knn_k=2))
         with pytest.raises(ValidationError, match="^need at least 2 vectors"):
             tag_structure_kkt(tags, zero_structure(1), Hyperparams(knn_k=2))
+        with pytest.raises(ValidationError, match="^need at least 2 vectors"):
+            structure.tag_neighbors(tags, 2)
         with pytest.raises(ValidationError, match="^k must be >= 1$"):
             structure._tag_neighbors(np.eye(3), 0)
 
@@ -1076,6 +1096,38 @@ class TestLockstepChunks:
             f"reconstruction subproblem for item {first} did not converge "
             f"(KKT residual {error.kkt_residual:g})"
         )
+
+
+class TestTagBuildMemory:
+    def test_gradients_within_budget(self, monkeypatch):
+        # paper_cli's shape: M = 300 tags on 400 images, k = 200.  A round's
+        # gradient is one product of the live tags' weights with G = D'D, a
+        # (live, M) array, read at (live, k) positions: within four (M, M)
+        # arrays.  Gathering each active coordinate's k gram entries, per
+        # group of tags with one active count, takes 4.9 MB here, 1.7 times
+        # the budget.
+        cfg = SynthConfig(n_images=400, n_tags=300, n_topics=15, tags_per_image=8,
+                          feature_dim=32, feature_noise=0.3, delete_fraction=0.4,
+                          off_topic_prob=0.05, rng_seed=23)
+        tags = delete_tags(generate(cfg).truth, cfg.delete_fraction, cfg.rng_seed + 1).observed
+        budget = 4 * 8 * cfg.n_tags**2
+        gradients, peaks = lasso._gradients, []
+
+        def traced(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grad = gradients(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return grad
+
+        monkeypatch.setattr(lasso, "_gradients", traced)
+        tracemalloc.start()
+        try:
+            T = build_tag_structure(tags, Hyperparams(knn_k=200))
+        finally:
+            tracemalloc.stop()
+        assert T.matrix.nnz > 3000 and len(peaks) > 20
+        assert max(peaks) <= budget
 
 
 class TestReinitialize:
