@@ -169,11 +169,10 @@ def _cmd_complete(args) -> int:
             tgio.write_sparse_matrix(args.out_scores, scores)
         else:
             tgio.write_dense_matrix(args.out_scores, scores)
-    V = report.model.V
-    empty = V.shape[1] - np.unique(V.indices[V.data != 0.0]).size
+    empty = report.empty_tags
     if empty:
         print(
-            f"warning: {empty} of {V.shape[1]} tags have an all-zero column of V, "
+            f"warning: {empty} of {D.n_tags} tags have an all-zero column of V, "
             f"so every image scores 0 on them (eta={hp.eta!r}, K={hp.K})",
             file=sys.stderr,
         )

@@ -2,9 +2,11 @@
 
 All writers are atomic (temp file + rename) and produce deterministic bytes
 for identical inputs; floats are serialized with repr, so every write→read
-round-trip is exact.  All readers reject non-finite values and report the
-offending line; a MatrixMarket cell whose duplicate entries sum to a
-non-finite value is refused at the last of those entries.
+round-trip is exact.  The dense writers, of the CSV matrix and of a model's
+basis, spell every +0.0 cell "0.0" without calling repr on it.  All readers
+reject non-finite values and report the offending line; a MatrixMarket cell
+whose duplicate entries sum to a non-finite value is refused at the last of
+those entries.
 
 The MatrixMarket and CSV readers parse all entry or row lines in one
 np.loadtxt call and check index ranges and finiteness on the whole array
@@ -23,6 +25,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import get_type_hints
 
 import numpy as np
@@ -264,11 +267,38 @@ def _refuse_rows(path, rows):
     _fail_first_refused(path, rows, "non-numeric cell in", delimiter=",", ndmin=2)
 
 
+def _text_rows(arr: np.ndarray, join) -> list:
+    """join(texts) for each row of the 2-D float array, texts the repr of
+    each of its cells, in order.
+
+    Every +0.0 cell shares the one text "0.0" and costs no repr call: most
+    cells of a completed score matrix at the paper's defaults, and of a
+    fitted basis, are +0.0.  A row with no +0.0 is mapped through repr
+    whole.  -0.0 keeps "-0.0".  Rows become Python floats 64 at a time, so
+    the whole array is never held as Python objects.
+    """
+    positive_zero = arr == 0.0
+    positive_zero &= ~np.signbit(arr)
+    has_zero = positive_zero.any(axis=1).tolist()
+    texts = []
+    for start in range(0, arr.shape[0], 64):
+        for i, row in enumerate(arr[start:start + 64].tolist(), start):
+            if has_zero[i]:
+                cells = ["0.0"] * len(row)
+                for j in np.flatnonzero(~positive_zero[i]).tolist():
+                    cells[j] = repr(row[j])
+                texts.append(join(cells))
+            else:
+                texts.append(join(map(repr, row)))
+    return texts
+
+
 def write_dense_matrix(path, array) -> None:
+    """Write a CSV matrix, one row per line, each cell spelled by repr."""
     arr = np.asarray(array, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"dense matrix must be 2-D, got ndim={arr.ndim}")
-    lines = [",".join(map(repr, row)) for row in arr.tolist()]
+    lines = _text_rows(arr, ",".join)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -292,12 +322,11 @@ def _sparse_to_lists(matrix) -> dict:
 
 
 def _json_list(items, level) -> str:
-    """Encoded items laid out as json.dumps(list, indent=1) lays out a list
-    nested `level` deep."""
-    if not items:
-        return "[]"
+    """Encoded items, an iterable of non-empty texts, laid out as
+    json.dumps(list, indent=1) lays out a list nested `level` deep."""
     pad = "\n" + " " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+    text = ("," + pad).join(items)
+    return "[" + pad + text + pad[:-1] + "]" if text else "[]"
 
 
 def _require_ints(values, what) -> None:
@@ -360,9 +389,7 @@ def write_model(path, model: FactorModel, hp: Hyperparams, trace=None) -> None:
     # the text of json.dumps({**payload, "basis": U.tolist(), **tail}, indent=1),
     # with the basis joined here, as json's indented encoder is pure Python;
     # U is finite, so repr spells each value as json does
-    basis = _json_list(
-        [_json_list(list(map(repr, row)), 2) for row in model.U.tolist()], 1
-    )
+    basis = _json_list(_text_rows(model.U, partial(_json_list, level=2)), 1)
     text = (
         json.dumps(payload, indent=1)[:-2]
         + f',\n "basis": {basis},'

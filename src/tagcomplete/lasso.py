@@ -101,11 +101,14 @@ class LassoSolution:
 
 
 def _violations(weights: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
-    """Stationarity violation per coordinate; grad must equal gram @ weights - corr."""
+    """Stationarity violation per coordinate, |2 grad + lam theta| less lam
+    where theta = 0, for theta = sign(weights); grad must equal
+    gram @ weights - corr."""
     theta = np.sign(weights)
-    return np.where(
-        theta != 0.0, np.abs(2.0 * grad + lam * theta), np.abs(2.0 * grad) - lam
-    )
+    violation = 2.0 * grad
+    violation += lam * theta
+    np.abs(violation, out=violation)
+    return np.subtract(violation, lam, out=violation, where=theta == 0.0)
 
 
 def solve_lasso(
@@ -167,6 +170,7 @@ def solve_lasso(
     failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
     diag = _diagonal(problem)
     unusable = ~(diag > 0.0)
+    any_unusable = unusable.any()
     pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
     live = np.arange(corr.shape[0])
     rounds = 0
@@ -184,7 +188,8 @@ def solve_lasso(
             failed_after[live] = rounds
             break
         rounds += 1
-        violation[unusable[live]] = -np.inf
+        if any_unusable:
+            violation[unusable[live]] = -np.inf
         best = np.argmax(violation, axis=1)
         theta = np.sign(x)
         joins = np.where(theta != 0.0, violation, 0.0).max(axis=1) <= tol

@@ -50,6 +50,7 @@ from .core import (
     StructureMatrix,
     TagCompleteError,
     TaggingMatrix,
+    ValidationError,
     basis_term,
     check_structure_sizes,
     coeff_terms,
@@ -167,14 +168,17 @@ class SolverWorkspace:
         all three blocks while target and coeffs are finite, so it is kept
         while they are not (0 * inf is NaN)."""
         live = self.basis.any(axis=0) | self.coeffs.any(axis=1)
-        if live.all() or not (
-            np.isfinite(self.target).all() and np.isfinite(self.coeffs).all()
-        ):
+        if live.all() or not self.finite():
             return
         self._model_basis[:, self.factors[~live]] = self.basis[:, ~live]
         self.factors = self.factors[live]
         self.basis = np.ascontiguousarray(self.basis[:, live])
         self.coeffs = self.coeffs[live]
+
+    def finite(self) -> bool:
+        """Whether target and coeffs are finite, so that a zero coefficient
+        row makes its products with them exactly 0."""
+        return bool(np.isfinite(self.target).all() and np.isfinite(self.coeffs).all())
 
     def snapshot(self) -> FactorModel:
         """The model: the working factors in their places among the dropped."""
@@ -234,19 +238,26 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     zero coordinate whose |q| <= eta stays where it is (a NaN q may move).
     Until a coordinate moves, the pass sees exactly the scanned q, so it
     starts at the first coordinate that may move, and a row where none may
-    is not swept at all.
+    is not swept at all.  A row that is all zero when its pass starts has a
+    penalty coupling of exactly 0 while the penalty is finite, so that is
+    not formed.
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
     gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
+    # a row changes only in its own pass, so its state now is its state then
+    uncoupled = ~coeffs.any(axis=1)
+    if uncoupled.any() and not np.isfinite(penalty).all():
+        uncoupled[:] = False
+    uncoupled = uncoupled.tolist()
     skipped = 0
     for k in range(coeffs.shape[0]):
         gram_kk = float(gram[k, k])
         flat = gram_kk + diag <= 0.0
         skipped += int(np.count_nonzero(flat))
         coupling = corr[k] - (gram[k] @ coeffs - gram_kk * coeffs[k])
-        penalty_dot = coeffs[k] @ penalty
+        penalty_dot = np.zeros(coeffs.shape[1]) if uncoupled[k] else coeffs[k] @ penalty
         q = coupling - (penalty_dot - diag * coeffs[k])
         may_move = ~(flat | ((coeffs[k] == 0.0) & (np.abs(q) <= eta)))
         start = int(may_move.argmax())
@@ -382,10 +393,16 @@ def update_basis(ws: SolverWorkspace) -> int:
     coupling q moves to 0, its exact minimizer.  Returns the number of
     coordinates left without a step: those of columns whose subproblem is
     constant (g = 0, q = 0, gamma = 0) or whose step failed its certificate.
+
+    A column whose coefficient row is all zero has g = 0 and, while target
+    and coeffs are finite, q exactly 0, so its q is not formed.
     """
     basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
     gram = ws.coeffs @ ws.coeffs.T
     corr = ws.coeffs @ ws.target.T
+    coupled = ws.coeffs.any(axis=1)
+    if not (coupled.all() or ws.finite()):
+        coupled[:] = True
 
     def value(g, q, u):
         image = shift @ u
@@ -394,8 +411,8 @@ def update_basis(ws: SolverWorkspace) -> int:
     skipped = 0
     for k in range(ws.n_factors):
         g, old = float(gram[k, k]), basis[:, k].copy()
-        q = corr[k] - (basis @ gram[:, k] - g * old)
-        if not q.any():
+        q = corr[k] - (basis @ gram[:, k] - g * old) if coupled[k] else None
+        if q is None or not q.any():
             if g == 0.0 and gamma == 0.0:
                 skipped += ws.n_images
             else:
@@ -427,6 +444,8 @@ class SolverReport:
     objective_trace[0] is the initial objective; objective_trace[i] is the
     value after outer iteration i.  block_trace[i] holds the values after the
     coefficient, basis, and error updates of iteration i+1, in that order.
+    live_factors and empty_tags count the model's live factors and its tags
+    with an all-zero column of V.
     """
 
     model: FactorModel
@@ -435,6 +454,19 @@ class SolverReport:
     converged: bool
     iterations: int
     skipped_coordinates: int
+
+    @property
+    def live_factors(self) -> int:
+        """Factors with a nonzero basis column or coefficient row: those that
+        fit worked on at the end."""
+        live = self.model.U.any(axis=0)
+        live[self.model.V.nonzero()[0]] = True
+        return int(np.count_nonzero(live))
+
+    @property
+    def empty_tags(self) -> int:
+        """Tags with an all-zero column of V, on which every image scores 0."""
+        return self.model.n_tags - np.unique(self.model.V.nonzero()[1]).size
 
 
 def initial_model(D: TaggingMatrix, hp: Hyperparams) -> FactorModel:
@@ -445,14 +477,32 @@ def initial_model(D: TaggingMatrix, hp: Hyperparams) -> FactorModel:
     sweep sees correlations large enough to clear the L1 threshold; a
     scale-free random basis starts every correlation below it and the
     descent can stall at the all-zero model.  Columns are unit-norm, hence
-    inside the basis norm ball.  When K exceeds the number of singular
-    directions the remainder is filled with random unit columns drawn from
-    np.random.default_rng(hp.rng_seed).
+    inside the basis norm ball.
+
+    The directions are the top min(K, N, M) eigenvectors of the gram on the
+    smaller side of D: of D'D, mapped to U = DV with unit columns, when
+    N >= M, and else of DD', whose eigenvectors are U.  D is first scaled by
+    a power of two, exactly, to a largest magnitude below 1, so that the
+    gram cannot overflow.  A direction whose eigenvalue is at most
+    max(N, M) * eps * lambda_max lies in the gram's rounding and takes the
+    random fill, as do the columns past min(N, M): random unit columns drawn
+    from np.random.default_rng(hp.rng_seed).
     """
-    n_directions = min(hp.K, D.n_images, D.n_tags)
-    left, _, _ = np.linalg.svd(D.to_dense(), full_matrices=False)
+    data = D.to_dense()
+    peak = float(np.abs(D.matrix.data).max(initial=0.0))
+    if peak > 0.0:
+        np.ldexp(data, -math.frexp(peak)[1], out=data)
+    tall = D.n_images >= D.n_tags
+    values, vectors = np.linalg.eigh(data.T @ data if tall else data @ data.T)
+    floor = max(D.n_images, D.n_tags) * np.finfo(float).eps * values.max(initial=0.0)
+    top = np.flatnonzero(values > floor)[::-1][: hp.K]
+    n_directions = top.size
     U = np.empty((D.n_images, hp.K))
-    U[:, :n_directions] = left[:, :n_directions]
+    if tall:
+        left = data @ vectors[:, top]
+        U[:, :n_directions] = left / np.linalg.norm(left, axis=0)
+    else:
+        U[:, :n_directions] = vectors[:, top]
     # fix the sign ambiguity: largest-magnitude entry of each column >= 0
     anchors = np.argmax(np.abs(U[:, :n_directions]), axis=0)
     flip = np.sign(U[anchors, np.arange(n_directions)])
@@ -492,9 +542,15 @@ def fit(
     column with the bits it had when it was dropped.  The result equals the
     fit at full rank up to rounding: the products run over fewer terms.
 
-    Raises NumericalBlowupError (trace attached) if the objective leaves the
-    finite range.
+    Raises ValidationError if D has no images or no tags, and
+    NumericalBlowupError (trace attached) if the objective leaves the finite
+    range.
     """
+    for count, name in ((D.n_images, "images"), (D.n_tags, "tags")):
+        if count == 0:
+            raise ValidationError(
+                f"tagging matrix has no {name} ({D.n_images}x{D.n_tags}): nothing to complete"
+            )
     model = initial_model(D, hp) if start is None else start
     ws = SolverWorkspace(D, S, T, model, hp)
     # a dropped factor's skips per sweep, as a sweep over it would count

@@ -8,8 +8,13 @@ the image structure, up to rounding: structure_by_item_loop runs the
 package's own lasso solver one item at a time on explicit grams, against
 the builders' lockstep batches, coefficient_sweep_by_scalar_loop takes
 the package's scalar step at every coordinate, against the row scan of
-solver.update_coeffs, and rank_by_image_loop ranks one test image at a
-time, against the one sort of metrics.rank_predictions.  The two file
+solver.update_coeffs, basis_pass_by_column_loop forms every basis column's
+coupling and takes the package's trust-region step on it, against
+solver.update_basis, which passes over columns with an all-zero
+coefficient row, and rank_by_image_loop ranks one test image at a
+time, against the one sort of metrics.rank_predictions.  rows_by_repr
+spells every cell with repr, against the dense writers, which spell +0.0
+without it.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
 cell at a time with Python's int and float; io's one-call numpy readers must
 return the same bits and raise the same messages.  soft_threshold is the
@@ -191,6 +196,46 @@ def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
                 penalty_dot += (new - old) * tag_penalty[m]
         coeffs[k] = row
     return coeffs, skipped
+
+
+def basis_pass_by_column_loop(ws):
+    """One cyclic pass of solver._basis_step over every basis column of the
+    workspace, each column's coupling q formed from the whole coefficient
+    matrix and target, as solver.update_basis runs it but with no column
+    passed over.  Returns the new basis and the number of skipped
+    coordinates; the workspace is left unchanged."""
+    from tagcomplete.solver import _basis_step
+
+    basis, shift, gamma = ws.basis.copy(), ws.image_shift, ws.hp.gamma
+    gram = ws.coeffs @ ws.coeffs.T
+    corr = ws.coeffs @ ws.target.T
+
+    def value(g, q, u):
+        image = shift @ u
+        return float(u @ (g * u - 2.0 * q)) + gamma * float(image @ image)
+
+    skipped = 0
+    for k in range(basis.shape[1]):
+        g, old = float(gram[k, k]), basis[:, k].copy()
+        q = corr[k] - (basis @ gram[:, k] - g * old)
+        if not q.any():
+            if g == 0.0 and gamma == 0.0:
+                skipped += basis.shape[0]
+            else:
+                basis[:, k] = 0.0
+            continue
+        u = _basis_step(ws, g, q)
+        if u is None:
+            skipped += basis.shape[0]
+        elif value(g, q, u) <= value(g, q, old):
+            basis[:, k] = u
+    return basis, skipped
+
+
+def rows_by_repr(array) -> list:
+    """Each row of the 2-D array as ",".join(map(repr, row)): one repr call
+    per cell."""
+    return [",".join(map(repr, row)) for row in np.asarray(array, dtype=float).tolist()]
 
 
 def soft_threshold(x, threshold):

@@ -594,6 +594,24 @@ class TestComplete:
         assert code == EXIT_USAGE
         assert "structure" in err
 
+    @pytest.mark.parametrize("shape, name", [((3, 0), "tags"), ((0, 3), "images")])
+    def test_empty_tagging_matrix_exits_2(self, capsys, tmp_path, shape, name):
+        tags, s_path, t_path = (str(tmp_path / f) for f in ("D.mtx", "S.mtx", "T.mtx"))
+        tgio.write_sparse_matrix(tags, sp.csr_matrix(shape))
+        tgio.write_sparse_matrix(s_path, sp.csr_matrix((shape[0], shape[0])))
+        tgio.write_sparse_matrix(t_path, sp.csr_matrix((shape[1], shape[1])))
+        code, stdout, err = run_cli(
+            [
+                "complete", "--tags", tags,
+                "--image-structure", s_path, "--tag-structure", t_path,
+                "--K", "2", "--no-reinit",
+            ],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert f"tagging matrix has no {name}" in err
+
     def test_blowup_exits_3_with_trace(self, capsys, tmp_path):
         tags = str(tmp_path / "huge.mtx")
         zero2 = str(tmp_path / "z2.mtx")

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import read_dense_by_cells, read_sparse_by_lines
+from oracles import read_dense_by_cells, read_sparse_by_lines, rows_by_repr
 
 from tagcomplete.core import FactorModel, Hyperparams, TaggingMatrix
 from tagcomplete.io import (
@@ -631,6 +631,43 @@ class TestWritersExactBytes:
                 "values": [float(v) for v in coo.data],
             }
         assert written == (json.dumps(payload, indent=1) + "\n").encode()
+
+
+@st.composite
+def zero_mixed_array(draw, elements):
+    """A 2-D array of +0.0, -0.0, subnormals and the given elements, whose
+    rows are, at random, as drawn, all +0.0, or with every zero replaced."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]) | elements
+    array = draw(arrays(float, (n, m), elements=cells))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("dzn"), min_size=n, max_size=n))):
+        if kind == "z":
+            array[i] = 0.0
+        elif kind == "n":
+            array[i][array[i] == 0.0] = 0.25
+    return array
+
+
+class TestDenseWritersZeroCells:
+    """The dense writers spell +0.0 without calling repr, and every other
+    cell with it: their text is that of one repr call per cell."""
+
+    @ROUND_TRIPS
+    @given(zero_mixed_array(st.floats(allow_infinity=False) | st.just(float("nan"))))
+    def test_dense_csv(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dense_matrix(path, array)
+        assert path.read_text() == "\n".join(rows_by_repr(array)) + "\n"
+
+    @ROUND_TRIPS
+    @given(zero_mixed_array(st.floats(-0.4, 0.4)))  # columns stay in the unit ball
+    def test_model_basis(self, tmp_path_factory, basis):
+        n, k = basis.shape
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model = FactorModel(U=basis, V=sp.csr_matrix((k, 2)), E=sp.csr_matrix((n, 2)))
+        write_model(path, model, Hyperparams(K=k))
+        block = path.read_text().split('"basis": ')[1].split(',\n "coeffs"')[0]
+        assert re.sub(r"\s", "", block) == "[" + ",".join(f"[{row}]" for row in rows_by_repr(basis)) + "]"
 
 
 # spellings of a finite double that both Python's float and numpy read exactly

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,11 +29,12 @@ from tagcomplete.solver import (
     update_coeffs,
     update_error,
 )
-from tagcomplete.structure import build_feature_structure, build_tag_structure
+from tagcomplete.structure import build_feature_structure, build_tag_structure, reinitialize
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 from helpers import zero_structure
 from oracles import (
+    basis_pass_by_column_loop,
     basis_update_value,
     coefficient_sweep_by_residual,
     coefficient_sweep_by_scalar_loop,
@@ -1178,3 +1182,178 @@ class TestDegenerateShapes:
         D = TaggingMatrix.from_dense(dense)
         hp = Hyperparams(K=2, knn_k=3, eta=0.2, max_outer_iters=8)
         check_fit_invariants(D, *structures(rng.normal(size=(n, 3)), D, hp), hp)
+
+
+class TestZeroCoefficientRows:
+    """A coefficient row that is all zero couples to nothing: update_coeffs
+    does not form its penalty coupling and update_basis not its column's q,
+    while the penalty, or the target and coefficients, are finite.  Both
+    stay bitwise equal to their references, which form every product: the
+    scalar loop, and the column loop of basis_pass_by_column_loop."""
+
+    def instance(self, rng, gamma):
+        """A workspace whose coefficient rows are all zero at random, some
+        holding -0.0, while their basis columns stay nonzero; at random with
+        a non-finite target, and tags without penalty mass."""
+        n, m, k = (int(v) for v in rng.integers(2, 9, size=3))
+        hp = Hyperparams(K=k, knn_k=3, beta=0.5, gamma=gamma,
+                         eta=float(rng.choice([0.0, 0.05, 0.3])))
+        D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        zero = rng.random(k) < 0.5
+        ws.coeffs[zero] = np.where(rng.random((int(zero.sum()), m)) < 0.3, -0.0, 0.0)
+        if rng.random() < 0.3:
+            massless = rng.random(m) < 0.3
+            ws.tag_penalty[massless] = 0.0
+            ws.tag_penalty[:, massless] = 0.0
+        if rng.random() < 0.3:
+            spots = rng.random((n, m)) < 0.2
+            ws.target[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+        return ws
+
+    def check_basis(self, ws):
+        want, want_skipped = basis_pass_by_column_loop(ws)
+        assert update_basis(ws) == want_skipped
+        np.testing.assert_array_equal(ws.basis.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_basis_pass_matches_the_column_loop(self, gamma):
+        rng = np.random.default_rng(46)
+        for _ in range(150):
+            ws = self.instance(rng, gamma)
+            with np.errstate(over="ignore", invalid="ignore"):  # as fit runs it
+                self.check_basis(ws)
+
+    def test_coefficient_sweep_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(47)
+        for _ in range(150):
+            ws = self.instance(rng, 1.0)
+            if rng.random() < 0.3:  # 0 * inf is NaN: zero rows must form it
+                tag = rng.integers(ws.n_tags)
+                ws.tag_penalty[tag] = ws.tag_penalty[:, tag] = np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, want_skipped = coefficient_sweep_by_scalar_loop(
+                    ws.basis, ws.coeffs, ws.target, ws.tag_penalty, ws.hp.eta
+                )
+                assert update_coeffs(ws) == want_skipped
+            np.testing.assert_array_equal(ws.coeffs.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("gamma, target, zeroed, skipped", [
+        (1.0, 1.0, True, 0),  # q is exactly 0: the column moves to 0
+        (0.0, 1.0, False, 5),  # a constant subproblem: its 5 coordinates skip
+        (1.0, np.inf, False, 5),  # q is NaN: the step fails, the column stays
+    ])
+    def test_zero_row_column(self, gamma, target, zeroed, skipped):
+        rng = np.random.default_rng(48)
+        hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=5, m=4, k=2, hp=hp)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        ws.coeffs[:] = 0.0
+        ws.target[0, 0] = target
+        before = ws.basis.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert update_basis(ws) == 2 * skipped
+        np.testing.assert_array_equal(ws.basis, 0.0 if zeroed else before)
+
+
+class TestEigenStart:
+    """initial_model takes the top eigenvectors of the gram on the smaller
+    side of D: its leading left singular vectors, with one sign fixed, and
+    the seeded random fill past its numerical rank."""
+
+    @staticmethod
+    def fill(hp, n, count):
+        extra = np.random.default_rng(hp.rng_seed).uniform(-1.0, 1.0, size=(n, count))
+        return extra / np.linalg.norm(extra, axis=0)
+
+    @staticmethod
+    def start(dense, hp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return initial_model(TaggingMatrix.from_dense(dense), hp).U
+
+    @pytest.mark.parametrize("n, m", [(9, 5), (5, 9)])
+    def test_leading_singular_vectors(self, n, m):
+        rng = np.random.default_rng(n)
+        dense = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
+        hp = Hyperparams(K=7, knn_k=2, rng_seed=3)
+        U = self.start(dense, hp)
+        left = np.linalg.svd(dense, full_matrices=False)[0][:, :5]
+        np.testing.assert_allclose(np.abs(left.T @ U[:, :5]), np.eye(5), atol=1e-10)
+        anchors = np.argmax(np.abs(U[:, :5]), axis=0)
+        assert (U[anchors, np.arange(5)] > 0.0).all()
+        np.testing.assert_array_equal(U[:, 5:], self.fill(hp, n, 2))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("rank", [0, 2, 5])
+    def test_rank_deficient_takes_the_seeded_fill(self, transpose, rank):
+        # rank 5 of 6: an all-zero tag (or image) column
+        rng = np.random.default_rng(rank)
+        dense = rng.random((8, rank)) @ rng.random((rank, 6))
+        dense = dense.T if transpose else dense
+        hp = Hyperparams(K=6, knn_k=2, rng_seed=4)
+        U = self.start(dense, hp)
+        left = np.linalg.svd(dense, full_matrices=False)[0][:, :rank]
+        np.testing.assert_allclose(np.abs(left.T @ U[:, :rank]), np.eye(rank), atol=1e-10)
+        np.testing.assert_array_equal(U[:, rank:], self.fill(hp, dense.shape[0], 6 - rank))
+
+    def test_huge_and_tiny_entries(self):
+        rng = np.random.default_rng(5)
+        dense = rng.random((7, 5)) * (rng.random((7, 5)) < 0.7)
+        hp = Hyperparams(K=3, knn_k=2)
+        U = self.start(dense * 1e200, hp)
+        left = np.linalg.svd(dense, full_matrices=False)[0][:, :3]
+        np.testing.assert_allclose(np.abs(left.T @ U), np.eye(3), atol=1e-10)
+        # scaling by a power of two is exact, so the start does not move
+        for exponent in (600, -600):
+            np.testing.assert_array_equal(
+                self.start(np.ldexp(dense, exponent), hp), self.start(dense, hp)
+            )
+
+
+class TestReportCounts:
+    """SolverReport counts the model's live factors and its tags with an
+    all-zero column of V."""
+
+    def test_paper_defaults(self):
+        # the paper_cli benchmark instance at seed 0, as complete fits it
+        cfg = SynthConfig(
+            n_images=400, n_tags=300, n_topics=15, tags_per_image=8, feature_dim=32,
+            feature_noise=0.3, delete_fraction=0.4, off_topic_prob=0.05, rng_seed=23,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams()
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        report = fit(reinitialize(split.observed, S, T), S, T, hp)
+        assert (report.live_factors, report.empty_tags) == (6, 271)
+        V = report.model.V.toarray()
+        assert report.empty_tags == int((~V.any(axis=0)).sum())
+        assert report.live_factors == int((report.model.U.any(axis=0) | V.any(axis=1)).sum())
+
+    def test_hand_zeroed_column_and_factor(self):
+        rng = np.random.default_rng(49)
+        D, S, T, _, hp = random_setup(rng, n=12, m=6, k=3)
+        report = fit(D, S, T, hp.with_overrides(eta=0.01))
+        model = report.model
+        V = model.V.toarray()
+        tag = int(np.flatnonzero(V.any(axis=0))[0])
+        factor = int(np.flatnonzero(V.any(axis=1))[0])
+        V[:, tag] = 0.0
+        zeroed = dataclasses.replace(report, model=FactorModel(U=model.U, V=sp.csr_matrix(V), E=model.E))
+        assert zeroed.empty_tags == report.empty_tags + 1
+        U = model.U.copy()
+        U[:, factor] = 0.0
+        V[factor] = 0.0
+        dead = dataclasses.replace(report, model=FactorModel(U=U, V=sp.csr_matrix(V), E=model.E))
+        assert dead.live_factors == report.live_factors - 1
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("shape, name", [((3, 0), "tags"), ((0, 3), "images")])
+    def test_fit_names_the_empty_dimension(self, shape, name):
+        D = TaggingMatrix(sp.csr_matrix(shape))
+        S, T = zero_structure(shape[0]), zero_structure(shape[1])
+        with pytest.raises(ValidationError, match=f"no {name}"):
+            fit(D, S, T, Hyperparams(K=2, knn_k=2))
