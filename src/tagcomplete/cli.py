@@ -157,9 +157,6 @@ def _cmd_complete(args) -> int:
     fit_input = reinitialize(D, S, T) if args.reinit else D
     report = fit(fit_input, S, T, hp)
     scores = report.model.completed()
-    data = fit_input.to_dense()
-    denom = float(np.linalg.norm(data))
-    residual = float(np.linalg.norm(data - scores)) / denom if denom else 0.0
     if args.out_model:
         tgio.write_model(
             args.out_model, report.model, hp, report.objective_trace
@@ -169,6 +166,13 @@ def _cmd_complete(args) -> int:
             tgio.write_sparse_matrix(args.out_scores, scores)
         else:
             tgio.write_dense_matrix(args.out_scores, scores)
+    # scores - D in the scores' own buffer, from D's stored entries: its
+    # norm is that of D - scores, and no dense copy of D is formed
+    data = fit_input.matrix
+    rows = np.repeat(np.arange(data.shape[0]), np.diff(data.indptr))
+    scores[rows, data.indices] -= data.data
+    denom = float(np.linalg.norm(data.data))
+    residual = float(np.linalg.norm(scores)) / denom if denom else 0.0
     empty = report.empty_tags
     if empty:
         print(

@@ -295,6 +295,19 @@ def residual_term(residual: np.ndarray) -> float:
     return float(np.sum(np.multiply(residual, residual, out=residual)))
 
 
+def block_residual_term(square, residual, positions, values) -> float:
+    """||R - E||_F^2 on a block of rows, from R = D - UV on the block, its
+    elementwise square, and E's values at their flat positions in the
+    block: the sum of square with those entries replaced by (R - E)^2.
+    square is left as it was."""
+    flat, kept = square.ravel(), square.ravel()[positions]
+    at_error = residual.ravel()[positions] - values
+    flat[positions] = at_error * at_error
+    total = float(np.sum(square))
+    flat[positions] = kept
+    return total
+
+
 def basis_term(U, S, hp: Hyperparams) -> float:
     """gamma ||U - SU||_F^2."""
     return hp.gamma * residual_term(U - S @ U) if hp.gamma != 0.0 else 0.0
@@ -307,8 +320,8 @@ def coeff_terms(V, T, hp: Hyperparams) -> tuple[float, float]:
 
 
 def error_term(E, hp: Hyperparams) -> float:
-    """beta ||E||_1."""
-    return hp.beta * float(np.abs(E).sum())
+    """beta ||E||_1, for a dense or a sparse E."""
+    return hp.beta * float(np.abs(E.data if sp.issparse(E) else E).sum())
 
 
 def objective_from_terms(residual, basis, coeffs, error) -> float:

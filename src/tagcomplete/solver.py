@@ -6,14 +6,21 @@ coefficient in turn, over each basis column in turn, and over the error
 matrix in closed form, so the objective trace is non-increasing block by
 block.
 
+The working state is the model's own form: dense D and factors, and the
+sparse E in CSR (Soft-Impute's sparse-plus-low-rank form: Mazumder, Hastie
+& Tibshirani, JMLR 2010).  Besides D, no dense N x M array is held: the
+blocks read the data through U'D - U'E and VD' - VE', and D - E - UV is
+formed only on row blocks of _BLOCK_CELLS cells.  Each state of the blocks forms UV once,
+and each term of the objective once: after the basis pass, one pass over
+the row blocks sums the residual term of that state, shrinks D - UV into
+the new E's entries and sums the residual term of the state after it.
+
 fit works at the live rank.  A dead factor, a zero basis column with a zero
-coefficient row, is an exact fixed point of all three blocks while the
-target and the coefficients are finite, so fit takes such factors out of
-the working arrays at the start and after each basis pass, counts the
-skips a sweep over them would count, and puts them back, bit for bit, in
-the model it returns.  Each state of the blocks forms the product UV once,
-and each term of the objective once: the value after the basis pass, the
-error refresh and the value after it share one product.
+coefficient row, is an exact fixed point of all three blocks while E and
+the coefficients are finite, so fit takes such factors out of the working
+arrays at the start and after each basis pass, counts the skips a sweep
+over them would count, and puts them back, bit for bit, in the model it
+returns.
 
 The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
 with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
@@ -52,11 +59,11 @@ from .core import (
     TaggingMatrix,
     ValidationError,
     basis_term,
+    block_residual_term,
     check_structure_sizes,
     coeff_terms,
     error_term,
     objective_from_terms,
-    residual_term,
 )
 
 # Stopping rules of the basis step's Lanczos process (residual relative to
@@ -64,6 +71,8 @@ from .core import (
 # relative to ||q||, of its certificate.
 _LANCZOS_RTOL, _NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-12, 1e-10, 50
 _CERT_RTOL = 1e-8
+# Cells per row block of the passes that form D - E - UV.
+_BLOCK_CELLS = 1 << 15
 
 
 class NumericalBlowupError(TagCompleteError, RuntimeError):
@@ -82,17 +91,15 @@ def coeff_update_value(p: float, eta: float, denom: float) -> float:
     return (p - eta if p > 0.0 else p + eta) / denom
 
 
-def error_update_value(r, beta: float, out=None):
+def error_update_value(r, beta: float) -> np.ndarray:
     """Exact minimizer of (r - e)^2 + beta*|e|, elementwise.
 
-    r shrunk toward 0 by beta/2 in the one buffer out: |r| less beta/2,
-    clipped at 0, times the sign of r.  Bit for bit sign(r) * max(|r| -
-    beta/2, 0), signed zeros and NaN included.  Given out, r must be a float
-    array, and it is left holding its sign; otherwise both are new arrays.
+    r shrunk toward 0 by beta/2: |r| less beta/2, clipped at 0, times the
+    sign of r.  Bit for bit sign(r) * max(|r| - beta/2, 0), signed zeros and
+    NaN included, as a new array.
     """
-    if out is None:
-        r = np.array(r, dtype=float)
-        out = np.empty(r.shape)
+    r = np.array(r, dtype=float)
+    out = np.empty(r.shape)
     np.abs(r, out=out)
     out -= 0.5 * beta
     np.maximum(out, 0.0, out=out)
@@ -100,21 +107,25 @@ def error_update_value(r, beta: float, out=None):
 
 
 class SolverWorkspace:
-    """Dense working state plus the fixed structure-penalty operators.
+    """The fit's working state plus the fixed structure-penalty operators.
+
+    The state is the dense data D (N x M), the factors basis (U, N x K) and
+    coeffs (V, K x M), and the error E as CSR: E is sparse by design, and
+    the fit never holds an N x M array besides D.  Each block reads the data
+    through its coupling, U'(D - E) = U'D - U'E or V(D - E)' = VD' - VE',
+    and D - E - UV is formed only on blocks of rows (residual_blocks).
 
     tag_penalty is the dense M x M form lambda*(T - I)(T - I)' acting on rows
     of the coefficient matrix; it is exactly symmetric and row-major, so the
     coefficient sweep reads rows for columns.  The basis penalty
     gamma*||(S - I) u||^2 is applied through the sparse image_shift = S - I
     and its transpose image_shift_t, both CSR; the objective reads none of them.
-    basis/coeffs/error are mutable copies of the model; target caches
-    data - error and is refreshed whenever error changes.
 
     The working factors are the model's factors at the positions `factors`:
     drop_dead_factors takes dead ones out, and snapshot() puts the others
-    back in their places.  The product basis @ coeffs and the objective's
-    terms are kept for the current state, so each is formed once per state
-    of the blocks it reads; a block update calls changed() to forget them.
+    back in their places.  The objective's terms are kept for the current
+    state, so each is formed once per state of the blocks it reads; a block
+    update calls changed() to forget them.
     """
 
     def __init__(
@@ -141,13 +152,15 @@ class SolverWorkspace:
 
         self.basis = model.U.copy()
         self.coeffs = model.V.toarray()
-        self.error = model.E.toarray()
-        self.target = self.data - self.error
+        self.error = model.E.copy()
         self.factors = np.arange(model.n_factors)
         # all K columns, until a drop makes basis a new array; the dropped
         # columns here keep the bits they had when they were dropped
         self._model_basis = self.basis
-        self._product, self._terms = None, {}
+        self._terms = {}
+        # two row blocks of _BLOCK_CELLS cells (one row when a row holds more)
+        block_rows = max(min(_BLOCK_CELLS // max(D.n_tags, 1), D.n_images), 1)
+        self._blocks = np.empty((2, block_rows, D.n_tags))
 
     @property
     def n_images(self) -> int:
@@ -165,8 +178,8 @@ class SolverWorkspace:
     def drop_dead_factors(self) -> None:
         """Take the dead factors, a zero basis column with a zero coefficient
         row, out of the working arrays.  Such a factor is a fixed point of
-        all three blocks while target and coeffs are finite, so it is kept
-        while they are not (0 * inf is NaN)."""
+        all three blocks while E and coeffs are finite, so it is kept while
+        they are not (0 * inf is NaN)."""
         live = self.basis.any(axis=0) | self.coeffs.any(axis=1)
         if live.all() or not self.finite():
             return
@@ -176,9 +189,10 @@ class SolverWorkspace:
         self.coeffs = self.coeffs[live]
 
     def finite(self) -> bool:
-        """Whether target and coeffs are finite, so that a zero coefficient
-        row makes its products with them exactly 0."""
-        return bool(np.isfinite(self.target).all() and np.isfinite(self.coeffs).all())
+        """Whether E and coeffs are finite (D is, as a TaggingMatrix), so
+        that a zero basis column or coefficient row makes its products with
+        them exactly 0."""
+        return bool(np.isfinite(self.error.data).all() and np.isfinite(self.coeffs).all())
 
     def snapshot(self) -> FactorModel:
         """The model: the working factors in their places among the dropped."""
@@ -186,32 +200,65 @@ class SolverWorkspace:
         U[:, self.factors] = self.basis
         V = np.zeros((U.shape[1], self.n_tags))
         V[self.factors] = self.coeffs
-        return FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(self.error))
+        return FactorModel(U=U, V=sp.csr_matrix(V), E=self.error.copy())
 
     def changed(self, block: str) -> None:
-        """Forget the product and terms that read block ("basis", "coeffs" or
-        "error"), after it changed."""
-        if block != "error":
-            self._product = None
+        """Forget the terms that read block ("basis", "coeffs" or "error"),
+        after it changed."""
         self._terms.pop("residual", None)
         self._terms.pop(block, None)
 
-    def product(self) -> np.ndarray:
-        """basis @ coeffs at the current state."""
-        if self._product is None:
-            self._product = self.basis @ self.coeffs
-        return self._product
+    def coeff_coupling(self) -> np.ndarray:
+        """U'(D - E), the coefficient block's coupling to the data, as
+        U'D - U'E."""
+        corr = self.basis.T @ self.data
+        corr -= (self.error.T @ self.basis).T
+        return corr
+
+    def basis_coupling(self) -> np.ndarray:
+        """V(D - E)', the basis block's coupling to the data, as VD' - VE'."""
+        corr = self.coeffs @ self.data.T
+        corr -= (self.error @ self.coeffs.T).T
+        return corr
+
+    def residual_blocks(self):
+        """For each block of rows start:stop, _BLOCK_CELLS // M rows or one
+        row when a row alone holds more cells: (start, stop, D - UV on the
+        block, a spare buffer of its shape), views of the workspace's two
+        block buffers that the next block overwrites."""
+        step = self._blocks.shape[1]
+        for start in range(0, self.n_images, step):
+            stop = min(start + step, self.n_images)
+            residual, spare = self._blocks[:, : stop - start]
+            np.matmul(self.basis[start:stop], self.coeffs, out=residual)
+            np.subtract(self.data[start:stop], residual, out=residual)
+            yield start, stop, residual, spare
+
+    def error_entries(self, start: int, stop: int):
+        """(flat position in the rows start:stop block, value) of E's stored
+        entries on those rows."""
+        indptr = self.error.indptr[start : stop + 1]
+        rows = np.repeat(np.arange(stop - start), np.diff(indptr))
+        lo, hi = indptr[0], indptr[-1]
+        return rows * self.n_tags + self.error.indices[lo:hi], self.error.data[lo:hi]
 
     def objective_value(self) -> float:
         """Objective at the current state: core.objective_from_terms, with
-        each term formed once per state of the blocks it reads.
+        each term formed once per state of the blocks it reads, and the
+        residual term summed over row blocks of (D - UV) - E.
 
         Never raises on non-finite state, so blow-ups surface as inf/nan for
         fit to catch.
         """
         terms, hp = self._terms, self.hp
         if "residual" not in terms:
-            terms["residual"] = residual_term(self.target - self.product())
+            total = 0.0
+            for start, stop, residual, square in self.residual_blocks():
+                np.multiply(residual, residual, out=square)
+                total += block_residual_term(
+                    square, residual, *self.error_entries(start, stop)
+                )
+            terms["residual"] = total
         if "basis" not in terms:
             terms["basis"] = basis_term(self.basis, self.image_structure.matrix, hp)
         if "coeffs" not in terms:
@@ -227,7 +274,7 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     """One cyclic pass of exact scalar updates over the coefficient matrix.
 
     Coefficient (k, m) moves to coeff_update_value(q, eta, d), where
-    d = (U'U)_kk + tag_penalty[m, m] and q is (U'target)_km less the coupling
+    d = (U'U)_kk + tag_penalty[m, m] and q is (U'(D - E))_km less the coupling
     to the other coefficients.  Only row k changes while it is swept, so its
     gram coupling is computed before its pass; its penalty coupling,
     coeffs[k] @ tag_penalty, is kept current by adding rows of the symmetric
@@ -243,7 +290,7 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     not formed.
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
-    gram, corr = ws.basis.T @ ws.basis, ws.basis.T @ ws.target
+    gram, corr = ws.basis.T @ ws.basis, ws.coeff_coupling()
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
     # a row changes only in its own pass, so its state now is its state then
@@ -394,12 +441,12 @@ def update_basis(ws: SolverWorkspace) -> int:
     coordinates left without a step: those of columns whose subproblem is
     constant (g = 0, q = 0, gamma = 0) or whose step failed its certificate.
 
-    A column whose coefficient row is all zero has g = 0 and, while target
-    and coeffs are finite, q exactly 0, so its q is not formed.
+    A column whose coefficient row is all zero has g = 0 and, while E and
+    coeffs are finite, q exactly 0, so its q is not formed.
     """
     basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
     gram = ws.coeffs @ ws.coeffs.T
-    corr = ws.coeffs @ ws.target.T
+    corr = ws.basis_coupling()
     coupled = ws.coeffs.any(axis=1)
     if not (coupled.all() or ws.finite()):
         coupled[:] = True
@@ -427,13 +474,39 @@ def update_basis(ws: SolverWorkspace) -> int:
     return skipped
 
 
-def update_error(ws: SolverWorkspace) -> None:
-    """Exact global refresh of the error matrix by elementwise shrinkage of
-    data - basis @ coeffs, in the buffers of the old target and error."""
-    residual = np.subtract(ws.data, ws.product(), out=ws.target)
-    error_update_value(residual, ws.hp.beta, out=ws.error)
-    np.subtract(ws.data, ws.error, out=ws.target)
+def update_error(ws: SolverWorkspace) -> float:
+    """Exact global refresh of the error matrix, E = error_update_value of
+    D - UV, that returns the objective at the state before it.
+
+    One pass over the row blocks forms R = D - UV once per block and, from
+    it, the residual term with the old E, the new E's entries and the
+    residual term with them.  The new E is stored on the support of the
+    shrinkage, the entries of R beyond beta/2 in magnitude or NaN, and is
+    +-0 elsewhere.  The new state's value reuses that term.
+    """
+    half_beta = 0.5 * ws.hp.beta
+    before = after = 0.0
+    counts, columns, values = [np.zeros(1, dtype=np.int64)], [], []
+    for start, stop, residual, magnitude in ws.residual_blocks():
+        np.abs(residual, out=magnitude)
+        support = np.flatnonzero(~(magnitude <= half_beta))
+        shrunk = error_update_value(residual.ravel()[support], ws.hp.beta)
+        square = np.multiply(residual, residual, out=magnitude)
+        before += block_residual_term(square, residual, *ws.error_entries(start, stop))
+        after += block_residual_term(square, residual, support, shrunk)
+        rows, cols = np.divmod(support, ws.n_tags)
+        counts.append(np.bincount(rows, minlength=stop - start))
+        columns.append(cols)
+        values.append(shrunk)
+    ws._terms["residual"] = before
+    value_before = ws.objective_value()
+    ws.error = sp.csr_matrix(
+        (np.concatenate(values), np.concatenate(columns), np.cumsum(np.concatenate(counts))),
+        shape=(ws.n_images, ws.n_tags),
+    )
     ws.changed("error")
+    ws._terms["residual"] = after
+    return value_before
 
 
 @dataclass
@@ -500,6 +573,7 @@ def initial_model(D: TaggingMatrix, hp: Hyperparams) -> FactorModel:
     U = np.empty((D.n_images, hp.K))
     if tall:
         left = data @ vectors[:, top]
+        del data  # before the N x K temporaries of the norms and the division
         U[:, :n_directions] = left / np.linalg.norm(left, axis=0)
     else:
         U[:, :n_directions] = vectors[:, top]
@@ -551,14 +625,13 @@ def fit(
             raise ValidationError(
                 f"tagging matrix has no {name} ({D.n_images}x{D.n_tags}): nothing to complete"
             )
-    model = initial_model(D, hp) if start is None else start
-    ws = SolverWorkspace(D, S, T, model, hp)
+    ws = SolverWorkspace(D, S, T, initial_model(D, hp) if start is None else start, hp)
     # a dropped factor's skips per sweep, as a sweep over it would count
     # them: its coefficients on tags without penalty mass, and its basis
     # column's coordinates when that column's subproblem is constant
     coeff_skips = int(np.count_nonzero(np.diagonal(ws.tag_penalty) <= 0.0))
     basis_skips = ws.n_images if hp.gamma == 0.0 else 0
-    K = model.n_factors
+    K = ws.n_factors
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
@@ -573,8 +646,7 @@ def fit(
             after_coeffs = ws.objective_value()
             skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
             ws.drop_dead_factors()
-            after_basis = ws.objective_value()
-            update_error(ws)
+            after_basis = update_error(ws)
             after_error = ws.objective_value()
         block_rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)

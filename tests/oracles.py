@@ -18,12 +18,14 @@ without it.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
 cell at a time with Python's int and float; io's one-call numpy readers must
 return the same bits and raise the same messages.  soft_threshold is the
-reference for the one-buffer shrinkage of solver.error_update_value, bit
-for bit, and fit_at_full_rank runs the package's coefficient and basis
+reference for the shrinkage of solver.error_update_value, bit for bit, and fit_at_full_rank runs the package's coefficient and basis
 blocks at the full rank K, with each objective from objective_from_arrays
 and the error block by soft_threshold, against solver.fit, which drops dead
-factors.  objective_from_arrays sums core's objective terms on raw arrays,
-against dense_objective.
+factors; fit_with_dense_state runs fit's loop on the dense N x M working
+state (E, the target D - E and the product UV) that fit kept before E
+became sparse, against fit, which forms D - E - UV only on row blocks.
+objective_from_arrays sums core's objective terms on raw arrays, against
+dense_objective.
 """
 
 from __future__ import annotations
@@ -165,10 +167,11 @@ def trust_region_by_eigh(operator, q):
     return vectors @ (c / (lam + hi)), hi
 
 
-def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
+def coefficient_sweep_by_scalar_loop(basis, coeffs, corr, tag_penalty, eta):
     """One cyclic pass of solver.coeff_update_value over every coordinate of
     the coefficient matrix, rows outer, with the covariance updates of
-    solver.update_coeffs but no row scan.
+    solver.update_coeffs but no row scan.  corr is the coupling to the data,
+    U'(D - E), as SolverWorkspace.coeff_coupling forms it.
 
     Coordinates whose curvature (U'U)_kk + tag_penalty[m, m] is not positive
     are skipped.  Returns the swept copy of coeffs and the number of skips.
@@ -176,7 +179,7 @@ def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
     from tagcomplete.solver import coeff_update_value
 
     coeffs = np.array(coeffs, dtype=float)
-    gram, corr = basis.T @ basis, basis.T @ target
+    gram = basis.T @ basis
     diag = np.diagonal(tag_penalty).tolist()
     skipped = 0
     for k in range(coeffs.shape[0]):
@@ -201,14 +204,14 @@ def coefficient_sweep_by_scalar_loop(basis, coeffs, target, tag_penalty, eta):
 def basis_pass_by_column_loop(ws):
     """One cyclic pass of solver._basis_step over every basis column of the
     workspace, each column's coupling q formed from the whole coefficient
-    matrix and target, as solver.update_basis runs it but with no column
-    passed over.  Returns the new basis and the number of skipped
+    matrix and the data's coupling V(D - E)', as solver.update_basis runs it
+    but with no column passed over.  Returns the new basis and the number of skipped
     coordinates; the workspace is left unchanged."""
     from tagcomplete.solver import _basis_step
 
     basis, shift, gamma = ws.basis.copy(), ws.image_shift, ws.hp.gamma
     gram = ws.coeffs @ ws.coeffs.T
-    corr = ws.coeffs @ ws.target.T
+    corr = ws.basis_coupling()
 
     def value(g, q, u):
         image = shift @ u
@@ -284,7 +287,7 @@ def fit_at_full_rank(D, S, T, hp, start=None):
 
     def objective():
         return objective_from_arrays(
-            ws.data, ws.basis, ws.coeffs, ws.error, S.matrix, T.matrix, hp
+            ws.data, ws.basis, ws.coeffs, ws.error.toarray(), S.matrix, T.matrix, hp
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,9 +299,104 @@ def fit_at_full_rank(D, S, T, hp, start=None):
             after_coeffs = objective()
             skipped += update_basis(ws)
             after_basis = objective()
-            ws.error = soft_threshold(ws.data - ws.basis @ ws.coeffs, 0.5 * hp.beta)
-            ws.target = ws.data - ws.error
+            ws.error = sp.csr_matrix(
+                soft_threshold(ws.data - ws.basis @ ws.coeffs, 0.5 * hp.beta)
+            )
             after_error = objective()
+        rows.append((after_coeffs, after_basis, after_error))
+        trace.append(after_error)
+        if not np.isfinite(rows[-1]).all():
+            raise NumericalBlowupError(
+                f"objective became non-finite at iteration {iteration}", trace
+            )
+        prev = trace[-2]
+        if after_error == 0.0 or prev - after_error <= hp.rel_tol * max(abs(prev), 1e-30):
+            converged = True
+            break
+    return SolverReport(
+        model=ws.snapshot(),
+        objective_trace=np.asarray(trace),
+        block_trace=np.asarray(rows).reshape(len(rows), 3),
+        converged=converged,
+        iterations=len(rows),
+        skipped_coordinates=skipped,
+    )
+
+
+def fit_with_dense_state(D, S, T, hp, start=None):
+    """solver.fit on the dense working state it kept before E became
+    sparse: E, the target D - E and the cached product UV as N x M arrays.
+    The couplings are U'target and V target', every residual term is
+    ||target - UV||^2 over the whole matrix, and the error block shrinks
+    data - UV over the whole matrix, so the value after the basis pass, the
+    error refresh and the value after it share one product.  The
+    package's coefficient and basis passes and its dead-factor drop run on
+    that state.  Returns a solver.SolverReport and raises
+    solver.NumericalBlowupError as fit does."""
+    from tagcomplete.core import residual_term
+    from tagcomplete.solver import (
+        NumericalBlowupError,
+        SolverReport,
+        SolverWorkspace,
+        error_update_value,
+        initial_model,
+        update_basis,
+        update_coeffs,
+    )
+
+    class DenseState(SolverWorkspace):
+        def __init__(self, model):
+            super().__init__(D, S, T, model, hp)
+            self.error = model.E.toarray()
+            self.target = self.data - self.error
+            self._product = None
+
+        def finite(self):
+            return bool(np.isfinite(self.target).all() and np.isfinite(self.coeffs).all())
+
+        def coeff_coupling(self):
+            return self.basis.T @ self.target
+
+        def basis_coupling(self):
+            return self.coeffs @ self.target.T
+
+        def changed(self, block):
+            super().changed(block)
+            if block != "error":
+                self._product = None
+
+        def product(self):
+            if self._product is None:
+                self._product = self.basis @ self.coeffs
+            return self._product
+
+        def objective_value(self):
+            if "residual" not in self._terms:
+                self._terms["residual"] = residual_term(self.target - self.product())
+            return super().objective_value()
+
+        def update_error(self):
+            self.error = error_update_value(self.data - self.product(), hp.beta)
+            self.target = self.data - self.error
+            self.changed("error")
+
+    ws = DenseState(initial_model(D, hp) if start is None else start)
+    coeff_skips = int(np.count_nonzero(np.diagonal(ws.tag_penalty) <= 0.0))
+    basis_skips = ws.n_images if hp.gamma == 0.0 else 0
+    K = ws.n_factors
+    ws.drop_dead_factors()
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [ws.objective_value()]
+    rows, skipped, converged = [], 0, False
+    for iteration in range(1, hp.max_outer_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            skipped += update_coeffs(ws) + (K - ws.n_factors) * coeff_skips
+            after_coeffs = ws.objective_value()
+            skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
+            ws.drop_dead_factors()
+            after_basis = ws.objective_value()
+            ws.update_error()
+            after_error = ws.objective_value()
         rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
         if not np.isfinite(rows[-1]).all():

@@ -390,6 +390,41 @@ class TestComplete:
         V = tgio.read_model(model_path).model.V.toarray()
         return code, stdout, err, int((~V.any(axis=0)).sum())
 
+    @pytest.mark.parametrize("reinit", ["--no-reinit", "--reinit"])
+    def test_relative_residual_reads_the_model(
+        self, pipeline_files, built_structures, capsys, tmp_path, reinit
+    ):
+        # ||D - UV|| / ||D|| from the model file and the dense D the fit read:
+        # bit for bit for 0/1 data, and to rounding for reinitialized data,
+        # whose norm sums the same squares in another order
+        model_path = str(tmp_path / "model.json")
+        scores_path = str(tmp_path / "scores.csv")
+        code, stdout, _ = run_cli(
+            [
+                "complete", "--tags", pipeline_files["observed"],
+                "--image-structure", built_structures["S"],
+                "--tag-structure", built_structures["T"],
+                "--K", "4", "--eta", "0.05", "--out-model", model_path,
+                "--out-scores", scores_path, reinit,
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        D = TaggingMatrix(tgio.read_sparse_matrix(pipeline_files["observed"]))
+        if reinit == "--reinit":
+            S = StructureMatrix(tgio.read_sparse_matrix(built_structures["S"]))
+            T = StructureMatrix(tgio.read_sparse_matrix(built_structures["T"]))
+            D = structure.reinitialize(D, S, T)
+        scores = tgio.read_model(model_path).model.completed()
+        np.testing.assert_array_equal(tgio.read_dense_matrix(scores_path), scores)
+        data = D.to_dense()
+        want = float(np.linalg.norm(data - scores)) / float(np.linalg.norm(data))
+        got = float(kv(stdout)["relative_residual"])
+        if reinit == "--no-reinit":
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * want
+
     def test_empty_tags_warn_on_stderr(
         self, pipeline_files, built_structures, capsys, tmp_path
     ):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from oracles import (
     coefficient_sweep_by_scalar_loop,
     dense_objective,
     fit_at_full_rank,
+    fit_with_dense_state,
     scalar_min_by_search,
     soft_threshold,
     trust_region_by_eigh,
@@ -61,6 +63,15 @@ def random_setup(rng, n=8, m=6, k=3, density=0.3, hp=None):
     E = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.2)
     model = FactorModel(U=U, V=sp.csr_matrix(V), E=sp.csr_matrix(E))
     return D, S, T, model, hp
+
+
+def set_target(ws, spots, values):
+    """Set the workspace's target D - E to values at spots, through
+    E = D - values there: exact for the 0/1 data here and 1.0, and NaN and
+    -/+inf give NaN and +/-inf."""
+    error = ws.error.toarray()
+    error[spots] = ws.data[spots] - values
+    ws.error = sp.csr_matrix(error)
 
 
 class TestScalarForms:
@@ -207,13 +218,13 @@ class TestUpdateCoeffs:
         for k in range(4):
             for m in range(3):
                 current = ws.coeffs[k, m]
-                base = dense_objective(Dd, Sd, Td, ws.basis, ws.coeffs, ws.error, hp)
+                base = dense_objective(Dd, Sd, Td, ws.basis, ws.coeffs, ws.error.toarray(), hp)
                 probes = current + rng.normal(scale=0.3, size=1000)
                 trial = ws.coeffs.copy()
                 for v in probes:
                     trial[k, m] = v
                     assert (
-                        dense_objective(Dd, Sd, Td, ws.basis, trial, ws.error, hp)
+                        dense_objective(Dd, Sd, Td, ws.basis, trial, ws.error.toarray(), hp)
                         >= base - 1e-9
                     )
 
@@ -342,7 +353,7 @@ class TestSweepMatchesReference:
     def check(self, D, S, T, model, hp):
         ws = SolverWorkspace(D, S, T, model, hp)
         want = coefficient_sweep_by_residual(
-            D.to_dense(), T.matrix.toarray(), ws.basis, ws.coeffs, ws.error, hp
+            D.to_dense(), T.matrix.toarray(), ws.basis, ws.coeffs, ws.error.toarray(), hp
         )
         basis = ws.basis.copy()
         skipped = update_coeffs(ws)
@@ -416,13 +427,13 @@ class TestCoefficientRowScan:
             ws.tag_penalty[:, massless] = 0.0
         if rng.random() < 0.2:
             spots = rng.random((n, m)) < 0.1
-            ws.target[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+            set_target(ws, spots, rng.choice([np.nan, np.inf, -np.inf], size=spots.sum()))
         return ws
 
     def check(self, ws):
         for _ in range(3):
             want, want_skipped = coefficient_sweep_by_scalar_loop(
-                ws.basis, ws.coeffs, ws.target, ws.tag_penalty, ws.hp.eta
+                ws.basis, ws.coeffs, ws.coeff_coupling(), ws.tag_penalty, ws.hp.eta
             )
             basis = ws.basis.copy()
             assert update_coeffs(ws) == want_skipped
@@ -464,7 +475,7 @@ class TestCoefficientRowScan:
         ws = SolverWorkspace(D, S, T, model, hp)
         ws.basis[:] = [[1e-100, 0.0], [0.0, 0.0], [0.0, 0.0]]
         ws.coeffs[:] = 0.0
-        ws.target[:] = 1e250
+        ws.data[:], ws.error = 1e250, sp.csr_matrix(ws.error.shape)  # target 1e250
         ws.tag_penalty[:] = [[0.0, 0.0], [0.0, 1.0]]
         with np.errstate(over="ignore", invalid="ignore"):
             self.check(ws)
@@ -473,7 +484,7 @@ class TestCoefficientRowScan:
 
 def check_basis_pass(ws, before, after, tol=1e-8):
     """Assert that `after` is one cyclic pass of exact trust-region steps from
-    `before`, recomputed densely from the workspace's V, target and S.
+    `before`, recomputed densely from the workspace's V, target D - E and S.
 
     Column k's subproblem sees columns < k of `after` and columns > k of
     `before`.  Its result must satisfy the trust-region conditions, with the
@@ -485,7 +496,7 @@ def check_basis_pass(ws, before, after, tol=1e-8):
     shift = ws.image_structure.matrix.toarray() - np.eye(n)
     penalty = ws.hp.gamma * shift.T @ shift
     gram = ws.coeffs @ ws.coeffs.T
-    corr = ws.coeffs @ ws.target.T
+    corr = ws.coeffs @ (ws.data - ws.error.toarray()).T
     norms = []
     for j in range(k):
         current = np.hstack([after[:, :j], before[:, j:]])
@@ -840,7 +851,7 @@ class TestUpdateError:
         after = ws.objective_value()
         # any other E does no better
         for _ in range(20):
-            other = ws.error + rng.normal(scale=0.3, size=ws.error.shape)
+            other = ws.error.toarray() + rng.normal(scale=0.3, size=ws.error.shape)
             val = dense_objective(
                 D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
                 ws.basis, ws.coeffs, other, hp,
@@ -862,12 +873,42 @@ class TestUpdateError:
                 float(error_update_value(r, beta)), w, atol=1e-10
             )
 
+    def test_matches_the_dense_shrinkage(self):
+        # E is error_update_value of data - UV, stored where that is nonzero
+        # (NaN included), and the refresh returns the value before it
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            n, m, k = (int(v) for v in rng.integers(2, 9, size=3))
+            hp = Hyperparams(K=k, knn_k=3, beta=float(rng.choice([0.0, 0.5, 2.0])))
+            D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+            ws = SolverWorkspace(D, S, T, model, hp)
+            if rng.random() < 0.3:
+                spots = rng.random(ws.coeffs.shape) < 0.2
+                ws.coeffs[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = error_update_value(ws.data - ws.basis @ ws.coeffs, hp.beta)
+                before = dense_objective(
+                    D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
+                    ws.basis, ws.coeffs, ws.error.toarray(), hp,
+                )
+                got = update_error(ws)
+            np.testing.assert_array_equal(ws.error.toarray(), want)
+            assert ws.error.indices.tolist() == np.nonzero(want)[1].tolist()
+            assert ws.error.indptr.tolist() == [0, *np.cumsum(np.count_nonzero(want, axis=1))]
+            if np.isfinite(before):
+                assert abs(got - before) <= 1e-12 * before
+            else:
+                assert not np.isfinite(got)
+
     def test_refreshes_target(self):
+        # the couplings read the target data - E of the refreshed E
         rng = np.random.default_rng(32)
         D, S, T, model, hp = random_setup(rng)
         ws = SolverWorkspace(D, S, T, model, hp)
         update_error(ws)
-        np.testing.assert_allclose(ws.target, ws.data - ws.error, atol=0)
+        target = ws.data - ws.error.toarray()
+        np.testing.assert_allclose(ws.coeff_coupling(), ws.basis.T @ target, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ws.basis_coupling(), ws.coeffs @ target.T, rtol=1e-12, atol=1e-12)
 
 
 class TestFit:
@@ -1043,7 +1084,7 @@ class TestLiveRank:
 
         def recorded(ws):
             ranks.append(ws.n_factors)
-            refresh(ws)
+            return refresh(ws)
 
         monkeypatch.setattr(solver, "update_error", recorded)
         got = self.check(split.observed, S, T, hp)
@@ -1070,9 +1111,10 @@ class TestLiveRank:
         self.check(zero, S, T, hp, self.with_dead_factors(rng, start))
 
     def test_dead_factor_and_infinite_target_blow_up(self):
-        # data - E overflows to inf: a dead factor is no fixed point there
-        # (0 * inf is NaN), so it stays in the working arrays, and the fit
-        # fails as the fit at full rank does
+        # data - E overflows to inf, but data and E are finite: a dead
+        # factor's couplings U'D - U'E and VD' - VE' are exactly 0, so it
+        # leaves the working arrays, and the fit fails as the fit at full
+        # rank does
         rng = np.random.default_rng(49)
         D, S, T, model, hp = random_setup(rng, n=6, m=4, k=3)
         D = TaggingMatrix.from_dense(np.where(D.to_dense() > 0.0, 1.5e308, 0.0))
@@ -1080,7 +1122,7 @@ class TestLiveRank:
         start = FactorModel(U=model.U, V=model.V, E=E)
         start = self.with_dead_factors(np.random.default_rng(1), start)
         assert not (start.U.any(axis=0) | (start.V.getnnz(axis=1) > 0)).all()
-        with np.errstate(over="ignore"):  # the workspace's target
+        with np.errstate(over="ignore"):  # data - E
             with pytest.raises(NumericalBlowupError) as want:
                 fit_at_full_rank(D, S, T, hp, start)
             with pytest.raises(NumericalBlowupError) as got:
@@ -1093,9 +1135,12 @@ class TestLiveRank:
         model = self.with_dead_factors(np.random.default_rng(3), model)
         live = model.U.any(axis=0) | (model.V.getnnz(axis=1) > 0)
         assert 0 < live.sum() < 4
-        for spoil in ("target", "coeffs"):
+        for spoil in ("error", "coeffs"):
             ws = SolverWorkspace(D, S, T, model, hp)
-            getattr(ws, spoil)[live.argmax(), 0] = np.inf
+            if spoil == "error":
+                set_target(ws, (live.argmax(), 0), np.inf)  # E there is -inf
+            else:
+                ws.coeffs[live.argmax(), 0] = np.inf
             ws.drop_dead_factors()
             np.testing.assert_array_equal(ws.factors, np.arange(4))
         ws = SolverWorkspace(D, S, T, model, hp)
@@ -1208,7 +1253,7 @@ class TestZeroCoefficientRows:
             ws.tag_penalty[:, massless] = 0.0
         if rng.random() < 0.3:
             spots = rng.random((n, m)) < 0.2
-            ws.target[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+            set_target(ws, spots, rng.choice([np.nan, np.inf, -np.inf], size=spots.sum()))
         return ws
 
     def check_basis(self, ws):
@@ -1233,7 +1278,7 @@ class TestZeroCoefficientRows:
                 ws.tag_penalty[tag] = ws.tag_penalty[:, tag] = np.inf
             with np.errstate(over="ignore", invalid="ignore"):
                 want, want_skipped = coefficient_sweep_by_scalar_loop(
-                    ws.basis, ws.coeffs, ws.target, ws.tag_penalty, ws.hp.eta
+                    ws.basis, ws.coeffs, ws.coeff_coupling(), ws.tag_penalty, ws.hp.eta
                 )
                 assert update_coeffs(ws) == want_skipped
             np.testing.assert_array_equal(ws.coeffs.view(np.int64), want.view(np.int64))
@@ -1249,11 +1294,102 @@ class TestZeroCoefficientRows:
         D, S, T, model, hp = random_setup(rng, n=5, m=4, k=2, hp=hp)
         ws = SolverWorkspace(D, S, T, model, hp)
         ws.coeffs[:] = 0.0
-        ws.target[0, 0] = target
+        set_target(ws, (0, 0), target)
         before = ws.basis.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             assert update_basis(ws) == 2 * skipped
         np.testing.assert_array_equal(ws.basis, 0.0 if zeroed else before)
+
+
+class TestDenseStateReference:
+    """fit keeps E sparse and forms D - E - UV only on row blocks; it ends
+    where fit_with_dense_state, the same loop on the dense N x M state,
+    ends: the same iteration and skip counts, the same support of E, and
+    traces equal to a relative 1e-9, or the same blow-up."""
+
+    @staticmethod
+    def check(D, S, T, hp, start=None):
+        want = fit_with_dense_state(D, S, T, hp, start)
+        got = fit(D, S, T, hp, start)
+        assert (got.iterations, got.converged, got.skipped_coordinates) == (
+            want.iterations, want.converged, want.skipped_coordinates
+        )
+        for name in ("indptr", "indices"):
+            assert getattr(got.model.E, name).tolist() == getattr(want.model.E, name).tolist()
+        np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.block_trace, want.block_trace, rtol=1e-9, atol=0)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(2, 12), st.integers(2, 8), st.integers(1, 4)),
+        weights=st.tuples(
+            st.sampled_from([0.0, 0.5, 2.0]),  # beta
+            st.sampled_from([0.0, 1.0]),  # gamma
+            st.sampled_from([0.0, 0.5]),  # lambda
+            st.sampled_from([0.05, 0.3]),  # eta
+        ),
+        zero_rows=st.integers(0, 3),
+        from_start=st.booleans(),
+    )
+    def test_random_instances(self, seed, shape, weights, zero_rows, from_start):
+        rng = np.random.default_rng(seed)
+        (n, m, k), (beta, gamma, lambda_, eta) = shape, weights
+        hp = Hyperparams(K=k, knn_k=3, beta=beta, gamma=gamma, lambda_=lambda_, eta=eta,
+                         max_outer_iters=15)
+        D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+        dense = D.to_dense()
+        dense[rng.choice(n, size=min(zero_rows, n), replace=False)] = 0.0
+        D = TaggingMatrix.from_dense(dense)
+        self.check(D, S, T, hp, model if from_start else None)
+
+    def test_beta_zero_error_takes_the_whole_residual(self):
+        rng = np.random.default_rng(61)
+        D, S, T, _, _ = random_setup(rng, n=10, m=6, k=2)
+        hp = Hyperparams(K=2, knn_k=3, beta=0.0, eta=0.05, max_outer_iters=10)
+        got = self.check(D, S, T, hp)
+        assert got.model.V.nnz > 0
+        np.testing.assert_allclose(
+            got.model.E.toarray(), D.to_dense() - got.model.completed(), rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200])
+    def test_blow_up(self, scale):
+        rng = np.random.default_rng(62)
+        D, S, T, model, hp = random_setup(rng, n=6, m=4, k=2)
+        huge = FactorModel(U=model.U, V=sp.csr_matrix(np.full((2, 4), scale)), E=model.E)
+        with pytest.raises(NumericalBlowupError) as want:
+            fit_with_dense_state(D, S, T, hp, huge)
+        with pytest.raises(NumericalBlowupError) as got:
+            fit(D, S, T, hp, huge)
+        got_trace, want_trace = np.asarray(got.value.trace), np.asarray(want.value.trace)
+        np.testing.assert_array_equal(np.isfinite(got_trace), np.isfinite(want_trace))
+        finite = np.isfinite(want_trace)
+        np.testing.assert_allclose(got_trace[finite], want_trace[finite], rtol=1e-9, atol=0)
+
+
+class TestFitMemory:
+    def test_tall_fit_holds_at_most_three_dense_arrays(self):
+        # the working state is dense D, the factors and a sparse E; the
+        # dense state (E, D - E, UV and a residual buffer beside D) peaked
+        # at more than five N x M arrays here
+        cfg = SynthConfig(
+            n_images=2000, n_tags=100, n_topics=10, tags_per_image=5, feature_dim=8,
+            feature_noise=0.3, delete_fraction=0.4, rng_seed=3,
+        )
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(K=20, knn_k=5, max_outer_iters=3)
+        S = build_feature_structure(instance.features, hp)
+        T = build_tag_structure(split.observed, hp)
+        tracemalloc.start()
+        try:
+            fit(split.observed, S, T, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cfg.n_images * cfg.n_tags * 8
 
 
 class TestEigenStart:
