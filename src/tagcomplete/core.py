@@ -124,7 +124,8 @@ class StructureMatrix:
 
     The diagonal is structurally zero: an item never participates in its own
     reconstruction.  Row/column support is confined to the k nearest neighbors
-    of the item by construction.
+    of the item by construction.  The stored matrix is canonical float64 CSR
+    with no stored zeros; the caller's arrays are never rewritten.
     """
 
     matrix: sp.csr_matrix
@@ -137,8 +138,10 @@ class StructureMatrix:
         diag = m.diagonal()
         if np.any(diag != 0):
             raise ValidationError("structure matrix has nonzero diagonal entries")
-        # drop explicitly stored zeros so the zero diagonal is structural
-        m.eliminate_zeros()
+        # drop stored zeros, on a copy, so the zero diagonal is structural
+        if not m.data.all():
+            m = m.copy()
+            m.eliminate_zeros()
         object.__setattr__(self, "matrix", m)
 
     @property

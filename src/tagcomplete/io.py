@@ -37,6 +37,7 @@ from .core import (
     TagCompleteError,
     TaggingMatrix,
     ValidationError,
+    _as_csr,
 )
 from .metrics import EvalSplit
 
@@ -201,18 +202,17 @@ def _refuse_entries(path, entries, size, last_line, summed):
 
 
 def write_sparse_matrix(path, matrix) -> None:
-    """Write in MatrixMarket coordinate format, entries in row-major order."""
-    csr = sp.csr_matrix(matrix)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    coo = csr.tocoo()
+    """Write in MatrixMarket coordinate format, entries in row-major order:
+    the canonical float64 form of matrix (core._as_csr), duplicates summed
+    and stored zeros kept.  The caller's arrays are never rewritten."""
+    coo = _as_csr(matrix).tocoo()
     entries = map(
         "{} {} {!r}".format,
         (coo.row + 1).tolist(),
         (coo.col + 1).tolist(),
-        coo.data.astype(float).tolist(),
+        coo.data.tolist(),
     )
-    out = [MATRIX_HEADER, f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}", *entries]
+    out = [MATRIX_HEADER, f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}", *entries]
     atomic_write_text(path, "\n".join(out) + "\n")
 
 

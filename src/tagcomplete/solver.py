@@ -10,10 +10,10 @@ The working state is the model's own form: dense D and factors, and the
 sparse E in CSR (Soft-Impute's sparse-plus-low-rank form: Mazumder, Hastie
 & Tibshirani, JMLR 2010).  Besides D, no dense N x M array is held: the
 blocks read the data through U'D - U'E and VD' - VE', and D - E - UV is
-formed only on row blocks of _BLOCK_CELLS cells.  Each state of the blocks forms UV once,
-and each term of the objective once: after the basis pass, one pass over
-the row blocks sums the residual term of that state, shrinks D - UV into
-the new E's entries and sums the residual term of the state after it.
+formed only on row blocks of _BLOCK_CELLS cells.  Each state forms UV once
+and each term once: update_error's one pass over the row blocks sums the
+residual terms of the states before and after it, and shrinks D - UV into
+the new E's entries.
 
 fit works at the live rank.  A dead factor, a zero basis column with a zero
 coefficient row, is an exact fixed point of all three blocks while E and
@@ -123,9 +123,9 @@ class SolverWorkspace:
 
     The working factors are the model's factors at the positions `factors`:
     drop_dead_factors takes dead ones out, and snapshot() puts the others
-    back in their places.  The objective's terms are kept for the current
-    state, so each is formed once per state of the blocks it reads; a block
-    update calls changed() to forget them.
+    back in their places.  The penalty terms are kept for the current state,
+    each formed once per state of its block; a block update calls changed()
+    to forget its own.
     """
 
     def __init__(
@@ -203,9 +203,8 @@ class SolverWorkspace:
         return FactorModel(U=U, V=sp.csr_matrix(V), E=self.error.copy())
 
     def changed(self, block: str) -> None:
-        """Forget the terms that read block ("basis", "coeffs" or "error"),
+        """Forget the penalty term of block ("basis", "coeffs" or "error"),
         after it changed."""
-        self._terms.pop("residual", None)
         self._terms.pop(block, None)
 
     def coeff_coupling(self) -> np.ndarray:
@@ -242,32 +241,29 @@ class SolverWorkspace:
         lo, hi = indptr[0], indptr[-1]
         return rows * self.n_tags + self.error.indices[lo:hi], self.error.data[lo:hi]
 
-    def objective_value(self) -> float:
-        """Objective at the current state: core.objective_from_terms, with
-        each term formed once per state of the blocks it reads, and the
-        residual term summed over row blocks of (D - UV) - E.
+    def objective_value(self, residual: float | None = None) -> float:
+        """Objective at the current state: core.objective_from_terms of the
+        given residual term, else one summed over row blocks of (D - UV) - E,
+        and the penalty terms, each formed once per state of its block.
 
         Never raises on non-finite state, so blow-ups surface as inf/nan for
         fit to catch.
         """
         terms, hp = self._terms, self.hp
-        if "residual" not in terms:
-            total = 0.0
-            for start, stop, residual, square in self.residual_blocks():
-                np.multiply(residual, residual, out=square)
-                total += block_residual_term(
-                    square, residual, *self.error_entries(start, stop)
+        if residual is None:
+            residual = 0.0
+            for start, stop, block, square in self.residual_blocks():
+                np.multiply(block, block, out=square)
+                residual += block_residual_term(
+                    square, block, *self.error_entries(start, stop)
                 )
-            terms["residual"] = total
         if "basis" not in terms:
             terms["basis"] = basis_term(self.basis, self.image_structure.matrix, hp)
         if "coeffs" not in terms:
             terms["coeffs"] = coeff_terms(self.coeffs, self.tag_structure.matrix, hp)
         if "error" not in terms:
             terms["error"] = error_term(self.error, hp)
-        return objective_from_terms(
-            terms["residual"], terms["basis"], terms["coeffs"], terms["error"]
-        )
+        return objective_from_terms(residual, terms["basis"], terms["coeffs"], terms["error"])
 
 
 def update_coeffs(ws: SolverWorkspace) -> int:
@@ -474,15 +470,15 @@ def update_basis(ws: SolverWorkspace) -> int:
     return skipped
 
 
-def update_error(ws: SolverWorkspace) -> float:
+def update_error(ws: SolverWorkspace) -> tuple[float, float]:
     """Exact global refresh of the error matrix, E = error_update_value of
-    D - UV, that returns the objective at the state before it.
+    D - UV, that returns the objective at the states before and after it.
 
     One pass over the row blocks forms R = D - UV once per block and, from
     it, the residual term with the old E, the new E's entries and the
     residual term with them.  The new E is stored on the support of the
     shrinkage, the entries of R beyond beta/2 in magnitude or NaN, and is
-    +-0 elsewhere.  The new state's value reuses that term.
+    +-0 elsewhere.
     """
     half_beta = 0.5 * ws.hp.beta
     before = after = 0.0
@@ -498,15 +494,13 @@ def update_error(ws: SolverWorkspace) -> float:
         counts.append(np.bincount(rows, minlength=stop - start))
         columns.append(cols)
         values.append(shrunk)
-    ws._terms["residual"] = before
-    value_before = ws.objective_value()
+    value_before = ws.objective_value(before)
     ws.error = sp.csr_matrix(
         (np.concatenate(values), np.concatenate(columns), np.cumsum(np.concatenate(counts))),
         shape=(ws.n_images, ws.n_tags),
     )
     ws.changed("error")
-    ws._terms["residual"] = after
-    return value_before
+    return value_before, ws.objective_value(after)
 
 
 @dataclass
@@ -605,9 +599,9 @@ def fit(
     """Run alternating block minimization to convergence.
 
     Per outer iteration: one coefficient sweep, one basis pass and one error
-    refresh.  Stops when the relative objective decrease falls below
-    hp.rel_tol or after hp.max_outer_iters iterations.  Deterministic given
-    hp.rng_seed.
+    refresh, which returns the values after the basis pass and after itself.
+    Stops when the relative objective decrease falls below hp.rel_tol or
+    after hp.max_outer_iters iterations.  Deterministic given hp.rng_seed.
 
     The blocks run at the live rank: dead factors leave the working arrays
     at the start and after each basis pass (see drop_dead_factors), and the
@@ -646,8 +640,7 @@ def fit(
             after_coeffs = ws.objective_value()
             skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
             ws.drop_dead_factors()
-            after_basis = update_error(ws)
-            after_error = ws.objective_value()
+            after_basis, after_error = update_error(ws)
         block_rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
         if not np.isfinite([after_coeffs, after_basis, after_error]).all():

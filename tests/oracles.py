@@ -327,11 +327,11 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     """solver.fit on the dense working state it kept before E became
     sparse: E, the target D - E and the cached product UV as N x M arrays.
     The couplings are U'target and V target', every residual term is
-    ||target - UV||^2 over the whole matrix, and the error block shrinks
-    data - UV over the whole matrix, so the value after the basis pass, the
-    error refresh and the value after it share one product.  The
-    package's coefficient and basis passes and its dead-factor drop run on
-    that state.  Returns a solver.SolverReport and raises
+    ||target - UV||^2 over the whole matrix, given to the workspace's
+    objective_value, and the error block shrinks data - UV over the whole
+    matrix, so the value after the basis pass, the error refresh and the
+    value after it share one product.  The package's coefficient and basis
+    passes and its dead-factor drop run on that state.  Returns a solver.SolverReport and raises
     solver.NumericalBlowupError as fit does."""
     from tagcomplete.core import residual_term
     from tagcomplete.solver import (
@@ -371,9 +371,7 @@ def fit_with_dense_state(D, S, T, hp, start=None):
             return self._product
 
         def objective_value(self):
-            if "residual" not in self._terms:
-                self._terms["residual"] = residual_term(self.target - self.product())
-            return super().objective_value()
+            return super().objective_value(residual_term(self.target - self.product()))
 
         def update_error(self):
             self.error = error_update_value(self.data - self.product(), hp.beta)

@@ -117,6 +117,19 @@ class TestCanonicalStorage:
         assert stored.indices.tolist() == [1, 2] and stored.data.tolist() == [3.0, 3.0]
         assert stored.indptr.tolist() == [0, 2, 2, 2]
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_structure_drops_stored_zeros_on_a_copy(self, zero):
+        given = sp.csr_matrix(
+            (np.array([1.0, zero, 2.0]), np.array([1, 2, 0]), np.array([0, 2, 2, 3])),
+            shape=(3, 3),
+        )
+        before = [(a.dtype, a.tobytes()) for a in (given.data, given.indices, given.indptr)]
+        stored = StructureMatrix(given).matrix
+        assert [(a.dtype, a.tobytes()) for a in (given.data, given.indices, given.indptr)] == before
+        assert given.nnz == 3
+        assert stored.indices.tolist() == [1, 0] and stored.data.tolist() == [1.0, 2.0]
+        assert stored.indptr.tolist() == [0, 1, 1, 2]
+
     def test_canonical_float64_input_keeps_its_data(self):
         given = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert np.shares_memory(TaggingMatrix(given).matrix.data, given.data)

@@ -170,6 +170,46 @@ class TestSparseMatrixFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSparseWriterInput:
+    """write_sparse_matrix writes the canonical float64 form of its input
+    and leaves the caller's arrays as they were."""
+
+    @pytest.mark.parametrize("given, lines", [
+        (  # row 0 stores column 2, then column 0 twice
+            sp.csr_matrix(
+                (np.array([2.0, 1.0, 3.0]), np.array([2, 0, 0]), np.array([0, 3, 3])),
+                shape=(2, 3),
+            ),
+            ["2 3 2", "1 1 4.0", "1 3 2.0"],
+        ),
+        (
+            sp.csr_array(
+                (np.array([2.0, -0.0, 0.5]), np.array([2, 0, 1]), np.array([0, 2, 3])),
+                shape=(2, 3),
+            ),
+            ["2 3 3", "1 1 -0.0", "1 3 2.0", "2 2 0.5"],
+        ),
+        (
+            sp.csr_matrix(
+                (np.array([3, -1, 2]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2)
+            ),
+            ["2 2 2", "1 2 2.0", "2 1 2.0"],
+        ),
+        (np.array([[0.0, 0.1], [7.0, 0.0]]), ["2 2 2", "1 2 0.1", "2 1 7.0"]),
+    ], ids=["duplicates", "csr_array-unsorted", "int-duplicates", "dense"])
+    def test_caller_arrays_unchanged(self, tmp_path, given, lines):
+        arrays = (given,) if isinstance(given, np.ndarray) else (
+            given.data, given.indices, given.indptr
+        )
+        before = [(a.dtype, a.tobytes()) for a in arrays]
+        path = tmp_path / "m.mtx"
+        write_sparse_matrix(path, given)
+        assert [(a.dtype, a.tobytes()) for a in arrays] == before
+        assert path.read_text() == "\n".join(
+            ["%%MatrixMarket matrix coordinate real general", *lines]
+        ) + "\n"
+
+
 class TestSparseMatrixErrors:
     """Every ParseError names the line, counted with comment and blank lines."""
 

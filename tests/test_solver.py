@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 import warnings
@@ -873,10 +874,11 @@ class TestUpdateError:
                 float(error_update_value(r, beta)), w, atol=1e-10
             )
 
-    def test_matches_the_dense_shrinkage(self):
-        # E is error_update_value of data - UV, stored where that is nonzero
-        # (NaN included), and the refresh returns the value before it
-        rng = np.random.default_rng(33)
+    @staticmethod
+    def workspaces(seed):
+        """60 random (D, S, T, hp, workspace), beta in {0, 0.5, 2}; in about
+        3 of 10, non-finite coefficients make D - UV non-finite."""
+        rng = np.random.default_rng(seed)
         for _ in range(60):
             n, m, k = (int(v) for v in rng.integers(2, 9, size=3))
             hp = Hyperparams(K=k, knn_k=3, beta=float(rng.choice([0.0, 0.5, 2.0])))
@@ -885,20 +887,44 @@ class TestUpdateError:
             if rng.random() < 0.3:
                 spots = rng.random(ws.coeffs.shape) < 0.2
                 ws.coeffs[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.sum())
+            yield D, S, T, hp, ws
+
+    def test_matches_the_dense_shrinkage(self):
+        # E is error_update_value of data - UV, stored where that is nonzero
+        # (NaN included), and the refresh returns the values before and
+        # after it
+        for D, S, T, hp, ws in self.workspaces(33):
             with np.errstate(over="ignore", invalid="ignore"):
                 want = error_update_value(ws.data - ws.basis @ ws.coeffs, hp.beta)
                 before = dense_objective(
                     D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
                     ws.basis, ws.coeffs, ws.error.toarray(), hp,
                 )
-                got = update_error(ws)
+                got_before, got_after = update_error(ws)
+                after = dense_objective(
+                    D.to_dense(), S.matrix.toarray(), T.matrix.toarray(),
+                    ws.basis, ws.coeffs, want, hp,
+                )
             np.testing.assert_array_equal(ws.error.toarray(), want)
             assert ws.error.indices.tolist() == np.nonzero(want)[1].tolist()
             assert ws.error.indptr.tolist() == [0, *np.cumsum(np.count_nonzero(want, axis=1))]
-            if np.isfinite(before):
-                assert abs(got - before) <= 1e-12 * before
-            else:
-                assert not np.isfinite(got)
+            for got, value in ((got_before, before), (got_after, after)):
+                if np.isfinite(value):
+                    assert abs(got - value) <= 1e-12 * value
+                else:
+                    assert not np.isfinite(got)
+
+    def test_returns_the_values_of_a_fresh_pass(self):
+        # each value update_error returns is, bit for bit, objective_value()
+        # of a workspace that has evaluated nothing, at the state before the
+        # refresh and at the state after it
+        for _, _, _, _, ws in self.workspaces(34):
+            before, after = copy.deepcopy(ws), copy.deepcopy(ws)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = update_error(ws)
+                after.error = ws.error.copy()
+                want = before.objective_value(), after.objective_value()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_refreshes_target(self):
         # the couplings read the target data - E of the refreshed E
@@ -948,6 +974,26 @@ class TestFit:
             chain.extend(row)
         for prev, cur in zip(chain, chain[1:]):
             assert cur <= prev + 1e-10 * abs(prev)
+
+    def test_row_block_passes_and_objective_values(self, monkeypatch):
+        # a pass over the row blocks at the start, after each coefficient
+        # sweep and in each error refresh; an objective value at the start,
+        # after each sweep, and before and after each refresh
+        counts = dict.fromkeys(["objective_value", "residual_blocks"], 0)
+        for name in counts:
+            def counted(self, *args, _name=name, _method=getattr(SolverWorkspace, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(SolverWorkspace, name, counted)
+        rng = np.random.default_rng(43)
+        D, S, T, _, _ = random_setup(rng, n=20, m=10, k=3)
+        report = fit(D, S, T, Hyperparams(K=3, knn_k=3, max_outer_iters=50))
+        assert report.iterations > 1
+        assert counts == {
+            "objective_value": 1 + 3 * report.iterations,
+            "residual_blocks": 1 + 2 * report.iterations,
+        }
 
     def test_final_model_validates_and_matches_trace(self):
         rng = np.random.default_rng(42)
