@@ -6,7 +6,8 @@ round-trip is exact.  The dense writers, of the CSV matrix and of a model's
 basis, spell every +0.0 cell "0.0" without calling repr on it.  All readers
 reject non-finite values and report the offending line; a MatrixMarket cell
 whose duplicate entries sum to a non-finite value is refused at the last of
-those entries.
+those entries.  The JSON readers take only JSON numbers as values, not
+bools or strings, and name the field that holds another.
 
 The MatrixMarket and CSV readers parse all entry or row lines in one
 np.loadtxt call and check index ranges and finiteness on the whole array
@@ -335,15 +336,24 @@ def _require_ints(values, what) -> None:
         raise TypeError(f"{what} must be integers")
 
 
-def _sparse_from_lists(payload, shape, path) -> sp.csr_matrix:
+def _require_numbers(values, what) -> None:
+    """TypeError unless values is a list of JSON numbers: ints or floats, not
+    bools or strings."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{what} must be a list of numbers")
+
+
+def _sparse_from_lists(payload, field, shape, path) -> sp.csr_matrix:
+    """The sparse block `payload`, the file's field `field`, as CSR."""
     try:
         rows, cols, vals = payload["rows"], payload["cols"], payload["values"]
         _require_ints((*rows, *cols), "indices")
+        _require_numbers(vals, "values")
         return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     except KeyError as exc:
-        raise ParseError(f"{path}: sparse block missing field {exc}") from None
+        raise ParseError(f"{path}: {field} block missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad sparse block of shape {shape} ({exc})") from None
+        raise ParseError(f"{path}: bad {field} block of shape {shape} ({exc})") from None
 
 
 def _load_json(path, expected_format) -> dict:
@@ -403,12 +413,20 @@ def read_model(path) -> ModelRecord:
     try:
         n, m, k = payload["n_images"], payload["n_tags"], payload["n_factors"]
         _require_ints((n, m, k), "n_images, n_tags and n_factors")
-        basis = np.asarray(payload["basis"], dtype=float)
+        basis, trace = payload["basis"], payload["objective_trace"]
+        if type(basis) is not list:
+            raise TypeError("basis must be a list of rows")
+        for row in basis:
+            _require_numbers(row, "each basis row")
+        basis = np.asarray(basis, dtype=float)
         hp_dict = payload["hyperparams"]
-        trace = np.asarray(payload["objective_trace"], dtype=float)
+        _require_numbers(trace, "objective_trace")
+        trace = np.asarray(trace, dtype=float)
+        if not np.isfinite(trace).all():
+            raise ValueError("objective_trace must be finite")
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad header count, basis or trace ({exc})") from None
     if basis.shape != (n, k):
         raise ParseError(
@@ -418,8 +436,8 @@ def read_model(path) -> ModelRecord:
         hp = Hyperparams(**hp_dict)
     except (TypeError, ValidationError) as exc:
         raise ParseError(f"{path}: bad hyperparams ({exc})") from None
-    V = _sparse_from_lists(payload.get("coeffs"), (k, m), path)
-    E = _sparse_from_lists(payload.get("error"), (n, m), path)
+    V = _sparse_from_lists(payload.get("coeffs"), "coeffs", (k, m), path)
+    E = _sparse_from_lists(payload.get("error"), "error", (n, m), path)
     try:
         model = FactorModel(U=basis, V=V, E=E)
     except TagCompleteError as exc:
@@ -451,7 +469,7 @@ def read_split(path) -> EvalSplit:
         raise ParseError(f"{path}: missing field {exc}") from None
     except TypeError as exc:
         raise ParseError(f"{path}: bad header count ({exc})") from None
-    observed = _sparse_from_lists(observed, shape, path)
+    observed = _sparse_from_lists(observed, "observed", shape, path)
     try:
         _require_ints(test_image_ids, "test_image_ids")
         for tags in deleted:

@@ -18,9 +18,9 @@ the new E's entries.
 fit works at the live rank.  A dead factor, a zero basis column with a zero
 coefficient row, is an exact fixed point of all three blocks while E and
 the coefficients are finite, so fit takes such factors out of the working
-arrays at the start and after each basis pass, counts the skips a sweep
-over them would count, and puts them back, bit for bit, in the model it
-returns.
+arrays at the start and after each basis pass, and puts them back, bit for
+bit, in the model it returns; the passes count the skips a sweep over them
+would count.
 
 The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
 with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
@@ -275,7 +275,8 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     gram coupling is computed before its pass; its penalty coupling,
     coeffs[k] @ tag_penalty, is kept current by adding rows of the symmetric
     penalty.  Coordinates with d <= 0 (basis column identically zero and no
-    tag-penalty mass) are skipped; the count of skips is returned.
+    tag-penalty mass) are skipped.  Returns the count of skips, with one per
+    tag with tag_penalty[m, m] <= 0 for each dropped factor's zero row.
 
     Each row is scanned before its pass, with every q computed at once: a
     zero coordinate whose |q| <= eta stays where it is (a NaN q may move).
@@ -294,7 +295,8 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     if uncoupled.any() and not np.isfinite(penalty).all():
         uncoupled[:] = False
     uncoupled = uncoupled.tolist()
-    skipped = 0
+    dropped = ws._model_basis.shape[1] - ws.n_factors
+    skipped = dropped * int(np.count_nonzero(diag <= 0.0))
     for k in range(coeffs.shape[0]):
         gram_kk = float(gram[k, k])
         flat = gram_kk + diag <= 0.0
@@ -434,8 +436,9 @@ def update_basis(ws: SolverWorkspace) -> int:
     the unit ball, all else fixed, when its own objective
     g||u||^2 - 2q'u + gamma||(S - I)u||^2 does not rise; a column with zero
     coupling q moves to 0, its exact minimizer.  Returns the number of
-    coordinates left without a step: those of columns whose subproblem is
-    constant (g = 0, q = 0, gamma = 0) or whose step failed its certificate.
+    coordinates left without a step: those of columns, dropped ones included,
+    whose subproblem is constant (g = 0, q = 0, gamma = 0) or whose step
+    failed its certificate.
 
     A column whose coefficient row is all zero has g = 0 and, while E and
     coeffs are finite, q exactly 0, so its q is not formed.
@@ -451,7 +454,8 @@ def update_basis(ws: SolverWorkspace) -> int:
         image = shift @ u
         return float(u @ (g * u - 2.0 * q)) + gamma * float(image @ image)
 
-    skipped = 0
+    dropped = ws._model_basis.shape[1] - ws.n_factors
+    skipped = dropped * ws.n_images if gamma == 0.0 else 0
     for k in range(ws.n_factors):
         g, old = float(gram[k, k]), basis[:, k].copy()
         q = corr[k] - (basis @ gram[:, k] - g * old) if coupled[k] else None
@@ -604,8 +608,8 @@ def fit(
     after hp.max_outer_iters iterations.  Deterministic given hp.rng_seed.
 
     The blocks run at the live rank: dead factors leave the working arrays
-    at the start and after each basis pass (see drop_dead_factors), and the
-    skips of a sweep over them are counted as a full-rank sweep counts them.
+    at the start and after each basis pass (see drop_dead_factors); the passes
+    count their skips as a full-rank sweep counts them.
     The returned model has all K factors in their places, a dropped basis
     column with the bits it had when it was dropped.  The result equals the
     fit at full rank up to rounding: the products run over fewer terms.
@@ -620,12 +624,6 @@ def fit(
                 f"tagging matrix has no {name} ({D.n_images}x{D.n_tags}): nothing to complete"
             )
     ws = SolverWorkspace(D, S, T, initial_model(D, hp) if start is None else start, hp)
-    # a dropped factor's skips per sweep, as a sweep over it would count
-    # them: its coefficients on tags without penalty mass, and its basis
-    # column's coordinates when that column's subproblem is constant
-    coeff_skips = int(np.count_nonzero(np.diagonal(ws.tag_penalty) <= 0.0))
-    basis_skips = ws.n_images if hp.gamma == 0.0 else 0
-    K = ws.n_factors
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
@@ -636,9 +634,9 @@ def fit(
     for _ in range(hp.max_outer_iters):
         iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            skipped += update_coeffs(ws) + (K - ws.n_factors) * coeff_skips
+            skipped += update_coeffs(ws)
             after_coeffs = ws.objective_value()
-            skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
+            skipped += update_basis(ws)
             ws.drop_dead_factors()
             after_basis, after_error = update_error(ws)
         block_rows.append((after_coeffs, after_basis, after_error))

@@ -331,8 +331,9 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     objective_value, and the error block shrinks data - UV over the whole
     matrix, so the value after the basis pass, the error refresh and the
     value after it share one product.  The package's coefficient and basis
-    passes and its dead-factor drop run on that state.  Returns a solver.SolverReport and raises
-    solver.NumericalBlowupError as fit does."""
+    passes and its dead-factor drop run on that state, and the skips are the
+    sum of what the passes return, dropped factors' included.  Returns a
+    solver.SolverReport and raises solver.NumericalBlowupError as fit does."""
     from tagcomplete.core import residual_term
     from tagcomplete.solver import (
         NumericalBlowupError,
@@ -379,18 +380,15 @@ def fit_with_dense_state(D, S, T, hp, start=None):
             self.changed("error")
 
     ws = DenseState(initial_model(D, hp) if start is None else start)
-    coeff_skips = int(np.count_nonzero(np.diagonal(ws.tag_penalty) <= 0.0))
-    basis_skips = ws.n_images if hp.gamma == 0.0 else 0
-    K = ws.n_factors
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
     rows, skipped, converged = [], 0, False
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            skipped += update_coeffs(ws) + (K - ws.n_factors) * coeff_skips
+            skipped += update_coeffs(ws)
             after_coeffs = ws.objective_value()
-            skipped += update_basis(ws) + (K - ws.n_factors) * basis_skips
+            skipped += update_basis(ws)
             ws.drop_dead_factors()
             after_basis = ws.objective_value()
             ws.update_error()

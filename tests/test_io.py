@@ -439,6 +439,95 @@ class TestModelFormat:
             read_model(path)
 
 
+class TestJsonNumbers:
+    """The model and split readers take only JSON numbers, ints or floats,
+    as values, and a finite 1-D objective trace; anything else is a
+    ParseError naming the file and the field."""
+
+    def write_model(self, tmp_path, edit):
+        rng = np.random.default_rng(72)
+        path = tmp_path / "model.json"
+        write_model(path, TestModelFormat().make_model(rng), Hyperparams(K=2, knn_k=3), [2.0, 1.0])
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "trace, reason",
+        [
+            ([float("nan"), 1.0], "objective_trace must be finite"),
+            ([float("inf")], "objective_trace must be finite"),
+            ([[1.0, 2.0]], "objective_trace must be a list of numbers"),
+            (5, "objective_trace must be a list of numbers"),
+            ([True, 1.0], "objective_trace must be a list of numbers"),
+            ([10**400], "int too large to convert to float"),
+        ],
+        ids=["nan", "infinity", "nested", "scalar", "bool", "huge-int"],
+    )
+    def test_trace(self, trace, reason, tmp_path):
+        path = self.write_model(tmp_path, lambda payload: payload.update(objective_trace=trace))
+        expected = f"{path}: bad header count, basis or trace ({reason})"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (True, "each basis row must be a list of numbers"),
+            ("0.5", "each basis row must be a list of numbers"),
+            (10**400, "int too large to convert to float"),
+        ],
+        ids=["bool", "string", "huge-int"],
+    )
+    def test_basis_entry(self, value, reason, tmp_path):
+        path = self.write_model(tmp_path, lambda payload: payload["basis"][0].__setitem__(0, value))
+        expected = f"{path}: bad header count, basis or trace ({reason})"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_model(path)
+
+    def test_coefficient_value(self, tmp_path):
+        path = self.write_model(
+            tmp_path, lambda payload: payload["coeffs"]["values"].__setitem__(0, True)
+        )
+        expected = f"{path}: bad coeffs block of shape (2, 4) (values must be a list of numbers)"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_model(path)
+
+    def test_observed_value(self, tmp_path):
+        path = tmp_path / "split.json"
+        payload = {
+            "format": "tagcomplete-split",
+            "version": 1,
+            "n_images": 2,
+            "n_tags": 4,
+            "observed": {"rows": [0, 1], "cols": [0, 1], "values": [1.0, True]},
+            "test_image_ids": [0, 1],
+            "deleted": [[1], [0, 2]],
+        }
+        path.write_text(json.dumps(payload))
+        expected = f"{path}: bad observed block of shape (2, 4) (values must be a list of numbers)"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_split(path)
+
+    def test_integers_read_as_floats(self, tmp_path):
+        # a hand-written file may spell whole numbers without a point
+        def to_ints(payload):
+            payload["objective_trace"] = [3, 2.5]
+            payload["basis"][0][0] = 0
+            payload["coeffs"]["values"][0] = -2
+            payload["error"]["values"][0] = 1
+
+        written = read_model(self.write_model(tmp_path, lambda payload: None))
+        record = read_model(self.write_model(tmp_path, to_ints))
+        np.testing.assert_array_equal(record.objective_trace, [3.0, 2.5])
+        U, V, E = written.model.U.copy(), written.model.V.copy(), written.model.E.copy()
+        U[0, 0] = 0.0
+        V.data[0], E.data[0] = -2.0, 1.0
+        np.testing.assert_array_equal(record.model.U, U)
+        assert (record.model.V != V).nnz == 0 and (record.model.E != E).nnz == 0
+
+
 class TestSplitFormat:
     def test_round_trip(self, tmp_path):
         cfg = SynthConfig(

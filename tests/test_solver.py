@@ -1175,6 +1175,51 @@ class TestLiveRank:
                 fit(D, S, T, hp, start)
         np.testing.assert_array_equal(got.value.trace, want.value.trace)
 
+    @pytest.mark.parametrize("lambda_", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_passes_count_the_dropped_factors_skips(self, lambda_, gamma):
+        # each pass returns, after the drop, what it returns on a twin
+        # workspace that kept the dead factors
+        rng = np.random.default_rng(51)
+        dropped_any = False
+        for _ in range(15):
+            n, m, k = (int(v) for v in rng.integers(2, 10, size=3))
+            hp = Hyperparams(
+                K=k, knn_k=3, eta=0.3, beta=0.5, lambda_=lambda_, gamma=gamma
+            )
+            D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+            model = self.with_dead_factors(rng, model)
+            dropped, kept = (SolverWorkspace(D, S, T, model, hp) for _ in range(2))
+            dropped.drop_dead_factors()
+            dropped_any |= dropped.n_factors < k
+            for step in (update_coeffs, update_basis):
+                assert step(dropped) == step(kept)
+        assert dropped_any
+
+    @pytest.mark.parametrize("lambda_", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_fit_sums_what_the_passes_return(self, lambda_, gamma, monkeypatch):
+        rng = np.random.default_rng(52)
+        hp = Hyperparams(K=6, knn_k=3, eta=0.3, beta=0.5, lambda_=lambda_, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=9, m=7, k=6, hp=hp)
+        start = self.with_dead_factors(rng, model)
+        assert not (start.U.any(axis=0) | (start.V.getnnz(axis=1) > 0)).all()
+        returned = []
+
+        def spy(step):
+            def recorded(ws):
+                returned.append(step(ws))
+                return returned[-1]
+
+            return recorded
+
+        for step in (update_coeffs, update_basis):
+            monkeypatch.setattr(solver, step.__name__, spy(step))
+        got = fit(D, S, T, hp, start)
+        assert len(returned) == 2 * got.iterations
+        assert got.skipped_coordinates == sum(returned)
+        assert (got.skipped_coordinates > 0) == (lambda_ == 0.0 or gamma == 0.0)
+
     def test_workspace_keeps_dead_factors_unless_all_is_finite(self):
         rng = np.random.default_rng(50)
         D, S, T, model, hp = random_setup(rng, n=6, m=5, k=4)
