@@ -2,10 +2,13 @@
 
 Subcommands: build-structure, complete, evaluate, synth-bench.  Exit codes:
 0 on success, 2 on usage or input problems, 3 on numerical failures
-(objective blow-up, or a structure lasso that runs out of rounds).
+(objective blow-up, or a structure lasso that runs out of rounds).  On a
+blow-up, stderr names the block and iteration whose objective value was the
+first non-finite one, and gives the trace up to and with it.
 Reaching --max-iters is not a failure: the run exits 0 and prints
 converged=False.  complete warns on stderr, in one line naming eta and K,
 when tags end with an all-zero column of V, and so score 0 on every image.
+Library warnings reach stderr in the same one-line form, "warning: <message>".
 All randomness is controlled by explicit seeds, so repeated invocations
 produce identical output files.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -323,26 +327,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: one "warning: <message>" line on
+    stderr, with no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except (NumericalBlowupError, LassoConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        trace = getattr(exc, "trace", None)
-        if trace:
-            print(
-                "objective_trace=" + ",".join(repr(float(v)) for v in trace),
-                file=sys.stderr,
-            )
-        return EXIT_NUMERICAL
-    except (TagCompleteError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (NumericalBlowupError, LassoConvergenceError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            trace = getattr(exc, "trace", None)
+            if trace:
+                print(
+                    "objective_trace=" + ",".join(repr(float(v)) for v in trace),
+                    file=sys.stderr,
+                )
+            return EXIT_NUMERICAL
+        except (TagCompleteError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -201,7 +201,8 @@ class FactorModel:
         _check_finite("U", self.U)
         _check_finite("V", self.V.data)
         _check_finite("E", self.E.data)
-        norms = np.linalg.norm(self.U, axis=0)
+        # no N x K temporary, which np.linalg.norm(U, axis=0) would form
+        norms = np.sqrt(np.einsum("ij,ij->j", self.U, self.U))
         if np.any(norms > 1.0 + self.COLUMN_NORM_SLACK):
             raise ValidationError(
                 f"U column norm {norms.max():.17g} exceeds unit ball"

@@ -7,7 +7,8 @@ basis, spell every +0.0 cell "0.0" without calling repr on it.  All readers
 reject non-finite values and report the offending line; a MatrixMarket cell
 whose duplicate entries sum to a non-finite value is refused at the last of
 those entries.  The JSON readers take only JSON numbers as values, not
-bools or strings, and name the field that holds another.
+bools or strings, and name the field that holds another.  Every reader
+skips one leading UTF-8 byte-order mark.
 
 The MatrixMarket and CSV readers parse all entry or row lines in one
 np.loadtxt call and check index ranges and finiteness on the whole array
@@ -21,6 +22,7 @@ line in about log2(lines) np.loadtxt calls.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -58,11 +60,12 @@ def _fail(path, line_no, message):
 
 
 def _read_text(path) -> str:
-    """The file's contents decoded as UTF-8; ParseError naming the file and
-    line otherwise."""
+    """The file's contents decoded as UTF-8, less one leading byte-order
+    mark; ParseError naming the file and line otherwise, with the byte
+    offset counted from the file's first byte."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             line_no = exc.object.count(b"\n", 0, exc.start) + 1
             _fail(path, line_no, f"not UTF-8 text ({exc.reason} at byte {exc.start})")
@@ -305,10 +308,10 @@ def write_dense_matrix(path, array) -> None:
 
 def read_matrix_auto(path) -> np.ndarray:
     """Dense array from either format: MatrixMarket if the file starts with
-    '%%', CSV otherwise."""
+    '%%', after a UTF-8 byte-order mark if it has one, and CSV otherwise."""
     with open(path, "rb") as handle:  # the reader called decodes the file
-        head = handle.read(2)
-    if head == b"%%":
+        head = handle.read(5)
+    if head.removeprefix(codecs.BOM_UTF8).startswith(b"%%"):
         return read_sparse_matrix(path).toarray()
     return read_dense_matrix(path)
 

@@ -15,12 +15,14 @@ and each term once: update_error's one pass over the row blocks sums the
 residual terms of the states before and after it, and shrinks D - UV into
 the new E's entries.
 
-fit works at the live rank.  A dead factor, a zero basis column with a zero
-coefficient row, is an exact fixed point of all three blocks while E and
-the coefficients are finite, so fit takes such factors out of the working
-arrays at the start and after each basis pass, and puts them back, bit for
-bit, in the model it returns; the passes count the skips a sweep over them
-would count.
+fit stops at the first non-finite block value, so every pass starts from
+finite E and coefficients: the objective's L1 terms are non-finite with
+them, also at a weight of 0 (0 * inf is NaN).  fit works at the live rank.
+A dead factor, a zero basis column with a zero coefficient row, is an exact
+fixed point of all three blocks, so fit takes such factors out of the
+working arrays at the start and after each basis pass, and puts them back,
+bit for bit, in the model it returns; the passes count the skips a sweep
+over them would count.
 
 The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
 with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
@@ -177,22 +179,15 @@ class SolverWorkspace:
 
     def drop_dead_factors(self) -> None:
         """Take the dead factors, a zero basis column with a zero coefficient
-        row, out of the working arrays.  Such a factor is a fixed point of
-        all three blocks while E and coeffs are finite, so it is kept while
-        they are not (0 * inf is NaN)."""
+        row, out of the working arrays.  Such a factor is an exact fixed point
+        of all three blocks."""
         live = self.basis.any(axis=0) | self.coeffs.any(axis=1)
-        if live.all() or not self.finite():
+        if live.all():
             return
         self._model_basis[:, self.factors[~live]] = self.basis[:, ~live]
         self.factors = self.factors[live]
         self.basis = np.ascontiguousarray(self.basis[:, live])
         self.coeffs = self.coeffs[live]
-
-    def finite(self) -> bool:
-        """Whether E and coeffs are finite (D is, as a TaggingMatrix), so
-        that a zero basis column or coefficient row makes its products with
-        them exactly 0."""
-        return bool(np.isfinite(self.error.data).all() and np.isfinite(self.coeffs).all())
 
     def snapshot(self) -> FactorModel:
         """The model: the working factors in their places among the dropped."""
@@ -283,18 +278,15 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     Until a coordinate moves, the pass sees exactly the scanned q, so it
     starts at the first coordinate that may move, and a row where none may
     is not swept at all.  A row that is all zero when its pass starts has a
-    penalty coupling of exactly 0 while the penalty is finite, so that is
-    not formed.
+    penalty coupling of exactly 0, so that is not formed.  (A penalty that
+    overflows has an infinite diagonal entry, where q reads 0 * inf = NaN.)
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
     gram, corr = ws.basis.T @ ws.basis, ws.coeff_coupling()
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
     # a row changes only in its own pass, so its state now is its state then
-    uncoupled = ~coeffs.any(axis=1)
-    if uncoupled.any() and not np.isfinite(penalty).all():
-        uncoupled[:] = False
-    uncoupled = uncoupled.tolist()
+    uncoupled = (~coeffs.any(axis=1)).tolist()
     dropped = ws._model_basis.shape[1] - ws.n_factors
     skipped = dropped * int(np.count_nonzero(diag <= 0.0))
     for k in range(coeffs.shape[0]):
@@ -440,15 +432,13 @@ def update_basis(ws: SolverWorkspace) -> int:
     whose subproblem is constant (g = 0, q = 0, gamma = 0) or whose step
     failed its certificate.
 
-    A column whose coefficient row is all zero has g = 0 and, while E and
-    coeffs are finite, q exactly 0, so its q is not formed.
+    A column whose coefficient row is all zero has g = 0 and q exactly 0,
+    so its q is not formed.
     """
     basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
     gram = ws.coeffs @ ws.coeffs.T
     corr = ws.basis_coupling()
     coupled = ws.coeffs.any(axis=1)
-    if not (coupled.all() or ws.finite()):
-        coupled[:] = True
 
     def value(g, q, u):
         image = shift @ u
@@ -615,8 +605,10 @@ def fit(
     fit at full rank up to rounding: the products run over fewer terms.
 
     Raises ValidationError if D has no images or no tags, and
-    NumericalBlowupError (trace attached) if the objective leaves the finite
-    range.
+    NumericalBlowupError, naming the block and the iteration, at the first
+    non-finite value after a coefficient pass or from update_error; its
+    trace is the objective trace so far plus that value.  The initial
+    objective is not checked: the first coefficient pass can recover.
     """
     for count, name in ((D.n_images, "images"), (D.n_tags, "tags")):
         if count == 0:
@@ -627,24 +619,27 @@ def fit(
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
-    block_rows = []
-    skipped = 0
-    converged = False
-    iterations = 0
-    for _ in range(hp.max_outer_iters):
-        iterations += 1
+    block_rows, skipped, converged = [], 0, False
+
+    def checked(value, block):
+        if not math.isfinite(value):
+            raise NumericalBlowupError(
+                f"objective became non-finite after the {block} of iteration {iterations}",
+                [*trace, value],
+            )
+        return value
+
+    for iterations in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
-            after_coeffs = ws.objective_value()
+            after_coeffs = checked(ws.objective_value(), "coefficient pass")
             skipped += update_basis(ws)
             ws.drop_dead_factors()
             after_basis, after_error = update_error(ws)
+        checked(after_basis, "basis pass")
+        checked(after_error, "error refresh")
         block_rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
-        if not np.isfinite([after_coeffs, after_basis, after_error]).all():
-            raise NumericalBlowupError(
-                f"objective became non-finite at iteration {iterations}", trace
-            )
         prev = trace[-2]
         # every term is non-negative, so an exact 0 is a global minimum
         if after_error == 0.0 or (

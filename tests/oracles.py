@@ -269,13 +269,25 @@ def objective_from_arrays(data, U, V, E, S, T, hp) -> float:
     )
 
 
+def checked_value(value, block, iteration, trace):
+    """value, or solver.NumericalBlowupError as fit raises it at the first
+    non-finite block value: the trace so far plus that value."""
+    from tagcomplete.solver import NumericalBlowupError
+
+    if not np.isfinite(value):
+        raise NumericalBlowupError(
+            f"objective became non-finite after the {block} of iteration {iteration}",
+            [*trace, value],
+        )
+    return value
+
+
 def fit_at_full_rank(D, S, T, hp, start=None):
     """solver.fit without dropping dead factors: every block at rank K, every
     objective from objective_from_arrays, and the error block as
     soft_threshold of data - UV by beta/2.  Returns a solver.SolverReport and
     raises solver.NumericalBlowupError as fit does."""
     from tagcomplete.solver import (
-        NumericalBlowupError,
         SolverReport,
         SolverWorkspace,
         initial_model,
@@ -296,19 +308,15 @@ def fit_at_full_rank(D, S, T, hp, start=None):
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
-            after_coeffs = objective()
+            after_coeffs = checked_value(objective(), "coefficient pass", iteration, trace)
             skipped += update_basis(ws)
-            after_basis = objective()
+            after_basis = checked_value(objective(), "basis pass", iteration, trace)
             ws.error = sp.csr_matrix(
                 soft_threshold(ws.data - ws.basis @ ws.coeffs, 0.5 * hp.beta)
             )
-            after_error = objective()
+            after_error = checked_value(objective(), "error refresh", iteration, trace)
         rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
-        if not np.isfinite(rows[-1]).all():
-            raise NumericalBlowupError(
-                f"objective became non-finite at iteration {iteration}", trace
-            )
         prev = trace[-2]
         if after_error == 0.0 or prev - after_error <= hp.rel_tol * max(abs(prev), 1e-30):
             converged = True
@@ -336,7 +344,6 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     solver.SolverReport and raises solver.NumericalBlowupError as fit does."""
     from tagcomplete.core import residual_term
     from tagcomplete.solver import (
-        NumericalBlowupError,
         SolverReport,
         SolverWorkspace,
         error_update_value,
@@ -351,9 +358,6 @@ def fit_with_dense_state(D, S, T, hp, start=None):
             self.error = model.E.toarray()
             self.target = self.data - self.error
             self._product = None
-
-        def finite(self):
-            return bool(np.isfinite(self.target).all() and np.isfinite(self.coeffs).all())
 
         def coeff_coupling(self):
             return self.basis.T @ self.target
@@ -387,18 +391,16 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
-            after_coeffs = ws.objective_value()
+            after_coeffs = checked_value(
+                ws.objective_value(), "coefficient pass", iteration, trace
+            )
             skipped += update_basis(ws)
             ws.drop_dead_factors()
-            after_basis = ws.objective_value()
+            after_basis = checked_value(ws.objective_value(), "basis pass", iteration, trace)
             ws.update_error()
-            after_error = ws.objective_value()
+            after_error = checked_value(ws.objective_value(), "error refresh", iteration, trace)
         rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
-        if not np.isfinite(rows[-1]).all():
-            raise NumericalBlowupError(
-                f"objective became non-finite at iteration {iteration}", trace
-            )
         prev = trace[-2]
         if after_error == 0.0 or prev - after_error <= hp.rel_tol * max(abs(prev), 1e-30):
             converged = True

@@ -663,8 +663,10 @@ class TestComplete:
             capsys,
         )
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err
-        assert "objective_trace=" in err
+        assert err == (
+            "numerical failure: objective became non-finite after the "
+            "coefficient pass of iteration 1\nobjective_trace=inf,inf\n"
+        )
 
 
 class TestEvaluate:
@@ -1007,6 +1009,60 @@ class TestHyperparamFlags:
             if action.dest in Hyperparams.field_names()
         }
         assert declared == {flag for flag, *_ in self.TABLE[command]}
+
+
+class TestWarningLines:
+    """A library warning reaches stderr as one "warning: <message>" line."""
+
+    SHORT = (
+        "warning: 1 test image(s) have fewer than 2 candidate tags; "
+        "their prediction lists are shorter\n"
+    )
+    ZERO_TAG = (
+        "warning: 1 tag column(s) are all-zero; "
+        "their reconstruction weights are set to zero\n"
+    )
+
+    @staticmethod
+    def evaluate_args(tmp_path):
+        """evaluate on a split whose image 0 has one candidate tag of 4."""
+        from tagcomplete.metrics import EvalSplit
+
+        observed = TaggingMatrix.from_dense(np.array([[1.0, 1, 1, 0], [0, 1.0, 0, 0]]))
+        split = EvalSplit(observed=observed, deleted=({3}, {0, 2}), test_image_ids=(0, 1))
+        split_path, scores_path = str(tmp_path / "split.json"), str(tmp_path / "scores.csv")
+        tgio.write_split(split_path, split)
+        tgio.write_dense_matrix(
+            scores_path, np.array([[0.0, 0.9, 0.5, 0.1], [0.2, 0.0, 0.1, 0.9]])
+        )
+        return ["evaluate", "--scores", scores_path, "--split", split_path, "--n", "2"]
+
+    def test_evaluate_short_candidate_list(self, capsys, tmp_path):
+        code, stdout, err = run_cli(self.evaluate_args(tmp_path), capsys)
+        assert code == EXIT_OK
+        assert stdout == "AP@2=0.5\nAR@2=0.75\nC@2=1.0\n"
+        assert err == self.SHORT
+
+    def test_tag_build_with_an_all_zero_tag_column(self, capsys, tmp_path):
+        tags, out = str(tmp_path / "D.mtx"), str(tmp_path / "T.mtx")
+        tgio.write_sparse_matrix(tags, sp.csr_matrix(np.array([[1.0, 0, 1], [1, 0, 0], [0, 0, 1]])))
+        code, stdout, err = run_cli(
+            ["build-structure", "--mode", "tag", "--tags", tags, "--knn", "2", "--out", out],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert kv(stdout)["items"] == "3"
+        assert err == self.ZERO_TAG
+
+    def test_in_a_new_interpreter(self, tmp_path):
+        # under the interpreter's own warning filters, not the test runner's
+        result = subprocess.run(
+            [sys.executable, "-m", "tagcomplete.cli", *self.evaluate_args(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stderr == self.SHORT
 
 
 class TestTopLevel:

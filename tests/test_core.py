@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -147,6 +149,29 @@ class TestFactorModel:
             FactorModel(
                 U=np.zeros((3, 2)), V=sp.csr_matrix((5, 4)), E=sp.csr_matrix((3, 4))
             )
+
+    def test_validate_forms_no_float_temporary_of_u(self):
+        # np.linalg.norm(U, axis=0) squares U into N x K float arrays; the
+        # bound leaves room for _check_finite's N x K bool mask, U.nbytes / 8
+        rng = np.random.default_rng(2)
+        U = rng.normal(size=(4500, 100))
+        U /= np.linalg.norm(U, axis=0)
+        model = FactorModel(U=U, V=sp.csr_matrix((100, 3)), E=sp.csr_matrix((4500, 3)))
+        tracemalloc.start()
+        try:
+            model.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < U.nbytes / 4
+
+    def test_validate_column_norm_at_the_slack(self):
+        U = np.zeros((4, 2))
+        U[:, 1] = 0.5
+        FactorModel(U=U, V=sp.csr_matrix((2, 3)), E=sp.csr_matrix((4, 3)))
+        U[0, 1] = 0.5 + 4.0 * FactorModel.COLUMN_NORM_SLACK  # norm 1 + 2 slack
+        with pytest.raises(ValidationError, match="exceeds unit ball"):
+            FactorModel(U=U, V=sp.csr_matrix((2, 3)), E=sp.csr_matrix((4, 3)))
 
     def test_completed_is_product(self):
         rng = np.random.default_rng(1)

@@ -1119,6 +1119,66 @@ class TestNonUtf8Input:
         assert str(exc.value) == f"{path}:1: not UTF-8 text (invalid start byte at byte 0)"
 
 
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is not part of the text: a file
+    with it reads as the same file without it."""
+
+    def test_csv_keeps_its_first_row(self, tmp_path):
+        # "\ufeff1" is no number: kept, the mark would make row 1 a header
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        want = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(read_dense_matrix(path), want)
+        np.testing.assert_array_equal(read_matrix_auto(path), want)
+
+    @staticmethod
+    def with_and_without_mark(tmp_path, name, write):
+        """(path without the mark, path with it) of the file write makes."""
+        plain, marked = tmp_path / name, tmp_path / f"marked-{name}"
+        write(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, marked
+
+    def test_matrix_market(self, tmp_path):
+        matrix = random_sparse(np.random.default_rng(5), 4, 3)
+        paths = self.with_and_without_mark(
+            tmp_path, "D.mtx", lambda path: write_sparse_matrix(path, matrix)
+        )
+        plain, marked = (read_sparse_matrix(path) for path in paths)
+        assert (plain != marked).nnz == 0 and plain.nnz == matrix.nnz
+        np.testing.assert_array_equal(read_matrix_auto(paths[1]), matrix.toarray())
+
+    def test_model(self, tmp_path):
+        rng = np.random.default_rng(6)
+        U = rng.normal(size=(5, 2))
+        U /= np.linalg.norm(U, axis=0)
+        model = FactorModel(U=U, V=random_sparse(rng, 2, 4), E=random_sparse(rng, 5, 4))
+        paths = self.with_and_without_mark(
+            tmp_path, "model.json",
+            lambda path: write_model(path, model, Hyperparams(K=2, knn_k=3), [2.0, 1.0]),
+        )
+        plain, marked = (read_model(path) for path in paths)
+        assert marked.hyperparams == plain.hyperparams
+        np.testing.assert_array_equal(marked.objective_trace, plain.objective_trace)
+        assert marked.model.U.tobytes() == plain.model.U.tobytes()
+        for name in ("V", "E"):
+            assert (getattr(marked.model, name) != getattr(plain.model, name)).nnz == 0
+
+    def test_config(self, tmp_path):
+        paths = self.with_and_without_mark(
+            tmp_path, "run.cfg", lambda path: path.write_text("K = 7\neta = 0.25\n")
+        )
+        plain, marked = (parse_key_values(path, Hyperparams) for path in paths)
+        assert marked == plain == {"K": 7, "eta": 0.25}
+
+    def test_not_utf8_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xef\xbb\xbf%%MatrixMarket\n# x\n\xff\xfe\n")
+        with pytest.raises(ParseError) as exc:
+            read_sparse_matrix(path)
+        assert str(exc.value) == f"{path}:3: not UTF-8 text (invalid start byte at byte 22)"
+
+
 def write_manifest_json(path, **paths):
     """A manifest as the CLI reads it: format marker, version and input paths."""
     payload = {"format": "tagcomplete-manifest", "version": 1, **paths}
