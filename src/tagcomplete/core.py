@@ -47,7 +47,8 @@ def _as_csr(matrix, shape=None) -> sp.csr_matrix:
 
 
 def _check_finite(name: str, data: np.ndarray) -> None:
-    if data.size and not np.all(np.isfinite(data)):
+    # NaN propagates through min and max, so no mask of data is formed
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValidationError(f"{name} contains non-finite values")
 
 

@@ -275,25 +275,36 @@ def _text_rows(arr: np.ndarray, join) -> list:
     """join(texts) for each row of the 2-D float array, texts the repr of
     each of its cells, in order.
 
-    Every +0.0 cell shares the one text "0.0" and costs no repr call: most
-    cells of a completed score matrix at the paper's defaults, and of a
-    fitted basis, are +0.0.  A row with no +0.0 is mapped through repr
-    whole.  -0.0 keeps "-0.0".  Rows become Python floats 64 at a time, so
-    the whole array is never held as Python objects.
+    Every +0.0 cell shares the one text "0.0" and is never made a Python
+    float: most cells of a completed score matrix at the paper's defaults,
+    and of a fitted basis, are +0.0.  A row with a +0.0 cell starts from one
+    template of "0.0" texts and spells only its other cells; a row with none
+    is mapped through repr whole.  -0.0 keeps "-0.0".  Cells become Python
+    floats 64 rows at a time, so the whole array is never held as Python
+    objects.
     """
-    positive_zero = arr == 0.0
-    positive_zero &= ~np.signbit(arr)
-    has_zero = positive_zero.any(axis=1).tolist()
+    spelled = arr != 0.0
+    spelled |= np.signbit(arr)
+    width = arr.shape[1]
+    counts = np.count_nonzero(spelled, axis=1).tolist()
+    template = ["0.0"] * width
     texts = []
     for start in range(0, arr.shape[0], 64):
-        for i, row in enumerate(arr[start:start + 64].tolist(), start):
-            if has_zero[i]:
-                cells = ["0.0"] * len(row)
-                for j in np.flatnonzero(~positive_zero[i]).tolist():
-                    cells[j] = repr(row[j])
-                texts.append(join(cells))
+        block, mask = arr[start:start + 64], spelled[start:start + 64]
+        if min(counts[start:start + 64]) == width:
+            texts.extend(join(map(repr, row)) for row in block.tolist())
+            continue
+        values, columns = block[mask].tolist(), np.nonzero(mask)[1].tolist()
+        at = 0
+        for count in counts[start:start + 64]:
+            if count == width:
+                texts.append(join(map(repr, values[at:at + count])))
             else:
-                texts.append(join(map(repr, row)))
+                cells = template.copy()
+                for j, value in zip(columns[at:at + count], values[at:at + count]):
+                    cells[j] = repr(value)
+                texts.append(join(cells))
+            at += count
     return texts
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import TaggingMatrix, ValidationError
 
@@ -17,7 +19,9 @@ class EvalSplit:
     observed is the post-deletion tagging matrix.  test_image_ids[i] names an
     evaluated image and deleted[i] holds the tag indices removed from it.
     Test images are distinct, and each keeps at least one observed tag and
-    loses at least one.
+    loses at least one.  Construction checks all test images at once; only a
+    split that fails goes through them one at a time, in order, so the error
+    names the first faulty image.
     """
 
     observed: TaggingMatrix
@@ -26,16 +30,48 @@ class EvalSplit:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "deleted", tuple(frozenset(int(t) for t in d) for d in self.deleted)
+            self, "deleted", tuple(frozenset(map(int, d)) for d in self.deleted)
         )
         object.__setattr__(
-            self, "test_image_ids", tuple(int(i) for i in self.test_image_ids)
+            self, "test_image_ids", tuple(map(int, self.test_image_ids))
         )
         if len(self.deleted) != len(self.test_image_ids):
             raise ValidationError(
                 f"{len(self.test_image_ids)} test images "
                 f"but {len(self.deleted)} deleted sets"
             )
+        if not self._passes_every_check():
+            self._raise_first_fault()
+
+    def _passes_every_check(self) -> bool:
+        """Every check of _raise_first_fault at once: ids and deleted tags in
+        range, no id twice, no empty deleted set, an observed tag in every
+        test row (CSR row counts of the nonzero entries) and no deleted tag
+        observed (one sparse elementwise product)."""
+        ids, deleted = self.test_image_ids, self.deleted
+        if not ids:
+            return True
+        matrix = self.observed.matrix
+        n, m = matrix.shape
+        tags = list(chain.from_iterable(deleted))
+        if not (
+            0 <= min(ids) and max(ids) < n and len(set(ids)) == len(ids)
+            and all(deleted) and 0 <= min(tags) and max(tags) < m
+        ):
+            return False
+        rows = np.array(ids)
+        nonzero = np.concatenate(([0], np.cumsum(matrix.data != 0.0)))
+        if not np.all(nonzero[matrix.indptr[rows + 1]] > nonzero[matrix.indptr[rows]]):
+            return False
+        hidden = sp.csr_matrix(
+            (np.ones(len(tags)), (np.repeat(rows, list(map(len, deleted))), tags)),
+            shape=(n, m),
+        )
+        return not hidden.multiply(matrix).count_nonzero()
+
+    def _raise_first_fault(self) -> None:
+        """Check one test image at a time, in order, and raise at the first
+        fault, naming it."""
         n, m = self.observed.n_images, self.observed.n_tags
         seen = set()
         for img, dels in zip(self.test_image_ids, self.deleted):

@@ -316,24 +316,30 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     return skipped
 
 
-def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray):
-    """Certified minimizer of g||u||^2 - 2q'u + gamma||(S - I)u||^2 over
-    ||u|| <= 1, for nonzero q, by the Lanczos method (GLTR).
+def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
+    """Certified minimizer u of g||u||^2 - 2q'u + gamma||(S - I)u||^2 over
+    ||u|| <= 1, for nonzero q, by the Lanczos method (GLTR), with its image
+    (S - I)u.
 
     Fully reorthogonalized Lanczos from q gives A Q_j = Q_j T_j +
     beta_{j+1} q_{j+1} e_j' for A = gI + gamma B'B, so u = Q_j h, h the step
     projected on Q_j at j = 4, 6, 9, 13, ..., leaves a residual
     beta_{j+1} |h_j|; Q_j grows until that is within _LANCZOS_RTOL * ||q||,
-    as it is for every ||h|| <= 1 once beta_{j+1} is, or j = N.  Returns None
-    for a non-finite q, g or T_j, and unless the residual and
+    as it is for every ||h|| <= 1 once beta_{j+1} is, or j = N.  The step
+    fails for a non-finite q, g or T_j, and unless the residual and
     sigma*|1 - ||u||| are within _CERT_RTOL * ||q||, sigma >= 0 and
     ||u|| <= 1 + COLUMN_NORM_SLACK.
+
+    Returns (u, image, j), u and image None when the step fails.  The
+    Lanczos vectors start in an array of `rows` rows, which grows to the
+    next checkpoint when it fills.  A pass starts each step at the j of the
+    step before it, so most steps never grow it.
     """
     shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
     n, q_norm = q.shape[0], math.sqrt(float(q @ q))
     if not (0.0 < q_norm < math.inf and math.isfinite(g)):
-        return None
-    lanczos = np.empty((min(n, 8), n))
+        return None, None, rows
+    lanczos = np.empty((min(n, rows), n))
     lanczos[0] = q / q_norm
     diagonal, off_diagonal, check, sigma = [], [], 4, 0.0
     for j in range(1, n + 1):
@@ -347,19 +353,20 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray):
         if done or j == check:
             h, sigma = _projected_step(diagonal, off_diagonal, q_norm, sigma)
             if h is None:
-                return None
+                return None, None, j
             if done or beta * abs(h[-1]) <= _LANCZOS_RTOL * q_norm:
                 break
             check = int(1.5 * check)
         if j == len(lanczos):
-            lanczos = np.concatenate([lanczos, np.empty((min(n, 2 * j) - j, n))])
+            lanczos = np.concatenate([lanczos, np.empty((min(n, check) - j, n))])
         lanczos[j] = w / beta
         off_diagonal.append(beta)
     u = np.array(h) @ lanczos[:j]
     if sigma > 0.0:
         u /= math.sqrt(float(u @ u))
     norm = math.sqrt(float(u @ u))
-    residual = (g + sigma) * u + gamma * (shift_t @ (shift @ u)) - q
+    image = shift @ u
+    residual = (g + sigma) * u + gamma * (shift_t @ image) - q
     tol = _CERT_RTOL * q_norm
     if (
         math.sqrt(float(residual @ residual)) <= tol
@@ -367,8 +374,8 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray):
         and sigma * abs(1.0 - norm) <= tol
         and norm <= 1.0 + FactorModel.COLUMN_NORM_SLACK
     ):
-        return u
-    return None
+        return u, image, j
+    return None, None, j
 
 
 def _projected_step(diagonal, off_diagonal, q_norm, sigma):
@@ -440,10 +447,10 @@ def update_basis(ws: SolverWorkspace) -> int:
     corr = ws.basis_coupling()
     coupled = ws.coeffs.any(axis=1)
 
-    def value(g, q, u):
-        image = shift @ u
+    def value(g, q, u, image):
         return float(u @ (g * u - 2.0 * q)) + gamma * float(image @ image)
 
+    rows = 8
     dropped = ws._model_basis.shape[1] - ws.n_factors
     skipped = dropped * ws.n_images if gamma == 0.0 else 0
     for k in range(ws.n_factors):
@@ -455,10 +462,10 @@ def update_basis(ws: SolverWorkspace) -> int:
             else:
                 basis[:, k] = 0.0
             continue
-        u = _basis_step(ws, g, q)
+        u, image, rows = _basis_step(ws, g, q, rows)
         if u is None:
             skipped += ws.n_images
-        elif value(g, q, u) <= value(g, q, old):
+        elif value(g, q, u, image) <= value(g, q, old, shift @ old):
             basis[:, k] = u
     ws.changed("basis")
     return skipped

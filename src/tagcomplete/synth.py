@@ -5,11 +5,16 @@ and carries tags drawn from its block (with an optional off-topic fraction),
 so the true tagging matrix has rank close to the number of topics.  Features
 are a noisy random embedding of the topic indicator, so images sharing a
 topic are feature-space neighbors.
+
+The random draws, one image at a time in a fixed order, are the only
+per-image work of generate and delete_tags; the rest is whole-array work,
+so a seed fixes an instance and its split bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,28 +89,32 @@ def generate(cfg: SynthConfig) -> SynthInstance:
     indicator, so planted_U @ planted_V marks every in-block (image, tag)
     pair; it equals the truth matrix exactly when tags_per_image covers the
     whole block and off_topic_prob is 0.
+
+    After the topics, each image draws its number of off-topic tags, then
+    its in-block tags, then its off-topic tags from the tags outside its
+    block, which are formed once per topic.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     blocks = tag_blocks(cfg.n_tags, cfg.n_topics)
     topics = rng.integers(0, cfg.n_topics, size=cfg.n_images)
 
     all_tags = np.arange(cfg.n_tags)
-    rows, cols = [], []
-    for i in range(cfg.n_images):
-        block = blocks[topics[i]]
+    outside = {}  # topic -> the tags outside its block, formed on first use
+    cols = []
+    for topic in topics.tolist():
+        block = blocks[topic]
         n_off = int(rng.binomial(cfg.tags_per_image, cfg.off_topic_prob))
         n_off = min(n_off, cfg.n_tags - len(block))
         n_on = cfg.tags_per_image - n_off
-        chosen = rng.choice(block, size=n_on, replace=False)
+        cols += rng.choice(block, size=n_on, replace=False).tolist()
         if n_off:
-            outside = np.setdiff1d(all_tags, block, assume_unique=True)
-            off = rng.choice(outside, size=n_off, replace=False)
-            chosen = np.concatenate([chosen, off])
-        rows.extend([i] * len(chosen))
-        cols.extend(int(t) for t in chosen)
+            if topic not in outside:
+                outside[topic] = np.setdiff1d(all_tags, block, assume_unique=True)
+            cols += rng.choice(outside[topic], size=n_off, replace=False).tolist()
+    rows = np.repeat(np.arange(cfg.n_images), cfg.tags_per_image)
     truth = TaggingMatrix(
         sp.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)),
+            (np.ones(len(cols)), (rows, cols)),
             shape=(cfg.n_images, cfg.n_tags),
         )
     )
@@ -138,27 +147,42 @@ def delete_tags(truth: TaggingMatrix, fraction: float, rng_seed: int) -> EvalSpl
     Per image, round(fraction * |tags|) tags are removed, clamped so at least
     one tag is removed and at least one remains.  Deterministic given the
     seed.  Every image becomes a test image.
+
+    An image's tags are its nonzero entries in the truth's CSR, in tag
+    order.  The draws among them are the only per-image work: the removed
+    entries are marked in one mask, and observed is the CSR of the entries
+    kept, so no dense N x M copy of the truth is formed.
     """
     if not (0.0 < fraction < 1.0):
         raise ValidationError("fraction must be in (0, 1)")
     rng = np.random.default_rng(rng_seed)
-    dense = truth.to_dense()
-    observed = dense.copy()
-    deleted, test_ids = [], []
+    matrix = truth.matrix
+    kept = matrix.data != 0.0
+    entries = np.flatnonzero(kept)
+    bounds = np.concatenate(([0], np.cumsum(kept)))[matrix.indptr].tolist()
+    removed, sizes = [entries[:0]], []
     for i in range(truth.n_images):
-        tags = np.flatnonzero(dense[i])
+        # the entries of image i's tags: a draw among them draws the same
+        # positions as a draw among the tags
+        tags = entries[bounds[i]:bounds[i + 1]]
         if len(tags) < 2:
             raise ValidationError(
                 f"image {i} has {len(tags)} tag(s); need >= 2 to split"
             )
         n_del = int(round(fraction * len(tags)))
         n_del = min(max(n_del, 1), len(tags) - 1)
-        removed = rng.choice(tags, size=n_del, replace=False)
-        observed[i, removed] = 0.0
-        deleted.append(frozenset(int(t) for t in removed))
-        test_ids.append(i)
+        removed.append(rng.choice(tags, size=n_del, replace=False))
+        sizes.append(n_del)
+    removed = np.concatenate(removed)
+    kept[removed] = False
+    removed_tags = iter(matrix.indices[removed].tolist())
+    deleted = [frozenset(islice(removed_tags, size)) for size in sizes]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[matrix.indptr]
+    observed = sp.csr_matrix(
+        (matrix.data[kept], matrix.indices[kept], indptr), shape=matrix.shape
+    )
     return EvalSplit(
-        observed=TaggingMatrix.from_dense(observed),
+        observed=TaggingMatrix(observed),
         deleted=tuple(deleted),
-        test_image_ids=tuple(test_ids),
+        test_image_ids=tuple(range(truth.n_images)),
     )

@@ -12,7 +12,12 @@ solver.update_coeffs, basis_pass_by_column_loop forms every basis column's
 coupling and takes the package's trust-region step on it, against
 solver.update_basis, which passes over columns with an all-zero
 coefficient row, and rank_by_image_loop ranks one test image at a
-time, against the one sort of metrics.rank_predictions.  rows_by_repr
+time, against the one sort of metrics.rank_predictions.
+instance_by_image_loop and split_by_image_loop are synth.generate and
+synth.delete_tags as they drew one image at a time around per-image numpy
+calls and two dense copies, and split_fault_by_image_loop is
+metrics.EvalSplit's per-image check; the instances and splits of the
+package must equal theirs bit for bit, and its messages theirs.  rows_by_repr
 spells every cell with repr, against the dense writers, which spell +0.0
 without it.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
@@ -227,7 +232,7 @@ def basis_pass_by_column_loop(ws):
             else:
                 basis[:, k] = 0.0
             continue
-        u = _basis_step(ws, g, q)
+        u, _, _ = _basis_step(ws, g, q)
         if u is None:
             skipped += basis.shape[0]
         elif value(g, q, u) <= value(g, q, old):
@@ -547,6 +552,97 @@ def rank_by_image_loop(scores, split, n):
             stacklevel=2,
         )
     return predictions
+
+
+def instance_by_image_loop(cfg):
+    """synth.generate as it was written before its draws were collected
+    with tolist: one setdiff1d per off-topic image and one int per tag.
+    Returns (truth, features, planted_U, planted_V, topics)."""
+    from tagcomplete.core import FeatureMatrix, TaggingMatrix
+    from tagcomplete.synth import tag_blocks
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    blocks = tag_blocks(cfg.n_tags, cfg.n_topics)
+    topics = rng.integers(0, cfg.n_topics, size=cfg.n_images)
+    all_tags = np.arange(cfg.n_tags)
+    rows, cols = [], []
+    for i in range(cfg.n_images):
+        block = blocks[topics[i]]
+        n_off = int(rng.binomial(cfg.tags_per_image, cfg.off_topic_prob))
+        n_off = min(n_off, cfg.n_tags - len(block))
+        n_on = cfg.tags_per_image - n_off
+        chosen = rng.choice(block, size=n_on, replace=False)
+        if n_off:
+            outside = np.setdiff1d(all_tags, block, assume_unique=True)
+            off = rng.choice(outside, size=n_off, replace=False)
+            chosen = np.concatenate([chosen, off])
+        rows.extend([i] * len(chosen))
+        cols.extend(int(t) for t in chosen)
+    truth = TaggingMatrix(
+        sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(cfg.n_images, cfg.n_tags))
+    )
+    projection = rng.normal(size=(cfg.n_topics, cfg.feature_dim))
+    embed = projection[topics]
+    if cfg.feature_noise > 0:
+        embed = embed + cfg.feature_noise * rng.normal(size=(cfg.n_images, cfg.feature_dim))
+    planted_U = np.zeros((cfg.n_images, cfg.n_topics))
+    planted_U[np.arange(cfg.n_images), topics] = 1.0
+    planted_V = np.zeros((cfg.n_topics, cfg.n_tags))
+    for b, block in enumerate(blocks):
+        planted_V[b, block] = 1.0
+    return truth, FeatureMatrix(embed), planted_U, planted_V, topics
+
+
+def split_by_image_loop(truth, fraction, rng_seed):
+    """synth.delete_tags on two dense N x M copies of the truth, one image
+    at a time.  Returns (observed, deleted, test_image_ids), unchecked."""
+    from tagcomplete.core import TaggingMatrix, ValidationError
+
+    if not (0.0 < fraction < 1.0):
+        raise ValidationError("fraction must be in (0, 1)")
+    rng = np.random.default_rng(rng_seed)
+    dense = truth.to_dense()
+    observed = dense.copy()
+    deleted, test_ids = [], []
+    for i in range(truth.n_images):
+        tags = np.flatnonzero(dense[i])
+        if len(tags) < 2:
+            raise ValidationError(f"image {i} has {len(tags)} tag(s); need >= 2 to split")
+        n_del = int(round(fraction * len(tags)))
+        n_del = min(max(n_del, 1), len(tags) - 1)
+        removed = rng.choice(tags, size=n_del, replace=False)
+        observed[i, removed] = 0.0
+        deleted.append(frozenset(int(t) for t in removed))
+        test_ids.append(i)
+    return TaggingMatrix.from_dense(observed), tuple(deleted), tuple(test_ids)
+
+
+def split_fault_by_image_loop(observed, deleted, test_image_ids):
+    """The message of the first fault that metrics.EvalSplit's checks meet,
+    one test image at a time in order, or None for a valid split."""
+    deleted = tuple(frozenset(int(t) for t in d) for d in deleted)
+    test_image_ids = tuple(int(i) for i in test_image_ids)
+    if len(deleted) != len(test_image_ids):
+        return f"{len(test_image_ids)} test images but {len(deleted)} deleted sets"
+    n, m = observed.n_images, observed.n_tags
+    seen = set()
+    for img, dels in zip(test_image_ids, deleted):
+        if not (0 <= img < n):
+            return f"test image {img} out of range"
+        if img in seen:
+            return f"test image {img} is listed more than once"
+        seen.add(img)
+        if not dels:
+            return f"image {img} has no deleted tags"
+        if any(not (0 <= t < m) for t in dels):
+            return f"image {img} has deleted tags out of range"
+        row = observed.matrix.getrow(img)
+        kept = {int(j) for j, v in zip(row.indices, row.data) if v != 0.0}
+        if not kept:
+            return f"image {img} has no observed tags"
+        if kept & dels:
+            return f"image {img}: tags {sorted(kept & dels)} are both observed and deleted"
+    return None
 
 
 def average_precision_by_hand(rankings, deleted_sets, n):

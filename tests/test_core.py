@@ -11,6 +11,7 @@ from tagcomplete.core import (
     StructureMatrix,
     TaggingMatrix,
     ValidationError,
+    _check_finite,
     check_structure_sizes,
     normalize_rows,
 )
@@ -137,6 +138,31 @@ class TestCanonicalStorage:
         assert np.shares_memory(TaggingMatrix(given).matrix.data, given.data)
 
 
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("shape", [(7,), (7, 1)])
+    def test_non_finite_cell_anywhere_raises(self, bad, position, shape):
+        data = np.linspace(-1.0, 1.0, 7)
+        data[position] = bad
+        with pytest.raises(ValidationError, match="^x contains non-finite values$"):
+            _check_finite("x", data.reshape(shape))
+
+    @pytest.mark.parametrize("mixed", [(np.inf, -np.inf), (-np.inf, np.nan), (np.nan, np.inf)])
+    def test_mixed_non_finite_cells_raise(self, mixed):
+        data = np.zeros(5)
+        data[[1, 3]] = mixed
+        with pytest.raises(ValidationError, match="^x contains non-finite values$"):
+            _check_finite("x", data)
+
+    @pytest.mark.parametrize(
+        "data", [np.array([-1.7976931348623157e308, 1.7976931348623157e308]),
+                 np.array([-0.0, 5e-324]), np.zeros((0, 3))]
+    )
+    def test_finite_or_empty_passes(self, data):
+        _check_finite("x", data)
+
+
 class TestFactorModel:
     def test_validate_catches_column_norm(self):
         with pytest.raises(ValidationError):
@@ -151,8 +177,8 @@ class TestFactorModel:
             )
 
     def test_validate_forms_no_float_temporary_of_u(self):
-        # np.linalg.norm(U, axis=0) squares U into N x K float arrays; the
-        # bound leaves room for _check_finite's N x K bool mask, U.nbytes / 8
+        # np.linalg.norm(U, axis=0) squares U into N x K float arrays, and
+        # np.isfinite(U) is an N x K bool mask, U.nbytes / 8
         rng = np.random.default_rng(2)
         U = rng.normal(size=(4500, 100))
         U /= np.linalg.norm(U, axis=0)
@@ -163,7 +189,7 @@ class TestFactorModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < U.nbytes / 4
+        assert peak < U.nbytes / 64
 
     def test_validate_column_norm_at_the_slack(self):
         U = np.zeros((4, 2))

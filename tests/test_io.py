@@ -789,6 +789,25 @@ class TestDenseWritersZeroCells:
         assert path.read_text() == "\n".join(rows_by_repr(array)) + "\n"
 
     @ROUND_TRIPS
+    @given(st.integers(0, 2**32), st.integers(1, 200), st.integers(1, 4))
+    def test_dense_csv_across_row_blocks(self, tmp_path_factory, seed, n, m):
+        # rows become Python floats 64 at a time: blocks whose rows all lack
+        # +0.0, blocks that mix such rows with rows of +0.0, -0.0 and
+        # non-finite cells, and all-zero rows
+        rng = np.random.default_rng(seed)
+        array = rng.choice([0.0, -0.0, 1.5, -2e-300, np.nan, np.inf], size=(n, m))
+        array[array == 1.5] = rng.normal(size=int(np.sum(array == 1.5)))
+        kinds = rng.choice(["drawn", "spelled", "zero"], size=n)
+        for start in range(0, n, 64):
+            if rng.random() < 0.3:
+                kinds[start:start + 64] = "spelled"
+        array[kinds == "spelled"] = rng.normal(size=(int(np.sum(kinds == "spelled")), m))
+        array[kinds == "zero"] = 0.0
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dense_matrix(path, array)
+        assert path.read_text() == "\n".join(rows_by_repr(array)) + "\n"
+
+    @ROUND_TRIPS
     @given(zero_mixed_array(st.floats(-0.4, 0.4)))  # columns stay in the unit ball
     def test_model_basis(self, tmp_path_factory, basis):
         n, k = basis.shape

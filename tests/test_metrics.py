@@ -16,6 +16,7 @@ from oracles import (
     coverage_by_hand,
     rank_by_full_sort,
     rank_by_image_loop,
+    split_fault_by_image_loop,
 )
 
 # ties, signed zeros and every non-finite value a score can take
@@ -60,6 +61,123 @@ class TestEvalSplit:
     def test_accepts_valid_split(self):
         split = make_split([[1, 0, 0], [0, 1, 0]], [{1}, {0, 2}])
         assert split.n_test_images == 2
+
+
+def check_outcome(observed, deleted, ids):
+    """EvalSplit raises the message of the oracle's first fault, or, when it
+    finds none, holds the oracle's normalized ids and sets."""
+    want = split_fault_by_image_loop(observed, deleted, ids)
+    try:
+        split = EvalSplit(observed=observed, deleted=tuple(deleted), test_image_ids=tuple(ids))
+    except ValidationError as exc:
+        assert str(exc) == want
+        return want
+    assert want is None
+    assert split.test_image_ids == tuple(int(i) for i in ids)
+    assert all(type(i) is int for i in split.test_image_ids)
+    assert split.deleted == tuple(frozenset(int(t) for t in d) for d in deleted)
+    assert all(type(t) is int for d in split.deleted for t in d)
+    return None
+
+
+@st.composite
+def spoiled_splits(draw):
+    """A split drawn valid where it can be, with stored zeros and negative
+    values in observed, then spoiled by up to three faults of any kind."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(arrays(float, (n, m), elements=st.sampled_from([0.0, 0.0, 1.0, -0.5, 2.0])))
+    stored = draw(arrays(bool, (n, m))) | (values != 0.0)
+    r, c = np.nonzero(stored)
+    observed = TaggingMatrix(sp.csr_matrix((values[r, c], (r, c)), shape=(n, m)))
+    ids = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    deleted = []
+    for i in ids:
+        free = np.flatnonzero(values[i] == 0.0).tolist()
+        tags = st.sampled_from(free) if free else st.integers(0, m - 1)
+        deleted.append(set(draw(st.sets(tags, min_size=1, max_size=3))))
+    for _ in range(draw(st.integers(0, 3)) if ids else 0):
+        p = draw(st.integers(0, len(ids) - 1))
+        kind = draw(st.sampled_from(["id", "twice", "empty", "tag", "overlap", "unobserved"]))
+        if kind == "id":
+            ids[p] = draw(st.sampled_from([-1, n, n + 3, 2**70, -(2**70)]))
+        elif kind == "twice":
+            ids[p] = ids[draw(st.integers(0, len(ids) - 1))]
+        elif kind == "empty":
+            deleted[p] = set()
+        elif kind == "tag":
+            deleted[p].add(draw(st.sampled_from([-1, m, 2**70])))
+        elif kind == "overlap" and 0 <= ids[p] < n:
+            deleted[p] |= set(observed.tags_of(ids[p]).tolist())
+        elif kind == "unobserved" and 0 <= ids[p] < n:
+            row = observed.matrix.getrow(ids[p])
+            observed = TaggingMatrix(observed.matrix - sp.csr_matrix(
+                (row.data, row.indices, [0] * (ids[p] + 1) + [row.nnz] * (n - ids[p])),
+                shape=(n, m),
+            ))
+    return observed, deleted, ids
+
+
+class TestEvalSplitScreen:
+    """EvalSplit screens all test images at once and runs its per-image
+    check only to name a fault: its outcome is the image loop's."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(spoiled_splits())
+    def test_outcome_equals_the_image_loop(self, split):
+        check_outcome(*split)
+
+    @pytest.mark.parametrize(
+        "observed, deleted, ids, message",
+        [
+            ([[1, 0, 0]], [{1}], (1,), "test image 1 out of range"),
+            ([[1, 0, 0]], [{1}], (-1,), "test image -1 out of range"),
+            ([[1, 0, 0]], [{1}, {2}], (0, 0), "test image 0 is listed more than once"),
+            ([[1, 0, 0]], [set()], (0,), "image 0 has no deleted tags"),
+            ([[1, 0, 0]], [{1, 3}], (0,), "image 0 has deleted tags out of range"),
+            ([[1, 0, 0]], [{-1}], (0,), "image 0 has deleted tags out of range"),
+            ([[0, 0, 0]], [{1}], (0,), "image 0 has no observed tags"),
+            ([[1, 0, 1]], [{0, 1, 2}], (0,), "image 0: tags [0, 2] are both observed and deleted"),
+            ([[1, 0], [0, 1]], [{1}], (0, 1), "2 test images but 1 deleted sets"),
+        ],
+    )
+    def test_each_fault_names_itself(self, observed, deleted, ids, message):
+        observed = TaggingMatrix.from_dense(np.asarray(observed, dtype=float))
+        assert split_fault_by_image_loop(observed, deleted, ids) == message
+        with pytest.raises(ValidationError) as raised:
+            EvalSplit(observed=observed, deleted=tuple(deleted), test_image_ids=ids)
+        assert str(raised.value) == message
+
+    def test_first_fault_in_image_order_is_named(self):
+        # image 1's overlap comes before image 2's range fault and image 0's
+        # duplicate at position 3
+        observed = TaggingMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        deleted = [{1}, {0}, {5}, {1}]
+        assert check_outcome(observed, deleted, [0, 1, 2, 0]) == (
+            "image 1: tags [0] are both observed and deleted"
+        )
+        assert check_outcome(observed, deleted[2:], [2, 0]) == (
+            "image 2 has deleted tags out of range"
+        )
+
+    def test_stored_zero_is_not_an_observed_tag(self):
+        observed = TaggingMatrix(sp.csr_matrix(([0.0, -0.0, 1.0], ([0, 0, 0], [0, 1, 2])), shape=(1, 3)))
+        assert check_outcome(observed, [{0, 1}], [0]) is None
+        assert check_outcome(observed, [{1, 2}], [0]) == (
+            "image 0: tags [2] are both observed and deleted"
+        )
+        zeros = TaggingMatrix(sp.csr_matrix(([0.0], ([0], [2])), shape=(1, 3)))
+        assert check_outcome(zeros, [{0}], [0]) == "image 0 has no observed tags"
+
+    def test_numpy_ints_and_bools_normalize(self):
+        observed = TaggingMatrix.from_dense(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        ids = [np.int64(0), True]
+        assert check_outcome(observed, [{np.int64(1), np.int32(2)}, {False, np.int8(2)}], ids) is None
+        assert check_outcome(observed, [{np.int64(1)}, {np.True_}], ids) == (
+            "image 1: tags [1] are both observed and deleted"
+        )
+        assert check_outcome(observed, [{1}], [np.uint64(2**63)]) == (
+            f"test image {2**63} out of range"
+        )
 
 
 class TestRankPredictions:

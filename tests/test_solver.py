@@ -292,9 +292,11 @@ class TestUpdateBasis:
         # n_images coordinates count as skipped in update_basis and in fit
         step, calls = solver._basis_step, []
 
-        def fails_on_column_1(ws, g, q):
+        def fails_on_column_1(ws, g, q, rows):
             calls.append(g)
-            return None if len(calls) % ws.n_factors == 2 else step(ws, g, q)
+            if len(calls) % ws.n_factors == 2:
+                return None, None, rows
+            return step(ws, g, q, rows)
 
         D, S, T, model, hp = random_setup(np.random.default_rng(24), n=10, m=7, k=3)
         plain = SolverWorkspace(D, S, T, model, hp)
@@ -345,6 +347,34 @@ class TestUpdateBasis:
 
             _, best = scalar_min_by_search(f, radius=1.0)
             assert f(ws.basis[0, 0]) <= best + 1e-6
+
+    def test_basis_pass_matches_fresh_steps_across_lanczos_lengths(self, monkeypatch):
+        # update_basis starts each step's Lanczos array at the j of the step
+        # before it, and takes the image (S - I)u of a step's u from the step;
+        # the column loop starts every step at 8 rows and forms every image
+        step, calls = solver._basis_step, []
+
+        def recorded(ws, g, q, rows=8):
+            result = step(ws, g, q, rows)
+            calls.append((rows, result[2]))
+            return result
+
+        monkeypatch.setattr(solver, "_basis_step", recorded)
+        rng, seen = np.random.default_rng(47), []
+        for _ in range(12):
+            n, k = int(rng.integers(30, 90)), int(rng.integers(3, 7))
+            hp = Hyperparams(K=k, knn_k=3, eta=0.3, beta=0.5,
+                             gamma=float(10 ** rng.uniform(-1, 2)))
+            ws = SolverWorkspace(*random_setup(rng, n=n, m=5, k=k, density=0.05, hp=hp))
+            want, want_skipped = basis_pass_by_column_loop(ws)
+            calls.clear()
+            assert update_basis(ws) == want_skipped
+            np.testing.assert_array_equal(ws.basis.view(np.int64), want.view(np.int64))
+            assert [rows for rows, _ in calls] == [8] + [j for _, j in calls[:-1]]
+            seen += calls
+        # steps that grew their array and steps that started longer than
+        # they needed both ran
+        assert any(j > rows for rows, j in seen) and any(j < rows for rows, j in seen)
 
 
 class TestSweepMatchesReference:
@@ -556,7 +586,7 @@ def basis_step_and_dimension(ws, g, q, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_projected_step", recorded)
-        u = solver._basis_step(ws, g, q)
+        u, _, _ = solver._basis_step(ws, g, q)
     return u, max(dimensions)
 
 
@@ -650,7 +680,7 @@ class TestBasisTrustRegion:
         hp = Hyperparams(K=2, knn_k=3, gamma=gamma)
         ws = SolverWorkspace(*random_setup(rng, n=10, m=4, k=2, hp=hp))
         q = 40.0 * rng.normal(size=10)
-        u = solver._basis_step(ws, 0.0, q)
+        u, _, _ = solver._basis_step(ws, 0.0, q)
         assert u is not None
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         shift = ws.image_structure.matrix.toarray() - np.eye(10)
@@ -784,7 +814,7 @@ class TestBasisTrustRegion:
             for _ in range(3):
                 g = float(10 ** rng.uniform(-16, -8))
                 q = float(10 ** rng.uniform(-4, 1)) * rng.normal(size=n)
-                u = solver._basis_step(ws, g, q)
+                u, _, _ = solver._basis_step(ws, g, q)
                 assert u is not None
                 operator = g * np.eye(n) + gamma * shift.T @ shift
                 want, sigma = trust_region_by_eigh(operator, q)
@@ -818,10 +848,10 @@ class TestBasisTrustRegion:
         calls = []
         step = solver._basis_step
 
-        def checked(ws, g, q):
+        def checked(ws, g, q, rows):
             assert g > 0.0 and q.any()
             calls.append(g)
-            return step(ws, g, q)
+            return step(ws, g, q, rows)
 
         monkeypatch.setattr(solver, "_basis_step", checked)
         rng = np.random.default_rng(64)

@@ -1,9 +1,16 @@
+import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import instance_by_image_loop, split_by_image_loop
 
-from tagcomplete.core import ValidationError
+from tagcomplete.core import TaggingMatrix, ValidationError
 from tagcomplete.io import parse_key_values
 from tagcomplete.synth import (
     SynthConfig,
@@ -11,6 +18,8 @@ from tagcomplete.synth import (
     generate,
     tag_blocks,
 )
+
+COREL_SHAPE = Path(__file__).resolve().parent.parent / "configs" / "corel_shape.cfg"
 
 
 def small_config(**overrides):
@@ -58,8 +67,7 @@ class TestConfigValidation:
 
 def test_corel_shape_config_parses():
     # the committed Corel-shape instance, as synth-bench reads it
-    path = Path(__file__).resolve().parent.parent / "configs" / "corel_shape.cfg"
-    cfg = SynthConfig(**parse_key_values(path, SynthConfig))
+    cfg = SynthConfig(**parse_key_values(COREL_SHAPE, SynthConfig))
     assert cfg == SynthConfig(
         n_images=4500, n_tags=260, n_topics=20, tags_per_image=6, feature_dim=32,
         feature_noise=0.3, delete_fraction=0.4, off_topic_prob=0.05, rng_seed=7,
@@ -192,3 +200,112 @@ class TestDeleteTags:
         D = TaggingMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValidationError, match="image 0"):
             delete_tags(D, 0.4, rng_seed=0)
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes), CSR matrices (their
+    three arrays) and other values (their repr)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if sp.issparse(part):
+            parts_of = (part.data, part.indices, part.indptr, np.asarray(part.shape))
+        elif isinstance(part, np.ndarray):
+            parts_of = (part,)
+        else:
+            h.update(repr(part).encode())
+            continue
+        for array in parts_of:
+            h.update(f"{array.dtype}{array.shape}".encode())
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def split_outcome(make):
+    """The digest of the split that make() returns, as (observed, deleted,
+    test_image_ids), or the message of the ValidationError it raises."""
+    try:
+        observed, deleted, ids = make()
+    except ValidationError as exc:
+        return "error: " + str(exc)
+    return digest(observed.matrix, [sorted(map(repr, d)) for d in deleted], ids)
+
+
+def package_split(truth, fraction, rng_seed):
+    split = delete_tags(truth, fraction, rng_seed)
+    return split.observed, split.deleted, split.test_image_ids
+
+
+@st.composite
+def synth_configs(draw):
+    """Valid SynthConfigs, with off_topic_prob at 0 and near 1, blocks
+    exactly as large as tags_per_image, and delete_fraction near 0 and 1."""
+    n_topics = draw(st.integers(1, 6))
+    n_tags = draw(st.integers(2 * n_topics, 40))
+    smallest = n_tags // n_topics
+    return SynthConfig(
+        n_images=draw(st.integers(n_topics, 60)),
+        n_tags=n_tags,
+        n_topics=n_topics,
+        tags_per_image=draw(st.sampled_from([2, smallest]) | st.integers(2, smallest)),
+        feature_dim=draw(st.integers(1, 4)),
+        feature_noise=draw(st.sampled_from([0.0, 0.3])),
+        delete_fraction=draw(
+            st.sampled_from([1e-9, 0.05, 0.95, 1.0 - 1e-9]) | st.floats(0.01, 0.99)
+        ),
+        rng_seed=draw(st.integers(0, 2**32)),
+        off_topic_prob=draw(st.sampled_from([0.0, 0.999]) | st.floats(0.0, 0.9)),
+    )
+
+
+class TestImageLoopOracles:
+    """generate and delete_tags draw what the one-image-at-a-time loops of
+    tests/oracles.py draw, and build the same bits from it."""
+
+    def check(self, cfg):
+        got = generate(cfg)
+        want = instance_by_image_loop(cfg)
+        assert digest(
+            got.truth.matrix, got.features.data, got.planted_U, got.planted_V, got.topics
+        ) == digest(want[0].matrix, want[1].data, *want[2:])
+        args = (got.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        assert split_outcome(lambda: package_split(*args)) == split_outcome(
+            lambda: split_by_image_loop(*args)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(synth_configs())
+    def test_instance_and_split_equal_the_image_loops(self, cfg):
+        self.check(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_of_any_truth_equals_the_image_loop(self, data):
+        # stored zeros, -0.0, negative and non-binary values: the tags of an
+        # image are its nonzero entries, and observed keeps their values
+        n, m = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 7))
+        cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+        values = data.draw(arrays(float, (n, m), elements=cells))
+        if data.draw(st.booleans()):  # every row splittable
+            values[:, :2] = data.draw(st.sampled_from([1.0, -3.0]))
+        stored = data.draw(arrays(bool, (n, m))) | (values != 0.0)
+        r, c = np.nonzero(stored)
+        truth = TaggingMatrix(sp.csr_matrix((values[r, c], (r, c)), shape=(n, m)))
+        fraction = data.draw(st.sampled_from([1e-9, 0.5, 1.0 - 1e-9]) | st.floats(0.01, 0.99))
+        seed = data.draw(st.integers(0, 2**32))
+        assert split_outcome(lambda: package_split(truth, fraction, seed)) == split_outcome(
+            lambda: split_by_image_loop(truth, fraction, seed)
+        )
+
+    def test_corel_shape_equals_the_image_loops(self):
+        self.check(SynthConfig(**parse_key_values(COREL_SHAPE, SynthConfig)))
+
+    def test_corel_shape_split_forms_no_dense_copy(self):
+        cfg = SynthConfig(**parse_key_values(COREL_SHAPE, SynthConfig))
+        truth = generate(cfg).truth
+        tracemalloc.start()
+        try:
+            delete_tags(truth, cfg.delete_fraction, cfg.rng_seed + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.n_images * truth.n_tags * 8
