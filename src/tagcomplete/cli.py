@@ -10,7 +10,10 @@ converged=False.  complete warns on stderr, in one line naming eta and K,
 when tags end with an all-zero column of V, and so score 0 on every image.
 Library warnings reach stderr in the same one-line form, "warning: <message>".
 All randomness is controlled by explicit seeds, so repeated invocations
-produce identical output files.
+produce byte-identical stdout and output files at a fixed BLAS build and
+thread count.  Across BLAS thread counts results are rounding-equal: equal
+iterations, skips, E support and AP/AR/C@2, and a final objective equal to
+a relative 1e-9; scores may differ in their last bits.
 """
 
 from __future__ import annotations

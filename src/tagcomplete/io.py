@@ -490,7 +490,7 @@ def read_split(path) -> EvalSplit:
             _require_ints(tags, "deleted tag ids")
         return EvalSplit(
             observed=TaggingMatrix(observed),
-            deleted=tuple(frozenset(d) for d in deleted),
+            deleted=tuple(deleted),
             test_image_ids=tuple(test_image_ids),
         )
     except (TypeError, ValueError) as exc:  # ValidationError is a ValueError

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import TaggingMatrix, ValidationError
 
@@ -19,9 +18,9 @@ class EvalSplit:
     observed is the post-deletion tagging matrix.  test_image_ids[i] names an
     evaluated image and deleted[i] holds the tag indices removed from it.
     Test images are distinct, and each keeps at least one observed tag and
-    loses at least one.  Construction checks all test images at once; only a
-    split that fails goes through them one at a time, in order, so the error
-    names the first faulty image.
+    loses at least one.  Construction flags every test image's faults in one
+    pass and raises the first flagged image's first fault, so the error names
+    the first faulty image in test-image order.
     """
 
     observed: TaggingMatrix
@@ -40,58 +39,55 @@ class EvalSplit:
                 f"{len(self.test_image_ids)} test images "
                 f"but {len(self.deleted)} deleted sets"
             )
-        if not self._passes_every_check():
-            self._raise_first_fault()
+        self._check_test_images()
 
-    def _passes_every_check(self) -> bool:
-        """Every check of _raise_first_fault at once: ids and deleted tags in
-        range, no id twice, no empty deleted set, an observed tag in every
-        test row (CSR row counts of the nonzero entries) and no deleted tag
-        observed (one sparse elementwise product)."""
+    def _check_test_images(self) -> None:
+        """Flag all test images at once, each fault in the order one image is
+        checked: id out of range, id listed earlier, no deleted tag, deleted
+        tag out of range, no observed tag (stored zeros are none), deleted
+        tag observed.  Overlap is read per (test position, tag) pair, so an
+        image listed twice never borrows its other occurrence's set."""
         ids, deleted = self.test_image_ids, self.deleted
-        if not ids:
-            return True
         matrix = self.observed.matrix
         n, m = matrix.shape
-        tags = list(chain.from_iterable(deleted))
-        if not (
-            0 <= min(ids) and max(ids) < n and len(set(ids)) == len(ids)
-            and all(deleted) and 0 <= min(tags) and max(tags) < m
-        ):
-            return False
-        rows = np.array(ids)
-        nonzero = np.concatenate(([0], np.cumsum(matrix.data != 0.0)))
-        if not np.all(nonzero[matrix.indptr[rows + 1]] > nonzero[matrix.indptr[rows]]):
-            return False
-        hidden = sp.csr_matrix(
-            (np.ones(len(tags)), (np.repeat(rows, list(map(len, deleted))), tags)),
-            shape=(n, m),
+        # out-of-range ids and tags become -1 while still Python ints, so
+        # numpy never sees one it cannot hold; whatever a -1 reads below, its
+        # image is flagged for the range fault first
+        rows = np.array([i if 0 <= i < n else -1 for i in ids], dtype=np.intp)
+        tags = np.array(
+            [t if 0 <= t < m else -1 for t in chain.from_iterable(deleted)], dtype=np.intp
         )
-        return not hidden.multiply(matrix).count_nonzero()
-
-    def _raise_first_fault(self) -> None:
-        """Check one test image at a time, in order, and raise at the first
-        fault, naming it."""
-        n, m = self.observed.n_images, self.observed.n_tags
-        seen = set()
-        for img, dels in zip(self.test_image_ids, self.deleted):
-            if not (0 <= img < n):
-                raise ValidationError(f"test image {img} out of range")
-            if img in seen:
-                raise ValidationError(f"test image {img} is listed more than once")
-            seen.add(img)
-            if not dels:
-                raise ValidationError(f"image {img} has no deleted tags")
-            if any(not (0 <= t < m) for t in dels):
-                raise ValidationError(f"image {img} has deleted tags out of range")
-            kept = set(self.observed.tags_of(img).tolist())
-            if not kept:
-                raise ValidationError(f"image {img} has no observed tags")
-            overlap = kept & dels
-            if overlap:
-                raise ValidationError(
-                    f"image {img}: tags {sorted(overlap)} are both observed and deleted"
-                )
+        sizes = np.array(list(map(len, deleted)), dtype=np.intp)
+        owner = np.repeat(np.arange(len(ids)), sizes)
+        nonzero = matrix.data != 0.0
+        entry_rows = np.repeat(np.arange(n), np.diff(matrix.indptr))[nonzero]
+        # one key per observed (row, tag), ascending in a canonical CSR, then
+        # n * m, above every pair's key
+        keys = np.append(entry_rows * m + matrix.indices[nonzero], n * m)
+        pairs = rows[owner] * m + tags
+        both = keys[np.searchsorted(keys, pairs)] == pairs
+        faults = np.zeros((6, len(ids)), dtype=bool)  # one row per check, in order
+        faults[0] = rows < 0
+        faults[1] = True
+        faults[1, np.unique(rows, return_index=True)[1]] = False  # first occurrences
+        faults[2] = sizes == 0
+        faults[3, owner[tags < 0]] = True
+        # n + 1 counts, so that a -1 indexes one even when n is 0
+        faults[4] = np.bincount(entry_rows, minlength=n + 1)[rows] == 0
+        faults[5, owner[both]] = True
+        flagged = faults.any(axis=0)
+        if not flagged.any():
+            return
+        p = int(flagged.argmax())
+        img, overlap = ids[p], sorted(tags[both & (owner == p)].tolist())
+        raise ValidationError((
+            f"test image {img} out of range",
+            f"test image {img} is listed more than once",
+            f"image {img} has no deleted tags",
+            f"image {img} has deleted tags out of range",
+            f"image {img} has no observed tags",
+            f"image {img}: tags {overlap} are both observed and deleted",
+        )[faults[:, p].argmax()])
 
     @property
     def n_test_images(self) -> int:

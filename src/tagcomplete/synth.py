@@ -176,7 +176,7 @@ def delete_tags(truth: TaggingMatrix, fraction: float, rng_seed: int) -> EvalSpl
     removed = np.concatenate(removed)
     kept[removed] = False
     removed_tags = iter(matrix.indices[removed].tolist())
-    deleted = [frozenset(islice(removed_tags, size)) for size in sizes]
+    deleted = [list(islice(removed_tags, size)) for size in sizes]
     indptr = np.concatenate(([0], np.cumsum(kept)))[matrix.indptr]
     observed = sp.csr_matrix(
         (matrix.data[kept], matrix.indices[kept], indptr), shape=matrix.shape

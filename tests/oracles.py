@@ -15,9 +15,10 @@ coefficient row, and rank_by_image_loop ranks one test image at a
 time, against the one sort of metrics.rank_predictions.
 instance_by_image_loop and split_by_image_loop are synth.generate and
 synth.delete_tags as they drew one image at a time around per-image numpy
-calls and two dense copies, and split_fault_by_image_loop is
-metrics.EvalSplit's per-image check; the instances and splits of the
-package must equal theirs bit for bit, and its messages theirs.  rows_by_repr
+calls and two dense copies, and split_fault_by_image_loop is the frozen copy
+of the per-image loop that metrics.EvalSplit's one-pass check replaced; the
+instances and splits of the package must equal theirs bit for bit, and its
+messages theirs.  rows_by_repr
 spells every cell with repr, against the dense writers, which spell +0.0
 without it.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
@@ -619,7 +620,8 @@ def split_by_image_loop(truth, fraction, rng_seed):
 
 def split_fault_by_image_loop(observed, deleted, test_image_ids):
     """The message of the first fault that metrics.EvalSplit's checks meet,
-    one test image at a time in order, or None for a valid split."""
+    one test image at a time in order, or None for a valid split: a frozen
+    copy of the per-image loop that EvalSplit's one pass replaced."""
     deleted = tuple(frozenset(int(t) for t in d) for d in deleted)
     test_image_ids = tuple(int(i) for i in test_image_ids)
     if len(deleted) != len(test_image_ids):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from tagcomplete.cli import (
     main,
 )
 from tagcomplete.core import FeatureMatrix, Hyperparams, StructureMatrix, TaggingMatrix
+from tagcomplete.metrics import evaluate, rank_predictions
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
 
@@ -1086,3 +1088,53 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert "build-structure" in result.stdout
+
+
+class TestThreadCountContract:
+    def test_complete_is_rounding_equal_at_one_and_two_blas_threads(self, tmp_path):
+        """`complete` with reinitialization, run in exactly two subprocesses at
+        OPENBLAS_NUM_THREADS=1 and =2, gives rounding-equal results: equal
+        iterations, skips, E support and AP/AR/C@2, and final objectives
+        equal to a relative 1e-9.  Output bytes are promised only at a fixed
+        BLAS build and thread count; at this 400 x 300 shape with K = 100
+        the scores differ in their last bits between 1 and 2 threads under
+        OpenBLAS 0.3.31 on 2 cores.  On a
+        1-core machine OpenBLAS caps its threads at the core count, so both
+        runs are the same run and the test passes trivially; so it does
+        under a BLAS that ignores OPENBLAS_NUM_THREADS."""
+        cfg = SynthConfig(n_images=400, n_tags=300, n_topics=15, tags_per_image=8,
+                          feature_dim=32, feature_noise=0.3, delete_fraction=0.4,
+                          rng_seed=23, off_topic_prob=0.05)
+        instance = generate(cfg)
+        split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
+        hp = Hyperparams(knn_k=30)
+        inputs = {
+            "tags": split.observed.matrix,
+            "image-structure": structure.build_feature_structure(instance.features, hp).matrix,
+            "tag-structure": structure.build_tag_structure(split.observed, hp).matrix,
+        }
+        argv = [sys.executable, "-m", "tagcomplete.cli", "complete", "--K", "100"]
+        for flag, matrix in inputs.items():
+            tgio.write_sparse_matrix(tmp_path / f"{flag}.mtx", matrix)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.mtx")]
+        runs = []
+        for threads in ("1", "2"):
+            model, scores = tmp_path / f"model-{threads}.json", tmp_path / f"scores-{threads}.csv"
+            result = subprocess.run(
+                argv + ["--out-model", str(model), "--out-scores", str(scores)],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert result.returncode == EXIT_OK, result.stderr
+            E = tgio.read_model(model).model.E
+            predictions = rank_predictions(tgio.read_dense_matrix(scores), split, 2)
+            runs.append((kv(result.stdout), set(zip(*E.nonzero())),
+                         evaluate(predictions, split, 2)))
+        (one, support_one, quality_one), (two, support_two, quality_two) = runs
+        for key in ("iterations", "converged", "skipped_coordinates"):
+            assert one[key] == two[key]
+        final_one = float(one["objective_trace_tail"].split(",")[-1])
+        final_two = float(two["objective_trace_tail"].split(",")[-1])
+        assert abs(final_one - final_two) <= 1e-9 * abs(final_one)
+        assert support_one == support_two
+        assert quality_one == quality_two

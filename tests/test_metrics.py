@@ -118,8 +118,9 @@ def spoiled_splits(draw):
 
 
 class TestEvalSplitScreen:
-    """EvalSplit screens all test images at once and runs its per-image
-    check only to name a fault: its outcome is the image loop's."""
+    """EvalSplit checks all test images in one pass; its outcome is that of
+    split_fault_by_image_loop, the frozen copy of the per-image loop that
+    the pass replaced."""
 
     @settings(max_examples=500, deadline=None)
     @given(spoiled_splits())
@@ -138,6 +139,10 @@ class TestEvalSplitScreen:
             ([[0, 0, 0]], [{1}], (0,), "image 0 has no observed tags"),
             ([[1, 0, 1]], [{0, 1, 2}], (0,), "image 0: tags [0, 2] are both observed and deleted"),
             ([[1, 0], [0, 1]], [{1}], (0, 1), "2 test images but 1 deleted sets"),
+            # the second occurrence's own faults come after its duplicate id
+            ([[1, 0, 0]], [{1}, {0}], (0, 0), "test image 0 is listed more than once"),
+            ([[1, 0, 0]], [{1}, set()], (0, 0), "test image 0 is listed more than once"),
+            ([[1, 0], [1, 0]], [{1}, {2**70}], (2**70, 0), f"test image {2**70} out of range"),
         ],
     )
     def test_each_fault_names_itself(self, observed, deleted, ids, message):
