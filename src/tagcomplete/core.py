@@ -33,13 +33,13 @@ class DimensionMismatchError(ValidationError):
     """Two operands have incompatible shapes; the message names the pair."""
 
 
-def _as_csr(matrix, shape=None) -> sp.csr_matrix:
+def _as_csr(matrix) -> sp.csr_matrix:
     """Canonical float64 CSR: duplicates summed and indices sorted.  Explicitly
     stored zeros are kept (with their sign), so readers of nonzeros filter
     them.  Canonical float64 input keeps its data array; any other dtype is
     converted, and non-canonical CSR input is copied before it is summed,
     so the caller's arrays are never rewritten."""
-    m = sp.csr_matrix(matrix, shape=shape, dtype=np.float64)
+    m = sp.csr_matrix(matrix, dtype=np.float64)
     if not m.has_canonical_format:
         m = m.copy()
         m.sum_duplicates()
@@ -78,10 +78,6 @@ class TaggingMatrix:
     @property
     def n_tags(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -45,7 +45,7 @@ class LassoConvergenceError(TagCompleteError, RuntimeError):
     """An item's rounds ran out; carries its last KKT residual and its index:
     in the batch, or in the whole build when a structure builder re-raises it."""
 
-    def __init__(self, message: str, kkt_residual: float, item: int = 0):
+    def __init__(self, message: str, kkt_residual: float, item: int):
         super().__init__(message)
         self.kkt_residual = kkt_residual
         self.item = item

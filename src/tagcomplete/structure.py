@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    DimensionMismatchError,
     FeatureMatrix,
     Hyperparams,
     StructureMatrix,
@@ -354,10 +355,11 @@ def reinitialize(
     return TaggingMatrix(blended)
 
 
-def _kkt_per_item(vectors, weights, l1_weight, neighbors):
+def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
     """Recomputed KKT residual per item, whose lasso rebuilds vectors[i] from
     vectors[neighbors[i]] with the weights in row i of `weights`, a canonical
-    CSR matrix that stores no zeros.
+    CSR matrix that stores no zeros.  DimensionMismatchError unless weights
+    and neighbors hold one row per item, a `side` ("image" or "tag").
 
     The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
     block of _BLOCK items, a sparse product of its slice of rows gives their
@@ -365,8 +367,11 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors):
     positions, as are the slice's weights, made dense.  inf when weight sits
     outside the neighborhood: fewer weights are read than the row stores.
     """
-    stored = np.diff(weights.indptr)
     size = vectors.shape[0]
+    for name, rows in ((f"{side} structure", weights.shape[0]), ("neighbors", len(neighbors))):
+        if rows != size:
+            raise DimensionMismatchError(f"{name} has {rows} rows but there are {size} {side}s")
+    stored = np.diff(weights.indptr)
     residuals = np.empty(size)
     for start in range(0, size, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -394,12 +399,13 @@ def feature_structure_kkt(
     build_feature_structure stay within hp.lasso_tol.  The neighborhoods
     are rebuilt unless `neighbors` passes the build's own, as
     build_feature_structure takes them; then the check covers the weights
-    but not the neighbor search.
+    but not the neighbor search.  DimensionMismatchError unless the
+    structure and the neighbor lists have one row per image.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
         neighbors = knn_index(vectors, hp.knn_k)
-    return _kkt_per_item(vectors, structure.matrix, hp.alpha, neighbors)
+    return _kkt_per_item(vectors, structure.matrix, hp.alpha, neighbors, "image")
 
 
 def tag_structure_kkt(
@@ -411,15 +417,16 @@ def tag_structure_kkt(
 ) -> np.ndarray:
     """Re-certify each column of a tag structure matrix from scratch.
 
-    D must be binary, as for build_tag_structure, whose G = D'D neighbor
-    lists it recomputes unless `neighbors` passes the build's own, as
-    build_tag_structure takes them; then the check covers the weights but
-    not the neighbor search.  Each gradient is still formed from the columns
-    of D, passed as rows with T's columns as the rows of the weights, so the
-    certificate does not rest on G's grams.  An all-zero tag column with
-    zero weights is its lasso's exact answer and reports residual 0.
+    The neighbor lists are recomputed from G = D'D, as build_tag_structure
+    reads them, unless `neighbors` passes the build's own; then the check
+    covers the weights but not the neighbor search.  D must be binary only
+    for that search: each gradient is formed from the columns of D, passed
+    as rows with T's columns as the rows of the weights, so the certificate
+    does not rest on G's grams.  An all-zero tag column with zero weights is
+    its lasso's exact answer and reports residual 0.  DimensionMismatchError
+    unless the structure and the neighbor lists have one row per tag.
     """
     if neighbors is None:
         neighbors = tag_neighbors(D, hp.knn_k)
     cols = D.matrix.T.toarray(order="C")
-    return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors)
+    return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors, "tag")

@@ -77,18 +77,17 @@ def tag_blocks(n_tags: int, n_topics: int) -> list:
 class SynthInstance:
     truth: TaggingMatrix
     features: FeatureMatrix
-    planted_U: np.ndarray
-    planted_V: np.ndarray
     topics: np.ndarray
 
 
 def generate(cfg: SynthConfig) -> SynthInstance:
     """Build one seeded instance; bitwise deterministic for a fixed config.
 
-    planted_U is the image-topic indicator and planted_V the topic-block tag
-    indicator, so planted_U @ planted_V marks every in-block (image, tag)
-    pair; it equals the truth matrix exactly when tags_per_image covers the
-    whole block and off_topic_prob is 0.
+    topics is the planted truth: image i belongs to topic topics[i], and
+    the in-block (image, tag) pairs are those whose tag lies in
+    tag_blocks(n_tags, n_topics)[topics[i]].  They are the truth matrix
+    exactly when tags_per_image covers the whole block and off_topic_prob
+    is 0.
 
     After the topics, each image draws its number of off-topic tags, then
     its in-block tags, then its off-topic tags from the tags outside its
@@ -127,18 +126,7 @@ def generate(cfg: SynthConfig) -> SynthInstance:
         )
     features = FeatureMatrix(embed)
 
-    planted_U = np.zeros((cfg.n_images, cfg.n_topics))
-    planted_U[np.arange(cfg.n_images), topics] = 1.0
-    planted_V = np.zeros((cfg.n_topics, cfg.n_tags))
-    for b, block in enumerate(blocks):
-        planted_V[b, block] = 1.0
-    return SynthInstance(
-        truth=truth,
-        features=features,
-        planted_U=planted_U,
-        planted_V=planted_V,
-        topics=topics,
-    )
+    return SynthInstance(truth=truth, features=features, topics=topics)
 
 
 def delete_tags(truth: TaggingMatrix, fraction: float, rng_seed: int) -> EvalSplit:

@@ -558,7 +558,7 @@ def rank_by_image_loop(scores, split, n):
 def instance_by_image_loop(cfg):
     """synth.generate as it was written before its draws were collected
     with tolist: one setdiff1d per off-topic image and one int per tag.
-    Returns (truth, features, planted_U, planted_V, topics)."""
+    Returns (truth, features, topics)."""
     from tagcomplete.core import FeatureMatrix, TaggingMatrix
     from tagcomplete.synth import tag_blocks
 
@@ -586,12 +586,7 @@ def instance_by_image_loop(cfg):
     embed = projection[topics]
     if cfg.feature_noise > 0:
         embed = embed + cfg.feature_noise * rng.normal(size=(cfg.n_images, cfg.feature_dim))
-    planted_U = np.zeros((cfg.n_images, cfg.n_topics))
-    planted_U[np.arange(cfg.n_images), topics] = 1.0
-    planted_V = np.zeros((cfg.n_topics, cfg.n_tags))
-    for b, block in enumerate(blocks):
-        planted_V[b, block] = 1.0
-    return truth, FeatureMatrix(embed), planted_U, planted_V, topics
+    return truth, FeatureMatrix(embed), topics
 
 
 def split_by_image_loop(truth, fraction, rng_seed):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import zero_structure
+from helpers import in_block, zero_structure
 from oracles import (
     basis_update_value,
     lasso_by_enumeration,
@@ -436,7 +436,7 @@ def test_exact_factorization():
     )
     instance = generate(cfg)
     dense = instance.truth.to_dense()
-    assert np.array_equal(dense, instance.planted_U @ instance.planted_V)
+    assert np.array_equal(dense, in_block(cfg, instance.topics))
 
     hp = Hyperparams(
         K=4, knn_k=5, gamma=1e-8, lambda_=1e-8, eta=1e-8, beta=10.0,

@@ -53,7 +53,7 @@ class TestTaggingMatrix:
         # canonical form keeps explicitly stored zeros of either sign
         data, indices, indptr = [0.0, 1.0, -0.0, 2.0], [0, 1, 2, 4], [0, 0, 4]
         m = TaggingMatrix(sp.csr_matrix((data, indices, indptr), shape=(2, 5)))
-        assert m.nnz == 4
+        assert m.matrix.nnz == 4
         assert m.tags_of(0).tolist() == []
         assert m.tags_of(1).tolist() == [1, 4]
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 import weakref
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagcomplete.core import (
+    DimensionMismatchError,
     FeatureMatrix,
     Hyperparams,
     StructureMatrix,
@@ -471,6 +473,32 @@ class TestRecertification:
         want = kkt_residual(problem, np.where(nb == nb[0], 0.5, 0.0))
         assert residuals[8] > hp.lasso_tol
         assert residuals[8] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_sizes_are_checked(self, side, size):
+        # a structure or neighbor lists with one row too few or too many is
+        # named with both sizes, not left to a matmul or an index fault
+        rng = np.random.default_rng(21)
+        hp = Hyperparams(knn_k=3)
+        if side == "image":
+            features = FeatureMatrix(rng.normal(size=(12, 5)))
+            neighbors = knn_index(combined_feature_rows(features, None), 3)
+            check = functools.partial(feature_structure_kkt, features, hp=hp)
+        else:
+            tags = TaggingMatrix.from_dense((rng.random((20, 12)) < 0.4).astype(float))
+            neighbors = structure.tag_neighbors(tags, 3)
+            check = functools.partial(tag_structure_kkt, tags, hp=hp)
+        with pytest.raises(
+            DimensionMismatchError,
+            match=rf"^{side} structure has {size} rows but there are 12 {side}s$",
+        ):
+            check(zero_structure(size))
+        with pytest.raises(
+            DimensionMismatchError, match=rf"^neighbors has {size} rows but there are 12 {side}s$"
+        ):
+            check(zero_structure(12), neighbors=np.resize(neighbors, (size, 3)))
+        assert check(zero_structure(12), neighbors=neighbors).shape == (12,)
 
 
 class TestResidualFormCertificate:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from helpers import in_block
 from oracles import instance_by_image_loop, split_by_image_loop
 
 from tagcomplete.core import TaggingMatrix, ValidationError
@@ -104,24 +105,17 @@ class TestGenerate:
         b = generate(small_config())
         assert (a.truth.matrix != b.truth.matrix).nnz == 0
         np.testing.assert_array_equal(a.features.data, b.features.data)
-        np.testing.assert_array_equal(a.planted_U, b.planted_U)
-        np.testing.assert_array_equal(a.planted_V, b.planted_V)
+        np.testing.assert_array_equal(a.topics, b.topics)
 
     def test_different_seed_changes_instance(self):
         a = generate(small_config())
         b = generate(small_config(rng_seed=1))
         assert (a.truth.matrix != b.truth.matrix).nnz > 0
 
-    def test_planted_factors_describe_blocks(self):
-        inst = generate(small_config())
-        np.testing.assert_array_equal(inst.planted_U.sum(axis=1), 1.0)
-        prod = inst.planted_U @ inst.planted_V
-        assert set(np.unique(prod)) <= {0.0, 1.0}
-
     def test_zero_off_topic_tags_stay_in_block(self):
-        inst = generate(small_config(off_topic_prob=0.0))
-        prod = inst.planted_U @ inst.planted_V
-        outside = inst.truth.to_dense() * (1.0 - prod)
+        cfg = small_config(off_topic_prob=0.0)
+        inst = generate(cfg)
+        outside = inst.truth.to_dense() * (1.0 - in_block(cfg, inst.topics))
         assert outside.sum() == 0.0
 
     def test_full_block_coverage_equals_planted_product(self):
@@ -129,9 +123,7 @@ class TestGenerate:
             n_tags=20, n_topics=4, tags_per_image=5, off_topic_prob=0.0
         )
         inst = generate(cfg)
-        np.testing.assert_array_equal(
-            inst.truth.to_dense(), inst.planted_U @ inst.planted_V
-        )
+        np.testing.assert_array_equal(inst.truth.to_dense(), in_block(cfg, inst.topics))
 
     def test_off_topic_rate_roughly_matches(self):
         cfg = small_config(
@@ -139,8 +131,7 @@ class TestGenerate:
             off_topic_prob=0.2,
         )
         inst = generate(cfg)
-        prod = inst.planted_U @ inst.planted_V
-        outside = inst.truth.to_dense() * (1.0 - prod)
+        outside = inst.truth.to_dense() * (1.0 - in_block(cfg, inst.topics))
         rate = outside.sum() / (2000 * 5)
         assert 0.15 <= rate <= 0.25
 
@@ -184,7 +175,7 @@ class TestDeleteTags:
         inst = generate(cfg)
         split = delete_tags(inst.truth, 0.4, rng_seed=5)
         total_deleted = sum(len(d) for d in split.deleted)
-        rate = total_deleted / inst.truth.nnz
+        rate = total_deleted / inst.truth.matrix.nnz
         assert abs(rate - 0.4) <= 0.05 * 0.4 + 1e-9
 
     def test_deterministic(self):
@@ -264,9 +255,9 @@ class TestImageLoopOracles:
     def check(self, cfg):
         got = generate(cfg)
         want = instance_by_image_loop(cfg)
-        assert digest(
-            got.truth.matrix, got.features.data, got.planted_U, got.planted_V, got.topics
-        ) == digest(want[0].matrix, want[1].data, *want[2:])
+        assert digest(got.truth.matrix, got.features.data, got.topics) == digest(
+            want[0].matrix, want[1].data, want[2]
+        )
         args = (got.truth, cfg.delete_fraction, cfg.rng_seed + 1)
         assert split_outcome(lambda: package_split(*args)) == split_outcome(
             lambda: split_by_image_loop(*args)
