@@ -9,7 +9,9 @@ are the gram entries (the image features).  Only this module reads gram
 entries out of a pool.  Over a gram pool, a round's gradients are one
 sparse product of the live items' weights with the whole pool.  Over rows,
 the solver forms just the face grams and gradient A(A'x) - A'b it needs,
-and no neighborhood's whole gram.  The
+and no neighborhood's whole gram; it gathers the rows in slices of items
+that hold at most the pool's byte budget each, so a batch of any size
+gathers no more at once than the budget.  The
 solver is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006), an
 exact active-set method: on a fixed sign pattern the objective is a
 quadratic minimized by one Cholesky solve.  On a numerically singular pattern a LARS-style swap step
@@ -68,9 +70,12 @@ class LassoProblem:
 
 class RowPool(NamedTuple):
     """The rows of one design matrix, as the pool of a LassoBatch: the gram
-    entry of members i and j is vectors[i] . vectors[j]."""
+    entry of members i and j is vectors[i] . vectors[j].  Each gather of
+    rows out of it holds at most `budget` bytes, or one item's rows when
+    those alone are more (see _slices); with no budget, a gather is one."""
 
     vectors: np.ndarray
+    budget: int | None = None
 
 
 class LassoBatch(NamedTuple):
@@ -211,6 +216,7 @@ def solve_lasso(
             b, j = live[at], best[at]
             z = diag[b, j] * x[at, j] - grad[at, j]
             w[b, j] = np.sign(z) * np.maximum(np.abs(z) - 0.5 * lam, 0.0) / diag[b, j]
+        del x, grad, violation, theta  # the round's (items, k) arrays, before the next's
     failed = np.flatnonzero(failed_after >= 0)
     if failed.size:
         item = int(failed[0])
@@ -234,10 +240,24 @@ def _groups(counts):
 # The two pool kinds differ only in how pool_gram, _diagonal and _gradients
 # form gram entries and products.
 
+def _slices(pool, count: int, rows: int):
+    """Slices of `count` stacked items, each item gathering `rows` rows of a
+    RowPool, such that one slice's gather holds at most pool.budget bytes
+    (at least one item per slice); all items in one slice over a gram pool
+    or with no budget.  Each item's products are formed on its own rows, so
+    they do not depend on the slicing."""
+    step = count
+    if isinstance(pool, RowPool) and pool.budget is not None:
+        step = pool.budget // (8 * max(rows * pool.vectors.shape[1], 1))
+    step = max(step, 1)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def pool_gram(pool, left, right=None) -> np.ndarray:
     """(..., m, n) gram entries between the pool members left (..., m) and
     right (..., n), by default left itself: over a RowPool, one product of
-    one gather, which numpy forms exactly symmetric."""
+    one gather, which numpy forms exactly symmetric.  Callers that pose a
+    whole batch take its items in slices (see _slices)."""
     if isinstance(pool, RowPool):
         rows = pool.vectors[left]
         return rows @ (rows if right is None else pool.vectors[right]).swapaxes(-1, -2)
@@ -260,10 +280,11 @@ def _gradients(batch, live, x) -> np.ndarray:
     their pool members, times the pool, read at each item's index with one
     flat take.  Each item's sum runs over its active coordinates in order,
     so its arithmetic is that of its own.  Over a row pool it is A (A'x):
-    A'x sums the active rows, and one stacked product with each item's k
+    A'x sums the active rows, and a stacked product with each item's k
     rows of width d takes k d per item, with no gram formed.  There, items
     with one number of active coordinates are done together, for the same
-    reason.
+    reason, and both gathers, the active rows and the k neighbor rows, are
+    taken in slices of items within the pool's budget (see _slices).
     """
     grad = -batch.corr[live]
     if not isinstance(batch.pool, RowPool):
@@ -279,18 +300,21 @@ def _gradients(batch, live, x) -> np.ndarray:
             grad += (left @ batch.pool).take(members)
         return grad
     counts = (x != 0.0).sum(axis=1)
-    vectors = batch.pool.vectors
+    pool, vectors = batch.pool, batch.pool.vectors
     half = np.zeros((live.size, vectors.shape[1]))  # A'x
     for count, rows in _groups(counts):
         if count == 0:
             continue
-        items, xr = live[rows], x[rows]
-        active = np.nonzero(xr)[1].reshape(items.size, count)
-        xa = xr[np.arange(items.size)[:, None], active][:, None, :]
-        half[rows] = np.matmul(xa, vectors[batch.index[items[:, None], active]])[:, 0]
+        xr, rows = x[rows], np.arange(live.size)[rows]
+        active = np.nonzero(xr)[1].reshape(rows.size, count)
+        xa = xr[np.arange(rows.size)[:, None], active][:, None, :]
+        members = batch.index[live[rows, None], active]
+        for at in _slices(pool, rows.size, count):
+            half[rows[at]] = np.matmul(xa[at], vectors[members[at]])[:, 0]
     moving = np.flatnonzero(counts)
-    gathered = vectors[batch.index[live[moving]]]  # (moving items, k, d)
-    grad[moving] += np.matmul(gathered, half[moving, :, None])[:, :, 0]
+    for at in _slices(pool, moving.size, batch.index.shape[1]):
+        part = moving[at]  # gathers (items, k, d), freed with the statement
+        grad[part] += np.matmul(vectors[batch.index[live[part]]], half[part, :, None])[:, :, 0]
     return grad
 
 
@@ -301,37 +325,41 @@ def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
     theta[r] and joining coordinate joining[r] (-1 for none).  The target
     is the face minimizer, or on a singular face the swap step's first zero
     crossing.  Items with one face size share one stacked Cholesky
-    factorization, so each item's arithmetic is that of its own.  Writes the
-    moved items' weights into w and returns which rows moved; a row without
-    a target, or where no candidate point lowers the objective, keeps its
-    weights.
+    factorization, so each item's arithmetic is that of its own; over a row
+    pool they go in slices whose face rows fit the pool's budget (see
+    _slices), so that the face grams and every array formed from them stay
+    within it too.  Writes the moved items' weights into w and returns which
+    rows moved; a row without a target, or where no candidate point lowers
+    the objective, keeps its weights.
     """
     moved = np.zeros(live.size, dtype=bool)
-    for size, rows in _groups((theta != 0.0).sum(axis=1)):
-        rows = np.arange(live.size)[rows]
-        items = live[rows]
-        face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
-        fgram = pool_gram(batch.pool, batch.index[items[:, None], face])
-        fx = x[rows[:, None], face]
-        fcorr = batch.corr[items[:, None], face]
-        rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]
-        chol, found = _cholesky(fgram, pivot_floor[items])
-        if found.all():
-            target = _cholesky_solve(chol, rhs)
-        else:
-            target = np.zeros_like(fx)
-            target[found] = _cholesky_solve(chol[found], rhs[found])
-            for i in np.flatnonzero(~found & (joining[rows] >= 0)):
-                swap = _swap_target(fgram[i], face[i] == joining[rows[i]], fx[i],
-                                    theta[rows[i], joining[rows[i]]], pivot_floor[items[i]])
-                if swap is not None:
-                    target[i], found[i] = swap, True
-            rows, items, face, fgram, fcorr, fx, target = (
-                a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
-            )
-        points, lower = _line_search(fgram, fcorr, batch.l1_weight, fx, target)
-        moved[rows] = lower
-        w[items[lower, None], face[lower]] = points[lower]
+    for size, group in _groups((theta != 0.0).sum(axis=1)):
+        group = np.arange(live.size)[group]
+        for part in _slices(batch.pool, group.size, size):
+            rows = group[part]
+            items = live[rows]
+            face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
+            fgram = pool_gram(batch.pool, batch.index[items[:, None], face])
+            fx = x[rows[:, None], face]
+            fcorr = batch.corr[items[:, None], face]
+            rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]
+            chol, found = _cholesky(fgram, pivot_floor[items])
+            if found.all():
+                target = _cholesky_solve(chol, rhs)
+            else:
+                target = np.zeros_like(fx)
+                target[found] = _cholesky_solve(chol[found], rhs[found])
+                for i in np.flatnonzero(~found & (joining[rows] >= 0)):
+                    swap = _swap_target(fgram[i], face[i] == joining[rows[i]], fx[i],
+                                        theta[rows[i], joining[rows[i]]], pivot_floor[items[i]])
+                    if swap is not None:
+                        target[i], found[i] = swap, True
+                rows, items, face, fgram, fcorr, fx, target = (
+                    a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
+                )
+            points, lower = _line_search(fgram, fcorr, batch.l1_weight, fx, target)
+            moved[rows] = lower
+            w[items[lower, None], face[lower]] = points[lower]
     return moved
 
 

@@ -26,25 +26,51 @@ from .core import (
     check_structure_sizes,
     normalize_rows,
 )
-from .lasso import LassoBatch, LassoConvergenceError, RowPool, _violations, pool_gram, solve_lasso
+from .lasso import (
+    LassoBatch,
+    LassoConvergenceError,
+    RowPool,
+    _slices,
+    _violations,
+    pool_gram,
+    solve_lasso,
+)
 
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
 
-# Bytes of neighbor rows that one lockstep batch of the image structure build
-# gathers in a round.  A chunk holds _batch_size(W, d) items, each solved on
-# its W = min(k, d) nearest neighbors of width d; the full-k check after it
-# gathers the k - W far rows in slices of at most this size.  The items of
-# all chunks that must be solved again at full k go, after the last chunk,
-# in batches of _batch_size(k, d).  The tag build reads its grams out of
+# Bytes that the image structure build holds at once in one kind of array.
+# A lockstep batch holds at most _batch_size(k) items, so that each of its
+# (items, k) arrays fits the budget: one batch for all the images of each
+# benchmark instance, and batches of 1,310 at Corel's shape at k = 200.
+# Each gather of neighbor rows (a round's active, neighbor and face rows,
+# the correlations, the far check's rows) takes the batch's items in slices
+# within half the budget, so that a round's (items, k) arrays and one
+# gather stay within 1.5 times it.  The tag build reads its grams out of
 # D'D, in one solve at full k.
 _ROW_BUDGET = 2 << 20
 
 
-def _batch_size(rows: int, dim: int) -> int:
-    """How many groups of `rows` rows of width `dim` fit in _ROW_BUDGET, at
-    least 1: the items of a batch of lassos on `rows` neighbors, or the far
-    neighbors per slice of a chunk of `rows` items."""
-    return max(1, _ROW_BUDGET // (8 * rows * max(dim, 1)))
+def _batch_size(k: int) -> int:
+    """How many items, at least 1, a lockstep batch on k neighbors holds:
+    their (items, k) arrays of 8-byte entries fit _ROW_BUDGET."""
+    return max(1, _ROW_BUDGET // (8 * k))
+
+
+def _check_neighbors(neighbors, size: int, side: str) -> None:
+    """DimensionMismatchError unless the neighbor lists hold one row per
+    item, a `side` ("image" or "tag"), and ValidationError naming the first
+    item with an entry outside [0, size) and that entry."""
+    if len(neighbors) != size:
+        raise DimensionMismatchError(
+            f"neighbors has {len(neighbors)} rows but there are {size} {side}s"
+        )
+    outside = (neighbors < 0) | (neighbors >= size)
+    if outside.any():
+        item = int(np.flatnonzero(outside.any(axis=1))[0])
+        raise ValidationError(
+            f"neighbors of {side} {item} include {neighbors[item][outside[item]][0]}, "
+            f"outside 0..{size - 1}"
+        )
 
 
 def _check_population(n: int, k: int) -> None:
@@ -140,24 +166,24 @@ def _reconstruction_matrix(vectors, neighbors, l1_weight, tol) -> sp.csr_matrix:
     """Row i holds the weights of the lasso that rebuilds vectors[i] from its
     k neighbors, KKT-certified within tol over all k.
 
-    `neighbors` is (items, k).  Items are solved in lockstep chunks of
-    _batch_size(W, d) on their nearest W = min(k, d) neighbors (all k when
-    d = 0).  After the last chunk, the far violators of every chunk are
-    solved again at full k in batches of _batch_size(k, d).  Each solve
-    keeps only its nonzero triples, and the CSR matrix is formed from them
-    once, after the last.
+    `neighbors` is (items, k).  Items are solved in lockstep batches of
+    _batch_size(k) on their nearest W = min(k, d) neighbors (all k when
+    d = 0), each batch then checked at its k - W far neighbors.  After the
+    last, the far violators of every batch are solved again at full k, in
+    ascending order and batches of the same size.  Every gather of rows
+    takes slices within half of _ROW_BUDGET, the RowPool's budget.  Each
+    solve keeps only its nonzero triples, and the CSR matrix is formed from
+    them once, after the last.
     """
     size, k = neighbors.shape
-    dim = vectors.shape[1]
-    width = min(k, dim) or k
-    chunk = _batch_size(width, dim)
-    pool, again, parts = RowPool(vectors), np.zeros(size, dtype=bool), []
-    for start in range(0, size, chunk):
-        items = np.arange(start, min(start + chunk, size))
-        parts.append(_chunk_entries(pool, neighbors[start:start + chunk], items,
+    width = min(k, vectors.shape[1]) or k
+    step = _batch_size(k)
+    pool, again, parts = RowPool(vectors, _ROW_BUDGET // 2), np.zeros(size, dtype=bool), []
+    for start in range(0, size, step):
+        items = np.arange(start, min(start + step, size))
+        parts.append(_near_entries(pool, neighbors[start:start + step], items,
                                    width, l1_weight, tol, again))
     redo = np.flatnonzero(again)
-    step = _batch_size(k, dim)
     for start in range(0, redo.size, step):
         items = redo[start:start + step]
         parts.append(_entries(_solve(pool, neighbors[items], items, l1_weight, tol),
@@ -166,13 +192,13 @@ def _reconstruction_matrix(vectors, neighbors, l1_weight, tol) -> sp.csr_matrix:
     return sp.csr_matrix((data, (np.repeat(items, counts), cols)), shape=(size, size))
 
 
-def _chunk_entries(pool, nb, items, width, l1_weight, tol, again):
+def _near_entries(pool, nb, items, width, l1_weight, tol, again):
     """_entries of `items` solved on their nearest `width` neighbors in nb,
-    the chunk's arrays dropped on return.  When width < k, the items with a
+    the batch's arrays dropped on return.  When width < k, the items with a
     far KKT violation above tol are marked in `again` and keep no entries."""
     weights = _solve(pool, nb[:, :width], items, l1_weight, tol)
     if width < nb.shape[1]:
-        again[items] = far = _far_violations(pool.vectors, items, nb, weights, l1_weight) > tol
+        again[items] = far = _far_violations(pool, items, nb, weights, l1_weight) > tol
         weights[far] = 0.0
     return _entries(weights, nb[:, :width], items)
 
@@ -189,11 +215,13 @@ def _solve(pool, nb, items, l1_weight, tol) -> np.ndarray:
     neighbor lists nb, as one LassoBatch with the gram entries between each
     item's neighbors and itself as correlations.  An item whose rounds run
     out is re-raised as a LassoConvergenceError whose `item` counts over the
-    whole build."""
+    whole build.  Over rows, the correlations are formed in slices of items
+    within the pool's budget (see lasso._slices)."""
+    corr = np.empty(nb.shape)
+    for at in _slices(pool, items.size, nb.shape[1] + 1):
+        corr[at] = pool_gram(pool, nb[at], items[at, None])[:, :, 0]
     try:
-        return solve_lasso(LassoBatch(
-            pool, nb, pool_gram(pool, nb, items[:, None])[:, :, 0], l1_weight
-        ), tol).weights
+        return solve_lasso(LassoBatch(pool, nb, corr, l1_weight), tol).weights
     except LassoConvergenceError as exc:
         item = int(items[exc.item])
         raise LassoConvergenceError(
@@ -204,22 +232,22 @@ def _solve(pool, nb, items, l1_weight, tol) -> np.ndarray:
         ) from exc
 
 
-def _far_violations(vectors, items, nb, near, l1_weight) -> np.ndarray:
+def _far_violations(pool, items, nb, near, l1_weight) -> np.ndarray:
     """Per item, the largest KKT violation at its neighbors past the
     near.shape[1] nearest, where its weights are zero.
 
     Item i's weights `near` on its nearest rows A give the residual
     r = A'w - vectors[i], and each far row a its gradient a.r and violation
-    |2 a.r| - l1_weight.  The far rows are gathered in slices of at most
-    _ROW_BUDGET bytes.
+    |2 a.r| - l1_weight.  The items are taken in slices within the pool's
+    budget for their k neighbor rows (see lasso._slices), the near rows
+    gathered and freed before the far ones.
     """
-    width = near.shape[1]
-    resid = np.matmul(near[:, None, :], vectors[nb[:, :width]])[:, 0] - vectors[items]
-    worst = np.full(items.size, -np.inf)
-    step = _batch_size(items.size, vectors.shape[1])
-    for lo in range(width, nb.shape[1], step):
-        grad = np.matmul(vectors[nb[:, lo:lo + step]], resid[:, :, None])[:, :, 0]
-        worst = np.maximum(worst, np.abs(2.0 * grad).max(axis=1) - l1_weight)
+    vectors, width = pool.vectors, near.shape[1]
+    worst = np.empty(items.size)
+    for at in _slices(pool, items.size, nb.shape[1]):
+        resid = np.matmul(near[at, None, :], vectors[nb[at, :width]])[:, 0] - vectors[items[at]]
+        grad = np.matmul(vectors[nb[at, width:]], resid[:, :, None])[:, :, 0]
+        worst[at] = np.abs(2.0 * grad).max(axis=1) - l1_weight
     return worst
 
 
@@ -255,20 +283,25 @@ def build_feature_structure(
     image n's feature row from its hp.knn_k nearest neighbors; all other
     entries, including the diagonal, are structurally zero.  `neighbors`,
     when given, must be knn_index(combined_feature_rows(features, tags),
-    hp.knn_k); by default it is computed here.
+    hp.knn_k); by default it is computed here.  Passed-in lists without one
+    row per image raise DimensionMismatchError, and an entry outside the
+    image indices ValidationError naming its image.
 
     Rows of width d have rank at most d, so each lasso is first solved on
     the nearest W = min(k, d) neighbors (all k when d = 0), and solved
     again at full k only when a farther neighbor violates its KKT
     conditions.  Every row's solution is KKT-certified over all k neighbors.
-    Deterministic for fixed inputs.  The build solves every chunk on its
-    near neighbors first, then the full-k re-solves in ascending item
-    order; a LassoConvergenceError names the first failing item in that
-    order.
+    Deterministic for fixed inputs.  The build solves every image on its
+    near neighbors first, in one lockstep batch unless the (images, k)
+    entries outgrow _ROW_BUDGET, then the full-k re-solves in ascending
+    item order; a LassoConvergenceError names the first failing item in
+    that order.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
         neighbors = knn_index(vectors, hp.knn_k)
+    else:
+        _check_neighbors(neighbors, vectors.shape[0], "image")
     return StructureMatrix(_reconstruction_matrix(vectors, neighbors, hp.alpha, hp.lasso_tol))
 
 
@@ -316,12 +349,15 @@ def build_tag_structure(
     in one lockstep batch with G as its pool; T is formed from its nonzero
     weights with each tag's neighbors as the rows.  `neighbors`, when
     given, must be tag_neighbors(D, hp.knn_k); by default they are read
-    from G here.  Tags that no image carries get a warning and, since their
+    from G here, and passed-in lists are checked as build_feature_structure
+    checks them.  Tags that no image carries get a warning and, since their
     lasso target is zero, an all-zero column.
     """
     G = _tag_gram(D)
     if neighbors is None:
         neighbors = _tag_neighbors(G, hp.knn_k)
+    else:
+        _check_neighbors(neighbors, G.shape[0], "tag")
     empty = np.diagonal(G) == 0.0
     if empty.any():
         warnings.warn(
@@ -359,7 +395,8 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
     """Recomputed KKT residual per item, whose lasso rebuilds vectors[i] from
     vectors[neighbors[i]] with the weights in row i of `weights`, a canonical
     CSR matrix that stores no zeros.  DimensionMismatchError unless weights
-    and neighbors hold one row per item, a `side` ("image" or "tag").
+    and neighbors hold one row per item, a `side` ("image" or "tag"), and
+    ValidationError on a neighbor entry outside the items (_check_neighbors).
 
     The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
     block of _BLOCK items, a sparse product of its slice of rows gives their
@@ -368,9 +405,11 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
     outside the neighborhood: fewer weights are read than the row stores.
     """
     size = vectors.shape[0]
-    for name, rows in ((f"{side} structure", weights.shape[0]), ("neighbors", len(neighbors))):
-        if rows != size:
-            raise DimensionMismatchError(f"{name} has {rows} rows but there are {size} {side}s")
+    if weights.shape[0] != size:
+        raise DimensionMismatchError(
+            f"{side} structure has {weights.shape[0]} rows but there are {size} {side}s"
+        )
+    _check_neighbors(neighbors, size, side)
     stored = np.diff(weights.indptr)
     residuals = np.empty(size)
     for start in range(0, size, _BLOCK):
@@ -400,7 +439,8 @@ def feature_structure_kkt(
     are rebuilt unless `neighbors` passes the build's own, as
     build_feature_structure takes them; then the check covers the weights
     but not the neighbor search.  DimensionMismatchError unless the
-    structure and the neighbor lists have one row per image.
+    structure and the neighbor lists have one row per image, and
+    ValidationError on a neighbor entry that is not an image index.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
@@ -424,7 +464,8 @@ def tag_structure_kkt(
     as rows with T's columns as the rows of the weights, so the certificate
     does not rest on G's grams.  An all-zero tag column with zero weights is
     its lasso's exact answer and reports residual 0.  DimensionMismatchError
-    unless the structure and the neighbor lists have one row per tag.
+    unless the structure and the neighbor lists have one row per tag, and
+    ValidationError on a neighbor entry that is not a tag index.
     """
     if neighbors is None:
         neighbors = tag_neighbors(D, hp.knn_k)

@@ -500,6 +500,50 @@ class TestRecertification:
             check(zero_structure(12), neighbors=np.resize(neighbors, (size, 3)))
         assert check(zero_structure(12), neighbors=neighbors).shape == (12,)
 
+    @staticmethod
+    def sides(side):
+        """The builder and the certificate of one side on 12 items, and
+        their knn_k = 3 neighbor lists."""
+        rng = np.random.default_rng(21)
+        hp = Hyperparams(knn_k=3)
+        if side == "image":
+            features = FeatureMatrix(rng.normal(size=(12, 5)))
+            S = build_feature_structure(features, hp)
+            neighbors = knn_index(combined_feature_rows(features, None), 3)
+            return (functools.partial(build_feature_structure, features, hp),
+                    functools.partial(feature_structure_kkt, features, S, hp), neighbors)
+        tags = TaggingMatrix.from_dense((rng.random((20, 12)) < 0.4).astype(float))
+        T = build_tag_structure(tags, hp)
+        return (functools.partial(build_tag_structure, tags, hp),
+                functools.partial(tag_structure_kkt, tags, T, hp), structure.tag_neighbors(tags, 3))
+
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("size", [5, 13])
+    def test_builders_check_the_row_count(self, side, size):
+        # the builders check passed-in lists as the certificates do, rather
+        # than failing inside scipy or with a bare IndexError
+        build, _, neighbors = self.sides(side)
+        with pytest.raises(
+            DimensionMismatchError, match=rf"^neighbors has {size} rows but there are 12 {side}s$"
+        ):
+            build(neighbors=np.resize(neighbors, (size, 3)))
+        assert build(neighbors=neighbors).matrix.shape == (12, 12)
+
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("use", ["build", "certificate"])
+    @pytest.mark.parametrize("item, entry", [(0, -1), (3, 12), (11, -13), (7, 2**40)])
+    def test_entries_outside_the_items_are_refused(self, side, use, item, entry):
+        # -1 would wrap to the last item, and 12 or more index past it; the
+        # error names the item and the entry
+        build, certify, neighbors = self.sides(side)
+        neighbors = neighbors.copy()
+        neighbors[item, 1] = entry
+        neighbors[item + 1:, 2] = -5  # later items are not named
+        with pytest.raises(
+            ValidationError, match=rf"^neighbors of {side} {item} include {entry}, outside 0\.\.11$"
+        ):
+            (build if use == "build" else certify)(neighbors=neighbors)
+
 
 class TestResidualFormCertificate:
     """The certificate's gradient A (A'w - b) against kkt_residual of the
@@ -653,14 +697,30 @@ def near_width(k, width):
     return min(k, width) or k
 
 
-def chunk_size(k, width):
-    return max(1, structure._ROW_BUDGET // (8 * near_width(k, width) * max(width, 1)))
+def batch_cap(k):
+    """Items per lockstep batch of the image builder on k neighbors: their
+    (items, k) entries of 8 bytes fit the row budget."""
+    return max(1, structure._ROW_BUDGET // (8 * k))
 
 
-def set_chunk(monkeypatch, per_chunk, k, width):
-    """Lower the row budget so that image chunks hold per_chunk items."""
-    monkeypatch.setattr(structure, "_ROW_BUDGET", per_chunk * 8 * near_width(k, width) * width)
-    assert chunk_size(k, width) == per_chunk
+def slice_items(rows, width):
+    """Items per gather of `rows` neighbor rows of width `width` each: one
+    slice holds at most half the row budget."""
+    return max(1, structure._ROW_BUDGET // 2 // (8 * rows * max(width, 1)))
+
+
+def set_slices(monkeypatch, per_slice, rows, width):
+    """Set the row budget so that a gather of `rows` rows of width `width`
+    per item holds per_slice items."""
+    monkeypatch.setattr(structure, "_ROW_BUDGET", per_slice * 2 * 8 * rows * width)
+    assert slice_items(rows, width) == per_slice
+
+
+def set_cap(monkeypatch, per_batch, k):
+    """Set the row budget so that a lockstep batch on k neighbors holds
+    per_batch items."""
+    monkeypatch.setattr(structure, "_ROW_BUDGET", per_batch * 8 * k)
+    assert batch_cap(k) == per_batch
 
 
 def csr_bytes(matrix):
@@ -683,24 +743,28 @@ def assert_rounding_equal(S, want, features, hp):
 
 
 class TestLockstepChunks:
-    # The image builder solves the lassos of one chunk of items in lockstep
-    # over the pooled feature rows, each on its nearest W = min(k, width)
-    # neighbors, checks KKT at the k - W far ones, and solves again at full k
-    # the items that violate it there.  No round or check gathers more than
-    # structure._ROW_BUDGET bytes of neighbor rows.  Its structure is bitwise
-    # the same at every chunk width, and equal to the explicit-gram item loop
-    # up to rounding.  The tag builder solves every tag in one batch over
-    # D'D at full k, bitwise equal to the item loop.
-    def assert_widths_agree(self, monkeypatch, features, hp, widths):
-        """The image structure is bitwise equal at the default chunk width and
-        at each of `widths`, and rounding-equal to the item loop; returns it."""
+    # The image builder solves the lassos of all its items in one lockstep
+    # batch over the pooled feature rows, each on its nearest W = min(k,
+    # width) neighbors, checks KKT at the k - W far ones, and solves again
+    # at full k, in one more batch, the items that violate it there.  A
+    # batch holds at most structure._ROW_BUDGET bytes of (items, k) entries,
+    # so more items make more batches of that size.  Every gather of
+    # neighbor rows (the rounds' active, neighbor and face rows, the
+    # correlations, the far check) takes the batch's items in slices of at
+    # most half the budget.  Its structure is bitwise the same at every
+    # budget, and equal to the explicit-gram item loop up to rounding.  The
+    # tag builder solves every tag in one batch over D'D at full k, bitwise
+    # equal to the item loop.
+    def assert_budgets_agree(self, monkeypatch, features, hp, budgets):
+        """The image structure is bitwise equal at the default row budget and
+        at each that the setters `budgets` set, and rounding-equal to the
+        item loop; returns it."""
         S = build_feature_structure(features, hp)
-        vectors = combined_feature_rows(features, None)
-        k = min(hp.knn_k, vectors.shape[0] - 1)
-        for per_chunk in widths:
+        for set_budget in budgets:
             with monkeypatch.context() as patch:
-                set_chunk(patch, per_chunk, k, vectors.shape[1])
+                set_budget(patch)
                 assert csr_bytes(build_feature_structure(features, hp).matrix) == csr_bytes(S.matrix)
+        vectors = combined_feature_rows(features, None)
         want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
         assert not failed
         assert_rounding_equal(S, want, features, hp)
@@ -712,51 +776,70 @@ class TestLockstepChunks:
         assert not failed and np.array_equal(T, want_T.T)
 
     def test_item_counts_not_a_multiple_of_the_chunk(self, monkeypatch):
-        # k = 50 rows of width 120 give chunks of 43: 151 images are three
-        # chunks and a final 22, or 50 chunks of 3 and a final 1; the 130
-        # tags run in one batch
+        # k = 50 rows of width 120 give gathers of 21 items: 151 images are
+        # one batch gathered in seven slices and a final 4, or in 50 slices
+        # of 3 and a final 1, or batches of 40 (three and a final 31); the
+        # 130 tags run in one batch
         features, D = random_instance(61, n_images=151, n_tags=130, dim=120)
-        assert chunk_size(50, 120) == 43
+        assert slice_items(50, 120) == 21 and batch_cap(50) >= 151
         hp = Hyperparams(knn_k=50, alpha=0.1, mu=0.1)
-        S = self.assert_widths_agree(monkeypatch, features, hp, [3])
+        S = self.assert_budgets_agree(monkeypatch, features, hp, [
+            functools.partial(set_slices, per_slice=3, rows=50, width=120),
+            functools.partial(set_cap, per_batch=40, k=50),
+        ])
         assert S.matrix.nnz > 151
         self.assert_tags_match_item_loop(D, hp)
 
     def test_one_item_per_chunk(self, monkeypatch):
         # one item's 20 neighbor rows of width 7,000 fill more than half the
-        # budget; the rows lie near a plane, so neighbors carry weight
-        assert chunk_size(20, 7000) == 1 and chunk_size(20, 6553) == 2
+        # budget, so each gather holds one item; the rows lie near a plane,
+        # so neighbors carry weight
+        assert slice_items(20, 7000) == 1 and slice_items(20, 3276) == 2
         rng = np.random.default_rng(62)
         X = rng.normal(size=(24, 2)) @ rng.normal(size=(2, 7000))
         features = FeatureMatrix(X + 0.1 * rng.normal(size=X.shape))
         hp = Hyperparams(knn_k=20, alpha=0.1)
-        S = self.assert_widths_agree(monkeypatch, features, hp, [3])
+        S = self.assert_budgets_agree(monkeypatch, features, hp, [
+            functools.partial(set_slices, per_slice=3, rows=20, width=7000),
+        ])
         assert S.matrix.nnz > 24
 
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    def test_small_budgets(self, monkeypatch, per_chunk):
-        # 11 images in one default chunk, or in chunks of per_chunk
+    @pytest.mark.parametrize("per_slice", [1, 3])
+    def test_small_budgets(self, monkeypatch, per_slice):
+        # 11 images in one default batch and gather, or in gathers of
+        # per_slice items of their 4 near rows: then batches hold 5 items
+        # (two and a final 1), or 16
         features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
         hp = Hyperparams(knn_k=6, alpha=0.1, mu=0.1)
-        assert chunk_size(6, 4) >= 11
-        self.assert_widths_agree(monkeypatch, features, hp, [per_chunk])
+        assert batch_cap(6) >= 11 and slice_items(6, 4) >= 11
+        self.assert_budgets_agree(monkeypatch, features, hp, [
+            functools.partial(set_slices, per_slice=per_slice, rows=4, width=4),
+        ])
         self.assert_tags_match_item_loop(D, hp)
 
     @pytest.mark.parametrize(
         "n_items, k, dim", [(366, 363, 2), (250, 50, 8), (300, 60, 40), (250, 50, 120)]
     )
     def test_batches_hold_each_items_products(self, monkeypatch, n_items, k, dim):
-        # W = 2, 8, 40 and 50: one chunk of 366 and one of 250, and the
-        # re-solves at full k in batches of 361 and 655, the last holding the
-        # rest; chunks of 163 and 137, and re-solves in batches of 109, one
-        # of which holds items of both chunks; and at W = k, chunks of 43
-        # whose last holds 35, and no re-solves.  Every item's gram entries,
+        # W = 2, 8, 40 and 50.  At the default budget, one batch of 366;
+        # batches of 100 (two and a final 50) and of 137 (two and a final
+        # 26); in all three every item has a far violation and is solved
+        # again in batches of the same size.  At W = k one batch of 250 in
+        # gathers of 7, and no re-solves.  Every item's gram entries,
         # correlations and gradient, formed over the pooled rows, are its own
         # A A', A b and A A' x - A b up to rounding, and its gradient is
-        # bitwise that of its batch of one.  The solves here return zero
-        # weights, so an item is solved again at full k exactly when
-        # 2 |a . b| > alpha + tol for one of its far rows a, and every such
-        # item is, once, in ascending order, after the last chunk.
+        # bitwise that of its batch of one and that of its batch gathered
+        # whole.  The solves here return zero weights, so an item is solved
+        # again at full k exactly when 2 |a . b| > alpha + tol for one of its
+        # far rows a, and every such item is, once, in ascending order,
+        # after the last near batch.
+        setters = {
+            8: functools.partial(set_cap, per_batch=100, k=k),
+            40: functools.partial(set_cap, per_batch=137, k=k),
+            120: functools.partial(set_slices, per_slice=7, rows=k, width=dim),
+        }
+        if dim in setters:
+            setters[dim](monkeypatch)
         features = FeatureMatrix(np.random.default_rng(64).normal(size=(n_items, dim)))
         vectors = combined_feature_rows(features, None)
         neighbors = knn_index(vectors, k)
@@ -765,20 +848,21 @@ class TestLockstepChunks:
         x[:, ::3] = 0.0
         far = np.einsum("ijd,id->ij", vectors[neighbors[:, near:]], vectors)
         redo = np.flatnonzero(2.0 * np.abs(far).max(axis=1, initial=-np.inf) - hp.alpha > hp.lasso_tol)
-        full = max(1, structure._ROW_BUDGET // (8 * k * dim))
+        cap = batch_cap(k)
         done, resolved = 0, 0
 
         def items_of(batch):
-            """The items a batch solves: the next chunk, or once every chunk
-            is solved, the next full-k batch of the far violators."""
+            """The items a batch solves: the next near batch, or once every
+            item is solved on its near rows, the next full-k batch of the far
+            violators."""
             nonlocal done, resolved
             n, width = batch.index.shape
             if width == near:
-                assert resolved == 0 and n == min(chunk_size(k, dim), n_items - done)
+                assert resolved == 0 and n == min(cap, n_items - done)
                 done += n
                 return np.arange(done - n, done)
             assert width == k > near and done == n_items
-            assert n == min(full, redo.size - resolved) and n <= chunk_size(k, dim)
+            assert n == min(cap, redo.size - resolved)
             resolved += n
             return redo[resolved - n:resolved]
 
@@ -786,11 +870,14 @@ class TestLockstepChunks:
             items = items_of(batch)
             n, width = batch.index.shape
             assert np.array_equal(batch.pool.vectors, vectors)
+            assert batch.pool.budget == structure._ROW_BUDGET // 2
             assert np.array_equal(batch.index, neighbors[items, :width])
             # one neighbor list per item indexes both sides of its gram
             assert batch._fields == ("pool", "index", "corr", "l1_weight")
             diagonal = lasso._diagonal(batch)
             grad = lasso._gradients(batch, np.arange(n), x[items, :width])
+            whole = batch._replace(pool=lasso.RowPool(vectors))
+            assert lasso._gradients(whole, np.arange(n), x[items, :width]).tobytes() == grad.tobytes()
             for b, i in enumerate(items):
                 rows = vectors[neighbors[i, :width]]
                 gram = rows @ rows.T
@@ -819,8 +906,8 @@ class TestLockstepChunks:
         # rows, at the width its build used: W, or k when it was solved
         # again; and every column of T is bitwise its tag's own lasso over
         # D'D.  The first instance has 45 items solved again at W = 4 < k
-        # = 30; the second has W = k = 50 over rows of width 120, in 4
-        # chunks, and no far check
+        # = 30; the second has W = k = 50 over rows of width 120, in one
+        # batch, and no far check
         if instance == "re-solves":
             features, D = self.clustered_rows(70, 90, 4, 0.2), None
             hp = Hyperparams(knn_k=30, alpha=0.5)
@@ -863,22 +950,25 @@ class TestLockstepChunks:
                 assert T[:, m].tobytes() == want.tobytes(), m
 
     def test_rounds_gather_within_the_budget(self, monkeypatch):
-        # chunks of 16 items gather 16 x 6 neighbor rows of width 2,000
-        # (1.5 MB) per round; the 40 items in one batch would gather 3.8 MB
+        # 40 items in one batch would gather 40 x 6 neighbor rows of width
+        # 2,000 (3.8 MB) per round; in slices of 8 items, 0.77 MB
         self.assert_gathers_within_budget(monkeypatch, 40, 6, 2000)
 
     def test_far_checks_and_full_k_solves_gather_within_the_budget(self, monkeypatch):
-        # at k = 50 and width 20, chunks of 16 gather 16 x 20 near rows, the
-        # full-k check the 30 far rows in slices of 20, and the items solved
-        # again at full k go in batches of 6, each within the budget
+        # at k = 50 and width 20, the one near batch gathers its 20 near rows
+        # per item in slices of 20 items, and the far check and the full-k
+        # batch their 50 rows per item in slices of 8, each within the budget
         self.assert_gathers_within_budget(monkeypatch, 60, 50, 20)
 
     @staticmethod
     def assert_gathers_within_budget(monkeypatch, n_items, k, dim):
-        """No round, correlation, face gram or far check of an image build in
-        chunks of 16 allocates more than 1.5 times the row budget."""
-        set_chunk(monkeypatch, 16, k, dim)
+        """No round, correlation, face gram or far check of an image build
+        whose gathers of k rows per item hold 8 items allocates more than 1.5
+        times the row budget, although its one near batch holds every item
+        and gathering them whole would take more."""
+        set_slices(monkeypatch, 8, k, dim)
         budget = structure._ROW_BUDGET
+        assert batch_cap(k) >= n_items and 8 * n_items * k * dim > 1.5 * budget
         features = FeatureMatrix(np.random.default_rng(65).normal(size=(n_items, dim)))
         peaks = {}
 
@@ -893,7 +983,7 @@ class TestLockstepChunks:
             return run
 
         # each round's gradient, each face gram, each batch's correlations,
-        # and each chunk's full-k check
+        # and the near batch's full-k check
         monkeypatch.setattr(lasso, "_gradients", traced(lasso._gradients))
         monkeypatch.setattr(lasso, "pool_gram", traced(lasso.pool_gram))
         monkeypatch.setattr(structure, "pool_gram", traced(structure.pool_gram))
@@ -904,37 +994,43 @@ class TestLockstepChunks:
         finally:
             tracemalloc.stop()
         assert S.matrix.nnz > 0 and len(peaks["_gradients"]) > 3
-        # the far rows are checked only past W = min(k, width)
-        assert len(peaks.get("_far_violations", [])) == (len(range(0, n_items, 16)) if dim < k else 0)
+        # the far rows are checked only past W = min(k, width), once
+        assert len(peaks.get("_far_violations", [])) == (1 if dim < k else 0)
         # the gathered rows, plus the round's (items, width) and (items, k) arrays
         assert max(max(p) for p in peaks.values()) <= 1.5 * budget
 
     def test_peak_grows_with_the_budget_alone(self, monkeypatch):
-        # widening the chunks from 2 to 64 items adds at most the wider
-        # chunks' budget of gathered rows, and their (items, k) arrays, to
-        # the peak of the whole build
+        # widening the gathers from 2 to 64 items adds at most the wider
+        # gathers' rows to the peak of the whole build, whose one batch holds
+        # all 128 items either way; in gathers of 2, the build's peak stays
+        # below the rows of the whole batch
         features = FeatureMatrix(np.random.default_rng(66).normal(size=(128, 64)))
         hp = Hyperparams(knn_k=20, alpha=0.05)
         peaks = {}
-        for per_chunk in (2, 64):
-            set_chunk(monkeypatch, per_chunk, 20, 64)
+        for per_slice in (2, 64):
+            set_slices(monkeypatch, per_slice, 20, 64)
+            assert batch_cap(20) >= 128
             tracemalloc.start()
             try:
                 build_feature_structure(features, hp)
-                peaks[per_chunk] = tracemalloc.get_traced_memory()[1]
+                peaks[per_slice] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[64] - peaks[2] <= 1.5 * 62 * 8 * 20 * 64
+        assert peaks[2] < 128 * 8 * 20 * 64
 
     def test_build_holds_one_batch_at_a_time(self, monkeypatch):
         # each batch's arrays are freed when its solve returns, before the
-        # next is formed; the pooled rows are shared by all of them.  Rows of
-        # width 4 put 14 images in chunks of 4, 4, 4 and 2 on their nearest
-        # 4 of 6 neighbors; after the last chunk, the items of every chunk
-        # with a far violation are solved again at full k, once each and in
-        # ascending order, in batches of 2 (the budget's 512 bytes over 6
-        # rows of width 4)
-        set_chunk(monkeypatch, 4, 6, 4)
+        # next is formed; the pooled rows are shared by all of them.  With
+        # batches capped at 4 items, 14 images on their nearest 4 of 6
+        # neighbors (rows of width 4) go in batches of 4, 4, 4 and 2; after
+        # the last, the items of every batch with a far violation are solved
+        # again at full k, once each and in ascending order, in batches of 4.
+        # The budget of 192 bytes gathers one item's rows at a time, so each
+        # batch forms its correlations item by item, each freed before the
+        # next
+        set_cap(monkeypatch, 4, 6)
+        assert slice_items(5, 4) == slice_items(7, 4) == 1
         formed, widths, again = [], [], []
         pool_gram, solve_lasso, solve = structure.pool_gram, structure.solve_lasso, structure._solve
 
@@ -960,9 +1056,9 @@ class TestLockstepChunks:
         features, _ = random_instance(67, n_images=14, n_tags=3, dim=4)
         hp = Hyperparams(knn_k=6, alpha=0.1)
         S = build_feature_structure(features, hp)
-        assert len(formed) == 2 * len(widths) and all(ref() is None for ref in formed)
+        assert len(formed) == sum(n + 1 for n, _ in widths) and all(ref() is None for ref in formed)
         assert widths[:4] == [(4, 4), (4, 4), (4, 4), (2, 4)]
-        assert all(n == 2 for n, _ in widths[4:-1]) and widths[-1][0] in (1, 2)
+        assert all(n == 4 for n, _ in widths[4:-1]) and widths[-1][0] in (1, 2, 3, 4)
         assert {width for _, width in widths[4:]} == {6}
         # every item with weight past its nearest 4 neighbors is among those
         # solved again
@@ -971,8 +1067,35 @@ class TestLockstepChunks:
         neighbors = knn_index(vectors, hp.knn_k)
         past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
         assert not failed and past.size and again == sorted(set(again)) and set(past) <= set(again)
-        assert sum(n for n, _ in widths[4:]) == len(again)
+        assert sum(n for n, _ in widths[4:]) == len(again) > 4
         assert S.matrix.nnz > 0
+
+    @pytest.mark.parametrize("per_batch", [None, 90, 31, 7, 1])
+    def test_near_and_full_k_solves_per_build(self, monkeypatch, per_batch):
+        # 90 items at k = 30 and W = 4 make ceil(90 / cap) near solves and,
+        # for their 45 far violators, ceil(45 / cap) full-k solves, at most
+        # as many; at the default budget, one of each.  The default cap is
+        # 5,242 items at k = 50 and 1,310 at k = 200
+        assert batch_cap(50) == 5242 and batch_cap(200) == 1310
+        if per_batch is not None:
+            set_cap(monkeypatch, per_batch, 30)
+        cap = batch_cap(30)
+        widths = []
+        solve_lasso = structure.solve_lasso
+
+        def spy(batch, tol):
+            widths.append(batch.index.shape)
+            return solve_lasso(batch, tol)
+
+        monkeypatch.setattr(structure, "solve_lasso", spy)
+        build_feature_structure(self.clustered_rows(70, 90, 4, 0.2), Hyperparams(knn_k=30, alpha=0.5))
+        near = [n for n, width in widths if width == 4]
+        full = [n for n, width in widths if width == 30]
+        assert widths == [(n, 4) for n in near] + [(n, 30) for n in full]
+        assert len(near) == -(-90 // cap) and sum(near) == 90
+        assert len(full) == -(-45 // cap) <= len(near) and sum(full) == 45
+        if per_batch is None:
+            assert len(near) == len(full) == 1
 
     @staticmethod
     def clustered_rows(seed, n_images, dim, noise):
@@ -985,14 +1108,15 @@ class TestLockstepChunks:
         # 90 rows of width 4 and k = 30, so W = 4: the item loop puts weight
         # past the nearest 4 neighbors for 45 items, and exactly those are
         # solved again at full k, to the item loop's weights and a full-k
-        # certificate, bitwise alike in one chunk and in chunks of 1 and 3
+        # certificate, bitwise alike in one batch and in gathers of 1 and 3
+        # items (which cap batches at 1 and 3 items)
         features = self.clustered_rows(70, 90, 4, 0.2)
         hp = Hyperparams(knn_k=30, alpha=0.5)
         vectors = combined_feature_rows(features, None)
         want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
         neighbors = knn_index(vectors, hp.knn_k)
         past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
-        assert not failed and past.size == 45 and chunk_size(30, 4) >= 90
+        assert not failed and past.size == 45 and batch_cap(30) >= 90
         again = []
         solve = structure._solve
 
@@ -1002,16 +1126,18 @@ class TestLockstepChunks:
             return solve(pool, nb, items, l1_weight, tol)
 
         monkeypatch.setattr(structure, "_solve", spy)
-        S = self.assert_widths_agree(monkeypatch, features, hp, [1, 3])
+        S = self.assert_budgets_agree(monkeypatch, features, hp, [
+            functools.partial(set_slices, per_slice=per_slice, rows=4, width=4) for per_slice in (1, 3)
+        ])
         assert again == past.tolist() * 3  # in each of the three builds
         assert feature_structure_kkt(features, S, hp)[past].max() <= hp.lasso_tol
 
     def test_far_violators_of_several_chunks_share_a_batch(self, monkeypatch):
-        # in chunks of 30 of the 90 items, the 45 items with weight past
+        # in batches of 30 of the 90 items, the 45 items with weight past
         # their nearest 4 neighbors are solved again at full k after the
-        # third chunk, in ascending order and batches of 4 (the budget's
-        # 3,840 bytes over 30 rows of width 4), and some batch holds items
-        # of two chunks; S is bitwise that of the build in one chunk
+        # third, in ascending order and batches of 30 and 15, and some
+        # full-k batch holds items of two near batches; S is bitwise that of
+        # the build in one batch
         features = self.clustered_rows(70, 90, 4, 0.2)
         hp = Hyperparams(knn_k=30, alpha=0.5)
         vectors = combined_feature_rows(features, None)
@@ -1026,24 +1152,24 @@ class TestLockstepChunks:
             batches.append((nb.shape[1], items.tolist()))
             return solve(pool, nb, items, l1_weight, tol)
 
-        set_chunk(monkeypatch, 30, hp.knn_k, 4)
+        set_cap(monkeypatch, 30, hp.knn_k)
         monkeypatch.setattr(structure, "_solve", spy)
         assert csr_bytes(build_feature_structure(features, hp).matrix) == csr_bytes(S.matrix)
-        assert [width for width, _ in batches] == [4] * 3 + [hp.knn_k] * 12
+        assert [width for width, _ in batches] == [4] * 3 + [hp.knn_k] * 2
         again = [items for _, items in batches[3:]]
-        assert [len(items) for items in again] == [4] * 11 + [1]
+        assert [len(items) for items in again] == [30, 15]
         assert sum(again, []) == past.tolist()
         assert any(len({item // 30 for item in items}) > 1 for items in again)
 
     def test_near_solves_fail_before_full_k_solves(self, monkeypatch):
-        # every chunk is solved on its near rows before any item at full k:
+        # every batch is solved on its near rows before any item at full k:
         # with full-k solves capped at 6 rounds item 6 fails there, but a
-        # near solve that fails for item 83, item 3 of the eleventh chunk
+        # near solve that fails for item 83, item 3 of the eleventh batch
         # of 8, is met first and named
         features = self.clustered_rows(70, 90, 4, 0.2)
         hp = Hyperparams(knn_k=30, alpha=0.5)
         neighbors = knn_index(combined_feature_rows(features, None), hp.knn_k)
-        set_chunk(monkeypatch, 8, hp.knn_k, 4)
+        set_cap(monkeypatch, 8, hp.knn_k)
         fail_near = True
 
         def solve(batch, tol):
@@ -1105,11 +1231,11 @@ class TestLockstepChunks:
         vectors = combined_feature_rows(features, None) if mode == "image" else D.to_dense().T
         _, failed = structure_by_item_loop(vectors, 0.1, hp.knn_k, hp.lasso_tol, max_iters=cap)
         first, error = failed[0]
-        if mode == "image":  # chunks of 4, and the chunk before succeeds
+        if mode == "image":  # batches of 4, and the batch before succeeds
             assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
         else:  # the 14 tags run in one batch
             assert first >= 1 and len(failed) >= 2
-        set_chunk(monkeypatch, 4, 6, 4)
+        set_cap(monkeypatch, 4, 6)
         monkeypatch.setattr(
             structure, "solve_lasso",
             lambda problem, tol: lasso.solve_lasso(problem, tol, max_iters=cap),
