@@ -10,8 +10,8 @@ entries out of a pool.  Over a gram pool, a round's gradients are one
 sparse product of the live items' weights with the whole pool.  Over rows,
 the solver forms just the face grams and gradient A(A'x) - A'b it needs,
 and no neighborhood's whole gram; it gathers the rows in slices of items
-that hold at most the pool's byte budget each, so a batch of any size
-gathers no more at once than the budget.  The
+that hold at most half of _ROW_BUDGET each, so a batch of any size gathers
+no more at once than that.  The
 solver is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006), an
 exact active-set method: on a fixed sign pattern the objective is a
 quadratic minimized by one Cholesky solve.  On a numerically singular pattern a LARS-style swap step
@@ -42,6 +42,21 @@ DEFAULT_MAX_ITERS = 10_000
 # solve would amplify rounding error past any useful tolerance.
 _SINGULAR_PIVOT = 1e-12
 
+# Bytes that a lockstep batch over a RowPool holds in one kind of array.
+# Callers size a batch with _batch_size, so that each of its (items, k)
+# arrays and its (items, d) sums A'x fit the budget; each gather of rows
+# takes the batch's items in slices of at most half of it (see _slices).
+# So what a batch holds in all is a fixed number of budget-sized arrays and
+# one gather, whatever its number of items.
+_ROW_BUDGET = 2 << 20
+
+
+def _batch_size(k: int, d: int) -> int:
+    """How many items, at least 1, a lockstep batch on k neighbors over rows
+    of width d holds: their (items, max(k, d)) arrays of 8-byte entries fit
+    _ROW_BUDGET."""
+    return max(1, _ROW_BUDGET // (8 * max(k, d)))
+
 
 class LassoConvergenceError(TagCompleteError, RuntimeError):
     """An item's rounds ran out; carries its last KKT residual and its index:
@@ -70,12 +85,9 @@ class LassoProblem:
 
 class RowPool(NamedTuple):
     """The rows of one design matrix, as the pool of a LassoBatch: the gram
-    entry of members i and j is vectors[i] . vectors[j].  Each gather of
-    rows out of it holds at most `budget` bytes, or one item's rows when
-    those alone are more (see _slices); with no budget, a gather is one."""
+    entry of members i and j is vectors[i] . vectors[j]."""
 
     vectors: np.ndarray
-    budget: int | None = None
 
 
 class LassoBatch(NamedTuple):
@@ -242,13 +254,13 @@ def _groups(counts):
 
 def _slices(pool, count: int, rows: int):
     """Slices of `count` stacked items, each item gathering `rows` rows of a
-    RowPool, such that one slice's gather holds at most pool.budget bytes
-    (at least one item per slice); all items in one slice over a gram pool
-    or with no budget.  Each item's products are formed on its own rows, so
-    they do not depend on the slicing."""
+    RowPool, such that one slice's gather holds at most half of _ROW_BUDGET
+    (at least one item per slice); all items in one slice over a gram pool.
+    Each item's products are formed on its own rows, so they do not depend
+    on the slicing."""
     step = count
-    if isinstance(pool, RowPool) and pool.budget is not None:
-        step = pool.budget // (8 * max(rows * pool.vectors.shape[1], 1))
+    if isinstance(pool, RowPool):
+        step = _ROW_BUDGET // 2 // (8 * max(rows * pool.vectors.shape[1], 1))
     step = max(step, 1)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
@@ -284,7 +296,9 @@ def _gradients(batch, live, x) -> np.ndarray:
     rows of width d takes k d per item, with no gram formed.  There, items
     with one number of active coordinates are done together, for the same
     reason, and both gathers, the active rows and the k neighbor rows, are
-    taken in slices of items within the pool's budget (see _slices).
+    taken in slices of items within half of _ROW_BUDGET (see _slices).  The
+    sums A'x are one (items, d) array, which fits the budget in a batch of
+    _batch_size items.
     """
     grad = -batch.corr[live]
     if not isinstance(batch.pool, RowPool):
@@ -326,7 +340,7 @@ def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
     is the face minimizer, or on a singular face the swap step's first zero
     crossing.  Items with one face size share one stacked Cholesky
     factorization, so each item's arithmetic is that of its own; over a row
-    pool they go in slices whose face rows fit the pool's budget (see
+    pool they go in slices whose face rows fit half of _ROW_BUDGET (see
     _slices), so that the face grams and every array formed from them stay
     within it too.  Writes the moved items' weights into w and returns which
     rows moved; a row without a target, or where no candidate point lowers

@@ -30,6 +30,7 @@ from .lasso import (
     LassoBatch,
     LassoConvergenceError,
     RowPool,
+    _batch_size,
     _slices,
     _violations,
     pool_gram,
@@ -37,23 +38,6 @@ from .lasso import (
 )
 
 _BLOCK = 64  # items per _BLOCK x n product: knn preselection, KKT gradients
-
-# Bytes that the image structure build holds at once in one kind of array.
-# A lockstep batch holds at most _batch_size(k) items, so that each of its
-# (items, k) arrays fits the budget: one batch for all the images of each
-# benchmark instance, and batches of 1,310 at Corel's shape at k = 200.
-# Each gather of neighbor rows (a round's active, neighbor and face rows,
-# the correlations, the far check's rows) takes the batch's items in slices
-# within half the budget, so that a round's (items, k) arrays and one
-# gather stay within 1.5 times it.  The tag build reads its grams out of
-# D'D, in one solve at full k.
-_ROW_BUDGET = 2 << 20
-
-
-def _batch_size(k: int) -> int:
-    """How many items, at least 1, a lockstep batch on k neighbors holds:
-    their (items, k) arrays of 8-byte entries fit _ROW_BUDGET."""
-    return max(1, _ROW_BUDGET // (8 * k))
 
 
 def _check_neighbors(neighbors, size: int, side: str) -> None:
@@ -167,18 +151,18 @@ def _reconstruction_matrix(vectors, neighbors, l1_weight, tol) -> sp.csr_matrix:
     k neighbors, KKT-certified within tol over all k.
 
     `neighbors` is (items, k).  Items are solved in lockstep batches of
-    _batch_size(k) on their nearest W = min(k, d) neighbors (all k when
-    d = 0), each batch then checked at its k - W far neighbors.  After the
-    last, the far violators of every batch are solved again at full k, in
-    ascending order and batches of the same size.  Every gather of rows
-    takes slices within half of _ROW_BUDGET, the RowPool's budget.  Each
-    solve keeps only its nonzero triples, and the CSR matrix is formed from
-    them once, after the last.
+    lasso._batch_size(k, d) on their nearest W = min(k, d) neighbors (all k
+    when d = 0), each batch then checked at its k - W far neighbors.  After
+    the last, the far violators of every batch are solved again at full k,
+    in ascending order and batches of the same size.  Every gather of rows
+    takes slices within half of lasso._ROW_BUDGET (see lasso._slices).
+    Each solve keeps only its nonzero triples, and the CSR matrix is formed
+    from them once, after the last.
     """
     size, k = neighbors.shape
     width = min(k, vectors.shape[1]) or k
-    step = _batch_size(k)
-    pool, again, parts = RowPool(vectors, _ROW_BUDGET // 2), np.zeros(size, dtype=bool), []
+    step = _batch_size(k, vectors.shape[1])
+    pool, again, parts = RowPool(vectors), np.zeros(size, dtype=bool), []
     for start in range(0, size, step):
         items = np.arange(start, min(start + step, size))
         parts.append(_near_entries(pool, neighbors[start:start + step], items,
@@ -216,7 +200,7 @@ def _solve(pool, nb, items, l1_weight, tol) -> np.ndarray:
     item's neighbors and itself as correlations.  An item whose rounds run
     out is re-raised as a LassoConvergenceError whose `item` counts over the
     whole build.  Over rows, the correlations are formed in slices of items
-    within the pool's budget (see lasso._slices)."""
+    (see lasso._slices)."""
     corr = np.empty(nb.shape)
     for at in _slices(pool, items.size, nb.shape[1] + 1):
         corr[at] = pool_gram(pool, nb[at], items[at, None])[:, :, 0]
@@ -238,8 +222,8 @@ def _far_violations(pool, items, nb, near, l1_weight) -> np.ndarray:
 
     Item i's weights `near` on its nearest rows A give the residual
     r = A'w - vectors[i], and each far row a its gradient a.r and violation
-    |2 a.r| - l1_weight.  The items are taken in slices within the pool's
-    budget for their k neighbor rows (see lasso._slices), the near rows
+    |2 a.r| - l1_weight.  The items are taken in slices whose k neighbor
+    rows fit half of lasso._ROW_BUDGET (see lasso._slices), the near rows
     gathered and freed before the far ones.
     """
     vectors, width = pool.vectors, near.shape[1]
@@ -292,10 +276,10 @@ def build_feature_structure(
     again at full k only when a farther neighbor violates its KKT
     conditions.  Every row's solution is KKT-certified over all k neighbors.
     Deterministic for fixed inputs.  The build solves every image on its
-    near neighbors first, in one lockstep batch unless the (images, k)
-    entries outgrow _ROW_BUDGET, then the full-k re-solves in ascending
-    item order; a LassoConvergenceError names the first failing item in
-    that order.
+    near neighbors first, in one lockstep batch unless the (images, k) or
+    (images, d) entries outgrow lasso._ROW_BUDGET, then the full-k
+    re-solves in ascending item order; a LassoConvergenceError names the
+    first failing item in that order.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:

@@ -697,30 +697,31 @@ def near_width(k, width):
     return min(k, width) or k
 
 
-def batch_cap(k):
-    """Items per lockstep batch of the image builder on k neighbors: their
-    (items, k) entries of 8 bytes fit the row budget."""
-    return max(1, structure._ROW_BUDGET // (8 * k))
+def batch_cap(k, width):
+    """Items per lockstep batch of the image builder on k neighbors over rows
+    of width `width`: their (items, k) and (items, width) entries of 8 bytes
+    fit the row budget."""
+    return max(1, lasso._ROW_BUDGET // (8 * max(k, width)))
 
 
 def slice_items(rows, width):
     """Items per gather of `rows` neighbor rows of width `width` each: one
     slice holds at most half the row budget."""
-    return max(1, structure._ROW_BUDGET // 2 // (8 * rows * max(width, 1)))
+    return max(1, lasso._ROW_BUDGET // 2 // (8 * rows * max(width, 1)))
 
 
 def set_slices(monkeypatch, per_slice, rows, width):
     """Set the row budget so that a gather of `rows` rows of width `width`
     per item holds per_slice items."""
-    monkeypatch.setattr(structure, "_ROW_BUDGET", per_slice * 2 * 8 * rows * width)
+    monkeypatch.setattr(lasso, "_ROW_BUDGET", per_slice * 2 * 8 * rows * width)
     assert slice_items(rows, width) == per_slice
 
 
-def set_cap(monkeypatch, per_batch, k):
-    """Set the row budget so that a lockstep batch on k neighbors holds
-    per_batch items."""
-    monkeypatch.setattr(structure, "_ROW_BUDGET", per_batch * 8 * k)
-    assert batch_cap(k) == per_batch
+def set_cap(monkeypatch, per_batch, k, width):
+    """Set the row budget so that a lockstep batch on k neighbors over rows
+    of width `width` holds per_batch items."""
+    monkeypatch.setattr(lasso, "_ROW_BUDGET", per_batch * 8 * max(k, width))
+    assert batch_cap(k, width) == per_batch
 
 
 def csr_bytes(matrix):
@@ -747,7 +748,8 @@ class TestLockstepChunks:
     # batch over the pooled feature rows, each on its nearest W = min(k,
     # width) neighbors, checks KKT at the k - W far ones, and solves again
     # at full k, in one more batch, the items that violate it there.  A
-    # batch holds at most structure._ROW_BUDGET bytes of (items, k) entries,
+    # batch holds at most lasso._ROW_BUDGET bytes of (items, k) entries and
+    # of (items, width) entries,
     # so more items make more batches of that size.  Every gather of
     # neighbor rows (the rounds' active, neighbor and face rows, the
     # correlations, the far check) takes the batch's items in slices of at
@@ -781,11 +783,11 @@ class TestLockstepChunks:
         # of 3 and a final 1, or batches of 40 (three and a final 31); the
         # 130 tags run in one batch
         features, D = random_instance(61, n_images=151, n_tags=130, dim=120)
-        assert slice_items(50, 120) == 21 and batch_cap(50) >= 151
+        assert slice_items(50, 120) == 21 and batch_cap(50, 120) >= 151
         hp = Hyperparams(knn_k=50, alpha=0.1, mu=0.1)
         S = self.assert_budgets_agree(monkeypatch, features, hp, [
             functools.partial(set_slices, per_slice=3, rows=50, width=120),
-            functools.partial(set_cap, per_batch=40, k=50),
+            functools.partial(set_cap, per_batch=40, k=50, width=120),
         ])
         assert S.matrix.nnz > 151
         self.assert_tags_match_item_loop(D, hp)
@@ -811,7 +813,7 @@ class TestLockstepChunks:
         # (two and a final 1), or 16
         features, D = random_instance(63, n_images=11, n_tags=10, dim=4)
         hp = Hyperparams(knn_k=6, alpha=0.1, mu=0.1)
-        assert batch_cap(6) >= 11 and slice_items(6, 4) >= 11
+        assert batch_cap(6, 4) >= 11 and slice_items(6, 4) >= 11
         self.assert_budgets_agree(monkeypatch, features, hp, [
             functools.partial(set_slices, per_slice=per_slice, rows=4, width=4),
         ])
@@ -834,8 +836,8 @@ class TestLockstepChunks:
         # far rows a, and every such item is, once, in ascending order,
         # after the last near batch.
         setters = {
-            8: functools.partial(set_cap, per_batch=100, k=k),
-            40: functools.partial(set_cap, per_batch=137, k=k),
+            8: functools.partial(set_cap, per_batch=100, k=k, width=dim),
+            40: functools.partial(set_cap, per_batch=137, k=k, width=dim),
             120: functools.partial(set_slices, per_slice=7, rows=k, width=dim),
         }
         if dim in setters:
@@ -848,7 +850,7 @@ class TestLockstepChunks:
         x[:, ::3] = 0.0
         far = np.einsum("ijd,id->ij", vectors[neighbors[:, near:]], vectors)
         redo = np.flatnonzero(2.0 * np.abs(far).max(axis=1, initial=-np.inf) - hp.alpha > hp.lasso_tol)
-        cap = batch_cap(k)
+        cap = batch_cap(k, dim)
         done, resolved = 0, 0
 
         def items_of(batch):
@@ -870,14 +872,16 @@ class TestLockstepChunks:
             items = items_of(batch)
             n, width = batch.index.shape
             assert np.array_equal(batch.pool.vectors, vectors)
-            assert batch.pool.budget == structure._ROW_BUDGET // 2
             assert np.array_equal(batch.index, neighbors[items, :width])
             # one neighbor list per item indexes both sides of its gram
             assert batch._fields == ("pool", "index", "corr", "l1_weight")
             diagonal = lasso._diagonal(batch)
             grad = lasso._gradients(batch, np.arange(n), x[items, :width])
-            whole = batch._replace(pool=lasso.RowPool(vectors))
-            assert lasso._gradients(whole, np.arange(n), x[items, :width]).tobytes() == grad.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(lasso, "_ROW_BUDGET", 2 * vectors.nbytes * k)
+                assert len(lasso._slices(batch.pool, n, width)) == 1
+                whole = lasso._gradients(batch, np.arange(n), x[items, :width])
+            assert whole.tobytes() == grad.tobytes()
             for b, i in enumerate(items):
                 rows = vectors[neighbors[i, :width]]
                 gram = rows @ rows.T
@@ -967,8 +971,8 @@ class TestLockstepChunks:
         times the row budget, although its one near batch holds every item
         and gathering them whole would take more."""
         set_slices(monkeypatch, 8, k, dim)
-        budget = structure._ROW_BUDGET
-        assert batch_cap(k) >= n_items and 8 * n_items * k * dim > 1.5 * budget
+        budget = lasso._ROW_BUDGET
+        assert batch_cap(k, dim) >= n_items and 8 * n_items * k * dim > 1.5 * budget
         features = FeatureMatrix(np.random.default_rng(65).normal(size=(n_items, dim)))
         peaks = {}
 
@@ -999,25 +1003,54 @@ class TestLockstepChunks:
         # the gathered rows, plus the round's (items, width) and (items, k) arrays
         assert max(max(p) for p in peaks.values()) <= 1.5 * budget
 
+    def test_sums_of_active_rows_fit_the_budget(self, monkeypatch):
+        # over rows of width 2,000 on k = 2 neighbors, one batch of all 200
+        # items would hold their sums A'x in one (200, 2000) array, 6.25
+        # times the budget; batches hold 32 items, so that each round's
+        # gradient holds their sums (the budget), one gather of 8 items'
+        # rows (half of it) and its product, no larger, and (32, 2) arrays
+        set_slices(monkeypatch, 8, 2, 2000)
+        budget = lasso._ROW_BUDGET
+        assert batch_cap(2, 2000) == 32 and 8 * 200 * 2000 == 6.25 * budget
+        features = FeatureMatrix(np.random.default_rng(68).normal(size=(200, 2000)))
+        gradients, peaks, sizes = lasso._gradients, [], []
+
+        def traced(batch, live, x):
+            sizes.append(live.size)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grad = gradients(batch, live, x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return grad
+
+        monkeypatch.setattr(lasso, "_gradients", traced)
+        tracemalloc.start()
+        try:
+            S = build_feature_structure(features, Hyperparams(knn_k=2, alpha=0.01))
+        finally:
+            tracemalloc.stop()
+        assert S.matrix.nnz > 0 and max(sizes) == 32
+        assert max(peaks) <= 2.25 * budget
+
     def test_peak_grows_with_the_budget_alone(self, monkeypatch):
-        # widening the gathers from 2 to 64 items adds at most the wider
+        # widening the gathers from 4 to 64 items adds at most the wider
         # gathers' rows to the peak of the whole build, whose one batch holds
-        # all 128 items either way; in gathers of 2, the build's peak stays
+        # all 128 items either way; in gathers of 4, the build's peak stays
         # below the rows of the whole batch
         features = FeatureMatrix(np.random.default_rng(66).normal(size=(128, 64)))
         hp = Hyperparams(knn_k=20, alpha=0.05)
         peaks = {}
-        for per_slice in (2, 64):
+        for per_slice in (4, 64):
             set_slices(monkeypatch, per_slice, 20, 64)
-            assert batch_cap(20) >= 128
+            assert batch_cap(20, 64) >= 128
             tracemalloc.start()
             try:
                 build_feature_structure(features, hp)
                 peaks[per_slice] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[64] - peaks[2] <= 1.5 * 62 * 8 * 20 * 64
-        assert peaks[2] < 128 * 8 * 20 * 64
+        assert peaks[64] - peaks[4] <= 1.5 * 60 * 8 * 20 * 64
+        assert peaks[4] < 128 * 8 * 20 * 64
 
     def test_build_holds_one_batch_at_a_time(self, monkeypatch):
         # each batch's arrays are freed when its solve returns, before the
@@ -1029,7 +1062,7 @@ class TestLockstepChunks:
         # The budget of 192 bytes gathers one item's rows at a time, so each
         # batch forms its correlations item by item, each freed before the
         # next
-        set_cap(monkeypatch, 4, 6)
+        set_cap(monkeypatch, 4, 6, 4)
         assert slice_items(5, 4) == slice_items(7, 4) == 1
         formed, widths, again = [], [], []
         pool_gram, solve_lasso, solve = structure.pool_gram, structure.solve_lasso, structure._solve
@@ -1075,11 +1108,13 @@ class TestLockstepChunks:
         # 90 items at k = 30 and W = 4 make ceil(90 / cap) near solves and,
         # for their 45 far violators, ceil(45 / cap) full-k solves, at most
         # as many; at the default budget, one of each.  The default cap is
-        # 5,242 items at k = 50 and 1,310 at k = 200
-        assert batch_cap(50) == 5242 and batch_cap(200) == 1310
+        # 5,242 items at k = 50 and 1,310 at k = 200 over rows of width 32,
+        # and 897 at k = 200 over rows of width 292 (Corel's with its tags)
+        assert lasso._batch_size(50, 32) == 5242 and lasso._batch_size(200, 32) == 1310
+        assert lasso._batch_size(200, 292) == 897
         if per_batch is not None:
-            set_cap(monkeypatch, per_batch, 30)
-        cap = batch_cap(30)
+            set_cap(monkeypatch, per_batch, 30, 4)
+        cap = batch_cap(30, 4)
         widths = []
         solve_lasso = structure.solve_lasso
 
@@ -1116,7 +1151,7 @@ class TestLockstepChunks:
         want, failed = structure_by_item_loop(vectors, hp.alpha, hp.knn_k, hp.lasso_tol)
         neighbors = knn_index(vectors, hp.knn_k)
         past = np.flatnonzero((np.take_along_axis(want, neighbors[:, 4:], axis=1) != 0.0).any(axis=1))
-        assert not failed and past.size == 45 and batch_cap(30) >= 90
+        assert not failed and past.size == 45 and batch_cap(30, 4) >= 90
         again = []
         solve = structure._solve
 
@@ -1152,7 +1187,7 @@ class TestLockstepChunks:
             batches.append((nb.shape[1], items.tolist()))
             return solve(pool, nb, items, l1_weight, tol)
 
-        set_cap(monkeypatch, 30, hp.knn_k)
+        set_cap(monkeypatch, 30, hp.knn_k, 4)
         monkeypatch.setattr(structure, "_solve", spy)
         assert csr_bytes(build_feature_structure(features, hp).matrix) == csr_bytes(S.matrix)
         assert [width for width, _ in batches] == [4] * 3 + [hp.knn_k] * 2
@@ -1169,7 +1204,7 @@ class TestLockstepChunks:
         features = self.clustered_rows(70, 90, 4, 0.2)
         hp = Hyperparams(knn_k=30, alpha=0.5)
         neighbors = knn_index(combined_feature_rows(features, None), hp.knn_k)
-        set_cap(monkeypatch, 8, hp.knn_k)
+        set_cap(monkeypatch, 8, hp.knn_k, 4)
         fail_near = True
 
         def solve(batch, tol):
@@ -1235,7 +1270,7 @@ class TestLockstepChunks:
             assert first >= 4 and failed[1][0] < (first // 4 + 1) * 4
         else:  # the 14 tags run in one batch
             assert first >= 1 and len(failed) >= 2
-        set_cap(monkeypatch, 4, 6)
+        set_cap(monkeypatch, 4, 6, 4)
         monkeypatch.setattr(
             structure, "solve_lasso",
             lambda problem, tol: lasso.solve_lasso(problem, tol, max_iters=cap),
