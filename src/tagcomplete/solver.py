@@ -40,14 +40,16 @@ columns, and the sparse B = S - I.  The minimizer solves
 Shifts leave Krylov spaces unchanged, so one Lanczos process from q on
 products with B and B' serves every sigma: the projected subproblem is
 tridiagonal and solved exactly (GLTR: Gould, Lucidi, Roma & Toint, SIAM J.
-Optim. 1999).  The space grows until the step's residual is within 1e-12 of
-||q||, and no N x N array is formed.  Every step is certified by the
-optimality conditions of the full subproblem before it is written.
+Optim. 1999).  The space grows until the step's residual is within a
+hundredth of the certificate's tolerance, 1e-10 of ||q||, and no N x N array
+is formed.  Every step is certified by the optimality conditions of the full
+subproblem before it is written.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +70,11 @@ from .core import (
     objective_from_terms,
 )
 
-# Stopping rules of the basis step's Lanczos process (residual relative to
-# ||q||) and Newton's method (| ||h|| - 1 |, steps), and the tolerance,
-# relative to ||q||, of its certificate.
-_LANCZOS_RTOL, _NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-12, 1e-10, 50
+# The tolerance, relative to ||q||, of the basis step's certificate; its
+# Lanczos process stops at a residual of _CERT_RTOL / 100 of ||q||.  The
+# stopping rule of Newton's method: | ||h|| - 1 |, and steps.
 _CERT_RTOL = 1e-8
+_NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-10, 50
 # Cells per row block of the passes that form D - E - UV.
 _BLOCK_CELLS = 1 << 15
 
@@ -323,10 +325,14 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
 
     Fully reorthogonalized Lanczos from q gives A Q_j = Q_j T_j +
     beta_{j+1} q_{j+1} e_j' for A = gI + gamma B'B, so u = Q_j h, h the step
-    projected on Q_j at j = 4, 6, 9, 13, ..., leaves a residual
-    beta_{j+1} |h_j|; Q_j grows until that is within _LANCZOS_RTOL * ||q||,
-    as it is for every ||h|| <= 1 once beta_{j+1} is, or j = N.  The step
-    fails for a non-finite q, g or T_j, and unless the residual and
+    projected on Q_j, leaves a residual beta_{j+1} |h_j|; Q_j grows until
+    that is within stop = _CERT_RTOL / 100 * ||q||, as it is for every
+    ||h|| <= 1 once beta_{j+1} is, or j = N.  h is solved at j = 4, 6, 9,
+    13, ..., to refresh sigma, and wherever beta_{j+1} |y_j / d_j| <= stop,
+    d_j and y_j the last pivot and lead of the LDL' of T_j + sigma I at the
+    last solved sigma, updated as SYMMLQ does (Paige & Saunders, SIAM J.
+    Numer. Anal. 1975); only a solved h's residual ends the process.  The
+    step fails for a non-finite q, g or T_j, and unless the residual and
     sigma*|1 - ||u||| are within _CERT_RTOL * ||q||, sigma >= 0 and
     ||u|| <= 1 + COLUMN_NORM_SLACK.
 
@@ -342,6 +348,7 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
     lanczos = np.empty((min(n, rows), n))
     lanczos[0] = q / q_norm
     diagonal, off_diagonal, check, sigma = [], [], 4, 0.0
+    stop, pivot, lead = _CERT_RTOL / 100 * q_norm, 0.0, 0.0
     for j in range(1, n + 1):
         w = gamma * (shift_t @ (shift @ lanczos[j - 1]))
         coeffs = lanczos[:j] @ w
@@ -349,14 +356,18 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
         w -= coeffs @ lanczos[:j]
         w -= (lanczos[:j] @ w) @ lanczos[:j]  # again, for orthogonality lost to rounding
         beta = math.sqrt(float(w @ w))
-        done = not beta > _LANCZOS_RTOL * q_norm or j == n
-        if done or j == check:
-            h, sigma = _projected_step(diagonal, off_diagonal, q_norm, sigma)
+        if pivot:  # d_j = alpha_j + sigma - beta_j^2 / d_{j-1}, y_j = -(beta_j / d_{j-1}) y_{j-1}
+            ratio = off_diagonal[-1] / pivot
+            lead, pivot = -ratio * lead, diagonal[-1] + sigma - off_diagonal[-1] * ratio
+        done = not beta > stop or j == n
+        if done or j == check or (pivot and beta * abs(lead) <= stop * abs(pivot)):
+            h, sigma, pivot, lead = _projected_step(diagonal, off_diagonal, q_norm, sigma)
             if h is None:
                 return None, None, j
-            if done or beta * abs(h[-1]) <= _LANCZOS_RTOL * q_norm:
+            if done or beta * abs(h[-1]) <= stop:
                 break
-            check = int(1.5 * check)
+            if j == check:
+                check = int(1.5 * check)
         if j == len(lanczos):
             lanczos = np.concatenate([lanczos, np.empty((min(n, check) - j, n))])
         lanczos[j] = w / beta
@@ -379,9 +390,10 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
 
 
 def _projected_step(diagonal, off_diagonal, q_norm, sigma):
-    """(h, sigma) minimizing h'Th - 2 q_norm h_1 over ||h|| <= 1, T tridiagonal
-    (h None if no sigma tried makes T + sigma I positive definite):
-    h = q_norm (T + sigma I)^-1 e_1 by LDL', and sigma = 0 if ||h(0)|| <= 1.
+    """(h, sigma, d, y) with h minimizing h'Th - 2 q_norm h_1 over ||h|| <= 1,
+    T tridiagonal (h None, d = y = 0 if no sigma tried makes T + sigma I
+    positive definite): h = q_norm (T + sigma I)^-1 e_1 by LDL', with last
+    pivot d and L^-1 q_norm e_1 ending in y, and sigma = 0 if ||h(0)|| <= 1.
     Else Newton's method on the concave, increasing 1/||h(sigma)|| - 1 climbs
     to its root from two points left of it: q_norm - G, G >= lam_max(T)
     (Gershgorin), and the given sigma, a root for fewer Lanczos steps (||h||
@@ -397,7 +409,7 @@ def _projected_step(diagonal, off_diagonal, q_norm, sigma):
     radius = 2.0 * max(off_diagonal, default=0.0)  # of every Gershgorin disc
     hi = q_norm + max(radius - min(diagonal), 0.0)
     sigma = max(sigma, q_norm - max(diagonal) - radius)
-    step = None, sigma
+    step = None, sigma, 0.0, 0.0
     for _ in range(_NEWTON_MAX_ITERS):
         pivots, ratios, h = [diagonal[0] + sigma], [], [q_norm]  # h = L^-1 q_norm e_1
         for a, b in zip(diagonal[1:], off_diagonal):
@@ -409,10 +421,11 @@ def _projected_step(diagonal, off_diagonal, q_norm, sigma):
         if not pivots[-1] > 0.0:  # sigma < -lam_min(T)
             sigma = 0.5 * (sigma + hi)
             continue
+        lead = h[-1]
         h = [x / pivot for x, pivot in zip(h, pivots)]  # then h = L'^-1 D^-1 h
         for i in range(len(ratios) - 1, -1, -1):
             h[i] -= ratios[i] * h[i + 1]
-        step = h, sigma
+        step = h, sigma, pivots[-1], lead
         norm = math.sqrt(sum(x * x for x in h))
         if (sigma == 0.0 and norm <= 1.0) or not abs(norm - 1.0) > _NEWTON_TOL:
             break
@@ -611,7 +624,9 @@ def fit(
     column with the bits it had when it was dropped.  The result equals the
     fit at full rank up to rounding: the products run over fewer terms.
 
-    Raises ValidationError if D has no images or no tags, and
+    Warns when the fit ends with no live factor, naming the iteration whose
+    basis pass left none: dead factors stay dead, so the completion is then
+    all zero.  Raises ValidationError if D has no images or no tags, and
     NumericalBlowupError, naming the block and the iteration, at the first
     non-finite value after a coefficient pass or from update_error; its
     trace is the objective trace so far plus that value.  The initial
@@ -627,6 +642,7 @@ def fit(
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
     block_rows, skipped, converged = [], 0, False
+    died = None if ws.n_factors else 0  # the iteration that left no live factor
 
     def checked(value, block):
         if not math.isfinite(value):
@@ -645,6 +661,8 @@ def fit(
             after_basis, after_error = update_error(ws)
         checked(after_basis, "basis pass")
         checked(after_error, "error refresh")
+        if died is None and not ws.n_factors:
+            died = iterations
         block_rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
         prev = trace[-2]
@@ -654,6 +672,12 @@ def fit(
         ):
             converged = True
             break
+    if died is not None:
+        warnings.warn(
+            "fit ended with no live factor, so U = 0, V = 0 and every score is 0: "
+            + (f"the last one died in iteration {died}" if died else "the start had none"),
+            stacklevel=2,
+        )
     return SolverReport(
         model=ws.snapshot(),
         objective_trace=np.asarray(trace),

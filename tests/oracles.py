@@ -31,7 +31,9 @@ factors; fit_with_dense_state runs fit's loop on the dense N x M working
 state (E, the target D - E and the product UV) that fit kept before E
 became sparse, against fit, which forms D - E - UV only on row blocks.
 objective_from_arrays sums core's objective terms on raw arrays, against
-dense_objective.
+dense_objective.  lanczos_stop_dimensions solves a basis step's projected
+problem at every Lanczos dimension by eigendecomposition, and bounds where
+solver._basis_step, which solves it at few, may stop.
 """
 
 from __future__ import annotations
@@ -171,6 +173,45 @@ def trust_region_by_eigh(operator, q):
         else:
             hi = mid
     return vectors @ (c / (lam + hi)), hi
+
+
+def lanczos_stop_dimensions(apply, g, q, rtol):
+    """Bounds on where a basis step's Lanczos process stops: (first, last).
+
+    Runs the fully reorthogonalized Lanczos process of solver._basis_step
+    from q on A = gI + apply, and at every j solves the projected problem,
+    h minimizing h'T_j h - 2||q|| h_1 over ||h|| <= 1, by trust_region_by_eigh.
+    With stop = rtol * ||q||, the process may end at j when
+    beta_{j+1} |h_j| <= stop, or when beta_{j+1} <= stop or j = N.  first is
+    the first such j; last is where the process ends when it tests the rule
+    only at the checkpoints j = 4, 6, 9, 13, ... (and ends at any j where
+    beta_{j+1} <= stop or j = N).
+    """
+    n, q_norm = q.shape[0], float(np.linalg.norm(q))
+    stop = rtol * q_norm
+    vectors, alphas, betas = np.empty((n, n)), [], []
+    vectors[0] = q / q_norm
+    first, check = None, 4
+    for j in range(1, n + 1):
+        space = vectors[:j]
+        w = apply(space[-1])
+        coeffs = space @ w
+        alphas.append(g + float(coeffs[-1]))
+        w -= coeffs @ space
+        w -= (space @ w) @ space
+        beta = float(np.sqrt(w @ w))
+        tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        h, _ = trust_region_by_eigh(tridiagonal, q_norm * np.eye(j, 1)[:, 0])
+        done = not beta > stop or j == n
+        met = done or beta * abs(h[-1]) <= stop
+        if first is None and met:
+            first = j
+        if done or (j == check and met):
+            return first, j
+        if j == check:
+            check = int(1.5 * check)
+        vectors[j] = w / beta
+        betas.append(beta)
 
 
 def coefficient_sweep_by_scalar_loop(basis, coeffs, corr, tag_penalty, eta):

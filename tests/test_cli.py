@@ -445,6 +445,25 @@ class TestComplete:
             "objective_trace_tail", "relative_residual",
         ]
 
+    def test_a_fit_with_no_live_factor_warns_and_exits_0(
+        self, pipeline_files, built_structures, capsys, tmp_path
+    ):
+        # an eta above every coupling zeroes V in the first sweep, and the
+        # basis pass of iteration 1 then zeroes U
+        code, stdout, err, empty = self.complete_with_model(
+            pipeline_files, built_structures, capsys, tmp_path,
+            ["--K", "4", "--eta", "1000", "--no-reinit"],
+        )
+        assert code == EXIT_OK
+        assert kv(stdout)["converged"] == "True"
+        assert empty == 20
+        assert err == (
+            "warning: fit ended with no live factor, so U = 0, V = 0 and every score is 0: "
+            "the last one died in iteration 1\n"
+            "warning: 20 of 20 tags have an all-zero column of V, "
+            "so every image scores 0 on them (eta=1000.0, K=4)\n"
+        )
+
     def test_no_warning_without_empty_tags(
         self, pipeline_files, built_structures, capsys, tmp_path
     ):

@@ -43,6 +43,7 @@ from oracles import (
     dense_objective,
     fit_at_full_rank,
     fit_with_dense_state,
+    lanczos_stop_dimensions,
     scalar_min_by_search,
     soft_threshold,
     trust_region_by_eigh,
@@ -599,6 +600,18 @@ def check_against_dense_solve(ws, g, q, u, atol):
     np.testing.assert_allclose(u, want, rtol=0.0, atol=atol)
 
 
+def check_stop_dimension(ws, g, q, dimension):
+    """The basis step stopped its Lanczos process between the first
+    dimension that meets its stop rule, beta_{j+1} |h_j| <= _CERT_RTOL / 100
+    * ||q||, and where the process stops that tests the rule only at its
+    checkpoints."""
+    shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
+    first, last = lanczos_stop_dimensions(
+        lambda v: gamma * (shift_t @ (shift @ v)), g, q, solver._CERT_RTOL / 100
+    )
+    assert first <= dimension <= last
+
+
 class TestBasisTrustRegion:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -731,6 +744,7 @@ class TestBasisTrustRegion:
             q = float(rng.choice([0.01, 0.3, 3.0, 30.0])) * rng.normal(size=n)
             u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
             assert dimension <= n
+            check_stop_dimension(ws, g, q, dimension)
             check_against_dense_solve(ws, g, q, u, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -760,7 +774,7 @@ class TestBasisTrustRegion:
         ws = workspace_for(chain_structure(n), gamma=1.0)
         q = scale * np.random.default_rng(62).normal(size=n)
         u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
-        assert dimension >= 13
+        check_stop_dimension(ws, g, q, dimension)
         check_against_dense_solve(ws, g, q, u, atol=1e-10)
 
     @pytest.mark.parametrize("scale", [0.01, 10.0])
@@ -784,6 +798,7 @@ class TestBasisTrustRegion:
         q = 1e-3 * rng.normal(size=28)
         u, dimension = basis_step_and_dimension(ws, 1e-6, q, monkeypatch)
         assert u is not None and dimension > 8
+        check_stop_dimension(ws, 1e-6, q, dimension)
         shift = ws.image_shift.toarray()
         operator = 1e-6 * np.eye(28) + 100.0 * shift.T @ shift
         _, sigma = trust_region_by_eigh(operator, q)
@@ -1203,18 +1218,23 @@ class TestLiveRank:
             self.check(D, S, T, hp, self.with_dead_factors(rng, model))
             self.check(D, S, T, hp)
 
-    def test_factors_dying_in_the_fit(self, monkeypatch):
-        # at default weights 2 of these 12 factors die in the first basis
-        # pass and the others later on, so the blocks run at ever lower rank
+    @staticmethod
+    def planted(hp):
+        """A small planted instance's observed tags, S and T."""
         cfg = SynthConfig(
             n_images=60, n_tags=30, n_topics=3, tags_per_image=3, feature_dim=8,
             feature_noise=0.3, delete_fraction=0.4, rng_seed=1,
         )
         instance = generate(cfg)
         split = delete_tags(instance.truth, cfg.delete_fraction, cfg.rng_seed + 1)
-        hp = Hyperparams(K=12, knn_k=5)
         S = build_feature_structure(instance.features, hp)
-        T = build_tag_structure(split.observed, hp)
+        return split.observed, S, build_tag_structure(split.observed, hp)
+
+    def test_factors_dying_in_the_fit(self, monkeypatch):
+        # at default weights 2 of these 12 factors die in the first basis
+        # pass and the others later on, so the blocks run at ever lower rank
+        hp = Hyperparams(K=12, knn_k=5)
+        observed, S, T = self.planted(hp)
         ranks, refresh = [], solver.update_error
 
         def recorded(ws):
@@ -1222,9 +1242,34 @@ class TestLiveRank:
             return refresh(ws)
 
         monkeypatch.setattr(solver, "update_error", recorded)
-        got = self.check(split.observed, S, T, hp)
+        got = self.check(observed, S, T, hp)
         assert ranks == [10, 3, 2, 2, 1, 0, 0]
         assert not got.model.U.any() and got.model.V.nnz == 0
+
+    def test_the_zero_factorization_is_named(self):
+        # the instance above: its last factor dies in the basis pass of
+        # iteration 6, and the fit goes on to converge at U = V = 0
+        hp = Hyperparams(K=12, knn_k=5)
+        observed, S, T = self.planted(hp)
+        with pytest.warns(UserWarning) as warned:
+            got = fit(observed, S, T, hp)
+        assert [str(w.message) for w in warned] == [
+            "fit ended with no live factor, so U = 0, V = 0 and every score is 0: "
+            "the last one died in iteration 6"
+        ]
+        assert got.converged and got.live_factors == 0
+        zero = FactorModel(U=np.zeros((60, 12)), V=sp.csr_matrix((12, 30)), E=got.model.E)
+        with pytest.warns(UserWarning, match=r": the start had none$"):
+            fit(observed, S, T, hp, zero)
+
+    def test_live_factors_end_without_a_warning(self):
+        # at eta = 0.3 five factors stay live
+        hp = Hyperparams(K=12, knn_k=5, eta=0.3)
+        observed, S, T = self.planted(hp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(observed, S, T, hp)
+        assert got.live_factors == 5
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_every_factor_dies(self, gamma):

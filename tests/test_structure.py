@@ -544,6 +544,23 @@ class TestRecertification:
         ):
             (build if use == "build" else certify)(neighbors=neighbors)
 
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("use", ["build", "certificate"])
+    @pytest.mark.parametrize("item", [0, 6, 11])
+    def test_an_item_among_its_own_neighbors_is_refused(self, side, use, item):
+        # a build would weight the item on itself and fail only on S's or
+        # T's diagonal, and the certificate would read inf; the error names
+        # the first such item
+        build, certify, neighbors = self.sides(side)
+        neighbors = neighbors.copy()
+        neighbors[item, 1] = item
+        later = np.arange(item + 1, 12)
+        neighbors[later, 2] = later  # later items are not named
+        with pytest.raises(
+            ValidationError, match=rf"^neighbors of {side} {item} include {side} {item} itself$"
+        ):
+            (build if use == "build" else certify)(neighbors=neighbors)
+
 
 class TestResidualFormCertificate:
     """The certificate's gradient A (A'w - b) against kkt_residual of the
