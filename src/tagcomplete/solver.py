@@ -327,19 +327,19 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
     beta_{j+1} q_{j+1} e_j' for A = gI + gamma B'B, so u = Q_j h, h the step
     projected on Q_j, leaves a residual beta_{j+1} |h_j|; Q_j grows until
     that is within stop = _CERT_RTOL / 100 * ||q||, as it is for every
-    ||h|| <= 1 once beta_{j+1} is, or j = N.  h is solved at j = 4, 6, 9,
-    13, ..., to refresh sigma, and wherever beta_{j+1} |y_j / d_j| <= stop,
-    d_j and y_j the last pivot and lead of the LDL' of T_j + sigma I at the
-    last solved sigma, updated as SYMMLQ does (Paige & Saunders, SIAM J.
-    Numer. Anal. 1975); only a solved h's residual ends the process.  The
-    step fails for a non-finite q, g or T_j, and unless the residual and
-    sigma*|1 - ||u||| are within _CERT_RTOL * ||q||, sigma >= 0 and
-    ||u|| <= 1 + COLUMN_NORM_SLACK.
+    ||h|| <= 1 once beta_{j+1} is, or j = N.  h is solved at j = 4, where
+    the estimate starts, wherever beta_{j+1} |y_j / d_j| <= stop, d_j and
+    y_j the last pivot and lead of the LDL' of T_j + sigma I at the last
+    solved sigma, updated as SYMMLQ does (Paige & Saunders, SIAM J. Numer.
+    Anal. 1975), and where the process must end; only a solved h's residual
+    ends it.  The step fails for a non-finite q, g or T_j, and unless the
+    residual and sigma*|1 - ||u||| are within _CERT_RTOL * ||q||, sigma >= 0
+    and ||u|| <= 1 + COLUMN_NORM_SLACK.
 
     Returns (u, image, j), u and image None when the step fails.  The
-    Lanczos vectors start in an array of `rows` rows, which grows to the
-    next checkpoint when it fills.  A pass starts each step at the j of the
-    step before it, so most steps never grow it.
+    Lanczos vectors start in an array of `rows` rows, which grows by half
+    when it fills.  A pass starts each step at the j of the step before it,
+    so most steps never grow it.
     """
     shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
     n, q_norm = q.shape[0], math.sqrt(float(q @ q))
@@ -347,7 +347,7 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
         return None, None, rows
     lanczos = np.empty((min(n, rows), n))
     lanczos[0] = q / q_norm
-    diagonal, off_diagonal, check, sigma = [], [], 4, 0.0
+    diagonal, off_diagonal, sigma = [], [], 0.0
     stop, pivot, lead = _CERT_RTOL / 100 * q_norm, 0.0, 0.0
     for j in range(1, n + 1):
         w = gamma * (shift_t @ (shift @ lanczos[j - 1]))
@@ -360,16 +360,14 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
             ratio = off_diagonal[-1] / pivot
             lead, pivot = -ratio * lead, diagonal[-1] + sigma - off_diagonal[-1] * ratio
         done = not beta > stop or j == n
-        if done or j == check or (pivot and beta * abs(lead) <= stop * abs(pivot)):
+        if done or j == 4 or (pivot and beta * abs(lead) <= stop * abs(pivot)):
             h, sigma, pivot, lead = _projected_step(diagonal, off_diagonal, q_norm, sigma)
             if h is None:
                 return None, None, j
             if done or beta * abs(h[-1]) <= stop:
                 break
-            if j == check:
-                check = int(1.5 * check)
         if j == len(lanczos):
-            lanczos = np.concatenate([lanczos, np.empty((min(n, check) - j, n))])
+            lanczos = np.concatenate([lanczos, np.empty((min(n - j, max(j // 2, 1)), n))])
         lanczos[j] = w / beta
         off_diagonal.append(beta)
     u = np.array(h) @ lanczos[:j]
@@ -525,8 +523,10 @@ class SolverReport:
     objective_trace[0] is the initial objective; objective_trace[i] is the
     value after outer iteration i.  block_trace[i] holds the values after the
     coefficient, basis, and error updates of iteration i+1, in that order.
-    live_factors and empty_tags count the model's live factors and its tags
-    with an all-zero column of V.
+    live_rank[0] is the number of live factors after the start's dead ones
+    are dropped; live_rank[i] is the number after the basis pass of
+    iteration i.  live_factors and empty_tags count the model's live factors
+    and its tags with an all-zero column of V.
     """
 
     model: FactorModel
@@ -535,6 +535,7 @@ class SolverReport:
     converged: bool
     iterations: int
     skipped_coordinates: int
+    live_rank: list[int]
 
     @property
     def live_factors(self) -> int:
@@ -641,8 +642,7 @@ def fit(
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
-    block_rows, skipped, converged = [], 0, False
-    died = None if ws.n_factors else 0  # the iteration that left no live factor
+    block_rows, skipped, converged, live_rank = [], 0, False, [ws.n_factors]
 
     def checked(value, block):
         if not math.isfinite(value):
@@ -661,8 +661,7 @@ def fit(
             after_basis, after_error = update_error(ws)
         checked(after_basis, "basis pass")
         checked(after_error, "error refresh")
-        if died is None and not ws.n_factors:
-            died = iterations
+        live_rank.append(ws.n_factors)
         block_rows.append((after_coeffs, after_basis, after_error))
         trace.append(after_error)
         prev = trace[-2]
@@ -672,7 +671,8 @@ def fit(
         ):
             converged = True
             break
-    if died is not None:
+    if not live_rank[-1]:
+        died = live_rank.index(0)  # dead factors stay dead
         warnings.warn(
             "fit ended with no live factor, so U = 0, V = 0 and every score is 0: "
             + (f"the last one died in iteration {died}" if died else "the start had none"),
@@ -685,4 +685,5 @@ def fit(
         converged=converged,
         iterations=iterations,
         skipped_coordinates=skipped,
+        live_rank=live_rank,
     )

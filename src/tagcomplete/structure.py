@@ -44,7 +44,8 @@ def _check_neighbors(neighbors, size: int, side: str) -> None:
     """DimensionMismatchError unless the neighbor lists hold one row per
     item, a `side` ("image" or "tag"), and ValidationError naming the first
     item with an entry outside [0, size) and that entry, or else the first
-    item listed among its own neighbors."""
+    item listed among its own neighbors, or else the first item with an
+    entry listed twice and that entry."""
     if len(neighbors) != size:
         raise DimensionMismatchError(
             f"neighbors has {len(neighbors)} rows but there are {size} {side}s"
@@ -60,6 +61,12 @@ def _check_neighbors(neighbors, size: int, side: str) -> None:
     if own.any():
         item = int(np.flatnonzero(own.any(axis=1))[0])
         raise ValidationError(f"neighbors of {side} {item} include {side} {item} itself")
+    ordered = np.sort(neighbors, axis=1)
+    repeated = ordered[:, 1:] == ordered[:, :-1]
+    if repeated.any():
+        item = int(np.flatnonzero(repeated.any(axis=1))[0])
+        entry = ordered[item, 1:][repeated[item]][0]
+        raise ValidationError(f"neighbors of {side} {item} include {side} {entry} twice")
 
 
 def _check_population(n: int, k: int) -> None:
@@ -274,8 +281,8 @@ def build_feature_structure(
     when given, must be knn_index(combined_feature_rows(features, tags),
     hp.knn_k); by default it is computed here.  Passed-in lists without one
     row per image raise DimensionMismatchError, and an entry outside the
-    image indices, or an image among its own neighbors, ValidationError
-    naming the image.
+    image indices, an image among its own neighbors or an entry listed
+    twice, ValidationError naming the image.
 
     Rows of width d have rank at most d, so each lasso is first solved on
     the nearest W = min(k, d) neighbors (all k when d = 0), and solved
@@ -386,8 +393,8 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
     vectors[neighbors[i]] with the weights in row i of `weights`, a canonical
     CSR matrix that stores no zeros.  DimensionMismatchError unless weights
     and neighbors hold one row per item, a `side` ("image" or "tag"), and
-    ValidationError on a neighbor entry outside the items or an item among
-    its own neighbors (_check_neighbors).
+    ValidationError on a neighbor entry outside the items, an item among
+    its own neighbors or an entry listed twice (_check_neighbors).
 
     The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
     block of _BLOCK items, a sparse product of its slice of rows gives their
@@ -431,8 +438,8 @@ def feature_structure_kkt(
     build_feature_structure takes them; then the check covers the weights
     but not the neighbor search.  DimensionMismatchError unless the
     structure and the neighbor lists have one row per image, and
-    ValidationError on a neighbor entry that is not an image index or an
-    image among its own neighbors.
+    ValidationError on a neighbor entry that is not an image index, an
+    image among its own neighbors or an entry listed twice.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
@@ -457,8 +464,8 @@ def tag_structure_kkt(
     does not rest on G's grams.  An all-zero tag column with zero weights is
     its lasso's exact answer and reports residual 0.  DimensionMismatchError
     unless the structure and the neighbor lists have one row per tag, and
-    ValidationError on a neighbor entry that is not a tag index or a tag
-    among its own neighbors.
+    ValidationError on a neighbor entry that is not a tag index, a tag
+    among its own neighbors or an entry listed twice.
     """
     if neighbors is None:
         neighbors = tag_neighbors(D, hp.knn_k)

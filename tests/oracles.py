@@ -184,8 +184,9 @@ def lanczos_stop_dimensions(apply, g, q, rtol):
     With stop = rtol * ||q||, the process may end at j when
     beta_{j+1} |h_j| <= stop, or when beta_{j+1} <= stop or j = N.  first is
     the first such j; last is where the process ends when it tests the rule
-    only at the checkpoints j = 4, 6, 9, 13, ... (and ends at any j where
-    beta_{j+1} <= stop or j = N).
+    only on the reference schedule j = 4, 6, 9, 13, ... (and ends at any j
+    where beta_{j+1} <= stop or j = N).  last bounds how far the basis
+    step's O(1) estimate of the rule, at a sigma solved earlier, may lag.
     """
     n, q_norm = q.shape[0], float(np.linalg.norm(q))
     stop = rtol * q_norm
@@ -332,8 +333,10 @@ def checked_value(value, block, iteration, trace):
 def fit_at_full_rank(D, S, T, hp, start=None):
     """solver.fit without dropping dead factors: every block at rank K, every
     objective from objective_from_arrays, and the error block as
-    soft_threshold of data - UV by beta/2.  Returns a solver.SolverReport and
-    raises solver.NumericalBlowupError as fit does."""
+    soft_threshold of data - UV by beta/2.  live_rank counts the factors
+    with a nonzero basis column or coefficient row at the start and after
+    each basis pass.  Returns a solver.SolverReport and raises
+    solver.NumericalBlowupError as fit does."""
     from tagcomplete.solver import (
         SolverReport,
         SolverWorkspace,
@@ -349,14 +352,18 @@ def fit_at_full_rank(D, S, T, hp, start=None):
             ws.data, ws.basis, ws.coeffs, ws.error.toarray(), S.matrix, T.matrix, hp
         )
 
+    def live():
+        return int(np.count_nonzero(ws.basis.any(axis=0) | ws.coeffs.any(axis=1)))
+
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [objective()]
-    rows, skipped, converged = [], 0, False
+    rows, skipped, converged, live_rank = [], 0, False, [live()]
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
             after_coeffs = checked_value(objective(), "coefficient pass", iteration, trace)
             skipped += update_basis(ws)
+            live_rank.append(live())
             after_basis = checked_value(objective(), "basis pass", iteration, trace)
             ws.error = sp.csr_matrix(
                 soft_threshold(ws.data - ws.basis @ ws.coeffs, 0.5 * hp.beta)
@@ -375,6 +382,7 @@ def fit_at_full_rank(D, S, T, hp, start=None):
         converged=converged,
         iterations=len(rows),
         skipped_coordinates=skipped,
+        live_rank=live_rank,
     )
 
 
@@ -387,8 +395,10 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     matrix, so the value after the basis pass, the error refresh and the
     value after it share one product.  The package's coefficient and basis
     passes and its dead-factor drop run on that state, and the skips are the
-    sum of what the passes return, dropped factors' included.  Returns a
-    solver.SolverReport and raises solver.NumericalBlowupError as fit does."""
+    sum of what the passes return, dropped factors' included, and live_rank
+    is the working rank at the start and after each basis pass's drop.
+    Returns a solver.SolverReport and raises solver.NumericalBlowupError as
+    fit does."""
     from tagcomplete.core import residual_term
     from tagcomplete.solver import (
         SolverReport,
@@ -434,7 +444,7 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     ws.drop_dead_factors()
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
-    rows, skipped, converged = [], 0, False
+    rows, skipped, converged, live_rank = [], 0, False, [ws.n_factors]
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
@@ -443,6 +453,7 @@ def fit_with_dense_state(D, S, T, hp, start=None):
             )
             skipped += update_basis(ws)
             ws.drop_dead_factors()
+            live_rank.append(ws.n_factors)
             after_basis = checked_value(ws.objective_value(), "basis pass", iteration, trace)
             ws.update_error()
             after_error = checked_value(ws.objective_value(), "error refresh", iteration, trace)
@@ -459,6 +470,7 @@ def fit_with_dense_state(D, S, T, hp, start=None):
         converged=converged,
         iterations=len(rows),
         skipped_coordinates=skipped,
+        live_rank=live_rank,
     )
 
 

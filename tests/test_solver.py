@@ -603,8 +603,9 @@ def check_against_dense_solve(ws, g, q, u, atol):
 def check_stop_dimension(ws, g, q, dimension):
     """The basis step stopped its Lanczos process between the first
     dimension that meets its stop rule, beta_{j+1} |h_j| <= _CERT_RTOL / 100
-    * ||q||, and where the process stops that tests the rule only at its
-    checkpoints."""
+    * ||q||, and where a process stops that tests the rule only on the
+    reference schedule j = 4, 6, 9, 13, ...: the step's O(1) estimate of the
+    rule, at a sigma solved earlier, may lag it, but not past that bound."""
     shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
     first, last = lanczos_stop_dimensions(
         lambda v: gamma * (shift_t @ (shift @ v)), g, q, solver._CERT_RTOL / 100
@@ -776,6 +777,23 @@ class TestBasisTrustRegion:
         u, dimension = basis_step_and_dimension(ws, g, q, monkeypatch)
         check_stop_dimension(ws, g, q, dimension)
         check_against_dense_solve(ws, g, q, u, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [40, 90])
+    @pytest.mark.parametrize("g, scale", [(1e-3, 0.01), (1e-3, 1.0), (1e-6, 1e-4)])
+    def test_near_duplicate_chain_solves_at_most_twice(self, n, g, scale, monkeypatch):
+        # the projected problem is solved where the estimate starts, j = 4,
+        # and where it meets the stop rule, not again to refresh sigma
+        ws = workspace_for(chain_structure(n), gamma=1.0)
+        q = scale * np.random.default_rng(62).normal(size=n)
+        solves, projected = [], solver._projected_step
+
+        def counted(*args):
+            solves.append(len(args[0]))
+            return projected(*args)
+
+        monkeypatch.setattr(solver, "_projected_step", counted)
+        u, _, _ = solver._basis_step(ws, g, q)
+        assert u is not None and solves[0] == 4 and len(solves) <= 2
 
     @pytest.mark.parametrize("scale", [0.01, 10.0])
     def test_invariant_space_ends_the_process(self, scale, monkeypatch):
@@ -1176,8 +1194,8 @@ class TestLiveRank:
     def check(self, D, S, T, hp, start=None):
         want = fit_at_full_rank(D, S, T, hp, start)
         got = fit(D, S, T, hp, start)
-        assert (got.iterations, got.converged, got.skipped_coordinates) == (
-            want.iterations, want.converged, want.skipped_coordinates
+        assert (got.iterations, got.converged, got.skipped_coordinates, got.live_rank) == (
+            want.iterations, want.converged, want.skipped_coordinates, want.live_rank
         )
         for name in ("indptr", "indices"):
             assert getattr(got.model.V, name).tolist() == getattr(want.model.V, name).tolist()
@@ -1261,6 +1279,17 @@ class TestLiveRank:
         zero = FactorModel(U=np.zeros((60, 12)), V=sp.csr_matrix((12, 30)), E=got.model.E)
         with pytest.warns(UserWarning, match=r": the start had none$"):
             fit(observed, S, T, hp, zero)
+
+    def test_the_report_lists_the_live_rank(self):
+        # the instance above: 12 factors at the start, then the rank after
+        # each basis pass; the warning names the iteration of the first 0
+        hp = Hyperparams(K=12, knn_k=5)
+        observed, S, T = self.planted(hp)
+        with pytest.warns(UserWarning) as warned:
+            got = fit(observed, S, T, hp)
+        assert got.live_rank == [12, 10, 3, 2, 2, 1, 0, 0]
+        assert len(got.live_rank) == got.iterations + 1
+        assert str(warned[0].message).endswith(f"iteration {got.live_rank.index(0)}")
 
     def test_live_factors_end_without_a_warning(self):
         # at eta = 0.3 five factors stay live
@@ -1518,8 +1547,8 @@ class TestDenseStateReference:
     def check(D, S, T, hp, start=None):
         want = fit_with_dense_state(D, S, T, hp, start)
         got = fit(D, S, T, hp, start)
-        assert (got.iterations, got.converged, got.skipped_coordinates) == (
-            want.iterations, want.converged, want.skipped_coordinates
+        assert (got.iterations, got.converged, got.skipped_coordinates, got.live_rank) == (
+            want.iterations, want.converged, want.skipped_coordinates, want.live_rank
         )
         for name in ("indptr", "indices"):
             assert getattr(got.model.E, name).tolist() == getattr(want.model.E, name).tolist()

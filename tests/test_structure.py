@@ -561,6 +561,24 @@ class TestRecertification:
         ):
             (build if use == "build" else certify)(neighbors=neighbors)
 
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("use", ["build", "certificate"])
+    @pytest.mark.parametrize("item", [0, 6, 11])
+    def test_an_entry_listed_twice_is_refused(self, side, use, item):
+        # a build would solve a lasso with two equal columns, and the
+        # certificate would grade the weights against lists that lack the
+        # replaced neighbor; the error names the first such item and entry
+        build, certify, neighbors = self.sides(side)
+        neighbors = neighbors.copy()
+        entry = int(neighbors[item, 0])
+        neighbors[item, 2] = entry
+        later = np.arange(item + 1, 12)
+        neighbors[later, 1] = neighbors[later, 0]  # later items are not named
+        with pytest.raises(
+            ValidationError, match=rf"^neighbors of {side} {item} include {side} {entry} twice$"
+        ):
+            (build if use == "build" else certify)(neighbors=neighbors)
+
 
 class TestResidualFormCertificate:
     """The certificate's gradient A (A'w - b) against kkt_residual of the
