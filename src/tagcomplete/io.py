@@ -277,11 +277,11 @@ def _text_rows(arr: np.ndarray, join) -> list:
 
     Every +0.0 cell shares the one text "0.0" and is never made a Python
     float: most cells of a completed score matrix at the paper's defaults,
-    and of a fitted basis, are +0.0.  A row with a +0.0 cell starts from one
-    template of "0.0" texts and spells only its other cells; a row with none
-    is mapped through repr whole.  -0.0 keeps "-0.0".  Cells become Python
-    floats 64 rows at a time, so the whole array is never held as Python
-    objects.
+    and of a fitted basis, are +0.0.  Cells are taken 64 rows at a time, so
+    the whole array is never held as Python objects.  A block with no +0.0
+    cell, such as a feature matrix, is mapped through repr whole; in any
+    other block each row starts from one template of "0.0" texts and spells
+    only its other cells.  -0.0 keeps "-0.0".
     """
     spelled = arr != 0.0
     spelled |= np.signbit(arr)
@@ -297,13 +297,10 @@ def _text_rows(arr: np.ndarray, join) -> list:
         values, columns = block[mask].tolist(), np.nonzero(mask)[1].tolist()
         at = 0
         for count in counts[start:start + 64]:
-            if count == width:
-                texts.append(join(map(repr, values[at:at + count])))
-            else:
-                cells = template.copy()
-                for j, value in zip(columns[at:at + count], values[at:at + count]):
-                    cells[j] = repr(value)
-                texts.append(join(cells))
+            cells = template.copy()
+            for j, value in zip(columns[at:at + count], values[at:at + count]):
+                cells[j] = repr(value)
+            texts.append(join(cells))
             at += count
     return texts
 

@@ -5,9 +5,11 @@ small neighborhood, so problems are posed through the correlation vector
 A'b, a pool that holds the design once, and the neighborhood's index into
 it: the pool is either one Gram matrix whose entries the neighborhoods
 index (the tags' D'D), or the design's rows themselves, whose dot products
-are the gram entries (the image features).  Only this module reads gram
-entries out of a pool.  Over a gram pool, a round's gradients are one
-sparse product of the live items' weights with the whole pool.  Over rows,
+are the gram entries (the image features).  pool_gram reads gram entries
+out of either pool; structure._far_violations multiplies a row pool's
+vectors itself, for gradients A(A'w - b) with no gram entry.  Over a gram
+pool, a round's gradients are one sparse product of the live items'
+weights with the whole pool.  Over rows,
 the solver forms just the face grams and gradient A(A'x) - A'b it needs,
 and no neighborhood's whole gram; it gathers the rows in slices of items
 that hold at most half of _ROW_BUDGET each, so a batch of any size gathers

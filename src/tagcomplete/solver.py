@@ -525,8 +525,10 @@ class SolverReport:
     coefficient, basis, and error updates of iteration i+1, in that order.
     live_rank[0] is the number of live factors after the start's dead ones
     are dropped; live_rank[i] is the number after the basis pass of
-    iteration i.  live_factors and empty_tags count the model's live factors
-    and its tags with an all-zero column of V.
+    iteration i; no update after the last basis pass changes U or V, so
+    live_rank[-1] also counts the final model's factors with a nonzero basis
+    column or coefficient row.  empty_tags counts its tags with an all-zero
+    column of V.
     """
 
     model: FactorModel
@@ -536,14 +538,6 @@ class SolverReport:
     iterations: int
     skipped_coordinates: int
     live_rank: list[int]
-
-    @property
-    def live_factors(self) -> int:
-        """Factors with a nonzero basis column or coefficient row: those that
-        fit worked on at the end."""
-        live = self.model.U.any(axis=0)
-        live[self.model.V.nonzero()[0]] = True
-        return int(np.count_nonzero(live))
 
     @property
     def empty_tags(self) -> int:

@@ -392,9 +392,8 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
     """Recomputed KKT residual per item, whose lasso rebuilds vectors[i] from
     vectors[neighbors[i]] with the weights in row i of `weights`, a canonical
     CSR matrix that stores no zeros.  DimensionMismatchError unless weights
-    and neighbors hold one row per item, a `side` ("image" or "tag"), and
-    ValidationError on a neighbor entry outside the items, an item among
-    its own neighbors or an entry listed twice (_check_neighbors).
+    hold one row per item, a `side` ("image" or "tag"); the caller searched
+    the neighbor lists or checked them (_check_neighbors).
 
     The gradient gram @ w - corr is A (A'w - b), formed with no gram: per
     block of _BLOCK items, a sparse product of its slice of rows gives their
@@ -407,7 +406,6 @@ def _kkt_per_item(vectors, weights, l1_weight, neighbors, side):
         raise DimensionMismatchError(
             f"{side} structure has {weights.shape[0]} rows but there are {size} {side}s"
         )
-    _check_neighbors(neighbors, size, side)
     stored = np.diff(weights.indptr)
     residuals = np.empty(size)
     for start in range(0, size, _BLOCK):
@@ -437,13 +435,14 @@ def feature_structure_kkt(
     are rebuilt unless `neighbors` passes the build's own, as
     build_feature_structure takes them; then the check covers the weights
     but not the neighbor search.  DimensionMismatchError unless the
-    structure and the neighbor lists have one row per image, and
-    ValidationError on a neighbor entry that is not an image index, an
-    image among its own neighbors or an entry listed twice.
+    structure has one row per image; passed-in lists are checked as
+    build_feature_structure checks them, and lists searched here are not.
     """
     vectors = combined_feature_rows(features, tags)
     if neighbors is None:
         neighbors = knn_index(vectors, hp.knn_k)
+    else:
+        _check_neighbors(neighbors, vectors.shape[0], "image")
     return _kkt_per_item(vectors, structure.matrix, hp.alpha, neighbors, "image")
 
 
@@ -463,11 +462,12 @@ def tag_structure_kkt(
     as rows with T's columns as the rows of the weights, so the certificate
     does not rest on G's grams.  An all-zero tag column with zero weights is
     its lasso's exact answer and reports residual 0.  DimensionMismatchError
-    unless the structure and the neighbor lists have one row per tag, and
-    ValidationError on a neighbor entry that is not a tag index, a tag
-    among its own neighbors or an entry listed twice.
+    unless the structure has one row per tag; passed-in lists are checked
+    as build_tag_structure checks them, and lists searched here are not.
     """
     if neighbors is None:
         neighbors = tag_neighbors(D, hp.knn_k)
+    else:
+        _check_neighbors(neighbors, D.n_tags, "tag")
     cols = D.matrix.T.toarray(order="C")
     return _kkt_per_item(cols, structure.matrix.T.tocsr(), hp.mu, neighbors, "tag")

@@ -1275,7 +1275,7 @@ class TestLiveRank:
             "fit ended with no live factor, so U = 0, V = 0 and every score is 0: "
             "the last one died in iteration 6"
         ]
-        assert got.converged and got.live_factors == 0
+        assert got.converged and got.live_rank[-1] == 0
         zero = FactorModel(U=np.zeros((60, 12)), V=sp.csr_matrix((12, 30)), E=got.model.E)
         with pytest.warns(UserWarning, match=r": the start had none$"):
             fit(observed, S, T, hp, zero)
@@ -1298,7 +1298,7 @@ class TestLiveRank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = fit(observed, S, T, hp)
-        assert got.live_factors == 5
+        assert got.live_rank[-1] == 5
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_every_factor_dies(self, gamma):
@@ -1700,27 +1700,22 @@ class TestReportCounts:
         S = build_feature_structure(instance.features, hp)
         T = build_tag_structure(split.observed, hp)
         report = fit(reinitialize(split.observed, S, T), S, T, hp)
-        assert (report.live_factors, report.empty_tags) == (6, 271)
+        assert (report.live_rank[-1], report.empty_tags) == (6, 271)
         V = report.model.V.toarray()
         assert report.empty_tags == int((~V.any(axis=0)).sum())
-        assert report.live_factors == int((report.model.U.any(axis=0) | V.any(axis=1)).sum())
+        # no update after the last basis pass changes U or V
+        assert report.live_rank[-1] == int((report.model.U.any(axis=0) | V.any(axis=1)).sum())
 
-    def test_hand_zeroed_column_and_factor(self):
+    def test_hand_zeroed_column(self):
         rng = np.random.default_rng(49)
         D, S, T, _, hp = random_setup(rng, n=12, m=6, k=3)
         report = fit(D, S, T, hp.with_overrides(eta=0.01))
         model = report.model
         V = model.V.toarray()
         tag = int(np.flatnonzero(V.any(axis=0))[0])
-        factor = int(np.flatnonzero(V.any(axis=1))[0])
         V[:, tag] = 0.0
         zeroed = dataclasses.replace(report, model=FactorModel(U=model.U, V=sp.csr_matrix(V), E=model.E))
         assert zeroed.empty_tags == report.empty_tags + 1
-        U = model.U.copy()
-        U[:, factor] = 0.0
-        V[factor] = 0.0
-        dead = dataclasses.replace(report, model=FactorModel(U=U, V=sp.csr_matrix(V), E=model.E))
-        assert dead.live_factors == report.live_factors - 1
 
 
 class TestEmptyInput:

@@ -579,6 +579,25 @@ class TestRecertification:
         ):
             (build if use == "build" else certify)(neighbors=neighbors)
 
+    @pytest.mark.parametrize("side", ["image", "tag"])
+    @pytest.mark.parametrize("use", ["build", "certificate"])
+    def test_only_passed_lists_are_checked(self, side, use, monkeypatch):
+        # lists a function searched itself cannot fail the check; lists
+        # handed to it are checked once, by that function
+        build, certify, neighbors = self.sides(side)
+        run = build if use == "build" else certify
+        check, calls = structure._check_neighbors, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return check(*args)
+
+        monkeypatch.setattr(structure, "_check_neighbors", counted)
+        run()
+        assert calls == []
+        run(neighbors=neighbors)
+        assert calls == [side]
+
 
 class TestResidualFormCertificate:
     """The certificate's gradient A (A'w - b) against kkt_residual of the
