@@ -20,7 +20,12 @@ quadratic minimized by one Cholesky solve.  On a numerically singular pattern a 
 (Efron et al., 2004) trades one active coordinate for the joining one,
 which makes the next pattern nonsingular again.  The problems of a batch
 with one size run their rounds in lockstep, so that stacked factorizations
-and line searches replace one small call per problem.  Any minimizer
+and line searches replace one small call per problem.  Each problem keeps
+its active coordinates as a short sorted row of a padded array, and a round
+reads its weights only there: the gradient's operands, the violations on
+the active set and the next face come from those rows, and only the
+gradient, with the gathers that form it, and the violations span all k
+coordinates.  Any minimizer
 returned is certified by the stationarity conditions, which is what
 downstream code relies on: the minimizer of a convex problem is
 characterized by its KKT residual, not by the algorithm that found it.
@@ -32,7 +37,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+# The kernel that scipy's csr_matrix @ ndarray runs: a round's gradient calls
+# it on the CSR arrays of the live items' active weights, skipping the
+# matrix's construction and dispatch, about 30 us a round.
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .core import TagCompleteError, ValidationError
 
@@ -145,6 +154,18 @@ def solve_lasso(
     index, and form the gradients from the whole pool (see _gradients);
     over a row pool no whole gram is formed.
 
+    Each live item's active coordinates are kept in ascending order in one
+    row of a small padded array, with pads equal to k, and its weights are
+    read only there.  A round forms the gradient from those rows and
+    weights, takes the violations as |2 grad| - l1_weight over all k
+    coordinates and patches the active ones, and reads the joining
+    coordinate, its sign and the items that stop before it filters the
+    live items, so that it filters only per-item values and the compact
+    rows.  The face is the active row with the joining coordinate sorted
+    in, and the face step writes back its nonzero coordinates as the next
+    active row.  Every sum runs in coordinate order, so the weights are
+    bitwise those of rounds that read each active set off the whole row.
+
     Starting from w = 0, each round recomputes grad = gram @ w - corr and
     stops once the KKT residual is at most `tol`:
 
@@ -184,6 +205,7 @@ def solve_lasso(
         at = np.arange(problem.corr.shape[0])[None]
         problem = LassoBatch(problem.gram, at, problem.corr[None], problem.l1_weight)
     corr, lam = problem.corr, problem.l1_weight
+    k = corr.shape[1]
     w = np.zeros(corr.shape)
     kkt = np.zeros(corr.shape[0])
     failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
@@ -191,46 +213,66 @@ def solve_lasso(
     unusable = ~(diag > 0.0)
     any_unusable = unusable.any()
     pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
+    del diag  # an (items, k) array: the rounding-dust step reads its few entries again
     live = np.arange(corr.shape[0])
+    # row r of act: item live[r]'s active coordinates in ascending order,
+    # among pads equal to k; the last column is a pad
+    act = np.full((live.size, 1), k)
     rounds = 0
     while live.size:
-        x = w[live]
-        grad = _gradients(problem, live, x)
-        violation = _violations(x, grad, lam)
-        kkt[live] = violation.max(axis=1, initial=0.0)
-        going = kkt[live] > tol
-        if not going.all():
-            live, x, grad, violation = live[going], x[going], grad[going], violation[going]
-            if not live.size:
-                break
+        filled = act < k
+        (at, _), coords = filled.nonzero(), act[filled]
+        count = np.bincount(at, minlength=live.size)
+        held = w[live[at], coords]
+        grad = _gradients(problem, live, count, coords, held)
+        violation = np.multiply(grad, 2.0)  # |2 grad| - lam off the active set
+        np.abs(violation, out=violation)
+        violation -= lam
+        on = 2.0 * grad[at, coords]  # |2 grad + lam sign(w)| on it
+        on += lam * np.sign(held)
+        violation[at, coords] = np.abs(on, out=on)
+        kkt[live] = top = violation.max(axis=1, initial=0.0)
+        going = top > tol
+        if not going.any():
+            break
         if rounds >= max_iters:
-            failed_after[live] = rounds
+            failed_after[live[going]] = rounds
             break
         rounds += 1
+        keep = going
         if any_unusable:
             violation[unusable[live]] = -np.inf
         best = np.argmax(violation, axis=1)
-        theta = np.sign(x)
-        joins = np.where(theta != 0.0, violation, 0.0).max(axis=1) <= tol
-        # only zero-diagonal coordinates violate: no step helps
-        stuck = joins & (violation[np.arange(live.size), best] <= tol)
-        if stuck.any():
-            failed_after[live[stuck]] = rounds
-            # items after the first failure cannot change the outcome
-            keep = ~stuck & (live < np.flatnonzero(failed_after >= 0)[0])
-            live, x, grad, theta, best, joins = (
-                a[keep] for a in (live, x, grad, theta, best, joins)
+        lead = grad[np.arange(live.size), best]
+        joins = np.bincount(at[on > tol], minlength=live.size) == 0  # the active set is stationary
+        if any_unusable:
+            # only zero-diagonal coordinates violate: no step helps
+            stuck = joins & going & (violation[np.arange(live.size), best] <= tol)
+            if stuck.any():
+                failed_after[live[stuck]] = rounds
+                # items after the first failure cannot change the outcome
+                keep = going & ~stuck & (live < np.flatnonzero(failed_after >= 0)[0])
+        del grad, violation, filled, coords, at, held, on  # the round's arrays, before the step's
+        if not keep.all():
+            live, act, count, best, lead, joins = (
+                a[keep] for a in (live, act, count, best, lead, joins)
             )
-        at = np.flatnonzero(joins)
-        theta[at, best[at]] = -np.sign(grad[at, best[at]])
-        moved = _face_steps(problem, w, live, x, theta, np.where(joins, best, -1), pivot_floor)
+        act[:, -1] = np.where(joins, best, k)  # the joining coordinate into the pad
+        act.sort(axis=1)
+        moved = _face_steps(problem, w, live, act, count + joins, -np.sign(lead), pivot_floor)
         if not moved.all():
             # rounding dust: exactly minimize the worst violator alone
             at = np.flatnonzero(~moved)
             b, j = live[at], best[at]
-            z = diag[b, j] * x[at, j] - grad[at, j]
-            w[b, j] = np.sign(z) * np.maximum(np.abs(z) - 0.5 * lam, 0.0) / diag[b, j]
-        del x, grad, violation, theta  # the round's (items, k) arrays, before the next's
+            diag = _diagonal(problem._replace(index=problem.index[b, j][:, None]))[:, 0]
+            z = diag * w[b, j] - lead[at]
+            w[b, j] = np.sign(z) * np.maximum(np.abs(z) - 0.5 * lam, 0.0) / diag
+            # j may lie outside the face: look for its weight there too
+            act = np.concatenate([act, np.full((live.size, 1), k)], axis=1)
+            act[at, -1] = np.where((act[at] == j[:, None]).any(axis=1), k, j)
+            act[at] = np.where(w[b[:, None], np.minimum(act[at], k - 1)] != 0.0, act[at], k)
+        if act[:, -1].min(initial=k) < k:
+            act = np.concatenate([act, np.full((live.size, 1), k)], axis=1)
     failed = np.flatnonzero(failed_after >= 0)
     if failed.size:
         item = int(failed[0])
@@ -286,96 +328,112 @@ def _diagonal(batch) -> np.ndarray:
     return batch.pool[batch.index, batch.index]
 
 
-def _gradients(batch, live, x) -> np.ndarray:
-    """gram @ x - corr for the live items, formed from their active coordinates.
+def _gradients(batch, live, count, coords, weights) -> np.ndarray:
+    """gram @ w - corr for the live items, formed from their active weights.
 
-    Over a gram pool it is one sparse product for all items, whatever their
-    active counts: a CSR matrix that holds each item's active weights at
-    their pool members, times the pool, read at each item's index with one
-    flat take.  Each item's sum runs over its active coordinates in order,
-    so its arithmetic is that of its own.  Over a row pool it is A (A'x):
-    A'x sums the active rows, and a stacked product with each item's k
-    rows of width d takes k d per item, with no gram formed.  There, items
-    with one number of active coordinates are done together, for the same
-    reason, and both gathers, the active rows and the k neighbor rows, are
-    taken in slices of items within half of _ROW_BUDGET (see _slices).  The
-    sums A'x are one (items, d) array, which fits the budget in a batch of
-    _batch_size items.
+    Row r's active set is count[r] entries of coords and weights, in row
+    order and ascending coordinate order within a row: the CSR form of the
+    live items' weights.  Over a gram pool the gradient is one sparse
+    product for all items, whatever their active counts: that CSR matrix,
+    with each coordinate's pool member as its column and its row pointers
+    the running sums of count, times the pool by scipy's csr_matvecs, read
+    at each item's index with one flat take.  Each item's sum runs over its
+    active coordinates in order, so its arithmetic is that of its own.
+    Over a row pool it is A (A'x): A'x sums the active rows, and a stacked
+    product with each item's k rows of width d takes k d per item, with no
+    gram formed.  There, items with one number of active coordinates are
+    done together, for the same reason, and both gathers, the active rows
+    and the k neighbor rows, are taken in slices of items within half of
+    _ROW_BUDGET (see _slices).  The sums A'x are one (items, d) array,
+    which fits the budget in a batch of _batch_size items.
     """
-    grad = -batch.corr[live]
+    if not coords.size:
+        return -batch.corr[live]
+    members = batch.index[np.repeat(live, count), coords]
     if not isinstance(batch.pool, RowPool):
-        active = np.flatnonzero(x != 0.0)  # row by row, in coordinate order
-        if active.size:
-            members, size = batch.index[live], batch.pool.shape[0]
-            starts = np.searchsorted(active, np.arange(0, x.size + 1, x.shape[1]))
-            left = sp.csr_matrix(
-                (x.take(active), members.take(active).astype(np.int32), starts.astype(np.int32)),
-                shape=(live.size, size),
-            )
-            members += np.arange(0, live.size * size, size)[:, None]  # into the flat product
-            grad += (left @ batch.pool).take(members)
+        size = batch.pool.shape[0]
+        starts = np.zeros(live.size + 1, dtype=np.int32)
+        np.cumsum(count, out=starts[1:])
+        product = np.zeros((live.size, size))
+        csr_matvecs(live.size, size, size, starts, members.astype(np.int32), weights,
+                    batch.pool.ravel(), product.ravel())
+        near = batch.index[live]
+        near += np.arange(0, live.size * size, size)[:, None]  # into the flat product
+        grad = product.take(near)
+        del product  # before the correlations are gathered
+        grad -= batch.corr[live]  # bitwise -corr + product: x - y is x + (-y)
         return grad
-    counts = (x != 0.0).sum(axis=1)
+    grad = -batch.corr[live]
     pool, vectors = batch.pool, batch.pool.vectors
     half = np.zeros((live.size, vectors.shape[1]))  # A'x
-    for count, rows in _groups(counts):
-        if count == 0:
+    starts = np.cumsum(count) - count
+    for active, rows in _groups(count):
+        if active == 0:
             continue
-        xr, rows = x[rows], np.arange(live.size)[rows]
-        active = np.nonzero(xr)[1].reshape(rows.size, count)
-        xa = xr[np.arange(rows.size)[:, None], active][:, None, :]
-        members = batch.index[live[rows, None], active]
-        for at in _slices(pool, rows.size, count):
-            half[rows[at]] = np.matmul(xa[at], vectors[members[at]])[:, 0]
-    moving = np.flatnonzero(counts)
+        rows = np.arange(live.size)[rows]
+        at = starts[rows, None] + np.arange(active)
+        xa, rows_of = weights[at][:, None, :], members[at]
+        for part in _slices(pool, rows.size, active):
+            half[rows[part]] = np.matmul(xa[part], vectors[rows_of[part]])[:, 0]
+    moving = np.flatnonzero(count)
     for at in _slices(pool, moving.size, batch.index.shape[1]):
         part = moving[at]  # gathers (items, k, d), freed with the statement
         grad[part] += np.matmul(vectors[batch.index[live[part]]], half[part, :, None])[:, :, 0]
     return grad
 
 
-def _face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
+def _face_steps(batch, w, live, face, size, signs, pivot_floor) -> np.ndarray:
     """Move each live item's weights toward a lower objective on its sign face.
 
-    Row r is item live[r], with weights x[r] (a copy of w[live[r]]), signs
-    theta[r] and joining coordinate joining[r] (-1 for none).  The target
-    is the face minimizer, or on a singular face the swap step's first zero
-    crossing.  Items with one face size share one stacked Cholesky
-    factorization, so each item's arithmetic is that of its own; over a row
-    pool they go in slices whose face rows fit half of _ROW_BUDGET (see
-    _slices), so that the face grams and every array formed from them stay
-    within it too.  Writes the moved items' weights into w and returns which
+    Row r is item live[r], whose face is its active set and, where one
+    joins, the joining coordinate: size[r] coordinates, ascending in the
+    first columns of face[r].  The face signs are those of the weights w,
+    and signs[r] at the joining coordinate, the face's one zero weight.
+    The target is the face minimizer, or on a singular face the swap step's
+    first zero crossing.  Items with one face size share one stacked
+    Cholesky factorization, so each item's arithmetic is that of its own;
+    over a row pool they go in slices whose face rows fit half of
+    _ROW_BUDGET (see _slices), so that the face grams and every array
+    formed from them stay within it too.  Writes the moved items' face
+    weights into w, and into face[r] their nonzero coordinates, in order,
+    with k in place of each zero: row r's next active set.  Returns which
     rows moved; a row without a target, or where no candidate point lowers
-    the objective, keeps its weights.
+    the objective, keeps its weights and its face.
     """
-    moved = np.zeros(live.size, dtype=bool)
-    for size, group in _groups((theta != 0.0).sum(axis=1)):
+    moved, k = np.zeros(live.size, dtype=bool), batch.index.shape[1]
+    for width, group in _groups(size):
         group = np.arange(live.size)[group]
-        for part in _slices(batch.pool, group.size, size):
+        for part in _slices(batch.pool, group.size, width):
             rows = group[part]
             items = live[rows]
-            face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
-            fgram = pool_gram(batch.pool, batch.index[items[:, None], face])
-            fx = x[rows[:, None], face]
-            fcorr = batch.corr[items[:, None], face]
-            rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]
+            on = face[rows, :width]
+            fgram = pool_gram(batch.pool, batch.index[items[:, None], on])
+            fx = w[items[:, None], on]
+            fcorr = batch.corr[items[:, None], on]
+            joining = fx == 0.0
+            theta = np.sign(fx)
+            np.copyto(theta, signs[rows, None], where=joining)
+            rhs = fcorr - 0.5 * batch.l1_weight * theta
             chol, found = _cholesky(fgram, pivot_floor[items])
             if found.all():
                 target = _cholesky_solve(chol, rhs)
             else:
                 target = np.zeros_like(fx)
                 target[found] = _cholesky_solve(chol[found], rhs[found])
-                for i in np.flatnonzero(~found & (joining[rows] >= 0)):
-                    swap = _swap_target(fgram[i], face[i] == joining[rows[i]], fx[i],
-                                        theta[rows[i], joining[rows[i]]], pivot_floor[items[i]])
+                for i in np.flatnonzero(~found & joining.any(axis=1)):
+                    swap = _swap_target(fgram[i], joining[i], fx[i], signs[rows[i]],
+                                        pivot_floor[items[i]])
                     if swap is not None:
                         target[i], found[i] = swap, True
-                rows, items, face, fgram, fcorr, fx, target = (
-                    a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
+                rows, items, on, fgram, fcorr, fx, target = (
+                    a[found] for a in (rows, items, on, fgram, fcorr, fx, target)
                 )
             points, lower = _line_search(fgram, fcorr, batch.l1_weight, fx, target)
             moved[rows] = lower
-            w[items[lower, None], face[lower]] = points[lower]
+            if not lower.all():
+                rows, items, on, points = rows[lower], items[lower], on[lower], points[lower]
+            w[items[:, None], on] = points
+            face[rows, :width] = np.where(points != 0.0, on, k)
     return moved
 
 

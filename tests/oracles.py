@@ -2,7 +2,7 @@
 
 Everything here is deliberately brute force: enumeration, dense algebra,
 scalar grid search.  None of it shares code with the package under test, so
-agreement between the two is evidence, not tautology.  The three exceptions
+agreement between the two is evidence, not tautology.  The exceptions
 are references that faster package paths must match bit for bit, or, for
 the image structure, up to rounding: structure_by_item_loop runs the
 package's own lasso solver one item at a time on explicit grams, against
@@ -13,6 +13,10 @@ coupling and takes the package's trust-region step on it, against
 solver.update_basis, which passes over columns with an all-zero
 coefficient row, and rank_by_image_loop ranks one test image at a
 time, against the one sort of metrics.rank_predictions.
+lasso_by_full_width_rounds is lasso.solve_lasso's round loop as it was when
+every round read each item's active set, signs and gradient operands off
+full (items, k) arrays; solve_lasso, which keeps the active sets compact,
+must match its weights, residuals and errors bit for bit.
 instance_by_image_loop and split_by_image_loop are synth.generate and
 synth.delete_tags as they drew one image at a time around per-image numpy
 calls and two dense copies, and split_fault_by_image_loop is the frozen copy
@@ -528,6 +532,193 @@ def structure_by_item_loop(vectors, l1_weight, k, tol, max_iters=None):
         except LassoConvergenceError as exc:
             failures.append((i, exc))
     return weights, failures
+
+
+def lasso_by_full_width_rounds(problem, tol, max_iters):
+    """solve_lasso's rounds as they were before each item's active set was
+    kept compact: every round re-derives it, and the signs, violations and
+    gradient operands, from full (items, k) arrays.  The body below and its
+    two helpers are that round loop as it was, unchanged but for the
+    helpers' names; it calls the solver's diagonal, Cholesky, swap,
+    line-search and violation helpers, which the compact rounds use
+    unchanged."""
+    from tagcomplete.core import ValidationError
+    from tagcomplete.lasso import (
+        _SINGULAR_PIVOT,
+        LassoBatch,
+        LassoConvergenceError,
+        LassoProblem,
+        LassoSolution,
+        _diagonal,
+        _violations,
+    )
+
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValidationError(f"max_iters must be an int >= 0, got {max_iters!r}")
+    single = isinstance(problem, LassoProblem)
+    if single:
+        at = np.arange(problem.corr.shape[0])[None]
+        problem = LassoBatch(problem.gram, at, problem.corr[None], problem.l1_weight)
+    corr, lam = problem.corr, problem.l1_weight
+    w = np.zeros(corr.shape)
+    kkt = np.zeros(corr.shape[0])
+    failed_after = np.full(corr.shape[0], -1)  # rounds at an item's failure
+    diag = _diagonal(problem)
+    unusable = ~(diag > 0.0)
+    any_unusable = unusable.any()
+    pivot_floor = _SINGULAR_PIVOT * diag.max(axis=1, initial=0.0)
+    live = np.arange(corr.shape[0])
+    rounds = 0
+    while live.size:
+        x = w[live]
+        grad = _full_width_gradients(problem, live, x)
+        violation = _violations(x, grad, lam)
+        kkt[live] = violation.max(axis=1, initial=0.0)
+        going = kkt[live] > tol
+        if not going.all():
+            live, x, grad, violation = live[going], x[going], grad[going], violation[going]
+            if not live.size:
+                break
+        if rounds >= max_iters:
+            failed_after[live] = rounds
+            break
+        rounds += 1
+        if any_unusable:
+            violation[unusable[live]] = -np.inf
+        best = np.argmax(violation, axis=1)
+        theta = np.sign(x)
+        joins = np.where(theta != 0.0, violation, 0.0).max(axis=1) <= tol
+        # only zero-diagonal coordinates violate: no step helps
+        stuck = joins & (violation[np.arange(live.size), best] <= tol)
+        if stuck.any():
+            failed_after[live[stuck]] = rounds
+            # items after the first failure cannot change the outcome
+            keep = ~stuck & (live < np.flatnonzero(failed_after >= 0)[0])
+            live, x, grad, theta, best, joins = (
+                a[keep] for a in (live, x, grad, theta, best, joins)
+            )
+        at = np.flatnonzero(joins)
+        theta[at, best[at]] = -np.sign(grad[at, best[at]])
+        moved = _full_width_face_steps(problem, w, live, x, theta, np.where(joins, best, -1), pivot_floor)
+        if not moved.all():
+            # rounding dust: exactly minimize the worst violator alone
+            at = np.flatnonzero(~moved)
+            b, j = live[at], best[at]
+            z = diag[b, j] * x[at, j] - grad[at, j]
+            w[b, j] = np.sign(z) * np.maximum(np.abs(z) - 0.5 * lam, 0.0) / diag[b, j]
+        del x, grad, violation, theta  # the round's (items, k) arrays, before the next's
+    failed = np.flatnonzero(failed_after >= 0)
+    if failed.size:
+        item = int(failed[0])
+        raise LassoConvergenceError(
+            f"lasso did not reach KKT residual {tol:g} "
+            f"(last residual {kkt[item]:g} after {failed_after[item]} rounds)",
+            kkt_residual=float(kkt[item]),
+            item=item,
+        )
+    return LassoSolution(w[0] if single else w, float(kkt.max(initial=0.0)))
+
+
+def _full_width_gradients(batch, live, x) -> np.ndarray:
+    """gram @ x - corr for the live items, formed from their active coordinates.
+
+    Over a gram pool it is one sparse product for all items, whatever their
+    active counts: a CSR matrix that holds each item's active weights at
+    their pool members, times the pool, read at each item's index with one
+    flat take.  Each item's sum runs over its active coordinates in order,
+    so its arithmetic is that of its own.  Over a row pool it is A (A'x):
+    A'x sums the active rows, and a stacked product with each item's k
+    rows of width d takes k d per item, with no gram formed.  There, items
+    with one number of active coordinates are done together, for the same
+    reason, and both gathers, the active rows and the k neighbor rows, are
+    taken in slices of items within half of _ROW_BUDGET (see _slices).  The
+    sums A'x are one (items, d) array, which fits the budget in a batch of
+    _batch_size items.
+    """
+    from tagcomplete.lasso import RowPool, _groups, _slices
+
+    grad = -batch.corr[live]
+    if not isinstance(batch.pool, RowPool):
+        active = np.flatnonzero(x != 0.0)  # row by row, in coordinate order
+        if active.size:
+            members, size = batch.index[live], batch.pool.shape[0]
+            starts = np.searchsorted(active, np.arange(0, x.size + 1, x.shape[1]))
+            left = sp.csr_matrix(
+                (x.take(active), members.take(active).astype(np.int32), starts.astype(np.int32)),
+                shape=(live.size, size),
+            )
+            members += np.arange(0, live.size * size, size)[:, None]  # into the flat product
+            grad += (left @ batch.pool).take(members)
+        return grad
+    counts = (x != 0.0).sum(axis=1)
+    pool, vectors = batch.pool, batch.pool.vectors
+    half = np.zeros((live.size, vectors.shape[1]))  # A'x
+    for count, rows in _groups(counts):
+        if count == 0:
+            continue
+        xr, rows = x[rows], np.arange(live.size)[rows]
+        active = np.nonzero(xr)[1].reshape(rows.size, count)
+        xa = xr[np.arange(rows.size)[:, None], active][:, None, :]
+        members = batch.index[live[rows, None], active]
+        for at in _slices(pool, rows.size, count):
+            half[rows[at]] = np.matmul(xa[at], vectors[members[at]])[:, 0]
+    moving = np.flatnonzero(counts)
+    for at in _slices(pool, moving.size, batch.index.shape[1]):
+        part = moving[at]  # gathers (items, k, d), freed with the statement
+        grad[part] += np.matmul(vectors[batch.index[live[part]]], half[part, :, None])[:, :, 0]
+    return grad
+
+
+def _full_width_face_steps(batch, w, live, x, theta, joining, pivot_floor) -> np.ndarray:
+    """Move each live item's weights toward a lower objective on its sign face.
+
+    Row r is item live[r], with weights x[r] (a copy of w[live[r]]), signs
+    theta[r] and joining coordinate joining[r] (-1 for none).  The target
+    is the face minimizer, or on a singular face the swap step's first zero
+    crossing.  Items with one face size share one stacked Cholesky
+    factorization, so each item's arithmetic is that of its own; over a row
+    pool they go in slices whose face rows fit half of _ROW_BUDGET (see
+    _slices), so that the face grams and every array formed from them stay
+    within it too.  Writes the moved items' weights into w and returns which
+    rows moved; a row without a target, or where no candidate point lowers
+    the objective, keeps its weights.
+    """
+    from tagcomplete.lasso import (
+        _cholesky, _cholesky_solve, _groups, _line_search, _slices, _swap_target, pool_gram,
+    )
+
+    moved = np.zeros(live.size, dtype=bool)
+    for size, group in _groups((theta != 0.0).sum(axis=1)):
+        group = np.arange(live.size)[group]
+        for part in _slices(batch.pool, group.size, size):
+            rows = group[part]
+            items = live[rows]
+            face = np.nonzero(theta[rows])[1].reshape(rows.size, size)
+            fgram = pool_gram(batch.pool, batch.index[items[:, None], face])
+            fx = x[rows[:, None], face]
+            fcorr = batch.corr[items[:, None], face]
+            rhs = fcorr - 0.5 * batch.l1_weight * theta[rows[:, None], face]
+            chol, found = _cholesky(fgram, pivot_floor[items])
+            if found.all():
+                target = _cholesky_solve(chol, rhs)
+            else:
+                target = np.zeros_like(fx)
+                target[found] = _cholesky_solve(chol[found], rhs[found])
+                for i in np.flatnonzero(~found & (joining[rows] >= 0)):
+                    swap = _swap_target(fgram[i], face[i] == joining[rows[i]], fx[i],
+                                        theta[rows[i], joining[rows[i]]], pivot_floor[items[i]])
+                    if swap is not None:
+                        target[i], found[i] = swap, True
+                rows, items, face, fgram, fcorr, fx, target = (
+                    a[found] for a in (rows, items, face, fgram, fcorr, fx, target)
+                )
+            points, lower = _line_search(fgram, fcorr, batch.l1_weight, fx, target)
+            moved[rows] = lower
+            w[items[lower, None], face[lower]] = points[lower]
+    return moved
+
 
 
 def golden_section(f, lo, hi, iters=200):

@@ -18,7 +18,8 @@ from tagcomplete.lasso import (
     verify_kkt,
 )
 
-from oracles import lasso_by_enumeration, lasso_objective
+from helpers import gradients_at
+from oracles import lasso_by_enumeration, lasso_by_full_width_rounds, lasso_objective
 
 
 def objective_at(problem, w):
@@ -370,6 +371,39 @@ class TestDegenerateNeighborhoods:
         sol = check_neighbor_lasso(DUST_ROWS, DUST_ROWS[6].copy(), 0.01, max_iters=3)
         assert np.flatnonzero(sol.weights).tolist() == [6]
 
+    @pytest.mark.parametrize("seed", [678, 2268])
+    def test_singular_faces_without_a_swap(self, seed):
+        # nearly collinear unit rows and a tiny L1 weight: some singular
+        # faces have a numerically singular rest (the active set), and some
+        # a joining column along which no active weight heads for zero, so
+        # _swap_target finds no step; the round then takes the rounding-dust
+        # step, and the solve still ends certified
+        nones = []
+        swap_target = lasso._swap_target
+
+        def recorded(fgram, joins, x, sign, pivot_floor):
+            step = swap_target(fgram, joins, x, sign, pivot_floor)
+            if step is None:
+                rest = ~joins
+                _, found = lasso._cholesky(fgram[np.ix_(rest, rest)][None], pivot_floor)
+                nones.append("no heading" if found[0] else "singular rest")
+            return step
+
+        rows, target, l1 = near_collinear_neighborhood(seed)
+        with mock.patch.object(lasso, "_swap_target", recorded):
+            check_neighbor_lasso(rows, target, l1)
+        assert set(nones) == {"no heading", "singular rest"}
+
+
+def near_collinear_neighborhood(seed):
+    """3-15 unit rows within 1e-9 to 1e-5 of a subspace of one dimension
+    less than their 1-5, a target, and an L1 weight of at most 1e-2."""
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(3, 16)), int(rng.integers(1, 6))
+    base = unit_rows(rng.normal(size=(max(1, d - 1), d)))
+    mix = rng.normal(size=(k, base.shape[0]))
+    rows = unit_rows(mix @ base + 10.0 ** rng.integers(-9, -4) * rng.normal(size=(k, d)))
+    return rows, rng.normal(size=d), float(rng.choice([0.0, 1e-8, 1e-6, 1e-4, 1e-2]))
 
 
 # Lockstep batches.  Every item of a batch has k variables; a smaller fixed
@@ -632,10 +666,138 @@ class TestGramPoolGradients:
         elif active == "mixed":  # every count from 0 to k, in shuffled rows
             for r, count in enumerate(rng.permutation(np.arange(live.size) % (k + 1))):
                 x[r, rng.permutation(k)[count:]] = 0.0
-        grad = lasso._gradients(LassoBatch(pool, index, corr, 0.1), live, x)
+        grad = gradients_at(LassoBatch(pool, index, corr, 0.1), live, x)
         assert grad.shape == x.shape
         for r, item in enumerate(live):
             gram = pool[np.ix_(index[item], index[item])]
             want = gram @ x[r] - corr[item]
             scale = np.abs(gram) @ np.abs(x[r]) + np.abs(corr[item])
             assert np.all(np.abs(grad[r] - want) <= 1e-15 * scale)
+
+
+# Instances over one RowPool: each item rebuilds its own target from its own
+# rows, which sit in their own columns of the pooled rows, padded to k
+# coordinates with all-zero rows (zero-diagonal coordinates).
+ROW_ITEMS = {
+    "random": lambda rng: (unit_rows(rng.normal(size=(int(rng.integers(1, 9)), 3))),
+                           rng.normal(size=3)),
+    "binary": lambda rng: ((rng.random((int(rng.integers(1, 9)), 4)) < 0.4) * 1.0,
+                           (rng.random(4) < 0.5) * 1.0),
+    "swap_step": lambda rng: (SWAP_ROWS, SWAP_TARGET),
+    "rounding_dust": lambda rng: (DUST_ROWS, DUST_ROWS[6]),
+    "zero_target": lambda rng: (rng.normal(size=(5, 3)), np.zeros(3)),
+}
+
+
+def row_pool_batch(rng, kinds, k, l1_weight):
+    """The LassoBatch over one RowPool of the ROW_ITEMS `kinds`, each item's
+    rows in a random order among its k coordinates."""
+    items = [ROW_ITEMS[kind](rng) for kind in kinds]
+    width = sum(target.size for _, target in items)
+    vectors, targets, index, col = [np.zeros((1, width))], [], [], 0
+    for rows, target in items:
+        placed = np.zeros((rows.shape[0], width))
+        placed[:, col:col + target.size] = rows
+        full = np.zeros(width)
+        full[col:col + target.size] = target
+        first = sum(v.shape[0] for v in vectors)
+        members = np.zeros(k, dtype=np.intp)  # pads: the all-zero row 0
+        members[:rows.shape[0]] = np.arange(first, first + rows.shape[0])
+        vectors.append(placed)
+        targets.append(full)
+        index.append(rng.permutation(members))
+        col += target.size
+    vectors, index = np.vstack(vectors), np.stack(index)
+    corr = np.matmul(vectors[index], np.stack(targets)[:, :, None])[:, :, 0]
+    return LassoBatch(RowPool(vectors), index, corr, l1_weight)
+
+
+ROUND_CAPS = st.sampled_from([0, 1, 2, 3, 5, lasso.DEFAULT_MAX_ITERS])
+
+
+class TestFullWidthReference:
+    """solve_lasso keeps each item's active set compact; every outcome is
+    bitwise that of the round loop that re-derived it from full (items, k)
+    arrays each round: the weights and residual, or the failing item, its
+    message and its residual."""
+
+    @staticmethod
+    def assert_same_outcome(batch, max_iters):
+        outcomes = []
+        for solve in (solve_lasso, lasso_by_full_width_rounds):
+            try:
+                outcomes.append(solve(batch, lasso.DEFAULT_TOL, max_iters))
+            except LassoConvergenceError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        assert type(got) is type(want)
+        assert np.float64(got.kkt_residual).tobytes() == np.float64(want.kkt_residual).tobytes()
+        if isinstance(want, LassoConvergenceError):
+            assert (got.item, str(got)) == (want.item, str(want))
+        else:
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        k=st.integers(8, 12),
+        kinds=st.lists(st.sampled_from(sorted(BATCH_ITEMS)), min_size=1, max_size=8),
+        l1=st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1.0]),
+        max_iters=ROUND_CAPS,
+    )
+    def test_gram_pool(self, seed, k, kinds, l1, max_iters):
+        rng = np.random.default_rng(seed)
+        items = [BATCH_ITEMS[kind](rng, k) for kind in kinds]
+        grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
+        self.assert_same_outcome(stacked_batch(grams, corrs, l1), max_iters)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(2, 40),
+        k=st.integers(1, 12),
+        n_items=st.integers(1, 10),
+        l1=st.sampled_from([1e-4, 0.01, 0.1, 1.0]),
+        max_iters=ROUND_CAPS,
+    )
+    def test_shared_gram_pool(self, seed, n, k, n_items, l1, max_iters):
+        # overlapping neighborhoods of one pool A A', as the tag builder's
+        # of D'D, with targets of their own
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        A = rng.normal(size=(n, 6))
+        index = np.stack([rng.permutation(n)[:k] for _ in range(n_items)])
+        corr = np.einsum("ikd,id->ik", A[index], rng.normal(size=(n_items, 6)))
+        self.assert_same_outcome(LassoBatch(A @ A.T, index, corr, l1), max_iters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        k=st.integers(8, 12),
+        kinds=st.lists(st.sampled_from(sorted(ROW_ITEMS)), min_size=1, max_size=8),
+        l1=st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1.0]),
+        max_iters=ROUND_CAPS,
+    )
+    def test_row_pool(self, seed, k, kinds, l1, max_iters):
+        rng = np.random.default_rng(seed)
+        self.assert_same_outcome(row_pool_batch(rng, kinds, k, l1), max_iters)
+
+    def test_instances_reach_every_path(self):
+        # the swap step, the rounding-dust step and the zero-diagonal stop,
+        # over both kinds of pool, each bitwise as before
+        rng = np.random.default_rng(46)
+        kinds = ["swap_step", "rounding_dust", "zero_target", "zero_diagonal", "duplicated"]
+        items = [BATCH_ITEMS[kind](rng, 8) for kind in kinds]
+        grams, corrs = np.stack([g for g, _ in items]), np.stack([c for _, c in items])
+        for max_iters in (3, lasso.DEFAULT_MAX_ITERS):
+            self.assert_same_outcome(stacked_batch(grams, corrs, 0.01), max_iters)
+            self.assert_same_outcome(stacked_batch(grams[[0, 1, 2, 4]], corrs[[0, 1, 2, 4]], 0.01),
+                                     max_iters)
+        batch = row_pool_batch(rng, ["swap_step", "rounding_dust", "random", "binary"], 9, 0.01)
+        self.assert_same_outcome(batch, lasso.DEFAULT_MAX_ITERS)
+
+    @pytest.mark.parametrize("seed", [678, 2268])
+    def test_singular_faces_without_a_swap(self, seed):
+        rows, target, l1 = near_collinear_neighborhood(seed)
+        problem = LassoProblem(rows @ rows.T, rows @ target, 0.0, l1)
+        self.assert_same_outcome(problem, lasso.DEFAULT_MAX_ITERS)

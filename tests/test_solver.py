@@ -906,6 +906,86 @@ class TestBasisTrustRegion:
         fit(split.observed, S, T, hp)
         assert len(calls) > 30
 
+
+class TestUncertifiedBasisSteps:
+    """The basis step returns no column rather than an uncertified one: for a
+    non-finite q or g, for a Lanczos matrix T_j that no sigma makes positive
+    definite, and for a step that fails its certificate.  update_basis then
+    keeps the column and counts its coordinates skipped.  A gamma near the
+    float maximum overflows gamma B'B q, which is how T_j turns non-finite."""
+
+    @staticmethod
+    def projected_steps(monkeypatch):
+        """The h of each projected solve, as the basis steps make them."""
+        steps, projected = [], solver._projected_step
+
+        def recorded(*args):
+            step = projected(*args)
+            steps.append(step[0])
+            return step
+
+        monkeypatch.setattr(solver, "_projected_step", recorded)
+        return steps
+
+    @pytest.mark.parametrize("g, q", [
+        (1.0, [1.0, np.inf, 0.0, 2.0]),
+        (1.0, [1e200, -1e200, 0.0, 1.0]),  # q'q overflows
+        (np.nan, [1.0, 2.0, 0.0, 1.0]),
+        (np.inf, [1.0, 2.0, 0.0, 1.0]),
+    ])
+    def test_non_finite_q_or_g(self, g, q, monkeypatch):
+        steps = self.projected_steps(monkeypatch)
+        ws = workspace_for(chain_structure(4), gamma=1.0)
+        with np.errstate(over="ignore"):
+            assert solver._basis_step(ws, g, np.array(q)) == (None, None, 8)
+        assert steps == []
+
+    @staticmethod
+    def overflowing(gamma):
+        """A workspace on a dense random S whose gamma B'B overflows, and a q."""
+        rng = np.random.default_rng(0)
+        Sd = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.6)
+        np.fill_diagonal(Sd, 0.0)
+        return workspace_for(StructureMatrix(sp.csr_matrix(Sd)), gamma), rng.normal(size=6)
+
+    def test_no_positive_definite_shift(self, monkeypatch):
+        # gamma = 1e300: beta_2 = ||w|| overflows, so T_2's off-diagonal is
+        # inf and every sigma tried leaves a pivot that is not positive
+        steps = self.projected_steps(monkeypatch)
+        ws, q = self.overflowing(1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver._basis_step(ws, 1.0, q) == (None, None, 2)
+        assert steps == [None]
+
+    def test_failed_certificate(self, monkeypatch):
+        # gamma = 1e308: gamma B'B q overflows, T_1 = [inf] and the projected
+        # step h = q_norm / inf = 0 is solved, but u = 0 leaves the residual
+        # -q, which fails the certificate
+        steps = self.projected_steps(monkeypatch)
+        ws, q = self.overflowing(1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver._basis_step(ws, 1.0, q) == (None, None, 1)
+        assert steps == [[0.0]]
+
+    @pytest.mark.parametrize("gamma", [1e300, 1e308])
+    def test_update_basis_keeps_failed_columns(self, gamma):
+        rng = np.random.default_rng(67)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=8, m=6, k=3, density=0.6, hp=hp)
+        ws = SolverWorkspace(D, S, T, model, hp)
+        before, live = ws.basis.copy(), int(ws.coeffs.any(axis=1).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            skipped = update_basis(ws)
+        assert live > 0 and skipped == 8 * 3
+        assert ws.basis.tobytes() == before.tobytes()
+
+    def test_non_positive_slope_ends_newton(self):
+        # T = [inf] at sigma = 0.5: h = q_norm / inf = 0, whose norm is not
+        # 1 and not reached at sigma = 0, and the Newton slope
+        # h'(T + sigma I)^-1 h is 0, so the last solve is returned unmoved
+        assert solver._projected_step([np.inf], [], 1.0, 0.5) == ([0.0], 0.5, np.inf, 1.0)
+
+
 class TestUpdateError:
     def test_closed_form_is_global_minimum(self):
         rng = np.random.default_rng(30)

@@ -30,7 +30,7 @@ from tagcomplete.structure import (
 )
 from tagcomplete.synth import SynthConfig, delete_tags, generate
 
-from helpers import zero_structure
+from helpers import gradients_at, zero_structure
 from oracles import (
     knn_by_einsum_scan,
     knn_by_full_scan,
@@ -930,11 +930,11 @@ class TestLockstepChunks:
             # one neighbor list per item indexes both sides of its gram
             assert batch._fields == ("pool", "index", "corr", "l1_weight")
             diagonal = lasso._diagonal(batch)
-            grad = lasso._gradients(batch, np.arange(n), x[items, :width])
+            grad = gradients_at(batch, np.arange(n), x[items, :width])
             with monkeypatch.context() as patch:
                 patch.setattr(lasso, "_ROW_BUDGET", 2 * vectors.nbytes * k)
                 assert len(lasso._slices(batch.pool, n, width)) == 1
-                whole = lasso._gradients(batch, np.arange(n), x[items, :width])
+                whole = gradients_at(batch, np.arange(n), x[items, :width])
             assert whole.tobytes() == grad.tobytes()
             for b, i in enumerate(items):
                 rows = vectors[neighbors[i, :width]]
@@ -949,7 +949,7 @@ class TestLockstepChunks:
                     grad[b], want, rtol=0.0, atol=1e-13 * np.abs(x[i, :width]).sum()
                 )
                 alone = batch._replace(index=batch.index[b:b + 1], corr=batch.corr[b:b + 1])
-                got = lasso._gradients(alone, np.arange(1), x[i:i + 1, :width])[0]
+                got = gradients_at(alone, np.arange(1), x[i:i + 1, :width])[0]
                 assert got.tobytes() == grad[b].tobytes()
             return lasso.LassoSolution(np.zeros((n, width)), 0.0)
 
@@ -1069,11 +1069,11 @@ class TestLockstepChunks:
         features = FeatureMatrix(np.random.default_rng(68).normal(size=(200, 2000)))
         gradients, peaks, sizes = lasso._gradients, [], []
 
-        def traced(batch, live, x):
+        def traced(batch, live, *active):
             sizes.append(live.size)
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            grad = gradients(batch, live, x)
+            grad = gradients(batch, live, *active)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return grad
 
