@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .core import (
     FactorModel,
@@ -108,6 +109,14 @@ def error_update_value(r, beta: float) -> np.ndarray:
     out -= 0.5 * beta
     np.maximum(out, 0.0, out=out)
     return np.multiply(np.sign(r, out=r), out, out=out)
+
+
+def _matvec(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """matrix @ x into out for a CSR matrix, by the scipy kernel that `@`
+    calls, so bit for bit its product, without its dispatch."""
+    out.fill(0.0)
+    csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
+    return out
 
 
 class SolverWorkspace:
@@ -345,12 +354,14 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
     n, q_norm = q.shape[0], math.sqrt(float(q @ q))
     if not (0.0 < q_norm < math.inf and math.isfinite(g)):
         return None, None, rows
+    inner, w = np.empty((2, n))  # B v, then gamma B'B v
     lanczos = np.empty((min(n, rows), n))
     lanczos[0] = q / q_norm
     diagonal, off_diagonal, sigma = [], [], 0.0
     stop, pivot, lead = _CERT_RTOL / 100 * q_norm, 0.0, 0.0
     for j in range(1, n + 1):
-        w = gamma * (shift_t @ (shift @ lanczos[j - 1]))
+        _matvec(shift_t, _matvec(shift, lanczos[j - 1], inner), w)
+        w *= gamma
         coeffs = lanczos[:j] @ w
         diagonal.append(g + float(coeffs[-1]))
         w -= coeffs @ lanczos[:j]
@@ -374,8 +385,8 @@ def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
     if sigma > 0.0:
         u /= math.sqrt(float(u @ u))
     norm = math.sqrt(float(u @ u))
-    image = shift @ u
-    residual = (g + sigma) * u + gamma * (shift_t @ image) - q
+    image = _matvec(shift, u, np.empty(n))
+    residual = (g + sigma) * u + gamma * _matvec(shift_t, image, w) - q
     tol = _CERT_RTOL * q_norm
     if (
         math.sqrt(float(residual @ residual)) <= tol
@@ -454,6 +465,7 @@ def update_basis(ws: SolverWorkspace) -> int:
     so its q is not formed.
     """
     basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
+    old_image = np.empty(ws.n_images)
     gram = ws.coeffs @ ws.coeffs.T
     corr = ws.basis_coupling()
     coupled = ws.coeffs.any(axis=1)
@@ -476,7 +488,7 @@ def update_basis(ws: SolverWorkspace) -> int:
         u, image, rows = _basis_step(ws, g, q, rows)
         if u is None:
             skipped += ws.n_images
-        elif value(g, q, u, image) <= value(g, q, old, shift @ old):
+        elif value(g, q, u, image) <= value(g, q, old, _matvec(shift, old, old_image)):
             basis[:, k] = u
     ws.changed("basis")
     return skipped
