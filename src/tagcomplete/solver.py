@@ -28,7 +28,10 @@ The coefficient sweep, update_coeffs, soft-thresholds one scalar at a time
 with covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).  A scan
 of each row first finds the zero coordinates that provably stay zero, so the
 sweep starts at the row's first coordinate that may move and passes over
-rows where none may.  Basis column k, with everything
+rows where none may.  Scalar steps crawl where two basis columns nearly
+duplicate each other, so fit follows each sweep with one exact feature-sign
+step on the face of V's nonzero coefficients (coeff_face_step; its memory
+is bounded by D's).  Basis column k, with everything
 else fixed, solves the trust-region subproblem (More & Sorensen, SIAM J.
 Sci. Stat. Comput. 1983)
 
@@ -43,7 +46,8 @@ tridiagonal and solved exactly (GLTR: Gould, Lucidi, Roma & Toint, SIAM J.
 Optim. 1999).  The space grows until the step's residual is within a
 hundredth of the certificate's tolerance, 1e-10 of ||q||, and no N x N array
 is formed.  Every step is certified by the optimality conditions of the full
-subproblem before it is written.
+subproblem before it is written.  Its products with B and B' call scipy's
+CSR kernel, the one behind `@`, into reused buffers.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .core import (
     error_term,
     objective_from_terms,
 )
+from .lasso import _SINGULAR_PIVOT, _cholesky
 
 # The tolerance, relative to ||q||, of the basis step's certificate; its
 # Lanczos process stops at a residual of _CERT_RTOL / 100 of ||q||.  The
@@ -78,6 +83,8 @@ _CERT_RTOL = 1e-8
 _NEWTON_TOL, _NEWTON_MAX_ITERS = 1e-10, 50
 # Cells per row block of the passes that form D - E - UV.
 _BLOCK_CELLS = 1 << 15
+# Rows per diagonal block of the face step's triangular solves.
+_SOLVE_BLOCK = 128
 
 
 class NumericalBlowupError(TagCompleteError, RuntimeError):
@@ -171,6 +178,9 @@ class SolverWorkspace:
         # columns here keep the bits they had when they were dropped
         self._model_basis = self.basis
         self._terms = {}
+        # (U'U, U'(D - E)) as the last coefficient sweep formed them, until U
+        # or E changes; the face step after the sweep reads them
+        self.sweep_coupling = None
         # two row blocks of _BLOCK_CELLS cells (one row when a row holds more)
         block_rows = max(min(_BLOCK_CELLS // max(D.n_tags, 1), D.n_images), 1)
         self._blocks = np.empty((2, block_rows, D.n_tags))
@@ -210,8 +220,10 @@ class SolverWorkspace:
 
     def changed(self, block: str) -> None:
         """Forget the penalty term of block ("basis", "coeffs" or "error"),
-        after it changed."""
+        after it changed, and the sweep's coupling after U or E did."""
         self._terms.pop(block, None)
+        if block != "coeffs":
+            self.sweep_coupling = None
 
     def coeff_coupling(self) -> np.ndarray:
         """U'(D - E), the coefficient block's coupling to the data, as
@@ -293,7 +305,7 @@ def update_coeffs(ws: SolverWorkspace) -> int:
     overflows has an infinite diagonal entry, where q reads 0 * inf = NaN.)
     """
     coeffs, penalty, eta = ws.coeffs, ws.tag_penalty, ws.hp.eta
-    gram, corr = ws.basis.T @ ws.basis, ws.coeff_coupling()
+    gram, corr = ws.sweep_coupling = ws.basis.T @ ws.basis, ws.coeff_coupling()
     diag = np.diagonal(penalty)
     diag_values = diag.tolist()
     # a row changes only in its own pass, so its state now is its state then
@@ -325,6 +337,98 @@ def update_coeffs(ws: SolverWorkspace) -> int:
         coeffs[k] = row
     ws.changed("coeffs")
     return skipped
+
+
+# What coeff_face_step can return: its step was taken, or why it was not.
+FACE_OUTCOMES = ("taken", "empty", "non-finite", "singular", "too large", "no descent")
+
+
+def coeff_face_step(ws: SolverWorkspace) -> str:
+    """One feature-sign face step (Lee, Battle, Raina & Ng, NIPS 2006) on the
+    coefficient block, after a sweep; returns one of FACE_OUTCOMES.
+
+    On the nonzero coefficients A, with signs theta, the block is the
+    quadratic x'Hx - 2(C - eta theta)'x plus a constant, where
+    H[(k,m),(l,m')] = (U'U)_kl [m = m'] + tag_penalty[m,m'] [k = l] and
+    C = U'(D - E) is the sweep's own coupling.  The step factors H_AA by
+    Cholesky, solves H_AA x = C_A - eta theta_A and moves to x, or to the first
+    zero crossing on the segment from the current point, with the crossing
+    coordinate (and any that rounding flips) set to exactly 0, so that the
+    quadratic there is the block's objective.  It keeps the move only if
+    that quadratic falls by more than a bound on its rounding.  A coordinate
+    joins A only through the sweep.
+
+    It is skipped when A is empty, when H_AA and its factor would hold more
+    cells than D (2|A|^2 > N M), when the state is not finite, and when H_AA
+    is singular: its Cholesky factor fails or its smallest squared pivot is
+    at most lasso._SINGULAR_PIVOT of its largest diagonal entry.
+    """
+    coeffs = ws.coeffs
+    rows, cols = np.nonzero(coeffs)
+    size = rows.size
+    if not size:
+        return "empty"
+    if 2 * size * size > ws.n_images * ws.n_tags:
+        return "too large"
+    if ws.sweep_coupling is None:
+        ws.sweep_coupling = ws.basis.T @ ws.basis, ws.coeff_coupling()
+    gram, corr = ws.sweep_coupling
+    start = coeffs[rows, cols]
+    theta = np.sign(start)
+    rhs = corr[rows, cols] - ws.hp.eta * theta
+    hessian = gram.take(rows, 0).take(rows, 1)
+    hessian *= cols[:, None] == cols
+    penalty = ws.tag_penalty.take(cols, 0).take(cols, 1)
+    penalty *= rows[:, None] == rows
+    hessian += penalty
+    del penalty
+    if not (np.isfinite(hessian).all() and np.isfinite(rhs).all() and np.isfinite(start).all()):
+        return "non-finite"
+    chol, nonsingular = _cholesky(hessian[None], _SINGULAR_PIVOT * np.diagonal(hessian).max())
+    if not nonsingular[0]:
+        return "singular"
+    # numpy has no triangular solve: a face of one block is solved on H
+    # itself, in one call, and a larger one on its factor's blocks
+    if size <= _SOLVE_BLOCK:
+        point = np.linalg.solve(hessian, rhs)
+    else:
+        point = _cholesky_solve_by_blocks(chol[0], rhs)
+    crossed = theta * point < 0.0
+    if crossed.any():
+        ratios = np.full(size, np.inf)
+        ratios[crossed] = start[crossed] / (start[crossed] - point[crossed])
+        point = start + ratios.min() * (point - start)
+        point[ratios.argmin()] = 0.0
+        point[theta * point < 0.0] = 0.0
+    # the quadratic's change, step'(H(point + start) - 2 rhs), and a bound
+    # on its rounding from the same sums taken over magnitudes
+    step, total = point - start, point + start
+    change = float(step @ (hessian @ total - 2.0 * rhs))
+    np.abs(hessian, out=hessian)
+    rounding = float(np.abs(step) @ (hessian @ np.abs(total) + 2.0 * np.abs(rhs)))
+    if not change < -4.0 * size * np.finfo(float).eps * rounding:
+        return "no descent"
+    coeffs[rows, cols] = point
+    ws.changed("coeffs")
+    return "taken"
+
+
+def _cholesky_solve_by_blocks(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with L L' x = rhs for a lower triangular L, by substitution on
+    blocks of _SOLVE_BLOCK rows, each diagonal block solved by
+    np.linalg.solve, whose cost on the whole of a large face would match
+    the factor's."""
+    x, block = rhs.copy(), _SOLVE_BLOCK
+    starts = range(0, x.size, block)
+    for lo in starts:  # L y = rhs
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi])
+        x[hi:] -= chol[hi:, lo:hi] @ x[lo:hi]
+    for lo in reversed(starts):  # L' x = y
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi])
+        x[:lo] -= chol[lo:hi, :lo].T @ x[lo:hi]
+    return x
 
 
 def _basis_step(ws: SolverWorkspace, g: float, q: np.ndarray, rows: int = 8):
@@ -450,6 +554,7 @@ def _projected_step(diagonal, off_diagonal, q_norm, sigma):
     return step
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def update_basis(ws: SolverWorkspace) -> int:
     """One cyclic pass of exact trust-region steps over the basis columns.
 
@@ -462,7 +567,9 @@ def update_basis(ws: SolverWorkspace) -> int:
     failed its certificate.
 
     A column whose coefficient row is all zero has g = 0 and q exactly 0,
-    so its q is not formed.
+    so its q is not formed.  The pass ignores floating-point overflow and
+    invalid values, as fit does: a gamma near the float maximum fails the
+    steps it reaches, and they are counted as skips.
     """
     basis, shift, gamma = ws.basis, ws.image_shift, ws.hp.gamma
     old_image = np.empty(ws.n_images)
@@ -539,8 +646,11 @@ class SolverReport:
     are dropped; live_rank[i] is the number after the basis pass of
     iteration i; no update after the last basis pass changes U or V, so
     live_rank[-1] also counts the final model's factors with a nonzero basis
-    column or coefficient row.  empty_tags counts its tags with an all-zero
-    column of V.
+    column or coefficient row.  face_steps counts the coefficient face steps
+    by outcome, one per iteration: "taken", or why a step was skipped (see
+    FACE_OUTCOMES).  empty_tags counts the final model's tags with an
+    all-zero column of V; max_basis_cosine and near_duplicate_pairs describe
+    its nonzero basis columns.
     """
 
     model: FactorModel
@@ -550,11 +660,33 @@ class SolverReport:
     iterations: int
     skipped_coordinates: int
     live_rank: list[int]
+    face_steps: dict[str, int]
+
+    # |cosine| above which two basis columns count as a near-duplicate pair
+    NEAR_DUPLICATE_COSINE = 0.99
 
     @property
     def empty_tags(self) -> int:
         """Tags with an all-zero column of V, on which every image scores 0."""
         return self.model.n_tags - np.unique(self.model.V.nonzero()[1]).size
+
+    def _basis_cosines(self) -> np.ndarray:
+        """|cosine| of each pair of nonzero basis columns, one entry a pair."""
+        U = self.model.U[:, self.model.U.any(axis=0)]
+        U = U / np.linalg.norm(U, axis=0)
+        return np.abs(U.T @ U)[np.triu_indices(U.shape[1], 1)]
+
+    @property
+    def max_basis_cosine(self) -> float:
+        """The largest |cosine| between two nonzero basis columns (0 with
+        fewer than two): near 1, the fit keeps a near-duplicate factor pair."""
+        return float(self._basis_cosines().max(initial=0.0))
+
+    @property
+    def near_duplicate_pairs(self) -> int:
+        """Pairs of nonzero basis columns with |cosine| above
+        NEAR_DUPLICATE_COSINE."""
+        return int(np.count_nonzero(self._basis_cosines() > self.NEAR_DUPLICATE_COSINE))
 
 
 def initial_model(D: TaggingMatrix, hp: Hyperparams) -> FactorModel:
@@ -619,8 +751,9 @@ def fit(
 ) -> SolverReport:
     """Run alternating block minimization to convergence.
 
-    Per outer iteration: one coefficient sweep, one basis pass and one error
-    refresh, which returns the values after the basis pass and after itself.
+    Per outer iteration: one coefficient sweep and its face step
+    (coeff_face_step), one basis pass and one error refresh, which returns
+    the values after the basis pass and after itself.
     Stops when the relative objective decrease falls below hp.rel_tol or
     after hp.max_outer_iters iterations.  Deterministic given hp.rng_seed.
 
@@ -649,6 +782,7 @@ def fit(
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
     block_rows, skipped, converged, live_rank = [], 0, False, [ws.n_factors]
+    face_steps = dict.fromkeys(FACE_OUTCOMES, 0)
 
     def checked(value, block):
         if not math.isfinite(value):
@@ -661,6 +795,7 @@ def fit(
     for iterations in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
+            face_steps[coeff_face_step(ws)] += 1
             after_coeffs = checked(ws.objective_value(), "coefficient pass")
             skipped += update_basis(ws)
             ws.drop_dead_factors()
@@ -692,4 +827,5 @@ def fit(
         iterations=iterations,
         skipped_coordinates=skipped,
         live_rank=live_rank,
+        face_steps=face_steps,
     )

@@ -28,8 +28,9 @@ without it.  The two file
 readers read_sparse_by_lines and read_dense_by_cells parse one line and one
 cell at a time with Python's int and float; io's one-call numpy readers must
 return the same bits and raise the same messages.  soft_threshold is the
-reference for the shrinkage of solver.error_update_value, bit for bit, and fit_at_full_rank runs the package's coefficient and basis
-blocks at the full rank K, with each objective from objective_from_arrays
+reference for the shrinkage of solver.error_update_value, bit for bit, and
+fit_at_full_rank runs the package's coefficient sweep, face step and basis
+pass at the full rank K, with each objective from objective_from_arrays
 and the error block by soft_threshold, against solver.fit, which drops dead
 factors; fit_with_dense_state runs fit's loop on the dense N x M working
 state (E, the target D - E and the product UV) that fit kept before E
@@ -38,6 +39,9 @@ objective_from_arrays sums core's objective terms on raw arrays, against
 dense_objective.  lanczos_stop_dimensions solves a basis step's projected
 problem at every Lanczos dimension by eigendecomposition, and bounds where
 solver._basis_step, which solves it at few, may stop.
+basis_step_by_sparse_operators is solver._basis_step with every product by
+S - I and its transpose through scipy's `@`; the step, which calls the
+kernel behind `@` on reused buffers, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -253,6 +257,60 @@ def coefficient_sweep_by_scalar_loop(basis, coeffs, corr, tag_penalty, eta):
     return coeffs, skipped
 
 
+def basis_step_by_sparse_operators(ws, g, q, rows=8):
+    """solver._basis_step as it was when every product with S - I and its
+    transpose went through scipy's `@` on the workspace's CSR matrices;
+    _basis_step, which calls the kernel behind `@` on reused buffers, must
+    return the same (u, image, j) bit for bit."""
+    from tagcomplete.core import FactorModel
+    from tagcomplete.solver import _CERT_RTOL, _projected_step
+
+    shift, shift_t, gamma = ws.image_shift, ws.image_shift_t, ws.hp.gamma
+    n, q_norm = q.shape[0], math.sqrt(float(q @ q))
+    if not (0.0 < q_norm < math.inf and math.isfinite(g)):
+        return None, None, rows
+    lanczos = np.empty((min(n, rows), n))
+    lanczos[0] = q / q_norm
+    diagonal, off_diagonal, sigma = [], [], 0.0
+    stop, pivot, lead = _CERT_RTOL / 100 * q_norm, 0.0, 0.0
+    for j in range(1, n + 1):
+        w = gamma * (shift_t @ (shift @ lanczos[j - 1]))
+        coeffs = lanczos[:j] @ w
+        diagonal.append(g + float(coeffs[-1]))
+        w -= coeffs @ lanczos[:j]
+        w -= (lanczos[:j] @ w) @ lanczos[:j]  # again, for orthogonality lost to rounding
+        beta = math.sqrt(float(w @ w))
+        if pivot:  # d_j = alpha_j + sigma - beta_j^2 / d_{j-1}, y_j = -(beta_j / d_{j-1}) y_{j-1}
+            ratio = off_diagonal[-1] / pivot
+            lead, pivot = -ratio * lead, diagonal[-1] + sigma - off_diagonal[-1] * ratio
+        done = not beta > stop or j == n
+        if done or j == 4 or (pivot and beta * abs(lead) <= stop * abs(pivot)):
+            h, sigma, pivot, lead = _projected_step(diagonal, off_diagonal, q_norm, sigma)
+            if h is None:
+                return None, None, j
+            if done or beta * abs(h[-1]) <= stop:
+                break
+        if j == len(lanczos):
+            lanczos = np.concatenate([lanczos, np.empty((min(n - j, max(j // 2, 1)), n))])
+        lanczos[j] = w / beta
+        off_diagonal.append(beta)
+    u = np.array(h) @ lanczos[:j]
+    if sigma > 0.0:
+        u /= math.sqrt(float(u @ u))
+    norm = math.sqrt(float(u @ u))
+    image = shift @ u
+    residual = (g + sigma) * u + gamma * (shift_t @ image) - q
+    tol = _CERT_RTOL * q_norm
+    if (
+        math.sqrt(float(residual @ residual)) <= tol
+        and sigma >= 0.0
+        and sigma * abs(1.0 - norm) <= tol
+        and norm <= 1.0 + FactorModel.COLUMN_NORM_SLACK
+    ):
+        return u, image, j
+    return None, None, j
+
+
 def basis_pass_by_column_loop(ws):
     """One cyclic pass of solver._basis_step over every basis column of the
     workspace, each column's coupling q formed from the whole coefficient
@@ -335,15 +393,18 @@ def checked_value(value, block, iteration, trace):
 
 
 def fit_at_full_rank(D, S, T, hp, start=None):
-    """solver.fit without dropping dead factors: every block at rank K, every
+    """solver.fit without dropping dead factors: every block, the face step
+    after the coefficient sweep included, at rank K, every
     objective from objective_from_arrays, and the error block as
     soft_threshold of data - UV by beta/2.  live_rank counts the factors
     with a nonzero basis column or coefficient row at the start and after
     each basis pass.  Returns a solver.SolverReport and raises
     solver.NumericalBlowupError as fit does."""
     from tagcomplete.solver import (
+        FACE_OUTCOMES,
         SolverReport,
         SolverWorkspace,
+        coeff_face_step,
         initial_model,
         update_basis,
         update_coeffs,
@@ -362,9 +423,11 @@ def fit_at_full_rank(D, S, T, hp, start=None):
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [objective()]
     rows, skipped, converged, live_rank = [], 0, False, [live()]
+    face_steps = dict.fromkeys(FACE_OUTCOMES, 0)
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
+            face_steps[coeff_face_step(ws)] += 1
             after_coeffs = checked_value(objective(), "coefficient pass", iteration, trace)
             skipped += update_basis(ws)
             live_rank.append(live())
@@ -387,6 +450,7 @@ def fit_at_full_rank(D, S, T, hp, start=None):
         iterations=len(rows),
         skipped_coordinates=skipped,
         live_rank=live_rank,
+        face_steps=face_steps,
     )
 
 
@@ -397,16 +461,18 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     ||target - UV||^2 over the whole matrix, given to the workspace's
     objective_value, and the error block shrinks data - UV over the whole
     matrix, so the value after the basis pass, the error refresh and the
-    value after it share one product.  The package's coefficient and basis
-    passes and its dead-factor drop run on that state, and the skips are the
+    value after it share one product.  The package's coefficient sweep, face
+    step and basis pass and its dead-factor drop run on that state, and the skips are the
     sum of what the passes return, dropped factors' included, and live_rank
     is the working rank at the start and after each basis pass's drop.
     Returns a solver.SolverReport and raises solver.NumericalBlowupError as
     fit does."""
     from tagcomplete.core import residual_term
     from tagcomplete.solver import (
+        FACE_OUTCOMES,
         SolverReport,
         SolverWorkspace,
+        coeff_face_step,
         error_update_value,
         initial_model,
         update_basis,
@@ -449,9 +515,11 @@ def fit_with_dense_state(D, S, T, hp, start=None):
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [ws.objective_value()]
     rows, skipped, converged, live_rank = [], 0, False, [ws.n_factors]
+    face_steps = dict.fromkeys(FACE_OUTCOMES, 0)
     for iteration in range(1, hp.max_outer_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             skipped += update_coeffs(ws)
+            face_steps[coeff_face_step(ws)] += 1
             after_coeffs = checked_value(
                 ws.objective_value(), "coefficient pass", iteration, trace
             )
@@ -475,6 +543,7 @@ def fit_with_dense_state(D, S, T, hp, start=None):
         iterations=len(rows),
         skipped_coordinates=skipped,
         live_rank=live_rank,
+        face_steps=face_steps,
     )
 
 

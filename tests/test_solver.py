@@ -37,6 +37,7 @@ from tagcomplete.synth import SynthConfig, delete_tags, generate
 from helpers import zero_structure
 from oracles import (
     basis_pass_by_column_loop,
+    basis_step_by_sparse_operators,
     basis_update_value,
     coefficient_sweep_by_residual,
     coefficient_sweep_by_scalar_loop,
@@ -44,6 +45,8 @@ from oracles import (
     fit_at_full_rank,
     fit_with_dense_state,
     lanczos_stop_dimensions,
+    lasso_by_enumeration,
+    lasso_objective,
     scalar_min_by_search,
     soft_threshold,
     trust_region_by_eigh,
@@ -979,11 +982,284 @@ class TestUncertifiedBasisSteps:
         assert live > 0 and skipped == 8 * 3
         assert ws.basis.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("gamma", [1e300, 1e308])
+    def test_update_basis_needs_no_errstate(self, gamma):
+        # the instance above, called bare: the pass ignores the overflow
+        # itself, so under warnings as errors it still counts the skips
+        rng = np.random.default_rng(67)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        ws = SolverWorkspace(*random_setup(rng, n=8, m=6, k=3, density=0.6, hp=hp))
+        before = ws.basis.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert update_basis(ws) == 8 * 3
+        assert ws.basis.tobytes() == before.tobytes()
+
     def test_non_positive_slope_ends_newton(self):
         # T = [inf] at sigma = 0.5: h = q_norm / inf = 0, whose norm is not
         # 1 and not reached at sigma = 0, and the Newton slope
         # h'(T + sigma I)^-1 h is 0, so the last solve is returned unmoved
         assert solver._projected_step([np.inf], [], 1.0, 0.5) == ([0.0], 0.5, np.inf, 1.0)
+
+
+class TestBasisStepKernel:
+    """_basis_step multiplies by S - I and its transpose through scipy's CSR
+    kernel into reused buffers.  On the passes of TestBasisTrustRegion's
+    random, ill-conditioned and boundary cases, each of its steps returns
+    the (u, image, j) of basis_step_by_sparse_operators, the step with
+    scipy's `@`, bit for bit."""
+
+    @staticmethod
+    def check_pass(ws):
+        steps, step = [], solver._basis_step
+
+        def compared(ws, g, q, rows):
+            got, want = step(ws, g, q, rows), basis_step_by_sparse_operators(ws, g, q, rows)
+            assert got[2] == want[2]
+            for a, b in zip(got[:2], want[:2]):
+                assert (a is None) == (b is None)
+                assert a is None or a.tobytes() == b.tobytes()
+            steps.append(got[2])
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_basis_step", compared)
+            update_basis(ws)
+        return steps
+
+    def test_random(self):
+        rng = np.random.default_rng(66)
+        steps = 0
+        for _ in range(60):
+            n, m, k = int(rng.integers(1, 13)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            gamma = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+            hp = Hyperparams(K=k, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+            D, S, T, model, hp = random_setup(rng, n=n, m=m, k=k, hp=hp)
+            scale = float(rng.choice([0.05, 0.3, 1.0, 3.0]))
+            model = FactorModel(U=model.U, V=scale * model.V, E=model.E)
+            steps += len(self.check_pass(SolverWorkspace(D, S, T, model, hp)))
+        assert steps > 60
+
+    @pytest.mark.parametrize("seed", [34, 80, 293])
+    def test_ill_conditioned(self, seed):
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=100.0)
+        D, S, T, model, hp = random_setup(rng, n=28, m=6, k=3, density=0.6, hp=hp)
+        model = FactorModel(U=model.U, V=0.01 * model.V, E=model.E)
+        assert max(self.check_pass(SolverWorkspace(D, S, T, model, hp))) > 8
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("v_scale", [1.0, 0.01])
+    def test_boundary(self, seed, gamma, v_scale):
+        rng = np.random.default_rng(seed)
+        hp = Hyperparams(K=3, knn_k=3, eta=0.3, beta=0.5, gamma=gamma)
+        D, S, T, model, hp = random_setup(rng, n=20, m=5, k=3, density=0.6, hp=hp)
+        E = -50.0 / v_scale * np.abs(rng.normal(size=(20, 5)))
+        model = FactorModel(U=model.U, V=v_scale * model.V, E=sp.csr_matrix(E))
+        assert self.check_pass(SolverWorkspace(D, S, T, model, hp))
+
+
+class TestCoeffFaceStep:
+    """The face step after a sweep.  For K M <= 8 the coefficient block is a
+    lasso in V's entries, rows outer, with gram U'U (x) I + I (x) P, P the
+    tag penalty, coupling U'(D - E) and L1 weight 2 eta, so
+    lasso_by_enumeration gives its minimizer and lasso_objective its value
+    less the block's constant."""
+
+    @staticmethod
+    def block_lasso(ws):
+        """(gram, corr, l1_weight) of the coefficient block as a lasso."""
+        k, m = ws.coeffs.shape
+        gram = np.kron(ws.basis.T @ ws.basis, np.eye(m)) + np.kron(np.eye(k), ws.tag_penalty)
+        return gram, ws.coeff_coupling().ravel(), 2.0 * ws.hp.eta
+
+    @staticmethod
+    def instance(rng, k, m, n=64, **weights):
+        hp = Hyperparams(K=k, knn_k=3, eta=float(rng.choice([0.05, 0.3, 1.0])), beta=0.5)
+        return SolverWorkspace(
+            *random_setup(rng, n=n, m=m, k=k, hp=hp.with_overrides(**weights))
+        )
+
+    @pytest.mark.parametrize("k, m", [(1, 8), (2, 4), (4, 2), (2, 3), (3, 2)])
+    def test_never_raises_the_lasso_value(self, k, m):
+        rng = np.random.default_rng(70 + 10 * k + m)
+        outcomes = []
+        for _ in range(12):
+            ws = self.instance(rng, k, m)
+            update_coeffs(ws)
+            gram, corr, l1 = self.block_lasso(ws)
+            _, best = lasso_by_enumeration(gram, corr, 0.0, l1)
+            before = lasso_objective(gram, corr, 0.0, l1, ws.coeffs.ravel())
+            objective = ws.objective_value()
+            outcomes.append(solver.coeff_face_step(ws))
+            after = lasso_objective(gram, corr, 0.0, l1, ws.coeffs.ravel())
+            scale = 1e-12 * max(abs(before), 1.0)
+            assert best - scale <= after <= before + (0.0 if outcomes[-1] == "taken" else scale)
+            if outcomes[-1] != "taken":
+                continue
+            assert after < before
+            # the lasso's value and the objective differ by the same constant
+            np.testing.assert_allclose(
+                ws.objective_value() - objective, after - before, rtol=1e-8, atol=scale
+            )
+        assert outcomes.count("taken") >= 6
+
+    @pytest.mark.parametrize("k, m", [(1, 8), (2, 4), (4, 2), (2, 3)])
+    def test_leaves_an_exact_minimizer_unchanged(self, k, m):
+        rng = np.random.default_rng(90 + 10 * k + m)
+        for _ in range(10):
+            ws = self.instance(rng, k, m)
+            best, _ = lasso_by_enumeration(*self.block_lasso(ws)[:2], 0.0, 2.0 * ws.hp.eta)
+            ws.coeffs[:] = best.reshape(k, m)
+            assert solver.coeff_face_step(ws) in ("no descent", "empty")
+            assert ws.coeffs.tobytes() == best.tobytes()
+
+    def test_reaches_the_minimizer_on_its_face(self):
+        # from a point with the minimizer's signs, one step lands on it
+        rng = np.random.default_rng(99)
+        reached = 0
+        for _ in range(20):
+            ws = self.instance(rng, 2, 4)
+            gram, corr, l1 = self.block_lasso(ws)
+            best, _ = lasso_by_enumeration(gram, corr, 0.0, l1)
+            if not best.any():
+                continue
+            ws.coeffs[:] = (best * rng.uniform(0.5, 1.5, size=best.size)).reshape(2, 4)
+            assert solver.coeff_face_step(ws) == "taken"
+            np.testing.assert_allclose(ws.coeffs.ravel(), best, rtol=1e-9, atol=1e-12)
+            reached += 1
+        assert reached >= 10
+
+    def test_stops_at_the_first_zero_crossing(self):
+        # the face's minimizer flips a sign: the step ends where the first
+        # coordinate reaches 0, sets it to exactly 0, and keeps the others'
+        # signs
+        rng = np.random.default_rng(101)
+        crossed = 0
+        for _ in range(40):
+            ws = self.instance(rng, 2, 4, eta=0.05)
+            ws.coeffs[:] = rng.normal(size=(2, 4))
+            start = ws.coeffs.copy()
+            gram, corr, l1 = self.block_lasso(ws)
+            theta = np.sign(start.ravel())
+            target = np.linalg.solve(gram, corr - 0.5 * l1 * theta)
+            if not (theta * target < 0.0).any():
+                continue
+            before = lasso_objective(gram, corr, 0.0, l1, start.ravel())
+            assert solver.coeff_face_step(ws) == "taken"
+            after = ws.coeffs.ravel()
+            assert (np.sign(after) * theta >= 0.0).all() and (after == 0.0).any()
+            assert lasso_objective(gram, corr, 0.0, l1, after) < before
+            crossed += 1
+        assert crossed >= 10
+
+    def test_large_face_is_solved_by_blocks(self):
+        # 3 x 80 nonzero coefficients on 1,500 images with eta = 0: the face
+        # is past one solve block and within the memory bound, and from a
+        # point with the face minimizer's signs the step lands on H^-1 C
+        rng = np.random.default_rng(107)
+        n, m, k = 1500, 80, 3
+        hp = Hyperparams(K=k, knn_k=3, eta=0.0, beta=0.5)
+        D = TaggingMatrix.from_dense((rng.random((n, m)) < 0.3).astype(float))
+        U = rng.normal(size=(n, k))
+        model = FactorModel(U=U / np.linalg.norm(U, axis=0), V=sp.csr_matrix((k, m)),
+                            E=sp.csr_matrix((n, m)))
+        ws = SolverWorkspace(D, zero_structure(n), zero_structure(m), model, hp)
+        gram, corr, _ = self.block_lasso(ws)
+        best = np.linalg.solve(gram, corr)
+        assert best.size > solver._SOLVE_BLOCK and best.all()
+        ws.coeffs[:] = (best * rng.uniform(0.5, 1.5, size=best.size)).reshape(k, m)
+        assert solver.coeff_face_step(ws) == "taken"
+        np.testing.assert_allclose(ws.coeffs.ravel(), best, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
+    def test_blocked_cholesky_solve(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.normal(size=(size, size))
+        hessian = a @ a.T + size * np.eye(size)
+        rhs = rng.normal(size=size)
+        got = solver._cholesky_solve_by_blocks(np.linalg.cholesky(hessian), rhs)
+        np.testing.assert_allclose(got, np.linalg.solve(hessian, rhs), rtol=1e-10, atol=1e-14)
+
+    def test_skips_a_singular_face(self):
+        # two equal basis columns, no tag penalty and both rows nonzero on
+        # one tag: H_AA has a singular 2 x 2 block
+        rng = np.random.default_rng(102)
+        ws = self.instance(rng, 2, 4, lambda_=0.0)
+        ws.basis[:, 1] = ws.basis[:, 0]
+        ws.coeffs[:] = 0.0
+        ws.coeffs[:, 2] = [0.5, 0.25]
+        start = ws.coeffs.copy()
+        assert solver.coeff_face_step(ws) == "singular"
+        assert ws.coeffs.tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("where", ["coeffs", "error", "penalty"])
+    def test_skips_a_non_finite_state(self, where):
+        rng = np.random.default_rng(103)
+        ws = self.instance(rng, 2, 4)
+        ws.coeffs[:] = 0.0
+        ws.coeffs[0, :2] = [0.5, -0.25]
+        if where == "coeffs":
+            ws.coeffs[1, 3] = np.inf
+        elif where == "error":
+            set_target(ws, (slice(None), 1), np.inf)
+        else:
+            ws.tag_penalty[0, 0] = np.nan
+        start = ws.coeffs.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solver.coeff_face_step(ws) == "non-finite"
+        assert ws.coeffs.tobytes() == start.tobytes()
+
+    def test_skips_past_the_memory_bound(self):
+        # N M = 32 cells: a face of 4 coordinates (2 * 16 = 32 cells of
+        # H_AA and its factor) is solved, one of 5 is not
+        rng = np.random.default_rng(104)
+        ws = self.instance(rng, 2, 4, n=8, eta=0.05)
+        for size, outcome in ((4, True), (5, False)):
+            ws.coeffs[:] = 0.0
+            ws.coeffs.ravel()[:size] = rng.uniform(0.5, 1.0, size=size)
+            start = ws.coeffs.copy()
+            got = solver.coeff_face_step(ws)
+            assert (got != "too large") == outcome
+            if got != "taken":
+                assert ws.coeffs.tobytes() == start.tobytes()
+
+    def test_skips_an_empty_face(self):
+        ws = self.instance(np.random.default_rng(105), 2, 4)
+        ws.coeffs[:] = 0.0
+        assert solver.coeff_face_step(ws) == "empty"
+        assert not ws.coeffs.any()
+
+    def test_fit_counts_every_outcome(self, monkeypatch):
+        # a start with two equal basis columns, no tag penalty and both rows
+        # nonzero on one tag makes the first face singular; on a random
+        # 8 x 6 instance most faces exceed the memory bound
+        recorded, step = [], solver.coeff_face_step
+
+        def spy(ws):
+            recorded.append(step(ws))
+            return recorded[-1]
+
+        monkeypatch.setattr(solver, "coeff_face_step", spy)
+        rng = np.random.default_rng(106)
+        hp = Hyperparams(K=2, knn_k=3, eta=0.3, beta=0.5, lambda_=0.0, max_outer_iters=20)
+        D, S, T, model, hp = random_setup(rng, n=40, m=4, k=2, hp=hp)
+        U, V = model.U.copy(), np.zeros((2, 4))
+        U[:, 1], V[:, 1] = U[:, 0], 0.5
+        twins = FactorModel(U=U, V=sp.csr_matrix(V), E=model.E)
+        small = random_setup(rng)
+        seen = set()
+        for args in ((D, S, T, hp, twins), (*small[:3], small[4])):
+            recorded.clear()
+            report = fit(*args)
+            assert len(recorded) == report.iterations
+            assert report.face_steps == {
+                outcome: recorded.count(outcome) for outcome in solver.FACE_OUTCOMES
+            }
+            seen.update(recorded)
+        assert {"singular", "too large"} <= seen
 
 
 class TestUpdateError:
@@ -1796,6 +2072,42 @@ class TestReportCounts:
         V[:, tag] = 0.0
         zeroed = dataclasses.replace(report, model=FactorModel(U=model.U, V=sp.csr_matrix(V), E=model.E))
         assert zeroed.empty_tags == report.empty_tags + 1
+
+
+class TestBasisCosines:
+    """SolverReport gives the largest |cosine| between two nonzero basis
+    columns of the final model and the number of pairs above
+    NEAR_DUPLICATE_COSINE."""
+
+    @staticmethod
+    def report(U):
+        model = FactorModel(
+            U=U, V=sp.csr_matrix((U.shape[1], 3)), E=sp.csr_matrix((U.shape[0], 3))
+        )
+        return solver.SolverReport(
+            model=model, objective_trace=np.zeros(1), block_trace=np.zeros((0, 3)),
+            converged=True, iterations=0, skipped_coordinates=0, live_rank=[0],
+            face_steps=dict.fromkeys(solver.FACE_OUTCOMES, 0),
+        )
+
+    def test_one_near_duplicate_pair(self):
+        # columns 1 and 3 nearly duplicate each other; column 2 is dead
+        rng = np.random.default_rng(110)
+        U = np.linalg.qr(rng.normal(size=(12, 3)))[0]
+        near = U[:, 0] + 0.01 * U[:, 1]
+        near /= -np.linalg.norm(near)
+        U = np.column_stack([U[:, 1], U[:, 0], np.zeros(12), near, U[:, 2]])
+        report = self.report(0.5 * U)
+        want = 1.0 / np.sqrt(1.0 + 1e-4)  # |cos| of columns 1 and 3
+        assert abs(report.max_basis_cosine - want) <= 1e-12
+        assert report.near_duplicate_pairs == 1
+
+    def test_no_pair(self):
+        assert self.report(np.zeros((4, 3))).max_basis_cosine == 0.0
+        one = self.report(np.eye(4, 3) * [1.0, 0.0, 0.0])
+        assert (one.max_basis_cosine, one.near_duplicate_pairs) == (0.0, 0)
+        spread = self.report(np.eye(4, 3))
+        assert (spread.max_basis_cosine, spread.near_duplicate_pairs) == (0.0, 0)
 
 
 class TestEmptyInput:
